@@ -4,7 +4,7 @@
 PYTEST := PYTHONPATH=src python -m pytest
 DATE   := $(shell date +%Y-%m-%d)
 
-.PHONY: test lint bench bench-substrates bench-ingest bench-extraction bench-compare
+.PHONY: test lint bench bench-substrates bench-ingest bench-extraction bench-compare perfbench
 
 test: lint
 	$(PYTEST) -x -q
@@ -39,3 +39,13 @@ bench-extraction:
 # against the latest committed BENCH_*.json.
 bench-compare:
 	PYTHONPATH=src python scripts/bench_compare.py
+
+# The repository benchmark (perfbench/README.md): every workload on the
+# development seed, end to end (--trace 0) and per layer (--trace 1).
+perfbench:
+	for workload in table3 ingest-clean ingest-durable; do \
+		for trace in 0 1; do \
+			python3 perfbench/run.py --workload $$workload \
+				--seed 11 --trace $$trace || exit 1; \
+		done; \
+	done

@@ -400,7 +400,7 @@ class IncrementalExtractor:
     ) -> None:
         self._config = config or ExtractionConfig()
         self._ctx = context or NULL_CONTEXT
-        self._kb = kb or KnowledgeBase()
+        self._kb = kb if kb is not None else KnowledgeBase()
         self._log = IterationLog()
         self._seen: set[str] = set()
         self._sentences: list[Sentence] = []

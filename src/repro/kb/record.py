@@ -100,6 +100,13 @@ class ExtractionRecord:
         """Triggers whose pairs are still in the knowledge base."""
         return tuple(t for t in self.triggers if t not in self._dead_triggers)
 
+    def dead_triggers(self) -> tuple[IsAPair, ...]:
+        """Triggers whose pairs were removed, in trigger order."""
+        dead = self._dead_triggers
+        if not dead:
+            return ()
+        return tuple(t for t in self.triggers if t in dead)
+
     def kill_trigger(self, pair: IsAPair) -> bool:
         """Mark one trigger as removed; returns True if none remain alive."""
         if pair in self.triggers:

@@ -5,6 +5,16 @@ activity flag — so a reloaded knowledge base supports rollback, feature
 extraction and cleaning exactly like the original.  The format is
 line-oriented JSON: one header line, then one line per record (active and
 inactive alike, so removed-pair history survives the round trip).
+
+The codec splits a knowledge base along what can change after a record
+is committed.  :func:`record_row` is a record's immutable part (rid, sid,
+concept, instances, triggers, iteration); :func:`kb_state` is everything
+rollback mutates later (inactive rids, dead triggers, force-removed pairs)
+plus the record and pair counts that make truncation loud.  Loading is
+always *replay the rows in rid order, then* :func:`apply_state`.
+``save_kb`` writes both parts into one file; the segmented checkpoints of
+:mod:`repro.service.checkpoint` write rows append-only and the state on
+its own.
 """
 
 from __future__ import annotations
@@ -14,9 +24,18 @@ from pathlib import Path
 
 from ..errors import KnowledgeBaseError
 from .pair import IsAPair
+from .record import ExtractionRecord
 from .store import KnowledgeBase
 
-__all__ = ["save_kb", "load_kb", "SCHEMA_VERSION"]
+__all__ = [
+    "save_kb",
+    "load_kb",
+    "record_row",
+    "replay_row",
+    "kb_state",
+    "apply_state",
+    "SCHEMA_VERSION",
+]
 
 _FORMAT = "repro-kb"
 _VERSION = 1
@@ -27,50 +46,116 @@ _VERSION = 1
 SCHEMA_VERSION = 1
 
 
+def _pairs_json(pairs) -> list[list[str]]:
+    return [[pair.concept, pair.instance] for pair in pairs]
+
+
+def record_row(record: ExtractionRecord) -> dict:
+    """The immutable fields of one record as a JSON-ready row."""
+    return {
+        "rid": record.rid,
+        "sid": record.sid,
+        "concept": record.concept,
+        "instances": list(record.instances),
+        "triggers": _pairs_json(record.triggers),
+        "iteration": record.iteration,
+    }
+
+
+def replay_row(kb: KnowledgeBase, row: dict) -> ExtractionRecord:
+    """Re-commit one :func:`record_row` row; rids must stay dense."""
+    record = kb.add_extraction(
+        sid=row["sid"],
+        concept=row["concept"],
+        instances=tuple(row["instances"]),
+        triggers=tuple(
+            IsAPair(concept, instance) for concept, instance in row["triggers"]
+        ),
+        iteration=row["iteration"],
+    )
+    if record.rid != row["rid"]:
+        raise KnowledgeBaseError(
+            f"record ids are not dense (expected {record.rid}, the row "
+            f"says {row['rid']})"
+        )
+    return record
+
+
+def kb_state(kb: KnowledgeBase) -> dict:
+    """The mutable part of a knowledge base, plus its integrity counts."""
+    inactive: list[int] = []
+    dead: list[list] = []
+    for record in kb.records(include_inactive=True):
+        if not record.active:
+            inactive.append(record.rid)
+        killed = record.dead_triggers()
+        if killed:
+            dead.append([record.rid, _pairs_json(killed)])
+    return {
+        "records": kb.num_records,
+        "pairs": len(kb),
+        "inactive": inactive,
+        "dead_triggers": dead,
+        # Pairs force-removed (e.g. Accidental DPs) while their producing
+        # records stayed active; replay must re-remove them.
+        "removed_pairs": sorted(_pairs_json(kb.removed_pairs())),
+    }
+
+
+def apply_state(kb: KnowledgeBase, state: dict, source: str | Path) -> None:
+    """Apply a :func:`kb_state` to a KB whose rows were just replayed.
+
+    Inactive records are deactivated in rid order, dead triggers killed
+    and force-removed pairs re-removed, so pair counts, removed-pair
+    history and trigger liveness all match the original.  ``source``
+    names the file at fault in the errors.
+    """
+    # A truncated file parses row by row without complaint; the counts
+    # are the integrity check that makes the loss loud.
+    if kb.num_records != state.get("records"):
+        raise KnowledgeBaseError(
+            f"{source} is truncated or padded: it promises "
+            f"{state.get('records')} records, replay holds {kb.num_records}"
+        )
+    for rid in state["inactive"]:
+        kb.deactivate_record(rid)
+    for rid, dead in state["dead_triggers"]:
+        record = kb.record(rid)
+        for concept, instance in dead:
+            record.kill_trigger(IsAPair(concept, instance))
+    for concept, instance in state["removed_pairs"]:
+        pair = IsAPair(concept, instance)
+        if pair in kb:
+            kb.remove_pair(pair)
+    if len(kb) != state.get("pairs"):
+        raise KnowledgeBaseError(
+            f"{source} is inconsistent: it promises {state.get('pairs')} "
+            f"alive pairs, replay produced {len(kb)}"
+        )
+
+
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
     """Write a knowledge base (with provenance) to a JSONL file."""
-    records = sorted(kb.records(include_inactive=True), key=lambda r: r.rid)
+    state = kb_state(kb)
     header = {
         "format": _FORMAT,
         "version": _VERSION,
         "schema_version": SCHEMA_VERSION,
-        "records": len(records),
-        "pairs": len(kb),
-        # Pairs force-removed (e.g. Accidental DPs) while their producing
-        # records stayed active; replay must re-remove them.
-        "removed_pairs": sorted(
-            [pair.concept, pair.instance] for pair in kb.removed_pairs()
-        ),
+        "records": state["records"],
+        "pairs": state["pairs"],
+        "removed_pairs": state["removed_pairs"],
     }
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
-        for record in records:
-            row = {
-                "rid": record.rid,
-                "sid": record.sid,
-                "concept": record.concept,
-                "instances": list(record.instances),
-                "triggers": [
-                    [t.concept, t.instance] for t in record.triggers
-                ],
-                "iteration": record.iteration,
-                "active": record.active,
-                "dead_triggers": [
-                    [t.concept, t.instance]
-                    for t in record.triggers
-                    if t not in record.alive_triggers()
-                ],
-            }
+        for record in kb.records(include_inactive=True):
+            row = record_row(record)
+            row["active"] = record.active
+            row["dead_triggers"] = _pairs_json(record.dead_triggers())
             handle.write(json.dumps(row) + "\n")
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
-    """Rebuild a knowledge base saved with :func:`save_kb`.
-
-    Records are replayed in rid order; inactive records are replayed and
-    then deactivated, so pair counts, removed-pair history and trigger
-    liveness all match the original.
-    """
+    """Rebuild a knowledge base saved with :func:`save_kb`."""
     kb = KnowledgeBase()
     with open(path, encoding="utf-8") as handle:
         header_line = handle.readline()
@@ -94,58 +179,29 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                 f"understands schema {SCHEMA_VERSION} — refusing to guess "
                 "at row fields"
             )
-        to_deactivate: list[int] = []
-        dead_trigger_rows: list[tuple[int, list]] = []
+        state = {
+            "records": header.get("records"),
+            "pairs": header.get("pairs"),
+            "inactive": [],
+            "dead_triggers": [],
+            "removed_pairs": header.get("removed_pairs", ()),
+        }
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
                 row = json.loads(line)
-                record = kb.add_extraction(
-                    sid=row["sid"],
-                    concept=row["concept"],
-                    instances=tuple(row["instances"]),
-                    triggers=tuple(
-                        IsAPair(concept, instance)
-                        for concept, instance in row["triggers"]
-                    ),
-                    iteration=row["iteration"],
-                )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+                record = replay_row(kb, row)
+            except (KeyError, TypeError, ValueError, KnowledgeBaseError) as exc:
                 raise KnowledgeBaseError(
                     f"bad KB record at {path}:{line_number}: {exc}"
                 ) from exc
-            if record.rid != row["rid"]:
-                raise KnowledgeBaseError(
-                    f"record ids are not dense at {path}:{line_number} "
-                    f"(expected {record.rid}, file says {row['rid']})"
-                )
             if not row.get("active", True):
-                to_deactivate.append(record.rid)
+                state["inactive"].append(record.rid)
             if row.get("dead_triggers"):
-                dead_trigger_rows.append((record.rid, row["dead_triggers"]))
-        for rid in to_deactivate:
-            kb.deactivate_record(rid)
-        for rid, dead in dead_trigger_rows:
-            record = kb.record(rid)
-            for concept, instance in dead:
-                record.kill_trigger(IsAPair(concept, instance))
-        for concept, instance in header.get("removed_pairs", ()):
-            pair = IsAPair(concept, instance)
-            if pair in kb:
-                kb.remove_pair(pair)
-    # A truncated file parses line by line without complaint; the header
-    # counts are the integrity check that makes the loss loud.
-    loaded_records = sum(1 for _ in kb.records(include_inactive=True))
-    if loaded_records != header.get("records"):
-        raise KnowledgeBaseError(
-            f"{path} is truncated or padded: header promises "
-            f"{header.get('records')} records, file holds {loaded_records}"
-        )
-    if len(kb) != header.get("pairs"):
-        raise KnowledgeBaseError(
-            f"{path} is inconsistent: header promises {header.get('pairs')} "
-            f"alive pairs, replay produced {len(kb)}"
-        )
+                state["dead_triggers"].append(
+                    [record.rid, row["dead_triggers"]]
+                )
+    apply_state(kb, state, path)
     return kb

@@ -394,6 +394,11 @@ class KnowledgeBase:
         except KeyError:
             raise KnowledgeBaseError(f"no record with rid {rid}") from None
 
+    @property
+    def num_records(self) -> int:
+        """Records ever committed, active or not (rids are ``0..n-1``)."""
+        return self._next_rid
+
     def records(self, include_inactive: bool = False) -> Iterator[ExtractionRecord]:
         """Iterate over records (active only, by default)."""
         for record in self._records.values():

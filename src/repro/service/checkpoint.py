@@ -1,48 +1,151 @@
-"""Durable session checkpoints: KB snapshot + corpus + session meta.
+"""Durable session checkpoints: segmented, append-only snapshots.
 
 Layout of a checkpoint directory::
 
-    journal.jsonl        redo journal (see repro.service.journal)
-    CURRENT              name of the active snapshot directory
-    snapshot-<seq>/      one complete snapshot
-        META.json        session state at seq (+ checkpoint format stamp)
-        kb.jsonl         the knowledge base (repro.kb.serialize format)
-        corpus.jsonl     accumulated de-duplicated sentences
+    journal.jsonl          redo journal (see repro.service.journal)
+    CURRENT                name of the active snapshot directory
+    snapshot-<seq>/        one self-contained snapshot
+        META.json          session meta at seq, the ordered segment list
+                           (file, kind, rows, bytes), checkpoint_version
+                           and the KB schema_version
+        kb-<n>.jsonl       immutable rows of the records added in one
+                           snapshot generation (repro.kb.serialize codec)
+        corpus-<n>.jsonl   the sentences added in one generation
+        state.json         the KB's mutable state: inactive rids, dead
+                           triggers per rid, removed pairs, the record
+                           and pair counts
 
-Snapshots are written to a temp directory, fsynced, renamed into place
-and only then published by atomically rewriting ``CURRENT`` — a crash at
-any point leaves either the old snapshot or the new one, never a torn
-mix.  The journal is truncated after publication; if the process dies in
-between, replay's ``seq`` guard skips the already-covered entries.
+The format rests on two append-only invariants.  A record's rid, sid,
+concept, instances, triggers and iteration never change after it is
+committed (only its activity and trigger liveness do), and the session
+corpus only grows.  So a snapshot writes just the records and sentences
+added since the previous one as new segments, hard-links the previous
+snapshot's segments into its own directory (every published directory
+stays complete on its own, and nothing needs garbage collection), and
+rewrites only the small ``state.json`` and ``META.json``.  A snapshot
+costs O(new records + new sentences + mutable state); loading replays
+the segments in order, applies ``state.json`` and checks the counts — the
+same work as :func:`repro.kb.serialize.load_kb`.
+
+The store remembers the chain it last published or loaded: which KB
+object, how many records and sentences its segments hold.  A snapshot of
+any other KB, or of a sentence list whose prefix no longer matches,
+starts a fresh base.
+
+Snapshots are written to a temp directory, every new file and the
+directory itself fsynced, renamed into place and only then published by
+atomically rewriting ``CURRENT`` — a crash at any point leaves either the
+old snapshot or the new one, never a torn mix.  The journal is truncated
+after publication; if the process dies in between, replay's ``seq`` guard
+skips the already-covered entries.  Every load failure raises
+:class:`~repro.errors.ServiceError` naming the file at fault.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
-from pathlib import Path
 from collections.abc import Sequence
+from dataclasses import dataclass
+from pathlib import Path
 
-from ..corpus.corpus import Corpus, sentence_from_json, sentence_to_json
+from ..corpus.corpus import sentence_from_json, sentence_to_json
 from ..corpus.sentence import Sentence
-from ..errors import ServiceError
-from ..kb.serialize import load_kb, save_kb
+from ..errors import CorpusError, KnowledgeBaseError, ServiceError
+from ..kb.serialize import (
+    SCHEMA_VERSION,
+    apply_state,
+    kb_state,
+    record_row,
+    replay_row,
+)
 from ..kb.store import KnowledgeBase
 from .journal import Journal
 
-__all__ = ["CheckpointStore", "CHECKPOINT_VERSION"]
+__all__ = ["CheckpointStore", "SnapshotWrite", "CHECKPOINT_VERSION"]
 
 #: Version of the checkpoint directory layout and META schema.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_SNAPSHOT_NAME = re.compile(r"snapshot-\d+")
 
 
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
+@dataclass(frozen=True)
+class SnapshotWrite:
+    """What one :meth:`CheckpointStore.save_snapshot` call wrote."""
+
+    records_written: int
+    sentences_written: int
+    bytes_written: int
+    fsyncs: int
+    segments_linked: int
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """The segments of the published snapshot, for the KB they hold."""
+
+    kb: KnowledgeBase
+    snapshot: str
+    segments: tuple[dict, ...]
+    records: int
+    sentences: int
+    last_sid: int | None
+
+    @classmethod
+    def covering(
+        cls,
+        kb: KnowledgeBase,
+        snapshot: str,
+        segments: Sequence[dict],
+        sentences: Sequence[Sentence],
+    ) -> "_Chain":
+        """The chain whose segments hold all of ``kb`` and ``sentences``."""
+        return cls(
+            kb=kb,
+            snapshot=snapshot,
+            segments=tuple(segments),
+            records=kb.num_records,
+            sentences=len(sentences),
+            last_sid=sentences[-1].sid if sentences else None,
+        )
+
+
+class _Tally:
+    """Durable writes of one snapshot, with their byte and fsync counts."""
+
+    def __init__(self) -> None:
+        self.bytes = 0
+        self.fsyncs = 0
+
+    def write(self, path: Path, data: bytes) -> None:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self.bytes += len(data)
+        self.fsyncs += 1
+
+    def sync_dir(self, path: Path) -> None:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self.fsyncs += 1
+
+
+def _read_json(path: Path, what: str):
     try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ServiceError(f"bad snapshot {what} {path}: {exc}") from exc
 
 
 class CheckpointStore:
@@ -52,6 +155,7 @@ class CheckpointStore:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self.journal = Journal(self._dir / "journal.jsonl")
+        self._chain: _Chain | None = None
 
     @property
     def directory(self) -> Path:
@@ -68,6 +172,25 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
+    def _continued_chain(
+        self, kb: KnowledgeBase, sentences: Sequence[Sentence]
+    ) -> _Chain | None:
+        """The published chain ``kb``/``sentences`` extend, if any."""
+        chain = self._chain
+        if (
+            chain is None
+            or chain.kb is not kb
+            or kb.num_records < chain.records
+            or len(sentences) < chain.sentences
+            or not (self._dir / chain.snapshot).is_dir()
+        ):
+            return None
+        if chain.sentences and sentences[chain.sentences - 1].sid != (
+            chain.last_sid
+        ):
+            return None
+        return chain
+
     def save_snapshot(
         self,
         *,
@@ -75,72 +198,185 @@ class CheckpointStore:
         kb: KnowledgeBase,
         sentences: Sequence[Sentence],
         meta: dict,
-    ) -> None:
+    ) -> SnapshotWrite:
         """Write and publish a snapshot covering journal entries ≤ seq."""
         name = f"snapshot-{seq}"
         tmp = self._dir / (name + ".tmp")
         if tmp.exists():
             shutil.rmtree(tmp)
-        tmp.mkdir()
-        save_kb(kb, tmp / "kb.jsonl")
-        with open(tmp / "corpus.jsonl", "w", encoding="utf-8") as handle:
-            for sentence in sentences:
-                handle.write(json.dumps(sentence_to_json(sentence)) + "\n")
+        os.mkdir(tmp)
+        tally = _Tally()
+        base = self._continued_chain(kb, sentences) or _Chain(
+            kb, snapshot="", segments=(), records=0, sentences=0, last_sid=None
+        )
+        segments = list(base.segments)
+        for segment in segments:
+            os.link(self._dir / base.snapshot / segment["file"],
+                    tmp / segment["file"])
+        new_rows = [
+            json.dumps(record_row(kb.record(rid)))
+            for rid in range(base.records, kb.num_records)
+        ]
+        new_sentences = [
+            json.dumps(sentence_to_json(sentence))
+            for sentence in sentences[base.sentences:]
+        ]
+        for kind, rows in (("kb", new_rows), ("corpus", new_sentences)):
+            if not rows:
+                continue
+            index = sum(1 for s in segments if s["kind"] == kind)
+            segment = {"kind": kind, "file": f"{kind}-{index}.jsonl"}
+            data = ("\n".join(rows) + "\n").encode()
+            tally.write(tmp / segment["file"], data)
+            segment.update(rows=len(rows), bytes=len(data))
+            segments.append(segment)
+        tally.write(tmp / "state.json", json.dumps(kb_state(kb)).encode())
         payload = dict(meta)
         payload["checkpoint_version"] = CHECKPOINT_VERSION
+        payload["schema_version"] = SCHEMA_VERSION
         payload["seq"] = seq
-        (tmp / "META.json").write_text(
-            json.dumps(payload, indent=2), encoding="utf-8"
-        )
-        for item in tmp.iterdir():
-            with open(item, "rb") as handle:
-                os.fsync(handle.fileno())
+        payload["segments"] = segments
+        tally.write(tmp / "META.json", json.dumps(payload).encode())
+        tally.sync_dir(tmp)
         final = self._dir / name
         if final.exists():
             shutil.rmtree(final)
         os.rename(tmp, final)
-        _fsync_dir(self._dir)
+        tally.sync_dir(self._dir)
         # Publish: CURRENT flips atomically to the new snapshot.
         pointer = self._dir / "CURRENT.tmp"
-        pointer.write_text(name + "\n", encoding="utf-8")
-        with open(pointer, "rb") as handle:
-            os.fsync(handle.fileno())
+        tally.write(pointer, (name + "\n").encode())
         os.replace(pointer, self._dir / "CURRENT")
-        _fsync_dir(self._dir)
+        tally.sync_dir(self._dir)
+        self._chain = _Chain.covering(kb, name, segments, sentences)
         # The journal is now fully covered; entries ≤ seq are dead either way.
         self.journal.reset()
         for stale in self._dir.glob("snapshot-*"):
             if stale.name != name and stale.is_dir():
                 shutil.rmtree(stale)
+        return SnapshotWrite(
+            records_written=len(new_rows),
+            sentences_written=len(new_sentences),
+            bytes_written=tally.bytes,
+            fsyncs=tally.fsyncs,
+            segments_linked=len(base.segments),
+        )
+
+    def _published(self) -> Path | None:
+        """The snapshot directory ``CURRENT`` names, or ``None``."""
+        pointer = self._dir / "CURRENT"
+        if not pointer.exists():
+            return None
+        try:
+            name = pointer.read_text(encoding="utf-8").strip()
+        except (OSError, ValueError) as exc:
+            raise ServiceError(f"unreadable pointer {pointer}: {exc}") from exc
+        if not _SNAPSHOT_NAME.fullmatch(name):
+            raise ServiceError(
+                f"corrupt pointer {pointer}: {name[:40]!r} does not name a "
+                "snapshot directory"
+            )
+        snapshot = self._dir / name
+        if not snapshot.is_dir():
+            raise ServiceError(
+                f"{pointer} points at missing snapshot {snapshot}"
+            )
+        return snapshot
 
     def load_snapshot(
         self,
     ) -> tuple[KnowledgeBase, list[Sentence], dict] | None:
         """Load the published snapshot, or ``None`` when there is none."""
-        pointer = self._dir / "CURRENT"
-        if not pointer.exists():
+        snapshot = self._published()
+        if snapshot is None:
             return None
-        name = pointer.read_text(encoding="utf-8").strip()
-        snapshot = self._dir / name
-        if not snapshot.is_dir():
-            raise ServiceError(
-                f"checkpoint {self._dir} points at missing snapshot {name!r}"
-            )
-        try:
-            meta = json.loads(
-                (snapshot / "META.json").read_text(encoding="utf-8")
-            )
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ServiceError(f"bad snapshot META in {snapshot}: {exc}") from exc
+        meta_path = snapshot / "META.json"
+        meta = _read_json(meta_path, "META")
+        if not isinstance(meta, dict):
+            raise ServiceError(f"bad snapshot META {meta_path}: not an object")
         version = meta.get("checkpoint_version")
         if version != CHECKPOINT_VERSION:
             raise ServiceError(
-                f"{snapshot} uses checkpoint format {version!r}; this "
-                f"reader understands {CHECKPOINT_VERSION}"
+                f"{meta_path} declares checkpoint format {version!r}; this "
+                f"reader understands only format {CHECKPOINT_VERSION} "
+                "(segmented snapshots) — start a fresh checkpoint directory"
             )
-        kb = load_kb(snapshot / "kb.jsonl")
-        corpus = Corpus.load_jsonl(snapshot / "corpus.jsonl")
-        return kb, list(corpus.sentences), meta
+        schema = meta.get("schema_version")
+        if schema != SCHEMA_VERSION:
+            raise ServiceError(
+                f"{meta_path} declares KB record schema {schema!r}; this "
+                f"reader understands schema {SCHEMA_VERSION}"
+            )
+        segments = meta.get("segments")
+        if not isinstance(segments, list):
+            raise ServiceError(
+                f"bad snapshot META {meta_path}: no segment list"
+            )
+        kb = KnowledgeBase()
+        sentences: list[Sentence] = []
+        for segment in segments:
+            self._replay_segment(snapshot, segment, kb, sentences)
+        state_path = snapshot / "state.json"
+        state = _read_json(state_path, "state")
+        try:
+            apply_state(kb, state, state_path)
+        except (KnowledgeBaseError, KeyError, TypeError, ValueError) as exc:
+            raise ServiceError(
+                f"snapshot state {state_path} does not match its "
+                f"segments: {exc!r}"
+            ) from exc
+        self._chain = _Chain.covering(kb, snapshot.name, segments, sentences)
+        return kb, sentences, meta
+
+    @staticmethod
+    def _replay_segment(
+        snapshot: Path,
+        segment: dict,
+        kb: KnowledgeBase,
+        sentences: list[Sentence],
+    ) -> None:
+        """Check one segment against its META entry, then replay its rows."""
+        try:
+            kind, path = segment["kind"], snapshot / segment["file"]
+            rows, size = segment["rows"], segment["bytes"]
+        except (KeyError, TypeError) as exc:
+            raise ServiceError(
+                f"bad segment entry {segment!r} in {snapshot / 'META.json'}"
+            ) from exc
+        if kind not in ("kb", "corpus"):
+            raise ServiceError(f"segment {path} has unknown kind {kind!r}")
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise ServiceError(f"unreadable segment {path}: {exc}") from exc
+        if len(data) != size:
+            raise ServiceError(
+                f"segment {path} is truncated or padded: META.json promises "
+                f"{size} bytes, the file holds {len(data)}"
+            )
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except ValueError as exc:
+            raise ServiceError(f"bad segment {path}: {exc}") from exc
+        if len(lines) != rows:
+            raise ServiceError(
+                f"segment {path} is inconsistent: META.json promises "
+                f"{rows} rows, the file holds {len(lines)}"
+            )
+        for number, line in enumerate(lines, start=1):
+            try:
+                row = json.loads(line)
+                if kind == "kb":
+                    replay_row(kb, row)
+                else:
+                    sentences.append(sentence_from_json(row))
+            except (
+                CorpusError, KnowledgeBaseError, KeyError, TypeError,
+                ValueError,
+            ) as exc:
+                raise ServiceError(
+                    f"bad row at {path}:{number}: {exc!r}"
+                ) from exc
 
     def load_sentences(self, payload: list[dict]) -> list[Sentence]:
         """Decode journal-entry sentences."""

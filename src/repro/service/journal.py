@@ -82,15 +82,16 @@ class Journal:
         """The journal file location."""
         return self._path
 
-    def append(self, entry: dict) -> None:
-        """Commit one entry durably (write + flush + fsync)."""
+    def append(self, entry: dict) -> int:
+        """Commit one entry durably (write + flush + fsync); returns bytes."""
         if "seq" not in entry:
             raise ServiceError("journal entries must carry a seq")
-        line = json.dumps(entry, separators=(",", ":"))
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        data = (json.dumps(entry, separators=(",", ":")) + "\n").encode()
+        with open(self._path, "ab") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+        return len(data)
 
     def entries(self, after_seq: int = 0) -> Iterator[dict]:
         """Replay committed entries with ``seq > after_seq`` in order.

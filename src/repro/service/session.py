@@ -28,7 +28,7 @@ invariants ride on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Iterable
 
@@ -391,7 +391,9 @@ class IngestSession:
                 }
                 if clean_ops:
                     entry["clean_ops"] = clean_ops
-                self._store.journal.append(entry)
+                with ctx.span("journal.append") as journal_span:
+                    written = self._store.journal.append(entry)
+                    journal_span.add("bytes", written)
                 due = (
                     self._checkpoint_every > 0
                     and self._seq - self._last_snapshot_seq
@@ -506,56 +508,66 @@ class IngestSession:
         """Write a snapshot now (and truncate the covered journal)."""
         if self._store is None:
             raise ServiceError("session has no checkpoint_dir")
-        self._store.save_snapshot(
-            seq=self._seq,
-            kb=self._extractor.kb,
-            sentences=self._extractor._sentences,
-            meta={
-                "iteration": self._extractor.iteration,
-                "batches": self._extractor.batches,
-                "pool_sids": list(self._extractor.unresolved_sids()),
-                "since_clean": self._monitor.staleness,
-                "cleanings": self._monitor.cleanings,
-                "reports": [r.to_dict() for r in self._reports],
-            },
-        )
+        with self._ctx.span("checkpoint.save", seq=self._seq) as span:
+            written = self._store.save_snapshot(
+                seq=self._seq,
+                kb=self._extractor.kb,
+                sentences=self._extractor._sentences,
+                meta={
+                    "iteration": self._extractor.iteration,
+                    "batches": self._extractor.batches,
+                    "pool_sids": list(self._extractor.unresolved_sids()),
+                    "since_clean": self._monitor.staleness,
+                    "cleanings": self._monitor.cleanings,
+                    "reports": [r.to_dict() for r in self._reports],
+                },
+            )
+            for counter, value in asdict(written).items():
+                span.add(counter, value)
         self._last_snapshot_seq = self._seq
 
     def _restore(self) -> None:
         """Resume: load the snapshot, then replay the journal tail."""
         assert self._store is not None
-        snapshot = self._store.load_snapshot()
-        if snapshot is not None:
-            kb, sentences, meta = snapshot
-            self._extractor = IncrementalExtractor(
-                self._config.extraction, kb=kb, context=self._ctx
+        ctx = self._ctx
+        with ctx.span("session.restore"):
+            with ctx.span("checkpoint.load"):
+                snapshot = self._store.load_snapshot()
+            if snapshot is not None:
+                self._adopt_snapshot(*snapshot)
+            with ctx.span("journal.replay") as span:
+                for entry in self._store.journal.entries(after_seq=self._seq):
+                    self._replay_entry(entry)
+                    span.add("entries")
+            ctx.emit(
+                SessionResumed(
+                    batches=len(self._reports),
+                    cleanings=self._monitor.cleanings,
+                    total_pairs=len(self.kb),
+                )
             )
-            self._extractor.restore(
-                sentences,
-                meta["pool_sids"],
-                meta["iteration"],
-                meta["batches"],
-            )
-            self._monitor.restore(
-                staleness=meta["since_clean"],
-                cleanings=meta["cleanings"],
-            )
-            self._reports = [
-                BatchReport.from_dict(r) for r in meta["reports"]
-            ]
-            for report in self._reports:
-                self._monitor.fold(report.drift.per_concept)
-            self._seq = meta["seq"]
-            self._last_snapshot_seq = meta["seq"]
-        for entry in self._store.journal.entries(after_seq=self._seq):
-            self._replay_entry(entry)
-        self._ctx.emit(
-            SessionResumed(
-                batches=len(self._reports),
-                cleanings=self._monitor.cleanings,
-                total_pairs=len(self.kb),
-            )
+
+    def _adopt_snapshot(
+        self, kb: KnowledgeBase, sentences: list[Sentence], meta: dict
+    ) -> None:
+        self._extractor = IncrementalExtractor(
+            self._config.extraction, kb=kb, context=self._ctx
         )
+        self._extractor.restore(
+            sentences,
+            meta["pool_sids"],
+            meta["iteration"],
+            meta["batches"],
+        )
+        self._monitor.restore(
+            staleness=meta["since_clean"],
+            cleanings=meta["cleanings"],
+        )
+        self._reports = [BatchReport.from_dict(r) for r in meta["reports"]]
+        for report in self._reports:
+            self._monitor.fold(report.drift.per_concept)
+        self._seq = meta["seq"]
+        self._last_snapshot_seq = meta["seq"]
 
     def _replay_entry(self, entry: dict) -> None:
         if entry.get("type") != "batch":

@@ -7,8 +7,8 @@ import pytest
 from repro.config import ConceptProfile, CorpusConfig, ExtractionConfig
 from repro.corpus import Corpus, generate_corpus
 from repro.corpus.sentence import Sentence
-from repro.extraction import SemanticIterativeExtractor
-from repro.kb import IsAPair
+from repro.extraction import IncrementalExtractor, SemanticIterativeExtractor
+from repro.kb import IsAPair, KnowledgeBase
 
 
 def _sentence(sid, concepts, instances):
@@ -115,6 +115,18 @@ class TestStreaming:
         ).run(corpus)
         assert result.iterations == 1
         assert result.unresolved_sids == (1,)
+
+
+class TestIncrementalRestore:
+    def test_adopts_a_kb_without_alive_pairs(self):
+        """A restored KB is kept even when rollback emptied its pairs."""
+        kb = KnowledgeBase()
+        record = kb.add_extraction(0, "animal", ("dog",), iteration=1)
+        kb.deactivate_record(record.rid)
+        assert len(kb) == 0
+        extractor = IncrementalExtractor(ExtractionConfig(), kb=kb)
+        assert extractor.kb is kb
+        assert extractor.kb.num_records == 1
 
 
 class TestAgainstGeneratedCorpus:

@@ -49,6 +49,15 @@ class TestExtractionRecord:
         assert not record.kill_trigger(IsAPair("animal", "chicken"))
         assert record.alive_triggers() == (IsAPair("animal", "duck"),)
 
+    def test_dead_triggers_follow_trigger_order(self):
+        chicken, duck = IsAPair("animal", "chicken"), IsAPair("animal", "duck")
+        record = _record(triggers=(chicken, duck))
+        assert record.dead_triggers() == ()
+        record.kill_trigger(duck)
+        record.kill_trigger(chicken)
+        assert record.dead_triggers() == (chicken, duck)
+        assert record.alive_triggers() == ()
+
     def test_kill_unknown_trigger_is_noop(self):
         record = _record()
         assert not record.kill_trigger(IsAPair("animal", "ghost"))

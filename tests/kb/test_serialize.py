@@ -186,3 +186,58 @@ class TestTruncationDetection:
         path.write_text("\n".join(lines + [lines[-1]]) + "\n")
         with pytest.raises(KnowledgeBaseError):
             load_kb(path)
+
+
+class TestPinnedBytes:
+    """``save_kb`` output is a compatibility surface: pin it literally."""
+
+    EXPECTED = "\n".join([
+        '{"format": "repro-kb", "version": 1, "schema_version": 1, '
+        '"records": 5, "pairs": 5, "removed_pairs": [["animal", "beef"], '
+        '["animal", "chicken"], ["food", "rice"]]}',
+        '{"rid": 0, "sid": 0, "concept": "animal", "instances": ["dog", '
+        '"chicken", "duck"], "triggers": [], "iteration": 1, "active": true, '
+        '"dead_triggers": []}',
+        '{"rid": 1, "sid": 1, "concept": "food", "instances": ["pork", '
+        '"beef"], "triggers": [], "iteration": 1, "active": true, '
+        '"dead_triggers": []}',
+        '{"rid": 2, "sid": 2, "concept": "animal", "instances": ["pork", '
+        '"chicken", "duck"], "triggers": [["animal", "chicken"], ["animal", '
+        '"duck"]], "iteration": 2, "active": true, "dead_triggers": '
+        '[["animal", "chicken"]]}',
+        '{"rid": 3, "sid": 3, "concept": "animal", "instances": ["beef", '
+        '"chicken"], "triggers": [["animal", "chicken"]], "iteration": 2, '
+        '"active": false, "dead_triggers": [["animal", "chicken"]]}',
+        '{"rid": 4, "sid": 4, "concept": "food", "instances": ["rice", '
+        '"pork"], "triggers": [], "iteration": 1, "active": true, '
+        '"dead_triggers": []}',
+    ]) + "\n"
+
+    @staticmethod
+    def _mixed_kb() -> KnowledgeBase:
+        """Inactive records, a partly dead trigger list, a forced removal."""
+        kb = KnowledgeBase()
+        kb.add_extraction(0, "animal", ("dog", "chicken", "duck"), iteration=1)
+        kb.add_extraction(1, "food", ("pork", "beef"), iteration=1)
+        chicken = IsAPair("animal", "chicken")
+        duck = IsAPair("animal", "duck")
+        kb.add_extraction(2, "animal", ("pork", "chicken", "duck"),
+                          triggers=(chicken, duck), iteration=2)
+        kb.add_extraction(3, "animal", ("beef", "chicken"),
+                          triggers=(chicken,), iteration=2)
+        kb.add_extraction(4, "food", ("rice", "pork"), iteration=1)
+        RollbackEngine(kb).rollback_pair(chicken)
+        kb.remove_pair(IsAPair("food", "rice"))
+        return kb
+
+    def test_bytes_match_the_pinned_text(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        save_kb(self._mixed_kb(), path)
+        assert path.read_text() == self.EXPECTED
+
+    def test_pinned_text_round_trips(self, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(self.EXPECTED)
+        again = tmp_path / "again.jsonl"
+        save_kb(load_kb(path), again)
+        assert again.read_text() == self.EXPECTED

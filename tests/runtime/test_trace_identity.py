@@ -140,3 +140,88 @@ class TestTraceCoverage:
         assert any(e["event"] == "DetectorFitted" for e in events)
         assert any(e["event"] == "CleaningRound" for e in events)
         assert any(e["event"] == "ExtractionIteration" for e in events)
+
+
+def durable_session_run(tmp_path, traced: bool):
+    """Ingest in four batches with a snapshot every second one, then resume.
+
+    Returns the live and the resumed KB bytes plus the resumed pipeline's
+    trace records (``None`` untraced).
+    """
+    from repro.service import IngestPolicy
+
+    live_pipeline, resume_pipeline = make_pipeline(), make_pipeline()
+    if traced:
+        live_pipeline.context.ensure_tracer()
+        resume_pipeline.context.ensure_tracer()
+    ckpt = tmp_path / ("traced" if traced else "untraced")
+    session = live_pipeline.session(
+        policy=IngestPolicy.never(), checkpoint_dir=ckpt, checkpoint_every=2
+    )
+    for batch in live_pipeline.corpus().shards(5):
+        session.ingest(batch)
+    resumed = resume_pipeline.session(
+        policy=IngestPolicy.never(), checkpoint_dir=ckpt, resume=True
+    )
+    out = {}
+    for name, kb in (("live", session.kb), ("resumed", resumed.kb)):
+        path = tmp_path / f"{ckpt.name}-{name}.jsonl"
+        save_kb(kb, path)
+        out[name] = path.read_bytes()
+    if traced:
+        for name, pipeline in (("live", live_pipeline),
+                               ("resume", resume_pipeline)):
+            trace = tmp_path / f"{name}-trace.jsonl"
+            pipeline.context.export_trace(trace)
+            out[f"{name}_spans"] = [
+                r for r in read_trace(trace) if r["kind"] == "span"
+            ]
+    return out
+
+
+class TestDurabilitySpans:
+    """Journal appends, snapshots and resume each have a span."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("durable")
+        return durable_session_run(tmp, True), durable_session_run(tmp, False)
+
+    def test_traced_and_untraced_durable_kbs_are_byte_identical(self, runs):
+        traced, untraced = runs
+        assert traced["live"] == untraced["live"] == traced["resumed"]
+        assert untraced["resumed"] == untraced["live"]
+
+    def test_journal_and_snapshot_spans_carry_counters(self, runs):
+        spans = runs[0]["live_spans"]
+        appends = [s for s in spans if s["name"] == "journal.append"]
+        saves = [s for s in spans if s["name"] == "checkpoint.save"]
+        assert len(appends) == 5
+        assert all(s["counters"]["bytes"] > 0 for s in appends)
+        assert len(saves) == 2
+        for save in saves:
+            counters = save["counters"]
+            assert counters["records_written"] > 0
+            assert counters["sentences_written"] > 0
+            assert counters["bytes_written"] > 0
+            assert counters["fsyncs"] >= 8
+        assert saves[0]["counters"].get("segments_linked", 0) == 0
+        assert saves[1]["counters"]["segments_linked"] == 2
+        by_id = {s["id"]: s for s in spans}
+        for span in appends + saves:
+            assert by_id[span["parent"]]["name"] == "ingest.batch"
+
+    def test_resume_spans_nest_under_restore(self, runs):
+        spans = runs[0]["resume_spans"]
+        by_id = {s["id"]: s for s in spans}
+        restore = [s for s in spans if s["name"] == "session.restore"]
+        assert len(restore) == 1
+        children = {
+            s["name"]: s for s in spans
+            if s["parent"] == restore[0]["id"]
+        }
+        assert {"checkpoint.load", "journal.replay"} <= set(children)
+        assert children["journal.replay"]["counters"]["entries"] == 1
+        assert by_id[restore[0]["id"]]["events"][-1]["event"] == (
+            "SessionResumed"
+        )

@@ -1,0 +1,208 @@
+"""Fault injection at the checkpoint's file layer.
+
+A snapshot is written through ``os`` calls in :mod:`repro.service.checkpoint`
+(and the journal reset in :mod:`repro.service.journal`).  Each case here
+swaps that module's ``os`` for a stand-in whose k-th write, fsync, link,
+rename or replace fails with ``EIO`` or ``ENOSPC``.  The error must reach
+the caller, and the directory must still resume — previously published
+snapshot plus journal — to a knowledge base whose ``save_kb`` bytes equal
+the live session's.  Damage to a published snapshot instead must fail the
+resume with a :class:`~repro.errors.ServiceError` naming the file.
+"""
+
+from __future__ import annotations
+
+import errno
+import json
+import os
+import shutil
+
+import pytest
+
+import repro.service.checkpoint as checkpoint
+import repro.service.journal as journal
+from repro.errors import ServiceError
+from repro.kb.serialize import save_kb
+from repro.service import IngestPolicy, IngestSession
+
+from .conftest import make_pipeline
+
+POLICY = IngestPolicy(
+    staleness_threshold=600, drift_threshold=0.08, min_new_pairs=10
+)
+BATCH_SIZE = 300
+
+#: The calls one chained snapshot makes: five files written (two new
+#: segments, state.json, META.json, CURRENT.tmp), nine fsyncs (those five,
+#: the snapshot directory, the parent after the rename and after the
+#: swap, the journal reset), two segments linked, one rename, one swap.
+FAULTS = (
+    [("write", k) for k in range(1, 6)]
+    + [("fsync", k) for k in range(1, 10)]
+    + [("link", 1), ("link", 2), ("rename", 1), ("replace", 1)]
+)
+
+
+class FaultyOS:
+    """Stands in for ``os``: the k-th call of one operation fails."""
+
+    def __init__(self, op: str, k: int, code: int) -> None:
+        self.fired = False
+        real = getattr(os, op)
+        calls = 0
+
+        def failing(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                self.fired = True
+                raise OSError(code, os.strerror(code))
+            return real(*args, **kwargs)
+
+        setattr(self, op, failing)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def _kb_bytes(kb, path) -> bytes:
+    save_kb(kb, path)
+    return path.read_bytes()
+
+
+def _no_detector():
+    raise AssertionError("resume must not refit a detector")
+
+
+def _resume(pipeline, ckpt) -> IngestSession:
+    """A cold resume with a private run context."""
+    return IngestSession(
+        config=pipeline.config,
+        detect_factory=_no_detector,
+        policy=POLICY,
+        checkpoint_dir=ckpt,
+        resume=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def prepared(service_corpus, tmp_path_factory):
+    """snapshot-2 published, batches 3–4 only in the journal, live bytes."""
+    tmp = tmp_path_factory.mktemp("faults")
+    pipeline = make_pipeline()
+    session = pipeline.session(policy=POLICY, checkpoint_dir=tmp / "ckpt")
+    batches = list(service_corpus.batches(BATCH_SIZE))
+    for batch in batches[:2]:
+        session.ingest(batch)
+    session.checkpoint()
+    for batch in batches[2:4]:
+        session.ingest(batch)
+    assert session.cleanings > 0
+    return pipeline, tmp / "ckpt", _kb_bytes(session.kb, tmp / "live.jsonl")
+
+
+@pytest.fixture
+def resumed(prepared, tmp_path):
+    """A live session resumed from a copy of the prepared directory."""
+    pipeline, template, live = prepared
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(template, ckpt)
+    session = _resume(pipeline, ckpt)
+    assert _kb_bytes(session.kb, tmp_path / "resumed.jsonl") == live
+    return session, ckpt
+
+
+def _assert_resumes_identically(prepared, ckpt, tmp_path):
+    pipeline, _, live = prepared
+    session = _resume(pipeline, ckpt)
+    assert _kb_bytes(session.kb, tmp_path / "after.jsonl") == live
+    return session
+
+
+@pytest.mark.parametrize("code", [errno.EIO, errno.ENOSPC],
+                         ids=["EIO", "ENOSPC"])
+@pytest.mark.parametrize("op,k", FAULTS, ids=[f"{o}{k}" for o, k in FAULTS])
+def test_io_fault_mid_snapshot(prepared, resumed, tmp_path, monkeypatch,
+                               op, k, code):
+    session, ckpt = resumed
+    faulty = FaultyOS(op, k, code)
+    monkeypatch.setattr(checkpoint, "os", faulty)
+    monkeypatch.setattr(journal, "os", faulty)
+    with pytest.raises(OSError) as info:
+        session.checkpoint()
+    assert faulty.fired
+    assert info.value.errno == code
+    monkeypatch.undo()
+    _assert_resumes_identically(prepared, ckpt, tmp_path)
+    # The failed attempt leaves nothing the next snapshot trips over.
+    session.checkpoint()
+    _assert_resumes_identically(prepared, ckpt, tmp_path)
+
+
+def test_crash_between_rename_and_current_swap(prepared, resumed, tmp_path,
+                                               monkeypatch):
+    session, ckpt = resumed
+    monkeypatch.setattr(checkpoint, "os", FaultyOS("replace", 1, errno.EIO))
+    with pytest.raises(OSError):
+        session.checkpoint()
+    monkeypatch.undo()
+    # The new directory landed but was never published.
+    assert (ckpt / "snapshot-4").is_dir()
+    assert (ckpt / "CURRENT").read_text().strip() == "snapshot-2"
+    resumed_again = _assert_resumes_identically(prepared, ckpt, tmp_path)
+    resumed_again.checkpoint()
+    assert sorted(p.name for p in ckpt.glob("snapshot-*")) == ["snapshot-4"]
+    _assert_resumes_identically(prepared, ckpt, tmp_path)
+
+
+def _resume_fails_naming(prepared, ckpt, path):
+    pipeline = prepared[0]
+    with pytest.raises(ServiceError) as info:
+        _resume(pipeline, ckpt)
+    assert str(path) in str(info.value)
+
+
+@pytest.fixture
+def published(prepared, tmp_path):
+    """A copy of the prepared directory whose snapshot is chained."""
+    _, template, _ = prepared
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(template, ckpt)
+    return ckpt, ckpt / "snapshot-2"
+
+
+class TestDamagedSnapshot:
+    def test_corrupt_current(self, prepared, published):
+        ckpt, _ = published
+        (ckpt / "CURRENT").write_bytes(b"\x00\x9f\x92\x96")
+        _resume_fails_naming(prepared, ckpt, ckpt / "CURRENT")
+
+    def test_dangling_current(self, prepared, published):
+        ckpt, _ = published
+        (ckpt / "CURRENT").write_text("snapshot-7\n")
+        _resume_fails_naming(prepared, ckpt, ckpt / "snapshot-7")
+
+    def test_truncated_segment(self, prepared, published):
+        ckpt, snapshot = published
+        segment = snapshot / "kb-0.jsonl"
+        segment.write_bytes(segment.read_bytes()[:-1])
+        _resume_fails_naming(prepared, ckpt, segment)
+
+    def test_padded_segment(self, prepared, published):
+        ckpt, snapshot = published
+        segment = snapshot / "corpus-0.jsonl"
+        segment.write_bytes(segment.read_bytes() + b"\n")
+        _resume_fails_naming(prepared, ckpt, segment)
+
+    def test_missing_segment(self, prepared, published):
+        ckpt, snapshot = published
+        (snapshot / "corpus-0.jsonl").unlink()
+        _resume_fails_naming(prepared, ckpt, snapshot / "corpus-0.jsonl")
+
+    def test_wrong_checkpoint_version(self, prepared, published):
+        ckpt, snapshot = published
+        meta_path = snapshot / "META.json"
+        meta = json.loads(meta_path.read_text())
+        meta["checkpoint_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        _resume_fails_naming(prepared, ckpt, meta_path)
