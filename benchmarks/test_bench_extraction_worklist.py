@@ -1,11 +1,12 @@
-"""Deep-pool extraction benchmarks: worklist vs. naive full scan.
+"""Deep-pool extraction benchmarks: worklist vs. the naive full-scan oracle.
 
 The scenario semi-naive resolution exists for: a long dependency chain
 stretches the run over many iterations while a large pool of
 never-resolving ambiguous sentences sits unresolved the whole time.  The
-naive scan re-attempts the entire pool every iteration —
-O(iterations × pool) ``resolve()`` calls — where the worklist attempts
-each pool sentence once, then only on evidence-index wakes.
+naive scan (the test oracle in ``tests/extraction/naive.py``) re-attempts
+the entire pool every iteration — O(iterations × pool) ``resolve()``
+calls — where the worklist attempts each pool sentence once, then only
+on evidence-index wakes.
 
 ``test_bench_extraction_worklist_speedup`` pins the acceptance criterion:
 the worklist path must beat the naive path by >= 1.5x in CPU time on this
@@ -23,6 +24,7 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.sentence import Sentence
 from repro.extraction import SemanticIterativeExtractor
 from repro.kb.serialize import save_kb
+from tests.extraction.naive import naive_extract
 
 from .conftest import run_once
 
@@ -68,10 +70,7 @@ def _deep_pool_corpus() -> Corpus:
     return Corpus(tuple(sentences))
 
 
-def _config(delta_index: bool) -> ExtractionConfig:
-    return ExtractionConfig(
-        max_iterations=MAX_ITERATIONS, delta_index=delta_index
-    )
+CONFIG = ExtractionConfig(max_iterations=MAX_ITERATIONS)
 
 
 @pytest.fixture(scope="module")
@@ -88,19 +87,15 @@ def _check(result) -> None:
 def test_bench_extraction_worklist_deep_pool(benchmark, deep_pool_corpus):
     """Delta-driven resolution over the deep-pool chain corpus."""
     def run():
-        return SemanticIterativeExtractor(_config(True)).run(
-            deep_pool_corpus
-        )
+        return SemanticIterativeExtractor(CONFIG).run(deep_pool_corpus)
 
     _check(run_once(benchmark, run))
 
 
 def test_bench_extraction_naive_deep_pool(benchmark, deep_pool_corpus):
-    """The naive full scan over the same corpus (the reference cost)."""
+    """The naive full-scan oracle over the same corpus (the reference cost)."""
     def run():
-        return SemanticIterativeExtractor(_config(False)).run(
-            deep_pool_corpus
-        )
+        return naive_extract(deep_pool_corpus, CONFIG)
 
     _check(run_once(benchmark, run))
 
@@ -111,14 +106,10 @@ def test_bench_extraction_worklist_speedup(
     """Acceptance pin: >= 1.5x CPU-time win, byte-identical results."""
     def run():
         start = time.process_time()
-        delta = SemanticIterativeExtractor(_config(True)).run(
-            deep_pool_corpus
-        )
+        delta = SemanticIterativeExtractor(CONFIG).run(deep_pool_corpus)
         delta_cpu = time.process_time() - start
         start = time.process_time()
-        naive = SemanticIterativeExtractor(_config(False)).run(
-            deep_pool_corpus
-        )
+        naive = naive_extract(deep_pool_corpus, CONFIG)
         naive_cpu = time.process_time() - start
         return delta, naive, delta_cpu, naive_cpu
 

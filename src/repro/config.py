@@ -118,16 +118,18 @@ class CorpusConfig:
 class ExtractionConfig:
     """Semantic iterative extraction parameters.
 
-    ``delta_index`` selects the semi-naive, evidence-indexed resolution
-    engine (the default).  ``False`` keeps the naive full scan — same
-    results bit-for-bit, kept as the equivalence and benchmark reference.
+    ``max_iterations`` counts the core iteration 1, so each batch gets
+    at most ``max_iterations - 1`` resolution rounds.  ``min_evidence``
+    is the number of visible instances a candidate concept needs to win
+    a sentence.  ``stream_chunks`` spreads each batch's ambiguous
+    sentences over that many arrival iterations.  Resolution always runs
+    on the evidence-indexed worklist (:mod:`repro.extraction.index`).
     """
 
     max_iterations: int = 100
     min_evidence: int = 1
     policy: str = "nearest"  # "nearest" or "max_evidence"
     stream_chunks: int = 1
-    delta_index: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:

@@ -199,7 +199,13 @@ class KnowledgeBase:
         return len(self._pairs)
 
     def pairs(self) -> Iterator[IsAPair]:
-        """Iterate over all alive pairs."""
+        """Iterate over all alive pairs in first-insertion order.
+
+        A pair joins the end when it is created and leaves when it dies
+        or is removed; a pair that comes back joins the end again.  So
+        the pairs an uninterrupted run of :meth:`add_extraction` created
+        are exactly the tail past the length the KB had before it.
+        """
         return iter(self._pairs)
 
     def count(self, pair: IsAPair) -> int:

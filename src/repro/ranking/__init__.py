@@ -4,11 +4,7 @@ from .base import RANKERS, Ranker, get_ranker, register_ranker
 from .frequency import FrequencyRanker
 from .graph import ConceptGraph, build_concept_graph, build_concept_graphs
 from .pagerank import PageRankRanker
-from .random_walk import (
-    RandomWalkRanker,
-    random_walk_scores,
-    random_walk_scores_dense,
-)
+from .random_walk import RandomWalkRanker, random_walk_scores
 
 __all__ = [
     "ConceptGraph",
@@ -21,6 +17,5 @@ __all__ = [
     "build_concept_graphs",
     "get_ranker",
     "random_walk_scores",
-    "random_walk_scores_dense",
     "register_ranker",
 ]

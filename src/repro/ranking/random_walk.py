@@ -9,12 +9,10 @@ even when frequent; that is the advantage over the Frequency model.
 
 The kernel is sparse: each power-iteration step costs O(E) (one gather and
 one scatter over the CSR arrays) instead of the dense O(n²) matrix-vector
-product, which :func:`random_walk_scores_dense` retains as a test oracle.
+product, which survives only as the oracle in ``tests/ranking/``.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -24,11 +22,7 @@ from ..runtime.context import NULL_CONTEXT, RunContext
 from .base import Ranker, register_ranker
 from .graph import ConceptGraph, build_concept_graphs
 
-__all__ = [
-    "RandomWalkRanker",
-    "random_walk_scores",
-    "random_walk_scores_dense",
-]
+__all__ = ["RandomWalkRanker", "random_walk_scores"]
 
 
 def _normalised_restart(graph: ConceptGraph) -> np.ndarray:
@@ -161,44 +155,14 @@ def _random_walk_scores_union(
     ]
 
 
-def random_walk_scores_dense(
-    graph: ConceptGraph,
-    restart_probability: float = 0.15,
-    max_iterations: int = 100,
-    tolerance: float = 1e-12,
-) -> dict[str, float]:
-    """The original dense O(n²) RWR implementation (test oracle)."""
-    n = graph.size
-    if n == 0:
-        return {}
-    restart = _normalised_restart(graph)
-    transition = np.zeros((n, n), dtype=float)
-    for source, row in graph.edges.items():
-        total = sum(row.values())
-        for target, w in row.items():
-            transition[source, target] = w / total
-    dangling = transition.sum(axis=1) <= 0
-    p = restart.copy()
-    for _ in range(max_iterations):
-        dangling_mass = p[dangling].sum()
-        updated = (1.0 - restart_probability) * (
-            transition.T @ p + dangling_mass * restart
-        ) + restart_probability * restart
-        if np.abs(updated - p).sum() < tolerance:
-            p = updated
-            break
-        p = updated
-    return {name: float(p[i]) for i, name in enumerate(graph.nodes)}
-
-
 @register_ranker
 class RandomWalkRanker(Ranker):
     """RWR from the core, over the directed trigger graph.
 
-    ``workers`` (opt-in) fans the per-concept solves of a batch out over a
-    thread pool; results are merged in the caller's concept order, so the
-    output is deterministic regardless of scheduling.  ``cache`` controls
-    the mutation-versioned score cache inherited from :class:`Ranker`.
+    Every solve routes through the union batch kernel, so a concept's
+    scores are bit-identical whichever batch it was solved in.  ``cache``
+    controls the mutation-versioned score cache inherited from
+    :class:`Ranker`.
     """
 
     name = "random_walk"
@@ -208,31 +172,16 @@ class RandomWalkRanker(Ranker):
         restart_probability: float = 0.15,
         max_iterations: int = 100,
         tolerance: float = 1e-12,
-        workers: int = 1,
         cache: bool = True,
         context: RunContext | None = None,
     ) -> None:
         if not 0.0 < restart_probability < 1.0:
             raise ValueError("restart_probability must be in (0, 1)")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self._restart = restart_probability
         self._max_iterations = max_iterations
         self._tolerance = tolerance
-        self._workers = workers
         self.cache_scores = cache
         self.context = context or NULL_CONTEXT
-
-    def _solve(self, graph: ConceptGraph) -> dict[str, float]:
-        # Route through the batch kernel so a solo solve (thread fan-out,
-        # cache refresh of one concept) is bit-identical to the same
-        # concept solved inside any batch.
-        return _random_walk_scores_union(
-            [graph],
-            restart_probability=self._restart,
-            max_iterations=self._max_iterations,
-            tolerance=self._tolerance,
-        )[0]
 
     def score(self, kb: KnowledgeBase, concept: str) -> dict[str, float]:
         return self._score_batch(kb, [concept])[concept]
@@ -240,20 +189,14 @@ class RandomWalkRanker(Ranker):
     def _score_batch(
         self, kb: KnowledgeBase, concepts: list[str]
     ) -> dict[str, dict[str, float]]:
-        with self.context.span(
-            "rank.batch", concepts=len(concepts), workers=self._workers
-        ) as span:
+        with self.context.span("rank.batch", concepts=len(concepts)) as span:
             graphs = build_concept_graphs(kb, concepts)
             ordered = [graphs[concept] for concept in concepts]
             span.add("nodes", sum(graph.size for graph in ordered))
-            if self._workers > 1 and len(ordered) > 1:
-                with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                    solved = list(pool.map(self._solve, ordered))
-            else:
-                solved = _random_walk_scores_union(
-                    ordered,
-                    restart_probability=self._restart,
-                    max_iterations=self._max_iterations,
-                    tolerance=self._tolerance,
-                )
+            solved = _random_walk_scores_union(
+                ordered,
+                restart_probability=self._restart,
+                max_iterations=self._max_iterations,
+                tolerance=self._tolerance,
+            )
             return dict(zip(concepts, solved))

@@ -115,12 +115,12 @@ class LogEvent(Event):
 
 @dataclass(frozen=True)
 class ExtractionIteration(Event):
-    """One extraction iteration finished (batch or incremental).
+    """One extraction iteration finished.
 
-    Under delta-driven resolution, ``sentences_skipped`` counts pool
-    sentences the worklist never attempted this iteration (the naive scan
-    would have re-attempted each one) and ``index_hits`` counts attempts
-    driven by an evidence-index wake rather than fresh arrival.
+    ``sentences_skipped`` counts pool sentences the worklist never
+    attempted this iteration (a naive full scan would have re-attempted
+    each one) and ``index_hits`` counts attempts driven by an
+    evidence-index wake rather than fresh arrival.
     ``sentences_scanned + sentences_skipped`` equals the naive scan count.
     """
 

@@ -30,7 +30,8 @@ same work as :func:`repro.kb.serialize.load_kb`.
 The store remembers the chain it last published or loaded: which KB
 object, how many records and sentences its segments hold.  A snapshot of
 any other KB, or of a sentence list whose prefix no longer matches,
-starts a fresh base.
+starts a fresh base; a snapshot at the seq it already published writes
+nothing, so ``CURRENT`` never names a directory that is being replaced.
 
 Snapshots are written to a temp directory, every new file and the
 directory itself fsynced, renamed into place and only then published by
@@ -199,8 +200,17 @@ class CheckpointStore:
         sentences: Sequence[Sentence],
         meta: dict,
     ) -> SnapshotWrite:
-        """Write and publish a snapshot covering journal entries ≤ seq."""
+        """Write and publish a snapshot covering journal entries ≤ seq.
+
+        A snapshot at the seq this store already published writes
+        nothing: ``seq`` fixes the journal prefix a snapshot covers, so
+        the published directory holds this state already, and rewriting
+        it would delete the directory ``CURRENT`` names before its
+        replacement landed.
+        """
         name = f"snapshot-{seq}"
+        if self._chain is not None and self._chain.snapshot == name:
+            return SnapshotWrite(0, 0, 0, 0, 0)
         tmp = self._dir / (name + ".tmp")
         if tmp.exists():
             shutil.rmtree(tmp)
@@ -247,8 +257,11 @@ class CheckpointStore:
         pointer = self._dir / "CURRENT.tmp"
         tally.write(pointer, (name + "\n").encode())
         os.replace(pointer, self._dir / "CURRENT")
-        tally.sync_dir(self._dir)
+        # CURRENT names the new snapshot from here on, so a retry at this
+        # seq after a failure below must leave it alone.  Until the journal
+        # reset, the old snapshot plus the journal still resume as well.
         self._chain = _Chain.covering(kb, name, segments, sentences)
+        tally.sync_dir(self._dir)
         # The journal is now fully covered; entries ≤ seq are dead either way.
         self.journal.reset()
         for stale in self._dir.glob("snapshot-*"):

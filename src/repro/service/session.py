@@ -431,7 +431,7 @@ class IngestSession:
         """
         if batch.sentences_new == 0:
             return []
-        return list(self._extractor.corpus().sentences[-batch.sentences_new:])
+        return list(self._extractor.sentences[-batch.sentences_new:])
 
     # ------------------------------------------------------------------
     # Drift telemetry
@@ -512,7 +512,7 @@ class IngestSession:
             written = self._store.save_snapshot(
                 seq=self._seq,
                 kb=self._extractor.kb,
-                sentences=self._extractor._sentences,
+                sentences=self._extractor.sentences,
                 meta={
                     "iteration": self._extractor.iteration,
                     "batches": self._extractor.batches,

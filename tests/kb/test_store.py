@@ -70,6 +70,19 @@ class TestQueries:
         )
         return kb
 
+    def test_pairs_iterate_in_first_insertion_order(self):
+        # IncrementalExtractor reads a batch's new pairs off the tail of
+        # pairs(); a removed pair that comes back re-enters at the end.
+        kb = self._kb()
+        order = ["dog", "chicken", "pork", "beef"]
+        assert [p.instance for p in kb.pairs()] == order
+        kb.remove_pair(IsAPair("animal", "chicken"))
+        kb.deactivate_record(1)
+        kb.add_extraction(3, "animal", ("chicken", "cat"), iteration=1)
+        assert [p.instance for p in kb.pairs()] == [
+            "dog", "pork", "beef", "chicken", "cat"
+        ]
+
     def test_core_instances(self):
         kb = self._kb()
         assert kb.core_instances("animal") == frozenset({"dog", "chicken"})

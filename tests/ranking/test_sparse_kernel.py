@@ -12,8 +12,9 @@ from repro.ranking.graph import ConceptGraph
 from repro.ranking.random_walk import (
     _random_walk_scores_union,
     random_walk_scores,
-    random_walk_scores_dense,
 )
+
+from .dense import random_walk_scores_dense
 
 
 @st.composite
@@ -85,20 +86,6 @@ def _many_concept_kb() -> KnowledgeBase:
             triggers=(trigger,), iteration=2,
         )
     return kb
-
-
-class TestWorkersFanOut:
-    def test_worker_results_match_serial(self):
-        kb = _many_concept_kb()
-        serial = RandomWalkRanker(workers=1).score_all(kb)
-        fanned = RandomWalkRanker(workers=3).score_all(kb)
-        assert serial == fanned
-
-    def test_bad_workers(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            RandomWalkRanker(workers=0)
 
 
 class TestScoreCache:

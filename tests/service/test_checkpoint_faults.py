@@ -155,6 +155,24 @@ def test_crash_between_rename_and_current_swap(prepared, resumed, tmp_path,
     _assert_resumes_identically(prepared, ckpt, tmp_path)
 
 
+def test_same_seq_resnapshot_keeps_current(prepared, resumed, tmp_path,
+                                           monkeypatch):
+    # The CLI snapshots once more after its last batch, at the seq the
+    # per-batch snapshot already published.  That call must not touch the
+    # published directory: a crash between deleting it and renaming its
+    # replacement in would leave CURRENT naming a missing directory.
+    session, ckpt = resumed
+    session.checkpoint()
+    faulty = FaultyOS("rename", 1, errno.EIO)
+    monkeypatch.setattr(checkpoint, "os", faulty)
+    monkeypatch.setattr(journal, "os", faulty)
+    session.checkpoint()
+    monkeypatch.undo()
+    assert not faulty.fired
+    assert (ckpt / "CURRENT").read_text().strip() == "snapshot-4"
+    _assert_resumes_identically(prepared, ckpt, tmp_path)
+
+
 def _resume_fails_naming(prepared, ckpt, path):
     pipeline = prepared[0]
     with pytest.raises(ServiceError) as info:
