@@ -120,7 +120,10 @@ def test_bench_dp_cleaning_round(benchmark):
     pipeline = make_pipeline()
     extraction = pipeline.extract()
     cleaner = DPCleaner(
-        pipeline.detect_fn(), CleaningConfig(max_cleaning_rounds=2)
+        pipeline.detect_fn(),
+        CleaningConfig(max_cleaning_rounds=2),
+        ranker=pipeline.ranker,
+        context=pipeline.context,
     )
     result = run_once(
         benchmark, cleaner.clean, extraction.kb, extraction.corpus

@@ -11,10 +11,8 @@ Run:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro import (
-    CleaningConfig,
     ConceptProfile,
     CorpusConfig,
-    DPCleaner,
     ExtractionConfig,
     GroundTruth,
     SemanticIterativeExtractor,
@@ -84,7 +82,7 @@ def main() -> None:
         concept: extraction.kb.instances_of(concept)
         for concept in extraction.kb.concepts()
     }
-    cleaner = DPCleaner(pipeline.detect_fn(), CleaningConfig())
+    cleaner = pipeline.dp_cleaner()
     cleaner.clean(extraction.kb, extraction.corpus)
     after = {c: extraction.kb.instances_of(c) for c in before}
     metrics = cleaning_metrics(

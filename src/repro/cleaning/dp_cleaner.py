@@ -66,19 +66,15 @@ class DPCleaner(BaseCleaner):
         detect_fn: DetectFn,
         config: CleaningConfig | None = None,
         ranker: RandomWalkRanker | None = None,
-        use_cache: bool = True,
         engine_factory: Callable[[KnowledgeBase], RollbackEngine] | None = None,
         context: RunContext | None = None,
     ) -> None:
         self._detect_fn = detect_fn
         self._config = config or CleaningConfig()
-        # A pipeline-minted detection callback carries the run's context
-        # (see Pipeline.detect_fn); inheriting it puts the cleaner's
-        # spans/events on the same trace and — crucially — resolves the
-        # shared per-KB MutualExclusionIndex through the same registry,
-        # so one session can never hold two divergent indexes.
-        if context is None:
-            context = getattr(detect_fn, "context", None)
+        # The context carries the trace and — crucially — the shared-resource
+        # registry through which the cleaner resolves the per-KB
+        # MutualExclusionIndex detection just refreshed, so one session can
+        # never hold two divergent indexes.
         self._ctx = context or NULL_CONTEXT
         # The streaming service journals cleaning outcomes by injecting a
         # rollback engine that records the semantic operations it is asked
@@ -89,13 +85,9 @@ class DPCleaner(BaseCleaner):
         # The cleaner issues two score_all calls per round over a KB it
         # mutates incrementally; the ranker's mutation-versioned cache
         # (see Ranker.score_all) re-ranks only the concepts the rollbacks
-        # touched.  ``use_cache=False`` forces full re-ranking every call.
-        # A detection callback may publish the ranker it scores with (see
-        # Pipeline.detect_fn); sharing it shares the warm score cache.
-        if ranker is None and use_cache:
-            ranker = getattr(detect_fn, "ranker", None)
-        self._ranker = ranker or RandomWalkRanker(cache=use_cache)
-        self._use_cache = use_cache
+        # touched.  Passing the ranker detection scores with shares its
+        # warm cache.
+        self._ranker = ranker or RandomWalkRanker()
         # Eq. 21 sentence scorings carried across rounds: keyed by sid,
         # valid while every candidate concept's KB version is unchanged
         # (the ranker's versioned cache then guarantees identical score
@@ -123,27 +115,18 @@ class DPCleaner(BaseCleaner):
                     "clean.round", round=round_index
                 ) as round_span:
                     stats = self._run_round(kb, by_sid, engine, round_index)
-                    round_span.add("intentional_dps", stats.intentional_dps)
-                    round_span.add("accidental_dps", stats.accidental_dps)
-                    round_span.add("pairs_removed", stats.pairs_removed)
-                    round_span.add(
-                        "records_rolled_back", stats.records_rolled_back
-                    )
-                    round_span.add(
-                        "sentence_checks", len(stats.sentence_checks)
-                    )
+                    counters = {
+                        "intentional_dps": stats.intentional_dps,
+                        "accidental_dps": stats.accidental_dps,
+                        "pairs_removed": stats.pairs_removed,
+                        "records_rolled_back": stats.records_rolled_back,
+                        "sentence_checks": len(stats.sentence_checks),
+                    }
+                    for counter, value in counters.items():
+                        round_span.add(counter, value)
                 rounds.append(stats)
                 total_rolled += stats.records_rolled_back
-                ctx.emit(
-                    CleaningRound(
-                        round_index=round_index,
-                        intentional_dps=stats.intentional_dps,
-                        accidental_dps=stats.accidental_dps,
-                        pairs_removed=stats.pairs_removed,
-                        records_rolled_back=stats.records_rolled_back,
-                        sentence_checks=len(stats.sentence_checks),
-                    )
-                )
+                ctx.emit(CleaningRound(round_index=round_index, **counters))
                 if (
                     stats.pairs_removed == 0
                     and stats.records_rolled_back == 0
@@ -190,26 +173,20 @@ class DPCleaner(BaseCleaner):
 
         # Scores for Eq. 21 checks and for the weaker-side test below.
         # The canonical per-KB exclusion index lives in the run context's
-        # shared-resource registry: the detection callback registers the
-        # index it just built/refreshed over this very KB (see
-        # Pipeline.detect_fn), and resolving it here guarantees detection
-        # and the cleaner's guards consult the *same* index.  The callback
-        # attribute remains as a fallback for bare callbacks without a
-        # context; only when neither side published one is a fresh index
-        # built (and registered, so later rounds and co-components share
-        # it).
+        # shared-resource registry: pipeline detection registers the index
+        # it just refreshed over this very KB (see Pipeline._inputs), so
+        # detection and the cleaner's guards consult the *same* index.
+        # Only when nothing was published is a fresh index built (and
+        # registered, so later rounds and co-components share it).
         exclusion = self._ctx.resources.get("exclusion", kb)
-        if exclusion is not None:
-            # No-op when the detection callback just refreshed it; brings
-            # a registry entry from an earlier round up to date otherwise
-            # (refresh == rebuild is pinned by the concepts property
-            # tests).
-            exclusion.refresh()
-        if exclusion is None and self._use_cache:
-            exclusion = getattr(self._detect_fn, "exclusion_index", None)
         if exclusion is None:
             exclusion = MutualExclusionIndex(kb)
             self._ctx.resources.put("exclusion", kb, exclusion)
+        else:
+            # No-op when detection just refreshed it; brings a registry
+            # entry from an earlier round up to date otherwise (refresh ==
+            # rebuild is pinned by the concepts property tests).
+            exclusion.refresh()
         relevant = {pair.concept for pair in intentional}
         relevant.update(pair.concept for pair in accidental)
         for pair in accidental:
@@ -278,20 +255,13 @@ class DPCleaner(BaseCleaner):
         # are round constants: prune stale memo entries once up front and
         # the check loop hits the memo with a plain dict get.
         memo = self._check_memo
-        use_memo = self._use_cache
-        versions: dict[str, int] = {}
-        if use_memo and memo:
-            concept_version = kb.concept_version
-            for sid in list(memo):
-                names, stamped, _ = memo[sid]
-                for name, stamp in zip(names, stamped):
-                    current = versions.get(name)
-                    if current is None:
-                        current = concept_version(name)
-                        versions[name] = current
-                    if current != stamp:
-                        del memo[sid]
-                        break
+        version = kb.concept_version
+        for sid in [
+            sid
+            for sid, (names, stamped, _) in memo.items()
+            if tuple(map(version, names)) != stamped
+        ]:
+            del memo[sid]
         to_roll: list[int] = []
         seen_records: set[int] = set()
         # Several DPs can trigger records of the same sentence; Eq. 21
@@ -313,24 +283,16 @@ class DPCleaner(BaseCleaner):
                 sid = record.sid
                 concept_scores = round_scores.get(sid)
                 if concept_scores is None:
-                    entry = memo.get(sid) if use_memo else None
+                    entry = memo.get(sid)
                     if entry is not None:
                         concept_scores = entry[2]
                     else:
                         sentence = by_sid[sid]
                         concept_scores = score_sentence(sentence, check_scores)
-                        if use_memo:
-                            names = sentence.concepts
-                            stamped = []
-                            for name in names:
-                                current = versions.get(name)
-                                if current is None:
-                                    current = kb.concept_version(name)
-                                    versions[name] = current
-                                stamped.append(current)
-                            memo[sid] = (
-                                names, tuple(stamped), concept_scores
-                            )
+                        names = sentence.concepts
+                        memo[sid] = (
+                            names, tuple(map(version, names)), concept_scores
+                        )
                     round_scores[sid] = concept_scores
                 check = build_check(
                     sid, concept_scores, record.concept, pair.instance

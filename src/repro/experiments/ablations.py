@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..cleaning import DPCleaner
-from ..config import CleaningConfig
 from ..evaluation.ground_truth import GroundTruth
 from ..evaluation.metrics import cleaning_metrics, detection_metrics
 from ..evaluation.report import format_table
@@ -100,9 +98,7 @@ def run_ablation_rollback(pipeline: Pipeline | None = None) -> ExperimentResult:
     extraction = pipeline.extract()
     truth = GroundTruth(pipeline.preset.world, extraction.kb)
     before = {c: extraction.kb.instances_of(c) for c in extraction.kb.concepts()}
-    DPCleaner(pipeline.detect_fn(), pipeline.config.cleaning).clean(
-        extraction.kb, extraction.corpus
-    )
+    pipeline.dp_cleaner().clean(extraction.kb, extraction.corpus)
     after = {c: extraction.kb.instances_of(c) for c in before}
     full = cleaning_metrics(truth, before, after, targets)
 

@@ -8,9 +8,11 @@ the whole evaluation is reproducible from a single
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
+from typing import NamedTuple
 
 from ..analysis.cache import AnalysisCache
+from ..cleaning.dp_cleaner import DetectFn, DPCleaner
 from ..concepts.exclusion import MutualExclusionIndex
 from ..config import ConceptProfile, CorpusConfig, ExtractionConfig, PipelineConfig
 from ..corpus.corpus import Corpus
@@ -18,12 +20,13 @@ from ..corpus.generator import CorpusGenerator
 from ..evaluation.ground_truth import GroundTruth
 from ..extraction.engine import ExtractionResult, SemanticIterativeExtractor
 from ..features.extractor import FeatureExtractor
-from ..features.matrix import ConceptMatrix, build_concept_matrix
+from ..features.matrix import ConceptMatrix
 from ..kb.pair import IsAPair
+from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..labeling.evidence import EvidenceIndex
 from ..labeling.labels import DPLabel
-from ..labeling.rules import SeedLabeler, SeedLabelSet
+from ..labeling.rules import SeedLabelSet
 from ..learning.detector import DPDetector
 from ..nlp.ner import SimulatedNER
 from ..ranking.random_walk import RandomWalkRanker
@@ -52,6 +55,18 @@ def experiment_config(
         ),
         extraction=ExtractionConfig(stream_chunks=9),
     )
+
+
+class _Inputs(NamedTuple):
+    """The detector's inputs over one KB; names match PipelineArtifacts."""
+
+    exclusion: MutualExclusionIndex
+    scores: dict[str, dict[str, float]]
+    features: FeatureExtractor
+    matrices: dict[str, ConceptMatrix]
+    verified: frozenset[IsAPair]
+    evidence: EvidenceIndex
+    seeds: SeedLabelSet
 
 
 @dataclass
@@ -186,17 +201,16 @@ class Pipeline:
         self._corpus: Corpus | None = None
         # One context for every stage: the event bus and (optional) tracer
         # observe the run, and the shared-resource registry carries the
-        # canonical per-KB exclusion index between the detection callback
-        # and the cleaner.
+        # canonical per-KB exclusion index from detection to the cleaner.
         self._ctx = RunContext(config, self._streams)
         # One ranker for every stage: its mutation-versioned score cache
         # makes repeated score_all calls (analysis, per-round detection
         # refits during cleaning) re-rank only concepts the KB mutated.
         self._ranker = RandomWalkRanker(context=self._ctx)
-        # One analysis cache for every detection callback this pipeline
-        # hands out: per-concept matrices, seeds, verified samples and
-        # detector transforms survive across cleaning rounds and are
-        # invalidated by KB/relation version signatures (see
+        # One analysis cache behind analyze() and every detection callback
+        # this pipeline hands out: per-concept matrices, seeds, verified
+        # samples and detector transforms survive across cleaning rounds
+        # and are invalidated by KB/relation version signatures (see
         # repro.analysis.cache).
         self._analysis = AnalysisCache(
             similarity=self._config.similarity, context=self._ctx
@@ -214,8 +228,13 @@ class Pipeline:
 
     @property
     def analysis(self) -> AnalysisCache:
-        """The shared analysis cache behind every detection callback."""
+        """The shared analysis cache behind analysis and detection."""
         return self._analysis
+
+    @property
+    def ranker(self) -> RandomWalkRanker:
+        """The shared ranker behind analysis, detection and cleaning."""
+        return self._ranker
 
     @property
     def context(self) -> RunContext:
@@ -253,52 +272,30 @@ class Pipeline:
         self,
         extraction: ExtractionResult | None = None,
         fit_detector: bool = True,
-        detector_method: str = "multitask",
     ) -> PipelineArtifacts:
         """Build all downstream indexes over one extraction."""
         extraction = extraction or self.extract()
         kb = extraction.kb
-        world = self._preset.world
         with self._ctx.span("analysis.build") as span:
-            exclusion = MutualExclusionIndex(kb, self._config.similarity)
-            self._ctx.resources.put("exclusion", kb, exclusion)
-            concepts = self.analysis_concepts(kb)
-            span.set(concepts=len(concepts))
-            scores = self._ranker.score_all(kb, concepts)
-            features = FeatureExtractor(kb, exclusion, scores)
-            matrices = {
-                concept: build_concept_matrix(features, concept)
-                for concept in concepts
-            }
-            verified = self._verified_sample(kb)
-            evidence = EvidenceIndex(
-                kb, exclusion, self._config.labeling, verified=verified
-            )
-            seeds = SeedLabeler(kb, exclusion, evidence).label_all(concepts)
-        truth = GroundTruth(world, kb)
+            inputs = self._inputs(kb)
+            span.set(concepts=len(inputs.matrices))
+        truth = GroundTruth(self._preset.world, kb)
         detector = None
         if fit_detector:
             detector = DPDetector(
                 self._config.detector,
-                method=detector_method,
                 seed=self._streams.stream("detector"),
                 context=self._ctx,
             )
-            detector.fit(matrices, seeds)
+            detector.fit(inputs.matrices, inputs.seeds)
         return PipelineArtifacts(
             preset=self._preset,
             config=self._config,
             corpus=extraction.corpus,
             extraction=extraction,
-            exclusion=exclusion,
-            scores=scores,
-            features=features,
-            matrices=matrices,
-            verified=verified,
-            evidence=evidence,
-            seeds=seeds,
             truth=truth,
             detector=detector,
+            **inputs._asdict(),
         )
 
     def run(self, trace: str | None = None) -> PipelineArtifacts:
@@ -322,28 +319,45 @@ class Pipeline:
         checkpoint_dir=None,
         checkpoint_every: int = 0,
         resume: bool = False,
-        detector_method: str = "multitask",
     ) -> IngestSession:
         """A streaming ingestion session on this pipeline's substrate.
 
-        The session shares the pipeline's ranker score cache and analysis
-        cache (through the detection callbacks it mints), so cleaning
-        passes inside the session cost the same incremental refits batch
-        cleaning does.  Each cleaning pass gets a *fresh* callback from
-        :meth:`detect_fn`, so the detector embedding is frozen within a
-        pass but refitted across passes — making batch mode the
-        degenerate session: the whole corpus as one batch with cleaning
-        forced reproduces ``extract()`` + ``DPCleaner.clean()``
-        bit-identically (pinned by ``tests/service/test_equivalence.py``).
+        The session cleans with :meth:`dp_cleaner`, so it shares the
+        pipeline's ranker score cache, analysis cache and run context, and
+        cleaning passes inside the session cost the same incremental
+        refits batch cleaning does.  Each cleaning pass gets a *fresh*
+        cleaner, hence a fresh :meth:`detect_fn` callback: the detector
+        embedding is frozen within a pass but refitted across passes —
+        making batch mode the degenerate session: the whole corpus as one
+        batch with cleaning forced reproduces ``extract()`` +
+        ``dp_cleaner().clean()`` bit-identically (pinned by
+        ``tests/service/test_equivalence.py``).
         """
         return IngestSession(
             config=self._config,
-            detect_factory=lambda: self.detect_fn(detector_method),
+            cleaner_factory=self.dp_cleaner,
             policy=policy,
             analysis=self._analysis,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             resume=resume,
+            context=self._ctx,
+        )
+
+    def dp_cleaner(
+        self,
+        engine_factory: Callable[[KnowledgeBase], RollbackEngine] | None = None,
+    ) -> DPCleaner:
+        """A DP cleaner wired to this pipeline's detection, ranker and context.
+
+        ``engine_factory`` replaces the rollback engine (the streaming
+        service journals cleaning through it).
+        """
+        return DPCleaner(
+            self.detect_fn(),
+            self._config.cleaning,
+            ranker=self._ranker,
+            engine_factory=engine_factory,
             context=self._ctx,
         )
 
@@ -362,112 +376,70 @@ class Pipeline:
             concept for concept in kb.concepts() if concept in world
         )
 
-    def detect_fn(
-        self,
-        detector_method: str = "multitask",
-        non_dp_bias: float | None = None,
-        analysis_cache: bool = True,
-        warm_start: bool = False,
-    ):
+    def detect_fn(self) -> DetectFn:
         """Detection callback for the DP cleaner: refit on the current KB.
 
         Cleaning runs the detector at a high-recall operating point
         (``cleaning_non_dp_bias``) because the cleaner's guards make false
         DP flags cheap while missed DPs leave whole cascades in place.
 
-        The returned callback freezes the embedding (standardisation +
-        KPCA basis) fitted on its first invocation and reuses it for
-        later rounds — in *both* cache modes, so toggling
-        ``analysis_cache`` never changes detections (the equivalence
-        tests pin this bit-exactly).  With ``analysis_cache=True`` (the
-        default) per-concept matrices, seeds, verified samples and
-        detector transforms are reused across rounds through the
-        pipeline's shared :class:`~repro.analysis.AnalysisCache`, and the
-        refreshed exclusion index is published as
-        ``detect.exclusion_index`` for the cleaner's guards.
-        ``warm_start=True`` additionally seeds each round's multi-task
-        optimisation from the previous round's weights — opt-in, as it
-        may change results within the finite iteration budget.
+        Every call of the returned callback rebuilds the detector's inputs
+        through the pipeline's shared
+        :class:`~repro.analysis.AnalysisCache` (see :meth:`_inputs`), so
+        later rounds recompute only what the cleaner's rollbacks
+        invalidated.  The embedding (standardisation + KPCA basis) fitted
+        on the first call is frozen and reused by later calls.
         """
-        if non_dp_bias is None:
-            non_dp_bias = self._config.cleaning.cleaning_non_dp_bias
-        detector_config = replace(
-            self._config.detector, non_dp_bias=non_dp_bias
+        config = replace(
+            self._config.detector,
+            non_dp_bias=self._config.cleaning.cleaning_non_dp_bias,
         )
-        cache = self._analysis if analysis_cache else None
-        state: dict = {"embedding": None, "weights": None}
+        embedding = None
 
         def detect(kb: KnowledgeBase) -> dict[str, dict[str, DPLabel]]:
-            ctx = self._ctx
-            with ctx.span(
-                "analysis.refresh", cached=cache is not None
-            ) as span:
-                concepts = self.analysis_concepts(kb)
-                span.set(concepts=len(concepts))
-                if cache is not None:
-                    exclusion = cache.exclusion(kb)
-                else:
-                    exclusion = MutualExclusionIndex(
-                        kb, self._config.similarity
-                    )
-                # Publish the canonical per-KB index so the cleaner's
-                # guards consult the same object detection just used.
-                ctx.resources.put("exclusion", kb, exclusion)
-                scores = self._ranker.score_all(kb, concepts)
-                features = FeatureExtractor(kb, exclusion, scores)
-                if cache is not None:
-                    matrices = cache.matrices(kb, concepts, features)
-                    verified = cache.verified(
-                        kb, concepts, self._verified_concept
-                    )
-                    evidence = cache.evidence(
-                        kb, self._config.labeling, verified
-                    )
-                    seeds = cache.seeds(kb, concepts, evidence)
-                else:
-                    matrices = {
-                        concept: build_concept_matrix(features, concept)
-                        for concept in concepts
-                    }
-                    verified = self._verified_sample(kb)
-                    evidence = EvidenceIndex(
-                        kb, exclusion, self._config.labeling,
-                        verified=verified,
-                    )
-                    seeds = SeedLabeler(kb, exclusion, evidence).label_all(
-                        concepts
-                    )
+            nonlocal embedding
+            with self._ctx.span("analysis.refresh") as span:
+                inputs = self._inputs(kb)
+                span.set(concepts=len(inputs.matrices))
                 detector = DPDetector(
-                    detector_config,
-                    method=detector_method,
+                    config,
                     seed=self._streams.stream("detector"),
-                    context=ctx,
+                    context=self._ctx,
                 )
                 detector.fit(
-                    matrices,
-                    seeds,
-                    embedding=state["embedding"],
-                    refit_cache=(
-                        cache.refit_cache(kb) if cache is not None else None
-                    ),
-                    initial_weights=state["weights"] if warm_start else None,
+                    inputs.matrices,
+                    inputs.seeds,
+                    embedding=embedding,
+                    refit_cache=self._analysis.refit_cache(kb),
                 )
-                state["embedding"] = detector.embedding
-                if warm_start:
-                    state["weights"] = detector.concept_weights
-                detect.exclusion_index = exclusion
+                embedding = detector.embedding
                 return detector.predict_all()
 
-        # Let the cleaner reuse this pipeline's ranker (and its score
-        # cache) instead of re-solving the same concepts from scratch,
-        # and inherit the pipeline's run context (shared-resource
-        # registry, event bus, tracer) without a signature change at the
-        # call sites that pass bare callbacks.
-        detect.ranker = self._ranker
-        detect.analysis = cache
-        detect.exclusion_index = None
-        detect.context = self._ctx
         return detect
+
+    def _inputs(self, kb: KnowledgeBase) -> _Inputs:
+        """Everything the detector is fitted on, built through the cache.
+
+        The refreshed exclusion index is published in the run context's
+        shared-resource registry, so the cleaner's guards consult the
+        index detection just used.
+        """
+        concepts = self.analysis_concepts(kb)
+        exclusion = self._analysis.exclusion(kb)
+        self._ctx.resources.put("exclusion", kb, exclusion)
+        scores = self._ranker.score_all(kb, concepts)
+        features = FeatureExtractor(kb, exclusion, scores)
+        matrices = self._analysis.matrices(kb, concepts, features)
+        verified = self._analysis.verified(
+            kb, concepts, self._verified_concept
+        )
+        evidence = self._analysis.evidence(
+            kb, self._config.labeling, verified
+        )
+        seeds = self._analysis.seeds(kb, concepts, evidence)
+        return _Inputs(
+            exclusion, scores, features, matrices, verified, evidence, seeds
+        )
 
     def _verified_concept(
         self, kb: KnowledgeBase, concept: str
@@ -489,10 +461,3 @@ class Pipeline:
             for instance in sorted(kb.instances_of(concept))
             if world.is_member(concept, instance) and rng.random() < fraction
         )
-
-    def _verified_sample(self, kb: KnowledgeBase) -> frozenset[IsAPair]:
-        """Sample of true pairs standing in for Wikipedia-style sources."""
-        verified: set[IsAPair] = set()
-        for concept in self.analysis_concepts(kb):
-            verified |= self._verified_concept(kb, concept)
-        return frozenset(verified)

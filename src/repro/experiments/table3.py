@@ -10,7 +10,6 @@ DP Cleaning best on every dimension jointly.
 from __future__ import annotations
 
 from ..cleaning import (
-    DPCleaner,
     MutualExclusionCleaner,
     PRDualRankCleaner,
     RWRankCleaner,
@@ -59,8 +58,7 @@ def run_table3(pipeline: Pipeline | None = None) -> ExperimentResult:
         ("TCh", TypeCheckingCleaner(artifacts.ner(accuracy=0.95))),
         ("PRDual-Rank", PRDualRankCleaner(artifacts.seeds, artifacts.evidence)),
         ("RW-Rank", RWRankCleaner(artifacts.seeds)),
-        ("DP Cleaning", DPCleaner(pipeline.detect_fn(),
-                                  pipeline.config.cleaning)),
+        ("DP Cleaning", pipeline.dp_cleaner()),
     ]
     rows: list[tuple] = [
         ("Before Cleaning", "-", "-",

@@ -8,7 +8,6 @@ cleaning, plus the overall row.
 
 from __future__ import annotations
 
-from ..cleaning import DPCleaner
 from ..evaluation.metrics import cleaning_metrics, sentence_check_metrics
 from ..evaluation.report import format_table
 from .base import ExperimentResult, default_pipeline
@@ -26,7 +25,7 @@ def run_table5(pipeline: Pipeline | None = None) -> ExperimentResult:
     """Regenerate Table 5."""
     pipeline = default_pipeline(pipeline)
     targets = list(pipeline.preset.target_concepts)
-    cleaner = DPCleaner(pipeline.detect_fn(), pipeline.config.cleaning)
+    cleaner = pipeline.dp_cleaner()
     overall, result, truth, extraction = run_cleaner(
         pipeline, cleaner, targets
     )

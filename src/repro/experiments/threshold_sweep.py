@@ -10,7 +10,6 @@ where the (threshold-free) DP cleaning point lands relative to the front.
 
 from __future__ import annotations
 
-from ..cleaning import DPCleaner
 from ..evaluation.ground_truth import GroundTruth
 from ..evaluation.metrics import cleaning_metrics
 from ..evaluation.report import format_table
@@ -66,7 +65,7 @@ def run_threshold_sweep(pipeline: Pipeline | None = None) -> ExperimentResult:
 
     dp_metrics, _result, _truth, _extraction = run_cleaner(
         pipeline,
-        DPCleaner(pipeline.detect_fn(), pipeline.config.cleaning),
+        pipeline.dp_cleaner(),
         targets,
     )
     rows.append((

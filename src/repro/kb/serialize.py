@@ -9,8 +9,9 @@ inactive alike, so removed-pair history survives the round trip).
 The codec splits a knowledge base along what can change after a record
 is committed.  :func:`record_row` is a record's immutable part (rid, sid,
 concept, instances, triggers, iteration); :func:`kb_state` is everything
-rollback mutates later (inactive rids, dead triggers, force-removed pairs)
-plus the record and pair counts that make truncation loud.  Loading is
+rollback mutates later (inactive rids, dead triggers, force-removed pairs,
+re-extracted pairs) plus the record and pair counts that make truncation
+loud.  Loading is
 always *replay the rows in rid order, then* :func:`apply_state`.
 ``save_kb`` writes both parts into one file; the segmented checkpoints of
 :mod:`repro.service.checkpoint` write rows append-only and the state on
@@ -38,7 +39,8 @@ __all__ = [
 ]
 
 _FORMAT = "repro-kb"
-_VERSION = 1
+#: Version 2 added ``restarts``; version-1 files mis-load re-extracted pairs.
+_VERSION = 2
 #: Version of the *record-row* schema (field names and meanings).  Bumped
 #: whenever a row field is added, removed or reinterpreted, independently
 #: of the container ``version``; loaders refuse files stamped with a
@@ -99,16 +101,23 @@ def kb_state(kb: KnowledgeBase) -> dict:
         # Pairs force-removed (e.g. Accidental DPs) while their producing
         # records stayed active; replay must re-remove them.
         "removed_pairs": sorted(_pairs_json(kb.removed_pairs())),
+        # Re-extracted pairs as [concept, instance, restart rid, count]:
+        # replay alone would give them every producing record's history.
+        "restarts": sorted(
+            [pair.concept, pair.instance, rid, kb.count(pair)]
+            for pair, rid in kb.restarted_pairs().items()
+        ),
     }
 
 
 def apply_state(kb: KnowledgeBase, state: dict, source: str | Path) -> None:
     """Apply a :func:`kb_state` to a KB whose rows were just replayed.
 
-    Inactive records are deactivated in rid order, dead triggers killed
-    and force-removed pairs re-removed, so pair counts, removed-pair
-    history and trigger liveness all match the original.  ``source``
-    names the file at fault in the errors.
+    Inactive records are deactivated in rid order, dead triggers killed,
+    force-removed pairs re-removed and re-extracted pairs restarted, so
+    pair counts and histories, removed-pair history, trigger liveness and
+    pair order all match the original.  ``source`` names the file at
+    fault in the errors.
     """
     # A truncated file parses row by row without complaint; the counts
     # are the integrity check that makes the loss loud.
@@ -127,6 +136,10 @@ def apply_state(kb: KnowledgeBase, state: dict, source: str | Path) -> None:
         pair = IsAPair(concept, instance)
         if pair in kb:
             kb.remove_pair(pair)
+    kb.restore_restarts(
+        (IsAPair(concept, instance), rid, count)
+        for concept, instance, rid, count in state["restarts"]
+    )
     if len(kb) != state.get("pairs"):
         raise KnowledgeBaseError(
             f"{source} is inconsistent: it promises {state.get('pairs')} "
@@ -144,6 +157,7 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
         "records": state["records"],
         "pairs": state["pairs"],
         "removed_pairs": state["removed_pairs"],
+        "restarts": state["restarts"],
     }
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
@@ -170,7 +184,8 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             )
         if header.get("version") != _VERSION:
             raise KnowledgeBaseError(
-                f"unsupported KB version {header.get('version')!r}"
+                f"{path} declares KB format version {header.get('version')!r}"
+                f"; this reader understands only version {_VERSION}"
             )
         schema = header.get("schema_version")
         if schema != SCHEMA_VERSION:
@@ -185,6 +200,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             "inactive": [],
             "dead_triggers": [],
             "removed_pairs": header.get("removed_pairs", ()),
+            "restarts": header.get("restarts", ()),
         }
         for line_number, line in enumerate(handle, start=2):
             line = line.strip()

@@ -21,6 +21,7 @@ Design notes
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Collection, Iterable, Iterator
 
@@ -42,6 +43,8 @@ class PairState:
     count: int
     first_iteration: int
     record_ids: list[int]
+    #: re-extracted after dying or being removed (history restarts here)
+    restarted: bool = False
 
 
 class KnowledgeBase:
@@ -175,7 +178,10 @@ class KnowledgeBase:
             state = self._pairs.get(pair)
             if state is None:
                 state = PairState(
-                    count=1, first_iteration=iteration, record_ids=[record.rid]
+                    count=1,
+                    first_iteration=iteration,
+                    record_ids=[record.rid],
+                    restarted=pair in self._removed_pairs,
                 )
                 self._pairs[pair] = state
                 self._by_concept.setdefault(concept, {})[pair.instance] = state
@@ -390,6 +396,14 @@ class KnowledgeBase:
         """Pairs that existed once but were rolled back to zero evidence."""
         return frozenset(self._removed_pairs)
 
+    def restarted_pairs(self) -> dict[IsAPair, int]:
+        """Alive re-extracted pairs → the rid their history restarts at."""
+        return {
+            pair: state.record_ids[0]
+            for pair, state in self._pairs.items()
+            if state.restarted
+        }
+
     # ------------------------------------------------------------------
     # Reading: records / provenance
     # ------------------------------------------------------------------
@@ -571,6 +585,45 @@ class KnowledgeBase:
                 died.append(pair)
         self._touch(record.concept)
         return died
+
+    def restore_restarts(
+        self, restarts: Iterable[tuple[IsAPair, int, int]]
+    ) -> None:
+        """Restart re-extracted pairs as they were live (loaders only).
+
+        Replay gives a re-extracted pair every producing record's history;
+        each ``(pair, rid, count)`` restarts it at record ``rid`` with the
+        live ``count``.  Pairs then take their creation order again.
+        """
+        touched: dict[str, dict[str, PairState]] = {}
+        for pair, rid, count in restarts:
+            rids = self._records_by_concept.get(pair.concept, [])
+            state = PairState(count, self.record(rid).iteration, [
+                later for later in rids[bisect_left(rids, rid):]
+                if pair in self._records[later].produced
+            ], restarted=True)
+            if state.record_ids[:1] != [rid] or count < 1:
+                raise KnowledgeBaseError(
+                    f"record {rid} cannot restart {pair} with count {count}"
+                )
+            self._pairs[pair] = state
+            self._instance_concepts.setdefault(pair.instance, set()).add(
+                pair.concept
+            )
+            self._removed_pairs.discard(pair)
+            self._touch(pair.concept)
+            touched[pair.concept] = {}
+
+        def created(item: tuple[IsAPair, PairState]) -> tuple[int, int]:
+            first = item[1].record_ids[0]
+            return first, self._records[first].produced.index(item[0])
+
+        if touched:
+            self._pairs = dict(sorted(self._pairs.items(), key=created))
+            for pair, state in self._pairs.items():
+                if pair.concept in touched:
+                    touched[pair.concept][pair.instance] = state
+            self._by_concept.update(touched)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

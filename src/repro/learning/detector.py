@@ -27,7 +27,7 @@ from ..labeling.labels import DPLabel
 from ..labeling.rules import SeedLabelSet
 from ..rng import generator_from
 from ..runtime.context import NULL_CONTEXT, RunContext
-from ..runtime.events import DetectorFitted, WarmStartReused
+from ..runtime.events import DetectorFitted
 from .adhoc import AdHocDetector
 from .embedding import FrozenEmbedding
 from .multitask import MultiTaskTrainer
@@ -110,11 +110,6 @@ class DPDetector:
         """The embedding used (fitted here or supplied; kernel methods only)."""
         return self._embedding
 
-    @property
-    def concept_weights(self) -> dict[str, np.ndarray]:
-        """Fitted per-concept weights (for warm-starting a later refit)."""
-        return dict(self._weights)
-
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
@@ -126,7 +121,6 @@ class DPDetector:
         *,
         embedding: FrozenEmbedding | None = None,
         refit_cache: DetectorRefitCache | None = None,
-        initial_weights: Mapping[str, np.ndarray] | None = None,
     ) -> "DPDetector":
         """Train on per-concept matrices and automatically labelled seeds.
 
@@ -139,8 +133,7 @@ class DPDetector:
         cleaning loop freezes round one's embedding for later rounds.
         ``refit_cache`` reuses per-concept transforms and manifold
         regularisers for matrices *object-identical* to a previous fit
-        (bit-exact by construction).  ``initial_weights`` warm-starts the
-        multi-task optimisation (opt-in; may change results).
+        (bit-exact by construction).
         """
         self._matrices = dict(matrices)
         if not self._matrices:
@@ -161,8 +154,6 @@ class DPDetector:
             if not labelled:
                 raise LearningError("no concept has labelled seeds")
             span.set(labelled_concepts=len(labelled))
-            if initial_weights:
-                ctx.emit(WarmStartReused(concepts=len(initial_weights)))
             with ctx.span("detector.pooled"):
                 self._fit_pooled(labelled)
             if self._method == "multitask":
@@ -178,11 +169,7 @@ class DPDetector:
                 if eval_fn is not None:
                     wrapped = self._wrap_eval(eval_fn)
                 with ctx.span("detector.train", method="multitask") as tspan:
-                    result = trainer.fit(
-                        labelled,
-                        eval_fn=wrapped,
-                        initial_weights=initial_weights,
-                    )
+                    result = trainer.fit(labelled, eval_fn=wrapped)
                     tspan.add("iterations", len(result.objective_history))
                 self._weights = result.weights
                 self.objective_history = result.objective_history
@@ -204,7 +191,6 @@ class DPDetector:
                     method=self._method,
                     concepts=len(self._matrices),
                     labelled_concepts=len(labelled),
-                    warm_started=bool(initial_weights),
                     transforms_reused=transforms_reused,
                     manifolds_reused=manifolds_reused,
                 )

@@ -64,17 +64,11 @@ class MultiTaskTrainer:
         self,
         datasets: list[ConceptTrainingData],
         eval_fn: Callable[[Mapping[str, np.ndarray]], float] | None = None,
-        initial_weights: Mapping[str, np.ndarray] | None = None,
     ) -> MultiTaskResult:
         """Train every concept's detector jointly.
 
         ``eval_fn`` (optional) receives the current weights after each
         iteration and returns an accuracy — the trace behind Fig. 5c.
-        ``initial_weights`` (optional) warm-starts concepts it covers
-        from a previous round's solution instead of the random init; the
-        optimisation still converges (the objective decrease of Theorem 1
-        is init-independent) but iterates — and with a finite iteration
-        budget, results — may differ, so callers keep it opt-in.
         """
         trainable = [d for d in datasets if d.n_labeled > 0]
         if not trainable:
@@ -85,15 +79,10 @@ class MultiTaskTrainer:
                 raise LearningError(
                     "all concepts must share one transformed feature space"
                 )
-        weights = {}
-        for d in trainable:
-            given = None
-            if initial_weights is not None:
-                given = initial_weights.get(d.concept)
-            if given is not None and given.shape == (r, 3):
-                weights[d.concept] = np.array(given, dtype=float)
-            else:
-                weights[d.concept] = 0.01 * self._rng.standard_normal((r, 3))
+        weights = {
+            d.concept: 0.01 * self._rng.standard_normal((r, 3))
+            for d in trainable
+        }
         result = MultiTaskResult(weights=weights)
         previous = np.inf
         for iteration in range(1, self._iterations + 1):

@@ -24,15 +24,11 @@ class Ranker(ABC):
     scoring time, and re-scores only the concepts mutated since.  All
     ranking models are per-concept local — a concept's scores depend only
     on that concept's pairs and records — which is what makes the
-    per-concept dirty tracking sound.  Set ``cache_scores = False`` on an
-    instance to disable reuse.
+    per-concept dirty tracking sound.  :meth:`score` is the uncached
+    path.
     """
 
     name: str = "abstract"
-
-    #: class-level default; instances may override (e.g. via a constructor
-    #: ``cache=`` parameter).
-    cache_scores: bool = True
 
     #: instrumentation context; instances may override (e.g. via a
     #: constructor ``context=`` parameter).  Observation only — never
@@ -54,12 +50,10 @@ class Ranker(ABC):
     ) -> dict[str, dict[str, float]]:
         """Score several concepts (all KB concepts by default).
 
-        With caching enabled (the default), only concepts the KB reports as
-        mutated since their last scoring are recomputed.
+        Only concepts the KB reports as mutated since their last scoring
+        are recomputed.
         """
         names = list(concepts) if concepts is not None else kb.concepts()
-        if not self.cache_scores:
-            return self._score_batch(kb, names)
         caches = self.__dict__.get("_score_caches")
         if caches is None:
             caches = weakref.WeakKeyDictionary()

@@ -160,9 +160,9 @@ class RandomWalkRanker(Ranker):
     """RWR from the core, over the directed trigger graph.
 
     Every solve routes through the union batch kernel, so a concept's
-    scores are bit-identical whichever batch it was solved in.  ``cache``
-    controls the mutation-versioned score cache inherited from
-    :class:`Ranker`.
+    scores are bit-identical whichever batch it was solved in — which is
+    what lets :class:`Ranker`'s mutation-versioned score cache re-solve
+    only the concepts a mutation touched.
     """
 
     name = "random_walk"
@@ -172,7 +172,6 @@ class RandomWalkRanker(Ranker):
         restart_probability: float = 0.15,
         max_iterations: int = 100,
         tolerance: float = 1e-12,
-        cache: bool = True,
         context: RunContext | None = None,
     ) -> None:
         if not 0.0 < restart_probability < 1.0:
@@ -180,7 +179,6 @@ class RandomWalkRanker(Ranker):
         self._restart = restart_probability
         self._max_iterations = max_iterations
         self._tolerance = tolerance
-        self.cache_scores = cache
         self.context = context or NULL_CONTEXT
 
     def score(self, kb: KnowledgeBase, concept: str) -> dict[str, float]:

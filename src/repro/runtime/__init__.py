@@ -19,7 +19,6 @@ from .events import (
     ExtractionIteration,
     LogEvent,
     SessionResumed,
-    WarmStartReused,
     event_payload,
 )
 from .tracing import TRACE_SCHEMA_VERSION, Span, Tracer, read_trace
@@ -34,7 +33,6 @@ __all__ = [
     "LogEvent",
     "ExtractionIteration",
     "DetectorFitted",
-    "WarmStartReused",
     "CleaningRound",
     "CleaningTriggered",
     "CleaningCompleted",

@@ -30,7 +30,6 @@ __all__ = [
     "LogEvent",
     "ExtractionIteration",
     "DetectorFitted",
-    "WarmStartReused",
     "CleaningRound",
     "CleaningTriggered",
     "CleaningCompleted",
@@ -141,16 +140,8 @@ class DetectorFitted(Event):
     method: str
     concepts: int
     labelled_concepts: int
-    warm_started: bool
     transforms_reused: int
     manifolds_reused: int
-
-
-@dataclass(frozen=True)
-class WarmStartReused(Event):
-    """A refit seeded its optimisation from a previous round's weights."""
-
-    concepts: int
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ Layout of a checkpoint directory::
                            snapshot generation (repro.kb.serialize codec)
         corpus-<n>.jsonl   the sentences added in one generation
         state.json         the KB's mutable state: inactive rids, dead
-                           triggers per rid, removed pairs, the record
-                           and pair counts
+                           triggers per rid, removed and re-extracted
+                           pairs, the record and pair counts
 
 The format rests on two append-only invariants.  A record's rid, sid,
 concept, instances, triggers and iteration never change after it is
@@ -67,8 +67,9 @@ from .journal import Journal
 
 __all__ = ["CheckpointStore", "SnapshotWrite", "CHECKPOINT_VERSION"]
 
-#: Version of the checkpoint directory layout and META schema.
-CHECKPOINT_VERSION = 2
+#: Version of the checkpoint directory layout and META schema.  Version 3
+#: added re-extracted pairs to ``state.json``.
+CHECKPOINT_VERSION = 3
 
 _SNAPSHOT_NAME = re.compile(r"snapshot-\d+")
 

@@ -12,15 +12,15 @@ Per batch it:
 3. asks the :class:`~repro.service.policy.IngestPolicy` whether a
    DP-cleaning pass is due (staleness or drift), and runs one if so.
 
-Cleaning passes are **self-contained**: each pass gets a fresh detection
-callback, so the detector embedding is frozen across the pass's rounds
-(exactly as in batch cleaning) but refitted per pass.  That makes every
-pass a pure function of (KB, corpus, config) — the property both
-invariants ride on:
+Cleaning passes are **self-contained**: each pass gets a fresh cleaner
+and with it a fresh detection callback, so the detector embedding is
+frozen across the pass's rounds (exactly as in batch cleaning) but
+refitted per pass.  That makes every pass a pure function of (KB, corpus,
+config) — the property both invariants ride on:
 
 * *batch equivalence*: the whole corpus in one batch with cleaning
-  forced reproduces ``Pipeline.extract()`` + ``DPCleaner.clean()``
-  bit-identically;
+  forced reproduces ``Pipeline.extract()`` +
+  ``Pipeline.dp_cleaner().clean()`` bit-identically;
 * *crash resume*: ``checkpoint + journal replay`` (re-running the cheap
   extraction, re-applying journaled rollback ops, never refitting a
   detector) reaches a bit-identical KB versus an uninterrupted session.
@@ -33,13 +33,14 @@ from pathlib import Path
 from collections.abc import Callable, Iterable
 
 from ..analysis.cache import AnalysisCache
-from ..cleaning.dp_cleaner import DetectFn, DPCleaner
+from ..cleaning.dp_cleaner import DPCleaner
 from ..config import PipelineConfig
 from ..corpus.corpus import Corpus, sentence_to_json
 from ..corpus.sentence import Sentence
 from ..errors import ServiceError
 from ..extraction.engine import BatchExtraction, IncrementalExtractor
 from ..kb.pair import IsAPair
+from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..runtime.context import NULL_CONTEXT, RunContext
 from ..runtime.events import (
@@ -67,26 +68,6 @@ class DriftStats:
     #: concept → [new pairs, conflicted pairs] for this batch.
     per_concept: dict[str, list[int]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "new_pairs": self.new_pairs,
-            "conflicted": self.conflicted,
-            "fraction": self.fraction,
-            "per_concept": self.per_concept,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DriftStats":
-        return cls(
-            new_pairs=payload["new_pairs"],
-            conflicted=payload["conflicted"],
-            fraction=payload["fraction"],
-            per_concept={
-                concept: list(counts)
-                for concept, counts in payload["per_concept"].items()
-            },
-        )
-
 
 @dataclass(frozen=True)
 class CleaningReport:
@@ -98,25 +79,6 @@ class CleaningReport:
     rounds: int
     #: per-round counters (round_index, intentional/accidental DPs, ...).
     round_stats: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "reason": self.reason,
-            "removed_pairs": self.removed_pairs,
-            "records_rolled_back": self.records_rolled_back,
-            "rounds": self.rounds,
-            "round_stats": self.round_stats,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CleaningReport":
-        return cls(
-            reason=payload["reason"],
-            removed_pairs=payload["removed_pairs"],
-            records_rolled_back=payload["records_rolled_back"],
-            rounds=payload["rounds"],
-            round_stats=list(payload["round_stats"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -136,36 +98,31 @@ class BatchReport:
     cleaning: CleaningReport | None = None
 
     def to_dict(self) -> dict:
+        # Shallow: asdict's deep copy costs ~2 ms per report per snapshot.
         return {
-            "seq": self.seq,
-            "index": self.index,
-            "sentences_seen": self.sentences_seen,
-            "sentences_new": self.sentences_new,
-            "core_resolved": self.core_resolved,
-            "ambiguous_resolved": self.ambiguous_resolved,
-            "new_pairs": self.new_pairs,
-            "total_pairs": self.total_pairs,
-            "iterations_run": self.iterations_run,
-            "drift": self.drift.to_dict(),
-            "cleaning": self.cleaning.to_dict() if self.cleaning else None,
+            **vars(self),
+            "drift": dict(vars(self.drift)),
+            "cleaning": self.cleaning and dict(vars(self.cleaning)),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BatchReport":
-        cleaning = payload.get("cleaning")
-        return cls(
-            seq=payload["seq"],
-            index=payload["index"],
-            sentences_seen=payload["sentences_seen"],
-            sentences_new=payload["sentences_new"],
-            core_resolved=payload["core_resolved"],
-            ambiguous_resolved=payload["ambiguous_resolved"],
-            new_pairs=payload["new_pairs"],
-            total_pairs=payload["total_pairs"],
-            iterations_run=payload["iterations_run"],
-            drift=DriftStats.from_dict(payload["drift"]),
-            cleaning=CleaningReport.from_dict(cleaning) if cleaning else None,
-        )
+        """Inverse of :meth:`to_dict`; raises if ``payload`` is malformed."""
+        values = dict(payload)
+        values["drift"] = DriftStats(**values["drift"])
+        if values.get("cleaning") is not None:
+            values["cleaning"] = CleaningReport(**values["cleaning"])
+        return cls(**values)
+
+
+def _decode_report(payload, source: Path, seq) -> BatchReport:
+    """A stored :class:`BatchReport`, or a ``ServiceError`` naming where."""
+    try:
+        return BatchReport.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServiceError(
+            f"undecodable batch report for seq {seq} in {source}: {exc!r}"
+        ) from exc
 
 
 class IngestSession:
@@ -176,14 +133,16 @@ class IngestSession:
     config:
         The full pipeline configuration (extraction, similarity and
         cleaning sections are used).
-    detect_factory:
-        Zero-argument callable returning a fresh detection callback for
-        one cleaning pass — typically ``pipeline.detect_fn`` (see
+    cleaner_factory:
+        Called once per cleaning pass with the rollback-engine factory
+        the session journals through; returns a fresh
+        :class:`~repro.cleaning.DPCleaner` using that engine factory —
+        typically ``pipeline.dp_cleaner`` (see
         :meth:`repro.experiments.pipeline.Pipeline.session`).
     policy:
         Cleaning trigger thresholds; defaults to :class:`IngestPolicy`.
     analysis:
-        The analysis cache shared with the detection callbacks, so drift
+        The analysis cache shared with the cleaner's detection, so drift
         telemetry reads the same exclusion index detection refreshes.
     checkpoint_dir:
         Where to journal batches and write snapshots.  ``None`` runs an
@@ -205,7 +164,9 @@ class IngestSession:
         self,
         *,
         config: PipelineConfig,
-        detect_factory: Callable[[], DetectFn],
+        cleaner_factory: Callable[
+            [Callable[[KnowledgeBase], RollbackEngine]], DPCleaner
+        ],
         policy: IngestPolicy | None = None,
         analysis: AnalysisCache | None = None,
         checkpoint_dir: str | Path | None = None,
@@ -214,7 +175,7 @@ class IngestSession:
         context: RunContext | None = None,
     ) -> None:
         self._config = config
-        self._detect_factory = detect_factory
+        self._cleaner_factory = cleaner_factory
         self._policy = policy or IngestPolicy()
         self._analysis = analysis or AnalysisCache(
             similarity=config.similarity
@@ -322,31 +283,8 @@ class IngestSession:
             span.add("new_pairs", len(batch.new_pairs))
             span.add("sentences_skipped", batch.sentences_skipped)
             span.add("index_hits", batch.index_hits)
-            ctx.emit(
-                BatchExtracted(
-                    index=batch.index,
-                    sentences_seen=batch.sentences_seen,
-                    sentences_new=batch.sentences_new,
-                    new_pairs=len(batch.new_pairs),
-                    total_pairs=batch.total_pairs,
-                    iterations_run=batch.iterations_run,
-                )
-            )
             drift = self._drift_stats(batch)
-            ctx.emit(
-                DriftMeasured(
-                    index=batch.index,
-                    new_pairs=drift.new_pairs,
-                    conflicted=drift.conflicted,
-                    fraction=drift.fraction,
-                    per_concept=tuple(
-                        (concept, counts[0], counts[1])
-                        for concept, counts in sorted(
-                            drift.per_concept.items()
-                        )
-                    ),
-                )
-            )
+            self._publish_batch(batch, drift)
             decision = self._monitor.decide(self._policy, forced=force_clean)
             cleaning = None
             clean_ops: list[list] = []
@@ -359,14 +297,6 @@ class IngestSession:
                     )
                 )
                 cleaning, clean_ops = self._clean(decision.reason)
-                ctx.emit(
-                    CleaningCompleted(
-                        rounds=cleaning.rounds,
-                        pairs_removed=cleaning.removed_pairs,
-                        records_rolled_back=cleaning.records_rolled_back,
-                        reason=decision.reason,
-                    )
-                )
             self._seq += 1
             report = BatchReport(
                 seq=self._seq,
@@ -403,6 +333,34 @@ class IngestSession:
                     self.checkpoint()
             ctx.emit(self._ingested_event(report, replayed=False))
         return report
+
+    def _publish_batch(
+        self, batch: BatchExtraction, drift: DriftStats
+    ) -> None:
+        """Publish a batch's extraction and drift events, live or replayed
+        (subscribers such as the policy monitor rebuild state from them)."""
+        self._ctx.emit(
+            BatchExtracted(
+                index=batch.index,
+                sentences_seen=batch.sentences_seen,
+                sentences_new=batch.sentences_new,
+                new_pairs=len(batch.new_pairs),
+                total_pairs=batch.total_pairs,
+                iterations_run=batch.iterations_run,
+            )
+        )
+        self._ctx.emit(
+            DriftMeasured(
+                index=batch.index,
+                new_pairs=drift.new_pairs,
+                conflicted=drift.conflicted,
+                fraction=drift.fraction,
+                per_concept=tuple(
+                    (concept, counts[0], counts[1])
+                    for concept, counts in sorted(drift.per_concept.items())
+                ),
+            )
+        )
 
     def _ingested_event(
         self, report: BatchReport, replayed: bool
@@ -470,36 +428,35 @@ class IngestSession:
             engines.append(engine)
             return engine
 
-        cleaner = DPCleaner(
-            self._detect_factory(),
-            self._config.cleaning,
-            engine_factory=factory,
-            context=self._ctx,
-        )
+        cleaner = self._cleaner_factory(factory)
         version_before = kb.version
         result = cleaner.clean(kb, self._extractor.corpus())
-        self._extractor.resync_visible(
-            kb.dirty_concepts_since(version_before)
-        )
-        ops = engines[0].ops if engines else []
         report = CleaningReport(
             reason=reason,
             removed_pairs=result.num_removed,
             records_rolled_back=result.records_rolled_back,
             rounds=result.rounds,
+            # RoundStats' fields in order, the check list as its length.
             round_stats=[
-                {
-                    "round_index": stats.round_index,
-                    "intentional_dps": stats.intentional_dps,
-                    "accidental_dps": stats.accidental_dps,
-                    "records_rolled_back": stats.records_rolled_back,
-                    "pairs_removed": stats.pairs_removed,
-                    "sentence_checks": len(stats.sentence_checks),
-                }
+                dict(vars(stats), sentence_checks=len(stats.sentence_checks))
                 for stats in result.details.get("rounds", [])
             ],
         )
-        return report, ops
+        self._cleaned(version_before, report)
+        return report, engines[0].ops if engines else []
+
+    def _cleaned(self, version_before: int, cleaning: CleaningReport) -> None:
+        """Resync extraction to a live or replayed pass, then announce it."""
+        kb = self._extractor.kb
+        self._extractor.resync_visible(kb.dirty_concepts_since(version_before))
+        self._ctx.emit(
+            CleaningCompleted(
+                rounds=cleaning.rounds,
+                pairs_removed=cleaning.removed_pairs,
+                records_rolled_back=cleaning.records_rolled_back,
+                reason=cleaning.reason,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Durability
@@ -563,7 +520,13 @@ class IngestSession:
             staleness=meta["since_clean"],
             cleanings=meta["cleanings"],
         )
-        self._reports = [BatchReport.from_dict(r) for r in meta["reports"]]
+        source = (
+            self._store.directory / f"snapshot-{meta['seq']}" / "META.json"
+        )
+        self._reports = [
+            _decode_report(payload, source, position)
+            for position, payload in enumerate(meta["reports"], start=1)
+        ]
         for report in self._reports:
             self._monitor.fold(report.drift.per_concept)
         self._seq = meta["seq"]
@@ -574,7 +537,9 @@ class IngestSession:
             raise ServiceError(
                 f"unknown journal entry type {entry.get('type')!r}"
             )
-        report = BatchReport.from_dict(entry["report"])
+        report = _decode_report(
+            entry.get("report"), self._store.journal.path, entry.get("seq")
+        )
         sentences = self._store.load_sentences(entry["sentences"])
         batch = self._extractor.ingest(sentences)
         if batch.total_pairs != report.total_pairs:
@@ -584,54 +549,15 @@ class IngestSession:
                 f"journal recorded {report.total_pairs} — was the session "
                 "restarted with a different configuration?"
             )
-        # Replay publishes the same events live ingestion does, so the
-        # policy monitor (and any other subscriber) rebuilds its state
-        # from the bus rather than from private replay bookkeeping.
-        ctx = self._ctx
-        ctx.emit(
-            BatchExtracted(
-                index=batch.index,
-                sentences_seen=batch.sentences_seen,
-                sentences_new=batch.sentences_new,
-                new_pairs=len(batch.new_pairs),
-                total_pairs=batch.total_pairs,
-                iterations_run=batch.iterations_run,
-            )
-        )
-        ctx.emit(
-            DriftMeasured(
-                index=report.index,
-                new_pairs=report.drift.new_pairs,
-                conflicted=report.drift.conflicted,
-                fraction=report.drift.fraction,
-                per_concept=tuple(
-                    (concept, counts[0], counts[1])
-                    for concept, counts in sorted(
-                        report.drift.per_concept.items()
-                    )
-                ),
-            )
-        )
-        kb = self._extractor.kb
+        self._publish_batch(batch, report.drift)
         if report.cleaning is not None:
+            kb = self._extractor.kb
             version_before = kb.version
             replay_clean_ops(kb, entry.get("clean_ops", []))
-            self._extractor.resync_visible(
-                kb.dirty_concepts_since(version_before)
-            )
-            ctx.emit(
-                CleaningCompleted(
-                    rounds=report.cleaning.rounds,
-                    pairs_removed=report.cleaning.removed_pairs,
-                    records_rolled_back=(
-                        report.cleaning.records_rolled_back
-                    ),
-                    reason=report.cleaning.reason,
-                )
-            )
+            self._cleaned(version_before, report.cleaning)
         self._seq = entry["seq"]
         self._reports.append(report)
-        ctx.emit(self._ingested_event(report, replayed=True))
+        self._ctx.emit(self._ingested_event(report, replayed=True))
 
     def removed_pairs(self) -> frozenset[IsAPair]:
         """Pairs removed by the session's cleaning passes so far."""

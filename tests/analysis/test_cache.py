@@ -4,26 +4,32 @@ The cache's contract is observational: every cached artefact must be
 exactly what a from-scratch rebuild over the same KB state would produce.
 Hypothesis drives randomized rollback histories against the incremental
 paths with fresh rebuilds as oracles, and a small-but-real pipeline pins
-the end-to-end guarantee — toggling the analysis cache changes nothing
-the DP cleaner observes or removes.
+the end-to-end guarantee — production cleaning observes and removes
+exactly what the cache-off oracles of ``tests/cleaning/uncached.py`` do.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AnalysisCache
-from repro.cleaning import DPCleaner
 from repro.concepts import CoreSimilarity, MutualExclusionIndex
 from repro.config import CleaningConfig, LabelingConfig
 from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.features import FeatureExtractor
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
 from repro.labeling import EvidenceIndex, SeedLabeler
-from repro.ranking import RandomWalkRanker
 from repro.world import paper_world
+
+from ..cleaning.uncached import (
+    MemolessDPCleaner,
+    UncachedRanker,
+    uncached_detect,
+)
 
 _CONCEPTS = ("animal", "food", "city", "country", "tool")
 _INSTANCES = tuple(f"i{k}" for k in range(10))
@@ -173,7 +179,7 @@ class TestAnalysisCacheEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_matrices_and_seeds_match_fresh_build(self, kb, data):
         cache = AnalysisCache()
-        ranker = RandomWalkRanker(cache=False)
+        ranker = UncachedRanker()
         config = LabelingConfig()
         for _ in range(data.draw(st.integers(1, 3), label="rounds")):
             _mutate(kb, data)
@@ -220,7 +226,7 @@ class TestAnalysisCacheEquivalence:
         """A second pass with no KB mutation returns the same objects
         (downstream transform/manifold caches key on identity)."""
         cache = AnalysisCache()
-        ranker = RandomWalkRanker(cache=False)
+        ranker = UncachedRanker()
         _mutate(kb, data)
         concepts = kb.concepts()
         exclusion = cache.exclusion(kb)
@@ -235,21 +241,27 @@ class TestAnalysisCacheEquivalence:
 
 
 class TestCleanerCacheEquivalence:
-    """Cache-on and cache-off cleaning must be indistinguishable."""
+    """Production and cache-off cleaning must be indistinguishable."""
 
     def _outcome(self, analysis_cache: bool):
         preset = paper_world(seed=3, scale=0.5)
-        config = experiment_config(
-            num_sentences=3000, seed=3, profiles=preset.profiles
+        config = replace(
+            experiment_config(
+                num_sentences=3000, seed=3, profiles=preset.profiles
+            ),
+            cleaning=CleaningConfig(max_cleaning_rounds=2),
         )
         pipeline = Pipeline(preset=preset, config=config)
         extraction = pipeline.extract()
-        detect = pipeline.detect_fn(analysis_cache=analysis_cache)
-        cleaner = DPCleaner(
-            detect,
-            CleaningConfig(max_cleaning_rounds=2),
-            use_cache=analysis_cache,
-        )
+        if analysis_cache:
+            cleaner = pipeline.dp_cleaner()
+        else:
+            cleaner = MemolessDPCleaner(
+                uncached_detect(pipeline),
+                config.cleaning,
+                ranker=UncachedRanker(),
+                context=pipeline.context,
+            )
         result = cleaner.clean(extraction.kb, extraction.corpus)
         rounds = [
             (

@@ -10,6 +10,8 @@ from repro.extraction import SemanticIterativeExtractor
 from repro.kb import IsAPair
 from repro.labeling import DPLabel
 
+from .uncached import MemolessDPCleaner, UncachedRanker
+
 
 def _sentence(sid, concepts, instances):
     return Sentence(sid=sid, surface=f"s{sid}", concepts=concepts,
@@ -127,13 +129,16 @@ class TestDPCleaner:
 
 
 class TestScoreCacheEquivalence:
-    """The mutation-versioned score cache must never change outcomes."""
+    """The score cache and the Eq. 21 memo must never change outcomes."""
 
     def _run(self, use_cache: bool):
         result = SemanticIterativeExtractor().run(_corpus())
-        cleaner = DPCleaner(
-            _oracle_detect, CleaningConfig(), use_cache=use_cache
-        )
+        if use_cache:
+            cleaner = DPCleaner(_oracle_detect, CleaningConfig())
+        else:
+            cleaner = MemolessDPCleaner(
+                _oracle_detect, CleaningConfig(), ranker=UncachedRanker()
+            )
         report = cleaner.clean(result.kb, result.corpus)
         return result.kb, report
 

@@ -1,0 +1,29 @@
+"""The full observable state of two knowledge bases, compared."""
+
+from __future__ import annotations
+
+from repro.kb import KnowledgeBase
+
+
+def assert_same_state(a: KnowledgeBase, b: KnowledgeBase) -> None:
+    """Every pair, record and removal reads the same in ``a`` and ``b``."""
+    assert list(a.pairs()) == list(b.pairs())
+    for pair in a.pairs():
+        assert a.count(pair) == b.count(pair)
+        assert a.first_iteration(pair) == b.first_iteration(pair)
+        assert a.core_count(pair) == b.core_count(pair)
+        assert [r.rid for r in a.records_for_pair(pair)] == [
+            r.rid for r in b.records_for_pair(pair)
+        ]
+    for concept in a.concepts():
+        assert a.core_instances(concept) == b.core_instances(concept)
+    assert a.removed_pairs() == b.removed_pairs()
+    a_records = {r.rid: r for r in a.records(include_inactive=True)}
+    b_records = {r.rid: r for r in b.records(include_inactive=True)}
+    assert set(a_records) == set(b_records)
+    for rid, record in a_records.items():
+        other = b_records[rid]
+        assert record.active == other.active
+        assert record.instances == other.instances
+        assert record.triggers == other.triggers
+        assert record.alive_triggers() == other.alive_triggers()

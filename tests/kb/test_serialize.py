@@ -14,6 +14,8 @@ from repro.kb import IsAPair, KnowledgeBase, RollbackEngine, load_kb, save_kb
 from repro.kb.serialize import SCHEMA_VERSION
 from repro.labeling import DPLabel
 
+from .state import assert_same_state
+
 
 def _kb():
     kb = KnowledgeBase()
@@ -27,29 +29,12 @@ def _kb():
     return kb
 
 
-def _same_state(a: KnowledgeBase, b: KnowledgeBase) -> None:
-    assert set(a.pairs()) == set(b.pairs())
-    for pair in a.pairs():
-        assert a.count(pair) == b.count(pair)
-        assert a.first_iteration(pair) == b.first_iteration(pair)
-    assert a.removed_pairs() == b.removed_pairs()
-    a_records = {r.rid: r for r in a.records(include_inactive=True)}
-    b_records = {r.rid: r for r in b.records(include_inactive=True)}
-    assert set(a_records) == set(b_records)
-    for rid, record in a_records.items():
-        other = b_records[rid]
-        assert record.active == other.active
-        assert record.instances == other.instances
-        assert record.triggers == other.triggers
-        assert record.alive_triggers() == other.alive_triggers()
-
-
 class TestRoundTrip:
     def test_plain_roundtrip(self, tmp_path):
         kb = _kb()
         path = tmp_path / "kb.jsonl"
         save_kb(kb, path)
-        _same_state(kb, load_kb(path))
+        assert_same_state(kb, load_kb(path))
 
     def test_roundtrip_after_rollback(self, tmp_path):
         kb = _kb()
@@ -58,7 +43,7 @@ class TestRoundTrip:
         path = tmp_path / "kb.jsonl"
         save_kb(kb, path)
         loaded = load_kb(path)
-        _same_state(kb, loaded)
+        assert_same_state(kb, loaded)
         assert not loaded.has_instance("animal", "pork")
 
     def test_roundtrip_after_force_removal(self, tmp_path):
@@ -67,9 +52,46 @@ class TestRoundTrip:
         path = tmp_path / "kb.jsonl"
         save_kb(kb, path)
         loaded = load_kb(path)
-        _same_state(kb, loaded)
+        assert_same_state(kb, loaded)
         assert not loaded.has_instance("animal", "chicken")
         assert loaded.has_instance("animal", "dog")
+
+    def test_roundtrip_after_removal_then_reextraction(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.add_extraction(0, "city", ("paris", "rome"), iteration=1)
+        kb.remove_pair(IsAPair("city", "paris"))
+        kb.add_extraction(1, "city", ("paris",), iteration=2)
+        path = tmp_path / "kb.jsonl"
+        save_kb(kb, path)
+        loaded = load_kb(path)
+        assert_same_state(kb, loaded)
+        paris = IsAPair("city", "paris")
+        assert loaded.count(paris) == 1
+        assert loaded.core_count(paris) == 0
+        assert loaded.first_iteration(paris) == 2
+        assert "paris" not in loaded.core_instances("city")
+
+    def test_roundtrip_after_death_then_reextraction(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.add_extraction(0, "city", ("paris", "rome"), iteration=1)
+        kb.add_extraction(1, "city", ("paris", "oslo"), iteration=1)
+        RollbackEngine(kb).rollback_records([0, 1])
+        kb.add_extraction(2, "city", ("paris", "lima"), iteration=2)
+        # A pre-restart record rolled back after the restart still
+        # counts against the re-created pair, as it does live.
+        kb.add_extraction(3, "city", ("bern", "rome"), iteration=1)
+        kb.remove_pair(IsAPair("city", "rome"))
+        kb.add_extraction(4, "city", ("rome",), iteration=3)
+        kb.add_extraction(5, "city", ("rome", "kiev"), iteration=3)
+        RollbackEngine(kb).rollback_records([3])
+        path = tmp_path / "kb.jsonl"
+        save_kb(kb, path)
+        loaded = load_kb(path)
+        assert_same_state(kb, loaded)
+        assert loaded.first_iteration(IsAPair("city", "paris")) == 2
+        again = tmp_path / "again.jsonl"
+        save_kb(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_loaded_kb_supports_further_rollback(self, tmp_path):
         kb = _kb()
@@ -99,7 +121,7 @@ class TestRoundTrip:
         )
         path = tmp_path / "kb.jsonl"
         save_kb(kb, path)
-        _same_state(kb, load_kb(path))
+        assert_same_state(kb, load_kb(path))
 
 
 class TestValidation:
@@ -123,6 +145,21 @@ class TestValidation:
         with pytest.raises(KnowledgeBaseError):
             load_kb(path)
 
+    def test_version_1_file_is_refused_by_name(self, tmp_path):
+        # Version 1 had no re-extracted pairs: such pairs would load with
+        # the history of every record that ever produced them.
+        path = tmp_path / "old.jsonl"
+        save_kb(_kb(), path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 1
+        del header["restarts"]
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(KnowledgeBaseError, match="version 1") as info:
+            load_kb(path)
+        assert str(path) in str(info.value)
+
     def test_corrupt_record(self, tmp_path):
         kb = _kb()
         path = tmp_path / "kb.jsonl"
@@ -145,7 +182,7 @@ class TestSchemaVersion:
         path = tmp_path / "kb.jsonl"
         kb = _kb()
         save_kb(kb, path)
-        _same_state(kb, load_kb(path))
+        assert_same_state(kb, load_kb(path))
 
     def test_schema_mismatch_fails_loudly(self, tmp_path):
         path = tmp_path / "kb.jsonl"
@@ -192,9 +229,9 @@ class TestPinnedBytes:
     """``save_kb`` output is a compatibility surface: pin it literally."""
 
     EXPECTED = "\n".join([
-        '{"format": "repro-kb", "version": 1, "schema_version": 1, '
-        '"records": 5, "pairs": 5, "removed_pairs": [["animal", "beef"], '
-        '["animal", "chicken"], ["food", "rice"]]}',
+        '{"format": "repro-kb", "version": 2, "schema_version": 1, '
+        '"records": 6, "pairs": 6, "removed_pairs": [["animal", "beef"], '
+        '["animal", "chicken"]], "restarts": [["food", "rice", 5, 1]]}',
         '{"rid": 0, "sid": 0, "concept": "animal", "instances": ["dog", '
         '"chicken", "duck"], "triggers": [], "iteration": 1, "active": true, '
         '"dead_triggers": []}',
@@ -211,11 +248,15 @@ class TestPinnedBytes:
         '{"rid": 4, "sid": 4, "concept": "food", "instances": ["rice", '
         '"pork"], "triggers": [], "iteration": 1, "active": true, '
         '"dead_triggers": []}',
+        '{"rid": 5, "sid": 5, "concept": "food", "instances": ["rice"], '
+        '"triggers": [], "iteration": 2, "active": true, '
+        '"dead_triggers": []}',
     ]) + "\n"
 
     @staticmethod
     def _mixed_kb() -> KnowledgeBase:
-        """Inactive records, a partly dead trigger list, a forced removal."""
+        """Inactive records, a partly dead trigger list, a forced removal
+        and a re-extraction."""
         kb = KnowledgeBase()
         kb.add_extraction(0, "animal", ("dog", "chicken", "duck"), iteration=1)
         kb.add_extraction(1, "food", ("pork", "beef"), iteration=1)
@@ -228,6 +269,7 @@ class TestPinnedBytes:
         kb.add_extraction(4, "food", ("rice", "pork"), iteration=1)
         RollbackEngine(kb).rollback_pair(chicken)
         kb.remove_pair(IsAPair("food", "rice"))
+        kb.add_extraction(5, "food", ("rice",), iteration=2)
         return kb
 
     def test_bytes_match_the_pinned_text(self, tmp_path):

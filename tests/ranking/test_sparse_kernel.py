@@ -14,6 +14,7 @@ from repro.ranking.random_walk import (
     random_walk_scores,
 )
 
+from ..cleaning.uncached import UncachedRanker
 from .dense import random_walk_scores_dense
 
 
@@ -91,7 +92,7 @@ def _many_concept_kb() -> KnowledgeBase:
 class TestScoreCache:
     def test_untouched_concepts_reuse_cached_scores(self):
         kb = _many_concept_kb()
-        ranker = RandomWalkRanker(cache=True)
+        ranker = RandomWalkRanker()
         first = ranker.score_all(kb)
         kb.remove_pair(IsAPair("concept0", "c0_drift"))
         second = ranker.score_all(kb)
@@ -103,8 +104,8 @@ class TestScoreCache:
 
     def test_cache_disabled_recomputes_identically(self):
         kb = _many_concept_kb()
-        cached = RandomWalkRanker(cache=True)
-        uncached = RandomWalkRanker(cache=False)
+        cached = RandomWalkRanker()
+        uncached = UncachedRanker()
         assert cached.score_all(kb) == uncached.score_all(kb)
         kb.remove_pair(IsAPair("concept3", "c3_drift"))
         assert cached.score_all(kb) == uncached.score_all(kb)

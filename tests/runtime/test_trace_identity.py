@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cleaning.dp_cleaner import DPCleaner
 from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.kb.serialize import save_kb
 from repro.runtime.tracing import read_trace
@@ -33,7 +32,7 @@ def make_pipeline() -> Pipeline:
 def run_and_clean(pipeline: Pipeline, trace=None):
     """Full pipeline run plus one DP-cleaning pass."""
     artifacts = pipeline.run(trace=None if trace is None else str(trace))
-    cleaner = DPCleaner(pipeline.detect_fn(), pipeline.config.cleaning)
+    cleaner = pipeline.dp_cleaner()
     result = cleaner.clean(artifacts.kb, artifacts.corpus)
     # Export again so the trace includes the cleaning spans too.
     if trace is not None:

@@ -18,6 +18,8 @@ from repro.kb.serialize import SCHEMA_VERSION
 from repro.service import CheckpointStore
 from repro.service.checkpoint import CHECKPOINT_VERSION
 
+from ..kb.state import assert_same_state
+
 
 def _kb() -> KnowledgeBase:
     kb = KnowledgeBase()
@@ -337,6 +339,15 @@ class TestLoadErrors:
             CheckpointStore(ckpt).load_snapshot()
         assert str(snapshot / "META.json") in str(info.value)
 
+    def test_v2_directory_is_refused_by_name(self, store):
+        # Format 2 state.json lacked re-extracted pairs, so its KBs would
+        # load with the wrong pair histories.
+        meta_path = store.directory / "snapshot-2" / "META.json"
+        meta = json.loads(meta_path.read_text())
+        meta["checkpoint_version"] = 2
+        meta_path.write_text(json.dumps(meta))
+        self._fails_naming(store, meta_path, match="checkpoint format 2")
+
     def test_schema_version_mismatch(self, store):
         meta_path = store.directory / "snapshot-2" / "META.json"
         meta = json.loads(meta_path.read_text())
@@ -423,6 +434,7 @@ class TestInterleavings:
                     assert _kb_bytes(loaded, tmp / "loaded") == _kb_bytes(
                         kb, tmp / "live"
                     )
+                    assert_same_state(loaded, kb)
 
 
 class TestSessionChain:

@@ -70,15 +70,15 @@ def _kb_bytes(kb, path) -> bytes:
     return path.read_bytes()
 
 
-def _no_detector():
-    raise AssertionError("resume must not refit a detector")
+def _no_cleaner(engine_factory):
+    raise AssertionError("resume must not run a cleaner")
 
 
 def _resume(pipeline, ckpt) -> IngestSession:
     """A cold resume with a private run context."""
     return IngestSession(
         config=pipeline.config,
-        detect_factory=_no_detector,
+        cleaner_factory=_no_cleaner,
         policy=POLICY,
         checkpoint_dir=ckpt,
         resume=True,

@@ -2,17 +2,16 @@
 
 The acceptance invariant for the streaming subsystem: a session fed the
 full corpus as one batch, with cleaning forced, must reproduce the batch
-pipeline (``Pipeline.extract()`` + ``DPCleaner.clean()``) bit-identically
-— same KB bytes, same removed-pair set, same per-round cleaner counters.
-Extraction alone must match :class:`SemanticIterativeExtractor` exactly,
-including the iteration log.
+pipeline (``Pipeline.extract()`` + ``Pipeline.dp_cleaner().clean()``)
+bit-identically — same KB bytes, same removed-pair set, same per-round
+cleaner counters.  Extraction alone must match
+:class:`SemanticIterativeExtractor` exactly, including the iteration log.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cleaning import DPCleaner
 from repro.extraction import IncrementalExtractor, SemanticIterativeExtractor
 from repro.kb.serialize import save_kb
 from repro.service import IngestPolicy
@@ -31,9 +30,7 @@ def batch_reference(service_corpus, tmp_path_factory):
     """The classic batch run: full extraction, then one cleaning pass."""
     pipeline = make_pipeline()
     extraction = pipeline.extract()
-    result = DPCleaner(pipeline.detect_fn(), pipeline.config.cleaning).clean(
-        extraction.kb, extraction.corpus
-    )
+    result = pipeline.dp_cleaner().clean(extraction.kb, extraction.corpus)
     tmp = tmp_path_factory.mktemp("batch-ref")
     return {
         "extraction": extraction,

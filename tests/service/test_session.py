@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ServiceError
@@ -157,3 +159,36 @@ class TestDurabilityGuards:
         path.write_text(json.dumps(entry) + "\n")
         with pytest.raises(ServiceError, match="diverged"):
             make_pipeline().session(checkpoint_dir=ckpt, resume=True)
+
+    def test_undecodable_journal_report_names_file_and_seq(
+        self, tmp_path, service_corpus
+    ):
+        ckpt = tmp_path / "ckpt"
+        session = make_pipeline().session(
+            policy=IngestPolicy.never(), checkpoint_dir=ckpt
+        )
+        session.ingest(next(service_corpus.batches(300)))
+        path = ckpt / "journal.jsonl"
+        entry = json.loads(path.read_text().splitlines()[0])
+        del entry["report"]["drift"]
+        path.write_text(json.dumps(entry) + "\n")
+        with pytest.raises(ServiceError, match="seq 1") as info:
+            make_pipeline().session(checkpoint_dir=ckpt, resume=True)
+        assert str(path) in str(info.value)
+
+    def test_undecodable_snapshot_report_names_file_and_seq(
+        self, tmp_path, service_corpus
+    ):
+        ckpt = tmp_path / "ckpt"
+        session = make_pipeline().session(
+            policy=IngestPolicy.never(), checkpoint_dir=ckpt,
+            checkpoint_every=1,
+        )
+        session.ingest(next(service_corpus.batches(300)))
+        meta_path = ckpt / "snapshot-1" / "META.json"
+        meta = json.loads(meta_path.read_text())
+        meta["reports"][0]["drift"]["surplus"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ServiceError, match="seq 1") as info:
+            make_pipeline().session(checkpoint_dir=ckpt, resume=True)
+        assert str(meta_path) in str(info.value)
