@@ -1,11 +1,17 @@
 #!/usr/bin/env python
-"""Enforce the repro package's import-direction rules.
+"""Enforce the repro package's import-direction and collector rules.
 
 The package is layered (DESIGN.md §8): a module may import from its own
 layer or any layer below it, never from above.  This script walks every
 module's AST, resolves intra-package imports to their top-level member
 (``repro.cleaning.dp_cleaner`` → ``cleaning``) and fails — listing every
 offending import — when an import points to a higher layer.
+
+One module controls CPython's cyclic collector (DESIGN.md §6, "Collector
+policy"): ``gc.disable``, ``gc.enable``, ``gc.freeze`` and
+``gc.set_threshold`` may appear only in ``repro/runtime/collector.py``.
+Any other reference to them, through ``import gc`` (aliased or not) or
+``from gc import ...``, is reported too.
 
 Run directly (``python scripts/check_layering.py``) or through ``make
 lint``; the tier-1 suite also exercises it (``tests/test_layering.py``),
@@ -56,6 +62,14 @@ LAYERS: dict[str, int] = {
     "__main__": 8,
     "__init__": 8,
 }
+
+
+#: ``gc`` functions that switch or tune the collector, and the one module
+#: (as dotted parts below ``repro``) allowed to use them.
+COLLECTOR_SWITCHES = frozenset(
+    {"disable", "enable", "freeze", "set_threshold"}
+)
+COLLECTOR_MODULE = ["runtime", "collector"]
 
 
 def _module_parts(path: Path, root: Path) -> list[str]:
@@ -111,6 +125,33 @@ def _imported_members(
     return found
 
 
+def _collector_switches(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for every reference to a :data:`COLLECTOR_SWITCHES`."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "gc"
+    }
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in COLLECTOR_SWITCHES
+            )
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in COLLECTOR_SWITCHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
 def check_layering(root: Path) -> list[str]:
     """All layering violations under ``root`` (the ``repro`` package dir)."""
     violations: list[str] = []
@@ -125,6 +166,13 @@ def check_layering(root: Path) -> list[str]:
             )
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if parts != COLLECTOR_MODULE:
+            for lineno, name in _collector_switches(tree):
+                violations.append(
+                    f"{path}:{lineno}: gc.{name} outside "
+                    "repro/runtime/collector.py — pause the collector "
+                    "with repro.runtime.collector_paused"
+                )
         for lineno, imported in _imported_members(tree, parts):
             if imported == member:
                 continue

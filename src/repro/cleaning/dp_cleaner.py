@@ -29,6 +29,7 @@ from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..labeling.labels import DPLabel
 from ..ranking.random_walk import RandomWalkRanker
+from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
 from ..runtime.events import CleaningRound
 from .base import BaseCleaner, CleaningResult
@@ -99,6 +100,7 @@ class DPCleaner(BaseCleaner):
             int, tuple[tuple[str, ...], tuple[int, ...], dict[str, float]]
         ] = {}
 
+    @collector_paused
     def clean(self, kb: KnowledgeBase, corpus: Corpus) -> CleaningResult:
         before = kb.removed_pairs()
         by_sid = corpus.by_sid()

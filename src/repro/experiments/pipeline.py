@@ -31,6 +31,7 @@ from ..learning.detector import DPDetector
 from ..nlp.ner import SimulatedNER
 from ..ranking.random_walk import RandomWalkRanker
 from ..rng import RandomStreams
+from ..runtime.collector import collector_paused
 from ..runtime.context import RunContext
 from ..service.policy import IngestPolicy
 from ..service.session import IngestSession
@@ -257,6 +258,7 @@ class Pipeline:
                 span.add("sentences", len(self._corpus.sentences))
         return self._corpus
 
+    @collector_paused
     def extract(self) -> ExtractionResult:
         """Run a fresh extraction over the (cached) corpus.
 
@@ -268,6 +270,7 @@ class Pipeline:
         )
         return extractor.run(self.corpus())
 
+    @collector_paused
     def analyze(
         self,
         extraction: ExtractionResult | None = None,

@@ -1,10 +1,12 @@
 """repro.runtime — run context, typed event bus, span tracing.
 
-The foundation layer every stage threads its instrumentation through.
+The foundation layer every stage threads its instrumentation through; it
+also owns the cyclic-collector policy (:func:`collector_paused`).
 See DESIGN.md §8 ("Runtime & observability") for the layer diagram, the
 event taxonomy and the import-direction rules this package anchors.
 """
 
+from .collector import collector_paused
 from .context import NULL_CONTEXT, RunContext, SharedResources
 from .events import (
     BatchExtracted,
@@ -24,6 +26,7 @@ from .events import (
 from .tracing import TRACE_SCHEMA_VERSION, Span, Tracer, read_trace
 
 __all__ = [
+    "collector_paused",
     "NULL_CONTEXT",
     "RunContext",
     "SharedResources",

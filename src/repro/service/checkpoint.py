@@ -150,6 +150,28 @@ def _read_json(path: Path, what: str):
         raise ServiceError(f"bad snapshot {what} {path}: {exc}") from exc
 
 
+def _decode_rows(path: Path, lines: list[str]) -> list:
+    """A segment's rows, decoded with one ``json.loads`` over all lines.
+
+    When that fails, or yields other than one value per line (a line such
+    as ``1,2``), the lines are decoded one by one, so the error names the
+    line at fault.
+    """
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+        if len(rows) == len(lines):
+            return rows
+    except ValueError:
+        pass
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            rows.append(json.loads(line))
+        except ValueError as exc:
+            raise ServiceError(f"bad row at {path}:{number}: {exc!r}") from exc
+    return rows
+
+
 class CheckpointStore:
     """Owns one checkpoint directory: snapshots plus the redo journal."""
 
@@ -377,9 +399,8 @@ class CheckpointStore:
                 f"segment {path} is inconsistent: META.json promises "
                 f"{rows} rows, the file holds {len(lines)}"
             )
-        for number, line in enumerate(lines, start=1):
+        for number, row in enumerate(_decode_rows(path, lines), start=1):
             try:
-                row = json.loads(line)
                 if kind == "kb":
                     replay_row(kb, row)
                 else:

@@ -12,6 +12,11 @@ Entries carry a monotonic ``seq``.  Snapshots record the ``seq`` they
 cover, and replay skips entries at or below it, so a crash between
 "snapshot written" and "journal truncated" never double-applies.
 
+Entries also carry the journal schema ``version``.  An entry from a build
+with another schema fails replay loudly, naming the file and the line,
+instead of being misread — even on the last line, because a well-formed
+entry with the wrong version is not a torn tail.
+
 Cleaning passes are journaled as their **semantic rollback operations**
 (the pair rollbacks and record rollbacks the cleaner requested, in
 order), not as detector output: cascades re-derive deterministically from
@@ -32,7 +37,15 @@ from ..kb.pair import IsAPair
 from ..kb.rollback import RollbackEngine, RollbackResult
 from ..kb.store import KnowledgeBase
 
-__all__ = ["Journal", "JournalingRollbackEngine", "replay_clean_ops"]
+__all__ = [
+    "JOURNAL_VERSION",
+    "Journal",
+    "JournalingRollbackEngine",
+    "replay_clean_ops",
+]
+
+#: Version of the journal entry schema, stamped into every entry.
+JOURNAL_VERSION = 1
 
 
 class JournalingRollbackEngine:
@@ -83,9 +96,13 @@ class Journal:
         return self._path
 
     def append(self, entry: dict) -> int:
-        """Commit one entry durably (write + flush + fsync); returns bytes."""
+        """Commit one entry durably (write + flush + fsync); returns bytes.
+
+        The entry is stamped with :data:`JOURNAL_VERSION`.
+        """
         if "seq" not in entry:
             raise ServiceError("journal entries must carry a seq")
+        entry = {**entry, "version": JOURNAL_VERSION}
         data = (json.dumps(entry, separators=(",", ":")) + "\n").encode()
         with open(self._path, "ab") as handle:
             handle.write(data)
@@ -97,7 +114,8 @@ class Journal:
         """Replay committed entries with ``seq > after_seq`` in order.
 
         A torn final line is dropped silently (the batch never committed);
-        corruption anywhere else raises :class:`ServiceError`.
+        corruption anywhere else, and any entry whose version is missing or
+        differs from :data:`JOURNAL_VERSION`, raises :class:`ServiceError`.
         """
         if not self._path.exists():
             return
@@ -120,6 +138,13 @@ class Journal:
                     f"corrupt journal entry at {self._path}:{index + 1} "
                     f"with committed entries after it: {exc}"
                 ) from exc
+            version = entry.get("version")
+            if version != JOURNAL_VERSION:
+                raise ServiceError(
+                    f"journal entry at {self._path}:{index + 1} has schema "
+                    f"version {version!r}; this build reads version "
+                    f"{JOURNAL_VERSION}"
+                )
             if seq > after_seq:
                 yield entry
 

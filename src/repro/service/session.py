@@ -42,6 +42,7 @@ from ..extraction.engine import BatchExtraction, IncrementalExtractor
 from ..kb.pair import IsAPair
 from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
+from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
 from ..runtime.events import (
     BatchExtracted,
@@ -268,6 +269,7 @@ class IngestSession:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
+    @collector_paused
     def ingest(
         self,
         sentences: Corpus | Iterable[Sentence],
@@ -483,6 +485,7 @@ class IngestSession:
                 span.add(counter, value)
         self._last_snapshot_seq = self._seq
 
+    @collector_paused
     def _restore(self) -> None:
         """Resume: load the snapshot, then replay the journal tail."""
         assert self._store is not None

@@ -306,6 +306,24 @@ class TestLoadErrors:
         error = self._fails_naming(store, f"{segment}:1")
         assert error.__cause__ is not None
 
+    def test_two_rows_on_one_line_names_the_line(self, store):
+        # Line 1 holds rows 1 and 2 ("row,row" is valid inside the
+        # one-array fast path), so the array has one row too many; that
+        # must fail at line 1, with the byte count in META.json made to
+        # agree so the size check does not fire first.
+        snapshot = store.directory / "snapshot-2"
+        segment = snapshot / "kb-1.jsonl"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0].rstrip(b"\n") + b"," + lines[1]
+        segment.write_bytes(b"".join(lines))
+        meta_path = snapshot / "META.json"
+        meta = json.loads(meta_path.read_text())
+        for entry in meta["segments"]:
+            if entry["file"] == segment.name:
+                entry["bytes"] = segment.stat().st_size
+        meta_path.write_text(json.dumps(meta))
+        self._fails_naming(store, f"{segment}:1", match="Extra data")
+
     def test_corrupt_corpus_row(self, store):
         segment = store.directory / "snapshot-2" / "corpus-0.jsonl"
         data = segment.read_bytes().replace(b'"sid"', b'"xid"', 1)

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
 from repro.service import Journal, JournalingRollbackEngine, replay_clean_ops
+from repro.service.journal import JOURNAL_VERSION
 
 
 def _entry(seq: int, **extra) -> dict:
@@ -77,7 +78,35 @@ class TestJournal:
         journal.append(_entry(1, payload=[1, 2]))
         line = journal.path.read_text().splitlines()[0]
         assert json.loads(line) == {"seq": 1, "type": "batch",
-                                    "payload": [1, 2]}
+                                    "payload": [1, 2],
+                                    "version": JOURNAL_VERSION}
+
+    @pytest.mark.parametrize("line_no", [1, 2], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "version", [JOURNAL_VERSION + 1, None], ids=["other", "missing"]
+    )
+    def test_other_schema_version_names_file_line_and_versions(
+        self, tmp_path, line_no, version
+    ):
+        # Line 2 is the last line: a well-formed entry with the wrong
+        # version is not a torn tail, so it must fail too.
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append(_entry(1))
+        journal.append(_entry(2))
+        lines = journal.path.read_text().splitlines()
+        entry = json.loads(lines[line_no - 1])
+        if version is None:
+            del entry["version"]
+        else:
+            entry["version"] = version
+        lines[line_no - 1] = json.dumps(entry)
+        journal.path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ServiceError) as info:
+            list(journal.entries(after_seq=2))
+        message = str(info.value)
+        assert f"{journal.path}:{line_no}" in message
+        assert f"version {version!r}" in message
+        assert f"reads version {JOURNAL_VERSION}" in message
 
 
 def _kb() -> KnowledgeBase:

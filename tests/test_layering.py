@@ -1,5 +1,8 @@
 """The layered-module boundaries are enforced (scripts/check_layering.py).
 
+The same script keeps every switch of the cyclic collector inside
+``repro/runtime/collector.py``.
+
 Two halves: the real source tree must be clean, and the checker must
 actually catch violations — a checker that always passes enforces
 nothing, so we seed an upward import into a scratch tree and require a
@@ -107,3 +110,48 @@ class TestSeededViolation:
         )
         assert checker.main(["--root", str(root)]) == 1
         assert "layering violation" in capsys.readouterr().err
+
+
+class TestCollectorRule:
+    """Only repro/runtime/collector.py may switch the cyclic collector."""
+
+    def _make_module(self, tmp_path: Path, parts: list[str], source: str):
+        root = tmp_path / "repro"
+        module = root.joinpath(*parts[:-1], f"{parts[-1]}.py")
+        module.parent.mkdir(parents=True, exist_ok=True)
+        module.write_text(source, encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [
+            ("import gc\n\ngc.disable()\n", "disable"),
+            ("import gc\n\ngc.enable()\n", "enable"),
+            ("import gc as collector\n\ncollector.freeze()\n", "freeze"),
+            ("from gc import set_threshold\n", "set_threshold"),
+        ],
+        ids=["disable", "enable", "aliased-freeze", "from-import"],
+    )
+    def test_switch_outside_the_collector_module_is_caught(
+        self, checker, tmp_path, source, name
+    ):
+        root = self._make_module(tmp_path, ["kb", "store"], source)
+        violations = checker.check_layering(root)
+        assert len(violations) == 1
+        assert f"gc.{name} outside repro/runtime/collector.py" in violations[0]
+
+    def test_switch_inside_the_collector_module_is_allowed(
+        self, checker, tmp_path
+    ):
+        root = self._make_module(
+            tmp_path,
+            ["runtime", "collector"],
+            "import gc\n\ngc.disable()\ngc.enable()\n",
+        )
+        assert checker.check_layering(root) == []
+
+    def test_collect_is_allowed_anywhere(self, checker, tmp_path):
+        root = self._make_module(
+            tmp_path, ["kb", "store"], "import gc\n\ngc.collect()\n"
+        )
+        assert checker.check_layering(root) == []
