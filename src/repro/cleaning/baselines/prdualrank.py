@@ -86,35 +86,42 @@ class PRDualRankCleaner(BaseCleaner):
                 seeds[IsAPair(concept, instance)] = 1.0
         precision = dict(seeds)
         recall = dict(seeds)
+        # The record–pair graph does not change while scores propagate:
+        # build it once, in kb.records()/kb.pairs() order, so each sum adds
+        # the same terms in the same order on every iteration.  Triggers
+        # play the "pattern" role: a sentence inherits quality from the
+        # knowledge that resolved it as well as from what it produced.
+        records = [
+            (record.rid, linked)
+            for record in kb.records()
+            if (linked := record.produced + record.triggers)
+        ]
+        # pair → [(producing rid, that record's fan-out)]
+        producers = [
+            (pair, [(r.rid, max(1, len(r.produced))) for r in found])
+            for pair in kb.pairs()
+            if (found := kb.records_for_pair(pair))
+        ]
         for _ in range(self._iterations):
             record_precision: dict[int, float] = {}
             record_recall: dict[int, float] = {}
-            for record in kb.records():
-                # Triggers play the "pattern" role: a sentence inherits
-                # quality from the knowledge that resolved it as well as
-                # from what it produced.
-                linked = record.produced + record.triggers
-                if not linked:
-                    continue
-                record_precision[record.rid] = sum(
+            for rid, linked in records:
+                record_precision[rid] = sum(
                     precision.get(pair, 0.0) for pair in linked
                 ) / len(linked)
-                record_recall[record.rid] = sum(
+                record_recall[rid] = sum(
                     recall.get(pair, 0.0) for pair in linked
                 )
             new_precision: dict[IsAPair, float] = {}
             new_recall: dict[IsAPair, float] = {}
-            for pair in kb.pairs():
-                records = kb.records_for_pair(pair)
-                if records:
-                    new_precision[pair] = sum(
-                        record_precision.get(r.rid, 0.0) for r in records
-                    ) / len(records)
-                    new_recall[pair] = sum(
-                        record_recall.get(r.rid, 0.0)
-                        / max(1, len(r.produced))
-                        for r in records
-                    )
+            for pair, found in producers:
+                new_precision[pair] = sum(
+                    record_precision.get(rid, 0.0) for rid, _ in found
+                ) / len(found)
+                new_recall[pair] = sum(
+                    record_recall.get(rid, 0.0) / fan_out
+                    for rid, fan_out in found
+                )
             for pair, value in seeds.items():
                 new_precision[pair] = max(new_precision.get(pair, 0.0), value)
                 new_recall[pair] = max(new_recall.get(pair, 0.0), value)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Mapping
-from operator import attrgetter
 
 from ..concepts.exclusion import MutualExclusionIndex
 from ..config import CleaningConfig
@@ -39,10 +38,6 @@ __all__ = ["DPCleaner", "RoundStats", "DetectFn"]
 
 #: concept → instance → label for the current knowledge base.
 DetectFn = Callable[[KnowledgeBase], Mapping[str, Mapping[str, DPLabel]]]
-
-#: Sort key matching IsAPair's natural (concept, instance) ordering
-#: without paying per-comparison tuple construction in the hot loops.
-_PAIR_KEY = attrgetter("concept", "instance")
 
 
 @dataclass
@@ -212,7 +207,7 @@ class DPCleaner(BaseCleaner):
         # Definition 4 — it is an instance of *another* class accidentally
         # extracted here, so it must appear under a mutually exclusive
         # concept.
-        for pair in sorted(accidental, key=_PAIR_KEY):
+        for pair in sorted(accidental):
             if pair not in kb:
                 continue  # removed by an earlier cascade this round
             well_evidenced = kb.count(pair) > self._config.accidental_max_count
@@ -243,7 +238,7 @@ class DPCleaner(BaseCleaner):
         # rollbacks above changed the graph, so re-rank now.
         checkable: list[tuple[IsAPair, int]] = []
         candidate_concepts: set[str] = set()
-        for pair in sorted(intentional, key=_PAIR_KEY):
+        for pair in sorted(intentional):
             if pair not in kb:
                 continue
             for record in kb.records_triggered_by(pair):

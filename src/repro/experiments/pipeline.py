@@ -200,6 +200,7 @@ class Pipeline:
         self._config = config
         self._streams = RandomStreams(config.seed)
         self._corpus: Corpus | None = None
+        self._extraction: ExtractionResult | None = None
         # One context for every stage: the event bus and (optional) tracer
         # observe the run, and the shared-resource registry carries the
         # canonical per-KB exclusion index from detection to the cleaner.
@@ -260,15 +261,24 @@ class Pipeline:
 
     @collector_paused
     def extract(self) -> ExtractionResult:
-        """Run a fresh extraction over the (cached) corpus.
+        """An extraction over the (cached) corpus with a KB of its own.
 
-        Extraction is deterministic, so calling this repeatedly yields
-        identical, *independent* knowledge bases — one per cleaner.
+        The extractor runs once per pipeline and its result stays private;
+        every call returns it with a :meth:`KnowledgeBase.copy` of its
+        knowledge base, so each caller (each cleaner) gets an independent
+        KB identical to a fresh extraction's.  The corpus, iteration log
+        and unresolved sids are shared: treat them as read-only.
         """
-        extractor = SemanticIterativeExtractor(
-            self._config.extraction, context=self._ctx
-        )
-        return extractor.run(self.corpus())
+        if self._extraction is None:
+            extractor = SemanticIterativeExtractor(
+                self._config.extraction, context=self._ctx
+            )
+            self._extraction = extractor.run(self.corpus())
+        with self._ctx.span("kb.copy") as span:
+            kb = self._extraction.kb.copy()
+            span.add("records", kb.num_records)
+            span.add("pairs", len(kb))
+        return replace(self._extraction, kb=kb)
 
     @collector_paused
     def analyze(

@@ -1,8 +1,7 @@
 """Table 3 — cleaning-method comparison (§5.3).
 
-Each cleaner runs against its own fresh (deterministic) extraction of the
-same corpus, and is scored on the four dimensions over the 20 target
-concepts.  Expected shape: MEx and TCh precise but low-recall; the two
+Each cleaner runs against its own copy of one extraction of the corpus,
+and is scored on the four dimensions over the 20 target concepts.  Expected shape: MEx and TCh precise but low-recall; the two
 ranking cleaners mid-precision / mid-recall with heavy collateral damage;
 DP Cleaning best on every dimension jointly.
 """
@@ -27,7 +26,7 @@ _HEADERS = ("Cleaning Method", "p_error", "r_error", "p_correct", "r_correct")
 
 
 def run_cleaner(pipeline: Pipeline, cleaner, concepts):
-    """Run one cleaner on a fresh extraction; return (metrics, result, truth)."""
+    """Run one cleaner on its own extraction; return (metrics, result, truth)."""
     extraction = pipeline.extract()
     truth = GroundTruth(pipeline.preset.world, extraction.kb)
     before = {

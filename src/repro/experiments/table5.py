@@ -34,8 +34,8 @@ def run_table5(pipeline: Pipeline | None = None) -> ExperimentResult:
         for stats in result.details["rounds"]
         for check in stats.sentence_checks
     ]
-    # Per-concept before/after needs the pre-cleaning snapshot, which the
-    # run consumed; re-extract (deterministic) for the "before" view.
+    # Per-concept before/after needs the pre-cleaning KB, which the run
+    # consumed; another copy of the extraction gives the "before" view.
     before_kb = pipeline.extract().kb
     before = {c: before_kb.instances_of(c) for c in before_kb.concepts()}
     after = {c: extraction.kb.instances_of(c) for c in before}

@@ -2,29 +2,40 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = ["IsAPair"]
 
 
-@dataclass(frozen=True, order=True)
-class IsAPair:
-    """A ``(concept, instance)`` isA assertion, e.g. ``(animal, dog)``."""
+class IsAPair(tuple):
+    """A ``(concept, instance)`` isA assertion, e.g. ``(animal, dog)``.
 
-    concept: str
-    instance: str
+    Pairs spend their lives as dict/set keys and sort keys, so they are a
+    ``tuple`` subclass: hashing, equality and ordering run in C, the hash
+    is ``hash((concept, instance))`` and the order is concept, then
+    instance.  A pair therefore also equals the plain tuple ``(concept,
+    instance)``.  No container mixes the two (the extraction worklist's
+    index and the ground-truth label memo key on plain tuples only); keep
+    it so rather than rely on the difference.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.concept:
+    __slots__ = ()
+
+    def __new__(cls, concept: str, instance: str) -> IsAPair:
+        if not concept:
             raise ValueError("pair concept must be non-empty")
-        if not self.instance:
+        if not instance:
             raise ValueError("pair instance must be non-empty")
-        # Pairs spend their lives as dict/set keys; precomputing the hash
-        # beats the generated per-lookup tuple hash.
-        object.__setattr__(self, "_hash", hash((self.concept, self.instance)))
+        return tuple.__new__(cls, (concept, instance))
 
-    def __hash__(self) -> int:
-        return self._hash
+    concept = property(itemgetter(0), doc="The concept (class) name.")
+    instance = property(itemgetter(1), doc="The instance (entity) name.")
+
+    def __getnewargs__(self) -> tuple[str, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"IsAPair(concept={self[0]!r}, instance={self[1]!r})"
 
     def __str__(self) -> str:  # pragma: no cover - display convenience
         return f"({self.instance} isA {self.concept})"

@@ -62,6 +62,17 @@ class ExtractionRecord:
                     f"{self.concept!r}"
                 )
 
+    def copy(self) -> ExtractionRecord:
+        """An independent copy: its own ``active`` flag and dead triggers.
+
+        Every other field is immutable and shared, lazy caches included.
+        """
+        clone = object.__new__(ExtractionRecord)
+        clone.__dict__ = {
+            **self.__dict__, "_dead_triggers": set(self._dead_triggers)
+        }
+        return clone
+
     @property
     def produced(self) -> tuple[IsAPair, ...]:
         """The pairs this record contributes evidence for.

@@ -36,6 +36,11 @@ _EMPTY_DICT: dict = {}
 __all__ = ["PairState", "KnowledgeBase"]
 
 
+def _copy_values(mapping: dict) -> dict:
+    """``mapping`` with a shallow copy of each value, in the same order."""
+    return {key: value.copy() for key, value in mapping.items()}
+
+
 @dataclass
 class PairState:
     """Mutable bookkeeping for one pair."""
@@ -117,6 +122,54 @@ class KnowledgeBase:
         self._version += 1
         self._concept_version[concept] = self._version
         self._concepts_cache = None
+
+    def copy(self) -> KnowledgeBase:
+        """An independent copy that reads and iterates exactly like this one.
+
+        Records and pair states are new objects, every index is copied, and
+        :attr:`version` and each :meth:`concept_version` carry over.  The
+        memo caches start empty: they are pure functions of those versions.
+        Pairs, record tuples and instance strings are immutable and shared.
+        """
+        clone = KnowledgeBase()
+        clone._records = {
+            rid: record.copy() for rid, record in self._records.items()
+        }
+        fresh = {
+            id(state): PairState(
+                state.count, state.first_iteration, state.record_ids.copy(),
+                state.restarted,
+            )
+            for state in self._pairs.values()
+        }
+        clone._pairs = {
+            pair: fresh[id(state)] for pair, state in self._pairs.items()
+        }
+        clone._by_concept = {
+            concept: {
+                instance: fresh[id(state)]
+                for instance, state in by_instance.items()
+            }
+            for concept, by_instance in self._by_concept.items()
+        }
+        # String sets iterate in hash-seed order, which nothing may depend
+        # on; rid sets iterate in table order, so rebuild each one by the
+        # ascending adds that built the original (same table, same order).
+        clone._instance_concepts = _copy_values(self._instance_concepts)
+        clone._records_by_trigger = {
+            pair: set(sorted(rids))
+            for pair, rids in self._records_by_trigger.items()
+        }
+        clone._records_by_concept = _copy_values(self._records_by_concept)
+        clone._instance_ids = _copy_values(self._instance_ids)
+        clone._edge_codes = _copy_values(self._edge_codes)
+        clone._edge_rids = _copy_values(self._edge_rids)
+        clone._active_flags = self._active_flags.copy()
+        clone._next_rid = self._next_rid
+        clone._removed_pairs = self._removed_pairs.copy()
+        clone._version = self._version
+        clone._concept_version = self._concept_version.copy()
+        return clone
 
     # ------------------------------------------------------------------
     # Writing

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+from repro.cleaning import MutualExclusionCleaner
+from repro.extraction import SemanticIterativeExtractor
+from repro.kb import KnowledgeBase, save_kb
 from repro.labeling import DPLabel
+
+from ..service.conftest import make_pipeline
+
+
+def _kb_bytes(kb: KnowledgeBase, path) -> bytes:
+    save_kb(kb, path)
+    return path.read_bytes()
 
 
 class TestPipeline:
@@ -56,6 +66,54 @@ class TestPipeline:
         world = small_artifacts.world
         for pair in small_artifacts.verified:
             assert world.is_member(pair.concept, pair.instance)
+
+
+class TestExtractOnce:
+    def test_extractor_runs_once_and_each_call_reads_fresh(self, tmp_path):
+        pipeline = make_pipeline()
+        tracer = pipeline.context.ensure_tracer()
+        fresh = SemanticIterativeExtractor(pipeline.config.extraction).run(
+            pipeline.corpus()
+        )
+        expected = _kb_bytes(fresh.kb, tmp_path / "fresh")
+        for call in range(3):
+            extraction = pipeline.extract()
+            assert _kb_bytes(extraction.kb, tmp_path / f"{call}") == expected
+            assert extraction.log.entries == fresh.log.entries
+            assert extraction.unresolved_sids == fresh.unresolved_sids
+            # The next call must not see what a cleaner did to this one.
+            cleaned = MutualExclusionCleaner().clean(
+                extraction.kb, extraction.corpus
+            )
+            assert cleaned.num_removed > 0
+        names = [span.name for span in tracer.spans()]
+        assert names.count("extract") == 1
+        assert names.count("kb.copy") == 3
+        copy_span = tracer.find("kb.copy")
+        assert copy_span.counters == {
+            "records": fresh.kb.num_records, "pairs": len(fresh.kb)
+        }
+
+    def test_dp_cleaning_a_copy_matches_a_fresh_run(self, tmp_path):
+        # As in Table 3: analysis reads one copy, the cleaner gets another.
+        pipeline = make_pipeline()
+        pipeline.analyze(fit_detector=False)
+        copied = pipeline.extract()
+        copied_result = pipeline.dp_cleaner().clean(
+            copied.kb, copied.corpus
+        )
+        other = make_pipeline()
+        fresh = SemanticIterativeExtractor(
+            other.config.extraction, context=other.context
+        ).run(other.corpus())
+        fresh_result = other.dp_cleaner().clean(fresh.kb, fresh.corpus)
+        assert copied_result.num_removed > 0
+        assert _kb_bytes(copied.kb, tmp_path / "copy") == _kb_bytes(
+            fresh.kb, tmp_path / "fresh"
+        )
+        assert (
+            copied_result.details["rounds"] == fresh_result.details["rounds"]
+        )
 
 
 class TestDiagnose:

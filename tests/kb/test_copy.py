@@ -1,0 +1,161 @@
+"""``KnowledgeBase.copy``: an independent KB that reads like the original."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.config import ExtractionConfig
+from repro.extraction import SemanticIterativeExtractor
+from repro.kb import KnowledgeBase, RollbackEngine, save_kb
+from repro.kb.record import ExtractionRecord
+from repro.kb.serialize import kb_state
+from repro.kb.store import PairState
+
+from .state import assert_same_state
+
+
+@pytest.fixture
+def mid_session_kb(toy_corpus) -> KnowledgeBase:
+    """A real extraction after cleaning-style mutations.
+
+    It holds inactive records, dead triggers, a force-removed pair, pairs
+    that died with their records, and a removed pair extracted again.
+    """
+    extractor = SemanticIterativeExtractor(ExtractionConfig(stream_chunks=4))
+    kb = extractor.run(toy_corpus).kb
+    engine = RollbackEngine(kb)
+    trigger = max(kb.pairs(), key=lambda p: len(kb.records_triggered_by(p)))
+    engine.rollback_pair(trigger)
+    root = next(
+        r for r in kb.records()
+        if r.is_root and any(kb.count(p) == 1 for p in r.produced)
+    )
+    assert engine.rollback_records([root.rid]).pairs_removed
+    kb.add_extraction(10_000, trigger.concept, (trigger.instance,),
+                      iteration=3)
+    assert any(not r.active for r in kb.records(include_inactive=True))
+    assert any(r.dead_triggers() for r in kb.records(include_inactive=True))
+    assert kb.restarted_pairs() and kb.removed_pairs()
+    return kb
+
+
+def _kb_bytes(kb: KnowledgeBase, path) -> bytes:
+    save_kb(kb, path)
+    return path.read_bytes()
+
+
+def _touched_concepts(kb: KnowledgeBase) -> set[str]:
+    return set(kb.concepts()) | {p.concept for p in kb.removed_pairs()}
+
+
+class TestCopyReadsLikeTheOriginal:
+    def test_bytes_state_and_versions(self, mid_session_kb, tmp_path):
+        kb = mid_session_kb
+        clone = kb.copy()
+        assert _kb_bytes(clone, tmp_path / "a") == _kb_bytes(
+            kb, tmp_path / "b"
+        )
+        assert kb_state(clone) == kb_state(kb)
+        assert_same_state(kb, clone)
+        assert clone.version == kb.version
+        for concept in _touched_concepts(kb):
+            assert clone.concept_version(concept) == kb.concept_version(
+                concept
+            )
+
+    def test_iteration_orders_and_derived_reads(self, mid_session_kb):
+        kb = mid_session_kb
+        # Warm the original's memos first: the copy must not need them.
+        for concept in kb.concepts():
+            kb.core_counts(concept)
+            kb.sorted_instances(concept)
+        clone = kb.copy()
+        assert [r.rid for r in clone.records(include_inactive=True)] == [
+            r.rid for r in kb.records(include_inactive=True)
+        ]
+        assert np.array_equal(
+            clone.record_active_flags(), kb.record_active_flags()
+        )
+        # Rid sets iterate in table order; cleaning walks them in it.
+        for pair in list(kb.pairs()) + sorted(kb.removed_pairs()):
+            assert [r.rid for r in clone.records_triggered_by(pair)] == [
+                r.rid for r in kb.records_triggered_by(pair)
+            ]
+        for concept in _touched_concepts(kb):
+            assert clone.edge_occurrences(concept) == kb.edge_occurrences(
+                concept
+            )
+            assert list(clone.instance_id_map(concept).items()) == list(
+                kb.instance_id_map(concept).items()
+            )
+            assert list(clone.core_counts(concept).items()) == list(
+                kb.core_counts(concept).items()
+            )
+            assert clone.sorted_instances(concept) == kb.sorted_instances(
+                concept
+            )
+            assert clone.singleton_late_instances(
+                concept
+            ) == kb.singleton_late_instances(concept)
+            for instance in kb.sorted_instances(concept):
+                assert list(
+                    clone.sub_instance_counts(concept, instance).items()
+                ) == list(kb.sub_instance_counts(concept, instance).items())
+
+
+class TestCopyIsIndependent:
+    @staticmethod
+    def _mutate(kb: KnowledgeBase) -> None:
+        """A rollback cascade plus a new extraction."""
+        trigger = max(
+            kb.pairs(), key=lambda p: len(kb.records_triggered_by(p))
+        )
+        RollbackEngine(kb).rollback_pair(trigger)
+        kb.add_extraction(20_000, "fresh-concept", ("fresh-instance",))
+
+    def test_mutating_the_copy_leaves_the_original(
+        self, mid_session_kb, tmp_path
+    ):
+        before = _kb_bytes(mid_session_kb, tmp_path / "before")
+        version = mid_session_kb.version
+        clone = mid_session_kb.copy()
+        self._mutate(clone)
+        assert _kb_bytes(clone, tmp_path / "clone") != before
+        assert _kb_bytes(mid_session_kb, tmp_path / "after") == before
+        assert mid_session_kb.version == version
+
+    def test_mutating_the_original_leaves_the_copy(
+        self, mid_session_kb, tmp_path
+    ):
+        clone = mid_session_kb.copy()
+        before = _kb_bytes(clone, tmp_path / "before")
+        self._mutate(mid_session_kb)
+        assert _kb_bytes(mid_session_kb, tmp_path / "kb") != before
+        assert _kb_bytes(clone, tmp_path / "after") == before
+
+    def test_no_mutable_object_is_shared(self, mid_session_kb):
+        kb = mid_session_kb
+        clone = kb.copy()
+        mutable = (dict, list, set, np.ndarray, PairState, ExtractionRecord)
+
+        def containers(store: KnowledgeBase) -> dict[int, str]:
+            found: dict[int, str] = {}
+            for name, value in vars(store).items():
+                if isinstance(value, mutable):
+                    found[id(value)] = name
+                if isinstance(value, dict):
+                    for key, inner in value.items():
+                        if isinstance(inner, mutable):
+                            found[id(inner)] = f"{name}[{key!r}]"
+            for record in store.records(include_inactive=True):
+                found[id(record._dead_triggers)] = f"record {record.rid}"
+            for pair in store.pairs():
+                state = store._pairs[pair]
+                found[id(state.record_ids)] = f"record_ids of {pair}"
+            return found
+
+        ours = containers(kb)
+        shared = [name for key, name in containers(clone).items()
+                  if key in ours]
+        assert not shared
