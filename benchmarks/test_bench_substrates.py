@@ -124,6 +124,7 @@ def test_bench_dp_cleaning_round(benchmark):
         CleaningConfig(max_cleaning_rounds=2),
         ranker=pipeline.ranker,
         context=pipeline.context,
+        analysis=pipeline.analysis,
     )
     result = run_once(
         benchmark, cleaner.clean, extraction.kb, extraction.corpus

@@ -19,7 +19,7 @@ import timeit
 
 from repro.extraction import SemanticIterativeExtractor
 from repro.runtime.context import RunContext
-from repro.runtime.events import LogEvent
+from repro.runtime.events import CleaningTriggered
 
 from .conftest import make_pipeline, run_once
 
@@ -32,7 +32,7 @@ OPS_BUNDLE = 5
 def _null_op_seconds() -> float:
     """Per-bundle cost of the disabled instrumentation primitives."""
     ctx = RunContext()  # no tracer, no subscribers
-    event = LogEvent("bench")
+    event = CleaningTriggered(reason="bench", staleness=0, drift=0.0)
 
     def bundle() -> None:
         with ctx.span("bench", stage="x") as span:

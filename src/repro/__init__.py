@@ -17,7 +17,7 @@ The library builds every system the paper's evaluation depends on:
 * metrics and one runner per table/figure (:mod:`repro.evaluation`,
   :mod:`repro.experiments`);
 * a structured run context threaded through every stage — typed event
-  bus, span tracing and shared resources (:mod:`repro.runtime`).
+  bus and span tracing (:mod:`repro.runtime`).
 
 Quickstart::
 
@@ -27,10 +27,11 @@ Quickstart::
     report = result.text  # formatted table, ready to render
 
 The library itself never writes to stdout: stages emit typed events and
-spans through their :class:`~repro.runtime.context.RunContext`, and the
-CLI (or any other front-end) subscribes to the bus and renders what it
-wants.  Pass ``Pipeline().run(trace="out.jsonl")`` — or ``repro run
-<experiment> --trace out.jsonl`` — to export the span tree.
+spans through their :class:`~repro.runtime.context.RunContext`, and
+front-ends (the CLI, a dashboard) subscribe to the bus and render what
+they want.  No stage subscribes: events are observation only.  Pass
+``Pipeline().run(trace="out.jsonl")`` — or ``repro run <experiment>
+--trace out.jsonl`` — to export the span tree.
 """
 
 from .cleaning import (

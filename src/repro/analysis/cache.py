@@ -95,8 +95,9 @@ class AnalysisCache:
     """Per-concept, version-keyed caching for the detection-refit pipeline.
 
     The cleaner's detection callback and the cleaner itself share one
-    instance (like they already share the ranker), so the exclusion index
-    built for detection is the one the cleaner's guards query.
+    instance, passed to :class:`~repro.cleaning.DPCleaner` as
+    ``analysis=`` (like they already share the ranker), so the exclusion
+    index built for detection is the one the cleaner's guards query.
     """
 
     def __init__(

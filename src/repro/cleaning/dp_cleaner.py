@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Mapping
 
-from ..concepts.exclusion import MutualExclusionIndex
+from ..analysis.cache import AnalysisCache
 from ..config import CleaningConfig
 from ..corpus.corpus import Corpus
 from ..kb.pair import IsAPair
@@ -64,14 +64,17 @@ class DPCleaner(BaseCleaner):
         ranker: RandomWalkRanker | None = None,
         engine_factory: Callable[[KnowledgeBase], RollbackEngine] | None = None,
         context: RunContext | None = None,
+        analysis: AnalysisCache | None = None,
     ) -> None:
         self._detect_fn = detect_fn
         self._config = config or CleaningConfig()
-        # The context carries the trace and — crucially — the shared-resource
-        # registry through which the cleaner resolves the per-KB
-        # MutualExclusionIndex detection just refreshed, so one session can
-        # never hold two divergent indexes.
+        # Instrumentation only: spans and CleaningRound events.
         self._ctx = context or NULL_CONTEXT
+        # The guards read the per-KB MutualExclusionIndex through this
+        # cache.  Passing the cache detection refreshes (as
+        # Pipeline.dp_cleaner does) makes detection and the guards consult
+        # the *same* index; without one the cleaner keeps a private cache.
+        self._analysis = analysis or AnalysisCache(context=self._ctx)
         # The streaming service journals cleaning outcomes by injecting a
         # rollback engine that records the semantic operations it is asked
         # to perform (see repro.service.journal); anything exposing
@@ -168,22 +171,10 @@ class DPCleaner(BaseCleaner):
         stats.accidental_dps = len(accidental)
         stats.intentional_dps = len(intentional)
 
-        # Scores for Eq. 21 checks and for the weaker-side test below.
-        # The canonical per-KB exclusion index lives in the run context's
-        # shared-resource registry: pipeline detection registers the index
-        # it just refreshed over this very KB (see Pipeline._inputs), so
-        # detection and the cleaner's guards consult the *same* index.
-        # Only when nothing was published is a fresh index built (and
-        # registered, so later rounds and co-components share it).
-        exclusion = self._ctx.resources.get("exclusion", kb)
-        if exclusion is None:
-            exclusion = MutualExclusionIndex(kb)
-            self._ctx.resources.put("exclusion", kb, exclusion)
-        else:
-            # No-op when detection just refreshed it; brings a registry
-            # entry from an earlier round up to date otherwise (refresh ==
-            # rebuild is pinned by the concepts property tests).
-            exclusion.refresh()
+        # Scores for Eq. 21 checks and for the weaker-side test below.  The
+        # refresh is a no-op when detection just refreshed the shared index
+        # (refresh == rebuild is pinned by the concepts property tests).
+        exclusion = self._analysis.exclusion(kb)
         relevant = {pair.concept for pair in intentional}
         relevant.update(pair.concept for pair in accidental)
         for pair in accidental:

@@ -178,9 +178,9 @@ def _run_ingest(args: argparse.Namespace) -> int:
     if args.trace:
         pipeline.context.ensure_tracer()
     # The per-batch progress lines are rendered off the session's event
-    # bus — the CLI is just one more subscriber to the same telemetry the
-    # cleaning policy consumes.  Subscribe before the session is built so
-    # the resume notice (emitted during restore) is seen too.
+    # bus, which only observes the run (the session keeps its cleaning
+    # triggers itself).  Subscribe before the session is built so the
+    # resume notice (emitted during restore) is seen too.
     bus = pipeline.context.bus
     bus.subscribe(SessionResumed, _print_resumed)
     bus.subscribe(BatchIngested, _print_batch)

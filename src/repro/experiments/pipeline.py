@@ -202,18 +202,18 @@ class Pipeline:
         self._corpus: Corpus | None = None
         self._extraction: ExtractionResult | None = None
         # One context for every stage: the event bus and (optional) tracer
-        # observe the run, and the shared-resource registry carries the
-        # canonical per-KB exclusion index from detection to the cleaner.
-        self._ctx = RunContext(config, self._streams)
+        # observe the run.
+        self._ctx = RunContext()
         # One ranker for every stage: its mutation-versioned score cache
         # makes repeated score_all calls (analysis, per-round detection
         # refits during cleaning) re-rank only concepts the KB mutated.
         self._ranker = RandomWalkRanker(context=self._ctx)
-        # One analysis cache behind analyze() and every detection callback
-        # this pipeline hands out: per-concept matrices, seeds, verified
-        # samples and detector transforms survive across cleaning rounds
-        # and are invalidated by KB/relation version signatures (see
-        # repro.analysis.cache).
+        # One analysis cache behind analyze(), every detection callback
+        # and every cleaner this pipeline hands out: per-concept matrices,
+        # seeds, verified samples and detector transforms survive across
+        # cleaning rounds and are invalidated by KB/relation version
+        # signatures (see repro.analysis.cache); the exclusion index
+        # detection refreshes is the one the cleaner's guards query.
         self._analysis = AnalysisCache(
             similarity=self._config.similarity, context=self._ctx
         )
@@ -361,7 +361,8 @@ class Pipeline:
         self,
         engine_factory: Callable[[KnowledgeBase], RollbackEngine] | None = None,
     ) -> DPCleaner:
-        """A DP cleaner wired to this pipeline's detection, ranker and context.
+        """A DP cleaner wired to this pipeline's detection, ranker, analysis
+        cache and context.
 
         ``engine_factory`` replaces the rollback engine (the streaming
         service journals cleaning through it).
@@ -372,6 +373,7 @@ class Pipeline:
             ranker=self._ranker,
             engine_factory=engine_factory,
             context=self._ctx,
+            analysis=self._analysis,
         )
 
     # ------------------------------------------------------------------
@@ -431,15 +433,9 @@ class Pipeline:
         return detect
 
     def _inputs(self, kb: KnowledgeBase) -> _Inputs:
-        """Everything the detector is fitted on, built through the cache.
-
-        The refreshed exclusion index is published in the run context's
-        shared-resource registry, so the cleaner's guards consult the
-        index detection just used.
-        """
+        """Everything the detector is fitted on, built through the cache."""
         concepts = self.analysis_concepts(kb)
         exclusion = self._analysis.exclusion(kb)
-        self._ctx.resources.put("exclusion", kb, exclusion)
         scores = self._ranker.score_all(kb, concepts)
         features = FeatureExtractor(kb, exclusion, scores)
         matrices = self._analysis.matrices(kb, concepts, features)

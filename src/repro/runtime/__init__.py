@@ -7,7 +7,7 @@ event taxonomy and the import-direction rules this package anchors.
 """
 
 from .collector import collector_paused
-from .context import NULL_CONTEXT, RunContext, SharedResources
+from .context import NULL_CONTEXT, RunContext
 from .events import (
     BatchExtracted,
     BatchIngested,
@@ -19,7 +19,6 @@ from .events import (
     Event,
     EventBus,
     ExtractionIteration,
-    LogEvent,
     SessionResumed,
     event_payload,
 )
@@ -29,11 +28,9 @@ __all__ = [
     "collector_paused",
     "NULL_CONTEXT",
     "RunContext",
-    "SharedResources",
     "Event",
     "EventBus",
     "event_payload",
-    "LogEvent",
     "ExtractionIteration",
     "DetectorFitted",
     "CleaningRound",

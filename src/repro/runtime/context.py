@@ -1,74 +1,29 @@
 """The structured run context threaded through every stage.
 
-A :class:`RunContext` bundles what used to travel as ad-hoc callback
-attributes and private state:
+A :class:`RunContext` is what observes a run:
 
-* the :class:`~repro.config.PipelineConfig` of the run;
-* the seeded :class:`~repro.rng.RandomStreams` fan-out;
 * a typed :class:`~repro.runtime.events.EventBus`;
 * an optional :class:`~repro.runtime.tracing.Tracer` (``None`` = tracing
-  disabled, the default);
-* a :class:`SharedResources` registry through which components resolve
-  run-scoped singletons (e.g. the one
-  :class:`~repro.concepts.exclusion.MutualExclusionIndex` per knowledge
-  base that the detection callback and the DP cleaner must share).
+  disabled, the default).
 
 Every stage accepts a context and defaults to :data:`NULL_CONTEXT`, a
-stateless singleton whose ``span``/``count``/``emit`` are no-ops and
-whose resource registry never stores anything — so un-contexted library
-use pays one attribute check per instrumentation point and behaves
-exactly as before.  Tracing and events are observation only: no stage
-reads its own telemetry back, which is what keeps traced and untraced
-runs bit-identical.
+stateless singleton whose ``span``/``count``/``emit`` are no-ops, so
+un-contexted library use pays one attribute check per instrumentation
+point.  Tracing and events are observation only: no stage reads its own
+telemetry back, and anything stages share (the ranker, the analysis
+cache) is passed to them explicitly — which is what keeps traced and
+untraced runs bit-identical.
 """
 
 from __future__ import annotations
 
-import weakref
 from contextlib import AbstractContextManager
 from pathlib import Path
-from collections.abc import Callable
 
-from ..config import PipelineConfig
-from ..rng import RandomStreams
 from .events import Event, EventBus, event_payload
 from .tracing import Span, Tracer
 
-__all__ = ["RunContext", "SharedResources", "NULL_CONTEXT"]
-
-
-class SharedResources:
-    """Run-scoped singletons keyed by ``(kind, owner)``.
-
-    Owners are held weakly, so registering a per-knowledge-base resource
-    does not pin the knowledge base alive.
-    """
-
-    __slots__ = ("_by_kind",)
-
-    def __init__(self) -> None:
-        self._by_kind: dict[str, weakref.WeakKeyDictionary] = {}
-
-    def get(self, kind: str, owner: object):
-        """The registered resource, or ``None``."""
-        table = self._by_kind.get(kind)
-        return table.get(owner) if table is not None else None
-
-    def put(self, kind: str, owner: object, resource) -> None:
-        """Register (or replace) the resource for ``(kind, owner)``."""
-        table = self._by_kind.get(kind)
-        if table is None:
-            table = weakref.WeakKeyDictionary()
-            self._by_kind[kind] = table
-        table[owner] = resource
-
-    def get_or_create(self, kind: str, owner: object, factory: Callable[[], object]):
-        """Resolve the resource, creating and registering it on first use."""
-        resource = self.get(kind, owner)
-        if resource is None:
-            resource = factory()
-            self.put(kind, owner, resource)
-        return resource
+__all__ = ["RunContext", "NULL_CONTEXT"]
 
 
 class _NullSpan:
@@ -102,23 +57,13 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
 class RunContext:
-    """Config + RNG + event bus + tracing + shared resources for one run."""
+    """Event bus + optional tracer for one run."""
 
-    __slots__ = ("config", "streams", "bus", "tracer", "resources")
+    __slots__ = ("bus", "tracer")
 
-    def __init__(
-        self,
-        config: PipelineConfig | None = None,
-        streams: RandomStreams | None = None,
-        *,
-        bus: EventBus | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.config = config
-        self.streams = streams
-        self.bus = bus if bus is not None else EventBus()
-        self.tracer = tracer
-        self.resources = SharedResources()
+    def __init__(self) -> None:
+        self.bus = EventBus()
+        self.tracer: Tracer | None = None
 
     # ------------------------------------------------------------------
     # Tracing
@@ -165,30 +110,10 @@ class RunContext:
         self.bus.publish(event)
 
 
-class _NullResources(SharedResources):
-    """Registry that never stores: ``get`` misses, ``put`` drops.
-
-    Keeps the null context stateless, so unrelated un-contexted runs can
-    never observe each other through the shared singleton.
-    """
-
-    __slots__ = ()
-
-    def put(self, kind: str, owner: object, resource) -> None:
-        pass
-
-    def get_or_create(self, kind: str, owner: object, factory: Callable[[], object]):
-        return factory()
-
-
 class _NullContext(RunContext):
     """The shared do-nothing context (module singleton)."""
 
     __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.resources = _NullResources()
 
     def ensure_tracer(self) -> Tracer:
         raise ValueError(

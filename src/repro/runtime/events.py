@@ -3,10 +3,9 @@
 Every cross-stage notification in the library is a frozen dataclass
 deriving from :class:`Event` and travels over an :class:`EventBus`.
 Stages *emit*; whoever cares *subscribes* — the CLI renders progress
-lines from :class:`BatchIngested`, the ingestion policy monitor keeps its
-staleness/drift state from :class:`BatchExtracted` /
-:class:`DriftMeasured` / :class:`CleaningCompleted`, and an attached
-tracer records every event into the active span.
+lines from :class:`BatchIngested`, and an attached tracer records every
+event into the active span.  Events are observation only: no stage
+subscribes to the bus to drive its own behaviour.
 
 Design rules:
 
@@ -27,7 +26,6 @@ from collections.abc import Callable
 __all__ = [
     "Event",
     "EventBus",
-    "LogEvent",
     "ExtractionIteration",
     "DetectorFitted",
     "CleaningRound",
@@ -104,14 +102,6 @@ class EventBus:
 # ----------------------------------------------------------------------
 # Taxonomy
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LogEvent(Event):
-    """A human-readable progress message (replaces library ``print``)."""
-
-    message: str
-    level: str = "info"
-
-
 @dataclass(frozen=True)
 class ExtractionIteration(Event):
     """One extraction iteration finished.

@@ -15,13 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.events import (
-    BatchExtracted,
-    CleaningCompleted,
-    DriftMeasured,
-    EventBus,
-)
-
 __all__ = ["CleanDecision", "IngestPolicy", "PolicyMonitor"]
 
 
@@ -119,43 +112,37 @@ class IngestPolicy:
 
 
 class PolicyMonitor:
-    """Bus-driven accumulator feeding the policy's trigger inputs.
+    """One session's trigger state: what :meth:`IngestPolicy.decide` reads.
 
-    Subscribes to the session's event bus and derives everything
-    :meth:`IngestPolicy.decide` needs from published events —
-    :class:`~repro.runtime.events.BatchExtracted` grows staleness,
-    :class:`~repro.runtime.events.DriftMeasured` records the batch drift
-    score and folds per-concept totals, and
-    :class:`~repro.runtime.events.CleaningCompleted` resets staleness.
-    The policy itself stays a pure threshold table and the session holds
-    no private trigger state: anything else on the bus (a dashboard, a
-    test) sees exactly the numbers the triggers fire on.
+    The session records every batch (:meth:`batch`, live and replayed) and
+    every cleaning pass (:meth:`cleaned`) directly, so the state belongs
+    to the one session that decides on it — sessions sharing a pipeline
+    (and its event bus) never see each other's batches.  The policy itself
+    stays a pure threshold table.
     """
 
-    def __init__(self, bus: EventBus) -> None:
+    def __init__(self) -> None:
         self.staleness = 0
         self.cleanings = 0
         self.last_drift = 0.0
         self.last_new_pairs = 0
         self.drift_totals: dict[str, list[int]] = {}
-        self._unsubscribe = [
-            bus.subscribe(BatchExtracted, self._on_batch),
-            bus.subscribe(DriftMeasured, self._on_drift),
-            bus.subscribe(CleaningCompleted, self._on_cleaned),
-        ]
 
-    def _on_batch(self, event: BatchExtracted) -> None:
-        self.staleness += event.sentences_new
+    def batch(
+        self,
+        sentences_new: int,
+        new_pairs: int,
+        drift: float,
+        per_concept: dict[str, list[int]],
+    ) -> None:
+        """Record one ingested batch: staleness grows, drift is measured."""
+        self.staleness += sentences_new
+        self.last_drift = drift
+        self.last_new_pairs = new_pairs
+        self.fold(per_concept)
 
-    def _on_drift(self, event: DriftMeasured) -> None:
-        self.last_drift = event.fraction
-        self.last_new_pairs = event.new_pairs
-        for concept, new, conflicted in event.per_concept:
-            totals = self.drift_totals.setdefault(concept, [0, 0])
-            totals[0] += new
-            totals[1] += conflicted
-
-    def _on_cleaned(self, event: CleaningCompleted) -> None:
+    def cleaned(self) -> None:
+        """Record a completed cleaning pass: staleness resets."""
         self.staleness = 0
         self.cleanings += 1
 
@@ -176,14 +163,12 @@ class PolicyMonitor:
         self.cleanings = cleanings
 
     def fold(self, per_concept: dict[str, list[int]]) -> None:
-        """Fold a restored report's per-concept drift into the totals."""
-        for concept, counts in per_concept.items():
+        """Add one batch's per-concept drift counts to the totals.
+
+        Concepts fold in sorted order, so live and resumed sessions build
+        totals with the same key order.
+        """
+        for concept, counts in sorted(per_concept.items()):
             totals = self.drift_totals.setdefault(concept, [0, 0])
             totals[0] += counts[0]
             totals[1] += counts[1]
-
-    def close(self) -> None:
-        """Detach from the bus."""
-        for unsubscribe in self._unsubscribe:
-            unsubscribe()
-        self._unsubscribe = []

@@ -155,10 +155,11 @@ class IngestSession:
     resume:
         Rebuild state from ``checkpoint_dir`` before accepting batches.
     context:
-        The :class:`~repro.runtime.context.RunContext` to emit through.
-        The session *requires* a live event bus (its cleaning triggers
-        ride on published events), so when this is omitted — or the
-        stateless null context is passed — a private context is minted.
+        The :class:`~repro.runtime.context.RunContext` to emit through
+        (default: the null context).  Events are observation only: the
+        session records its cleaning triggers in its own
+        :class:`~repro.service.policy.PolicyMonitor`, so sessions sharing
+        a pipeline's context stay independent.
     """
 
     def __init__(
@@ -181,12 +182,10 @@ class IngestSession:
         self._analysis = analysis or AnalysisCache(
             similarity=config.similarity
         )
-        if context is None or context is NULL_CONTEXT:
-            context = RunContext(config)
-        self._ctx = context
-        self._monitor = PolicyMonitor(context.bus)
+        self._ctx = context or NULL_CONTEXT
+        self._monitor = PolicyMonitor()
         self._extractor = IncrementalExtractor(
-            config.extraction, context=context
+            config.extraction, context=self._ctx
         )
         self._store = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir else None
@@ -220,7 +219,7 @@ class IngestSession:
 
     @property
     def monitor(self) -> PolicyMonitor:
-        """The bus-driven telemetry accumulator behind the triggers."""
+        """The session's trigger state (staleness, drift, cleanings)."""
         return self._monitor
 
     @property
@@ -339,8 +338,14 @@ class IngestSession:
     def _publish_batch(
         self, batch: BatchExtraction, drift: DriftStats
     ) -> None:
-        """Publish a batch's extraction and drift events, live or replayed
-        (subscribers such as the policy monitor rebuild state from them)."""
+        """Record a batch's triggers and publish its extraction and drift
+        events, live or replayed."""
+        self._monitor.batch(
+            batch.sentences_new,
+            drift.new_pairs,
+            drift.fraction,
+            drift.per_concept,
+        )
         self._ctx.emit(
             BatchExtracted(
                 index=batch.index,
@@ -448,9 +453,11 @@ class IngestSession:
         return report, engines[0].ops if engines else []
 
     def _cleaned(self, version_before: int, cleaning: CleaningReport) -> None:
-        """Resync extraction to a live or replayed pass, then announce it."""
+        """Resync extraction to a live or replayed pass, record it, then
+        announce it."""
         kb = self._extractor.kb
         self._extractor.resync_visible(kb.dirty_concepts_since(version_before))
+        self._monitor.cleaned()
         self._ctx.emit(
             CleaningCompleted(
                 rounds=cleaning.rounds,

@@ -27,6 +27,7 @@ from repro.world import paper_world
 
 from ..cleaning.uncached import (
     MemolessDPCleaner,
+    UncachedExclusion,
     UncachedRanker,
     uncached_detect,
 )
@@ -261,6 +262,7 @@ class TestCleanerCacheEquivalence:
                 config.cleaning,
                 ranker=UncachedRanker(),
                 context=pipeline.context,
+                analysis=UncachedExclusion(config.similarity),
             )
         result = cleaner.clean(extraction.kb, extraction.corpus)
         rounds = [

@@ -89,9 +89,11 @@ class TestNoCycles:
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            # Everything the passes allocate is dropped when this returns;
+            # Everything the passes allocate is dropped when this returns,
+            # and so are the pipelines with the sessions they opened;
             # reference counting alone must free all of it.
             _every_pass(pipeline, fresh, tmp_path / "state")
+            del pipeline, fresh
             unreachable = gc.collect()
             garbage = Counter(type(obj).__name__ for obj in gc.garbage)
         finally:

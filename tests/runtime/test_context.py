@@ -1,49 +1,28 @@
-"""RunContext: null-context statelessness, resources, emit/trace wiring."""
+"""RunContext: bus + tracer only, null-context no-ops, emit/trace wiring."""
 
 from __future__ import annotations
 
-import gc
+from dataclasses import dataclass
 
 import pytest
 
-from repro.runtime.context import NULL_CONTEXT, RunContext, SharedResources
-from repro.runtime.events import LogEvent
+from repro.runtime.context import NULL_CONTEXT, RunContext
+from repro.runtime.events import Event
 
 
-class Owner:
-    """Weak-referenceable stand-in for a knowledge base."""
+@dataclass(frozen=True)
+class Note(Event):
+    """A test-local event."""
 
-
-class TestSharedResources:
-    def test_get_or_create_registers_once(self):
-        resources = SharedResources()
-        owner = Owner()
-        first = resources.get_or_create("exclusion", owner, list)
-        second = resources.get_or_create("exclusion", owner, list)
-        assert first is second
-        assert resources.get("exclusion", owner) is first
-
-    def test_keys_are_kind_and_owner(self):
-        resources = SharedResources()
-        a, b = Owner(), Owner()
-        resources.put("exclusion", a, "ra")
-        resources.put("exclusion", b, "rb")
-        resources.put("other", a, "oa")
-        assert resources.get("exclusion", a) == "ra"
-        assert resources.get("exclusion", b) == "rb"
-        assert resources.get("other", a) == "oa"
-        assert resources.get("other", b) is None
-
-    def test_owner_is_held_weakly(self):
-        resources = SharedResources()
-        owner = Owner()
-        resources.put("exclusion", owner, "resource")
-        del owner
-        gc.collect()
-        assert resources.get("exclusion", Owner()) is None
+    message: str
 
 
 class TestRunContext:
+    def test_holds_only_the_bus_and_the_tracer(self):
+        ctx = RunContext()
+        assert RunContext.__slots__ == ("bus", "tracer")
+        assert ctx.tracer is None
+
     def test_untraced_span_is_inert(self):
         ctx = RunContext()
         assert not ctx.tracing
@@ -63,13 +42,13 @@ class TestRunContext:
     def test_emit_publishes_and_records(self):
         ctx = RunContext()
         seen = []
-        ctx.bus.subscribe(LogEvent, seen.append)
+        ctx.bus.subscribe(Note, seen.append)
         ctx.ensure_tracer()
         with ctx.span("stage"):
-            ctx.emit(LogEvent("working"))
+            ctx.emit(Note("working"))
         assert [e.message for e in seen] == ["working"]
         assert ctx.tracer.find("stage").events == [
-            {"event": "LogEvent", "message": "working", "level": "info"}
+            {"event": "Note", "message": "working"}
         ]
 
     def test_export_requires_a_tracer(self, tmp_path):
@@ -78,16 +57,6 @@ class TestRunContext:
 
 
 class TestNullContext:
-    def test_is_completely_stateless(self):
-        owner = Owner()
-        NULL_CONTEXT.resources.put("exclusion", owner, "leaked?")
-        assert NULL_CONTEXT.resources.get("exclusion", owner) is None
-        made = NULL_CONTEXT.resources.get_or_create(
-            "exclusion", owner, lambda: "fresh"
-        )
-        assert made == "fresh"
-        assert NULL_CONTEXT.resources.get("exclusion", owner) is None
-
     def test_span_count_emit_are_noops(self):
         with NULL_CONTEXT.span("s", a=1) as span:
             span.set(b=2)
@@ -96,7 +65,7 @@ class TestNullContext:
             with NULL_CONTEXT.span("inner"):
                 pass
         NULL_CONTEXT.count("n", 5)
-        NULL_CONTEXT.emit(LogEvent("dropped"))
+        NULL_CONTEXT.emit(Note("dropped"))
         assert not NULL_CONTEXT.tracing
 
     def test_cannot_attach_a_tracer(self):

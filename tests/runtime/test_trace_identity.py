@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.kb.serialize import save_kb
+from repro.runtime.context import NULL_CONTEXT
 from repro.runtime.tracing import read_trace
 from repro.world.presets import paper_world
 
@@ -224,3 +225,92 @@ class TestDurabilitySpans:
         assert by_id[restore[0]["id"]]["events"][-1]["event"] == (
             "SessionResumed"
         )
+
+
+def observed_session_run(tmp_path, observed: bool):
+    """A cleaning session in five batches plus a cold resume of it.
+
+    Unobserved, the session runs on the null context, so every event is
+    dropped; observed, it runs on its pipeline's context with a tracer and
+    a bus subscriber attached.  Returns the live and resumed sessions, the
+    checkpoint files and how many events the subscriber saw.
+    """
+    from repro.runtime.events import Event
+    from repro.service import IngestPolicy, IngestSession
+
+    ckpt = tmp_path / ("observed" if observed else "unobserved")
+    seen: list[Event] = []
+
+    def open_session(**kwargs):
+        pipeline = make_pipeline()
+        if observed:
+            pipeline.context.ensure_tracer()
+            pipeline.context.bus.subscribe(Event, seen.append)
+            return pipeline, pipeline.session(
+                policy=IngestPolicy(), checkpoint_dir=ckpt, **kwargs
+            )
+        return pipeline, IngestSession(
+            config=pipeline.config,
+            cleaner_factory=pipeline.dp_cleaner,
+            policy=IngestPolicy(),
+            analysis=pipeline.analysis,
+            checkpoint_dir=ckpt,
+            context=None,
+            **kwargs,
+        )
+
+    pipeline, live = open_session(checkpoint_every=2)
+    for batch in pipeline.corpus().shards(5):
+        live.ingest(batch)
+    files = {
+        str(path.relative_to(ckpt)): path.read_bytes()
+        for path in sorted(ckpt.rglob("*"))
+        if path.is_file()
+    }
+    _, resumed = open_session(resume=True)
+    return live, resumed, files, len(seen)
+
+
+def session_kb_bytes(session, path) -> bytes:
+    save_kb(session.kb, path)
+    return path.read_bytes()
+
+
+class TestSessionObservation:
+    """Events are observation-only for the streaming service too."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("observation")
+        return (
+            observed_session_run(tmp, observed=False),
+            observed_session_run(tmp, observed=True),
+        )
+
+    def test_null_context_and_observed_sessions_are_identical(
+        self, runs, tmp_path
+    ):
+        (plain, _, plain_files, _), (seen, _, seen_files, events) = runs
+        assert plain.context is NULL_CONTEXT
+        assert events > 0 and seen.context.tracing
+        assert plain.cleanings == seen.cleanings == 4
+        assert plain.reports == seen.reports
+        assert plain.stats() == seen.stats()
+        assert plain.drift_totals() == seen.drift_totals()
+        assert session_kb_bytes(plain, tmp_path / "plain.json") == (
+            session_kb_bytes(seen, tmp_path / "seen.json")
+        )
+        assert plain_files == seen_files
+
+    def test_cold_resume_matches_the_live_session(self, runs, tmp_path):
+        for name, (live, resumed, _, _) in zip(("plain", "seen"), runs):
+            assert session_kb_bytes(live, tmp_path / f"{name}-live.json") == (
+                session_kb_bytes(resumed, tmp_path / f"{name}-resumed.json")
+            )
+            assert resumed.reports == live.reports
+            assert resumed.staleness == live.staleness
+            assert resumed.cleanings == live.cleanings
+            # Same totals in the same key order.
+            assert list(resumed.drift_totals().items()) == list(
+                live.drift_totals().items()
+            )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service import IngestPolicy
+from repro.service import IngestPolicy, PolicyMonitor
 
 
 class TestValidation:
@@ -80,79 +80,41 @@ class TestDecide:
 
 
 class TestPolicyMonitor:
-    """The monitor derives trigger inputs purely from bus events."""
-
-    def _bus_and_monitor(self):
-        from repro.runtime.events import EventBus
-        from repro.service import PolicyMonitor
-
-        bus = EventBus()
-        return bus, PolicyMonitor(bus)
-
-    def _batch(self, sentences_new=100, new_pairs=10, index=0):
-        from repro.runtime.events import BatchExtracted
-
-        return BatchExtracted(
-            index=index, sentences_seen=sentences_new,
-            sentences_new=sentences_new, new_pairs=new_pairs,
-            total_pairs=new_pairs, iterations_run=1,
-        )
+    """The monitor accumulates the trigger inputs the session records."""
 
     def test_staleness_accumulates_from_batches(self):
-        bus, monitor = self._bus_and_monitor()
-        bus.publish(self._batch(sentences_new=60))
-        bus.publish(self._batch(sentences_new=40, index=1))
+        monitor = PolicyMonitor()
+        monitor.batch(60, 10, 0.0, {})
+        monitor.batch(40, 10, 0.0, {})
         assert monitor.staleness == 100
 
     def test_cleaning_completed_resets_staleness(self):
-        from repro.runtime.events import CleaningCompleted
-
-        bus, monitor = self._bus_and_monitor()
-        bus.publish(self._batch(sentences_new=500))
-        bus.publish(
-            CleaningCompleted(rounds=2, pairs_removed=5,
-                              records_rolled_back=1)
-        )
+        monitor = PolicyMonitor()
+        monitor.batch(500, 10, 0.0, {})
+        monitor.cleaned()
         assert monitor.staleness == 0
         assert monitor.cleanings == 1
 
     def test_drift_events_fold_totals_and_track_last(self):
-        from repro.runtime.events import DriftMeasured
-
-        bus, monitor = self._bus_and_monitor()
-        bus.publish(DriftMeasured(
-            index=0, new_pairs=30, conflicted=3, fraction=0.1,
-            per_concept=(("animal", 20, 2), ("food", 10, 1)),
-        ))
-        bus.publish(DriftMeasured(
-            index=1, new_pairs=50, conflicted=10, fraction=0.2,
-            per_concept=(("animal", 50, 10),),
-        ))
+        monitor = PolicyMonitor()
+        monitor.batch(100, 30, 0.1, {"food": [10, 1], "animal": [20, 2]})
+        monitor.batch(100, 50, 0.2, {"animal": [50, 10]})
         assert monitor.last_drift == 0.2
         assert monitor.last_new_pairs == 50
         assert monitor.drift_totals == {
             "animal": [70, 12], "food": [10, 1],
         }
+        # Folded in sorted concept order, whatever order the batch had.
+        assert list(monitor.drift_totals) == ["animal", "food"]
 
     def test_decide_reads_the_accumulated_state(self):
-        from repro.runtime.events import DriftMeasured
-
-        bus, monitor = self._bus_and_monitor()
+        monitor = PolicyMonitor()
         policy = IngestPolicy(
             staleness_threshold=None, drift_threshold=0.1, min_new_pairs=20
         )
-        bus.publish(DriftMeasured(
-            index=0, new_pairs=25, conflicted=5, fraction=0.2,
-        ))
+        monitor.batch(0, 25, 0.2, {})
         decision = monitor.decide(policy)
         assert decision.clean and decision.reason == "drift"
-
-    def test_close_detaches_from_the_bus(self):
-        bus, monitor = self._bus_and_monitor()
-        monitor.close()
-        bus.publish(self._batch(sentences_new=100))
-        assert monitor.staleness == 0
-        assert not bus.has_subscribers
 
     def test_session_monitor_matches_reports(self, service_corpus):
         """The live session's monitor agrees with its committed reports."""

@@ -122,6 +122,29 @@ class TestCleaningTriggers:
         assert report.cleaning.reason == "forced"
         assert session.staleness == 0
 
+    def test_sessions_on_one_pipeline_keep_separate_triggers(
+        self, service_corpus
+    ):
+        pipeline = make_pipeline()
+        quiet = pipeline.session(policy=IngestPolicy.never())
+        stale = pipeline.session(
+            policy=IngestPolicy(staleness_threshold=400,
+                                drift_threshold=None)
+        )
+        first, second, third = list(service_corpus.batches(500))[:3]
+        quiet.ingest(first)
+        quiet.ingest(second, force_clean=True)
+        quiet.ingest(third)
+        assert quiet.cleanings == 1
+        # The other session saw none of that: it ingested nothing.
+        assert stale.batches_ingested == 0
+        assert stale.staleness == 0
+        assert stale.cleanings == 0
+        assert stale.drift_totals() == {}
+        report = stale.ingest(service_corpus.sentences[:10])
+        assert report.cleaning is None
+        assert stale.staleness == report.sentences_new == 10
+
 
 class TestDurabilityGuards:
     def test_resume_requires_checkpoint_dir(self):
