@@ -202,10 +202,10 @@ def _run_ingest(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
-    skip = session.batches_ingested
-    for index, batch in enumerate(corpus.batches(args.batch_size)):
-        if index < skip:
-            continue
+    # Skip by sentence, not by batch: the run being resumed may have used
+    # another --batch-size.
+    seen = sum(report.sentences_seen for report in session.reports)
+    for batch in Corpus(corpus.sentences[seen:]).batches(args.batch_size):
         session.ingest(batch)
     if args.checkpoint_dir:
         session.checkpoint()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from ..errors import CorpusError
 from .documents import Page, deduplicate, group_pages
@@ -112,11 +112,6 @@ class Corpus:
                     raise CorpusError(
                         f"bad corpus record at {path}:{line_number}: {exc}"
                     ) from exc
-        return cls(tuple(sentences))
-
-    @classmethod
-    def from_sentences(cls, sentences: Sequence[Sentence]) -> "Corpus":
-        """Build a corpus from any sentence sequence."""
         return cls(tuple(sentences))
 
 

@@ -69,11 +69,6 @@ class ConceptGraph:
         """Number of nodes."""
         return len(self.nodes)
 
-    @property
-    def num_edges(self) -> int:
-        """Number of distinct directed edges."""
-        return int(self.indices.shape[0])
-
     def index_of(self, instance: str) -> int | None:
         """Node index for an instance (``None`` if absent)."""
         return self._index.get(instance)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import ConceptProfile, CorpusConfig, ExtractionConfig
 from repro.corpus import generate_corpus
+from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.extraction import SemanticIterativeExtractor
 from repro.world import motivating_example_world, paper_world, toy_world
 
@@ -44,3 +45,18 @@ def small_paper_preset():
 @pytest.fixture(scope="session")
 def motivating_preset():
     return motivating_example_world()
+
+
+@pytest.fixture(scope="session")
+def small_pipeline():
+    """A small-but-real pipeline: the scale 1.0 paper world, 6 k sentences.
+
+    Large enough for drift and detection to behave qualitatively like the
+    paper-scale runs, small enough to keep the suite fast.  Tests only
+    read it (or clean copies from ``extract()``).
+    """
+    preset = paper_world(seed=11, scale=1.0)
+    config = experiment_config(
+        num_sentences=6000, seed=11, profiles=preset.profiles
+    )
+    return Pipeline(preset=preset, config=config)

@@ -1,25 +1,13 @@
-"""Shared small-but-real pipeline for experiment tests.
+"""Shared fixtures for experiment tests.
 
-Scale 1.0 world with a 6 k-sentence corpus: large enough for drift and
-detection to behave qualitatively like the paper-scale runs, small enough
-to keep the suite fast.  Session-scoped: the artifacts are read-only.
+The experiments run on the session-wide ``small_pipeline`` (see
+``tests/conftest.py``); the analysed artefacts are session-scoped and
+read-only.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.experiments.pipeline import Pipeline, experiment_config
-from repro.world import paper_world
-
-
-@pytest.fixture(scope="session")
-def small_pipeline():
-    preset = paper_world(seed=11, scale=1.0)
-    config = experiment_config(
-        num_sentences=6000, seed=11, profiles=preset.profiles
-    )
-    return Pipeline(preset=preset, config=config)
 
 
 @pytest.fixture(scope="session")

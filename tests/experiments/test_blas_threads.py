@@ -20,7 +20,7 @@ _BLAS_THREAD_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 )
 
-# The world and corpus of tests/experiments/conftest.py::small_pipeline.
+# The world and corpus of tests/conftest.py::small_pipeline.
 _TABLE3 = """
 import json
 from repro.experiments.pipeline import Pipeline, experiment_config

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.cleaning import MutualExclusionCleaner
+from repro.cleaning import DPCleaner, MutualExclusionCleaner
+from repro.concepts import MutualExclusionIndex
+from repro.config import CleaningConfig
 from repro.extraction import SemanticIterativeExtractor
 from repro.kb import KnowledgeBase, save_kb
 from repro.labeling import DPLabel
@@ -17,18 +19,24 @@ def _kb_bytes(kb: KnowledgeBase, path) -> bytes:
 
 class TestPipeline:
     def test_corpus_cached(self, small_pipeline):
-        assert small_pipeline.corpus() is small_pipeline.corpus()
+        corpus = small_pipeline.corpus()
+        assert corpus is small_pipeline.corpus()
+        requested = small_pipeline.config.corpus.num_sentences
+        assert len(corpus) >= 0.9 * requested
 
     def test_extractions_independent(self, small_pipeline):
         a = small_pipeline.extract()
         b = small_pipeline.extract()
         assert a.kb is not b.kb
         assert set(a.kb.pairs()) == set(b.kb.pairs())
+        assert a.total_pairs > 1000
+        assert a.iterations >= 5
 
-    def test_artifacts_complete(self, small_artifacts):
+    def test_artifacts_complete(self, small_pipeline, small_artifacts):
         assert len(small_artifacts.kb) > 1000
         assert small_artifacts.seeds.counts()
-        assert small_artifacts.scores
+        concepts = small_pipeline.analysis_concepts(small_artifacts.kb)
+        assert len(small_artifacts.scores) == len(concepts)
         assert len(small_artifacts.matrices) > 10
         assert small_artifacts.verified
 
@@ -47,6 +55,27 @@ class TestPipeline:
             if truth.is_error(concept, instance)
         )
         assert errors > 200
+
+    def test_animal_and_food_are_mutually_exclusive(self, small_pipeline):
+        index = MutualExclusionIndex(small_pipeline.extract().kb)
+        assert index.exclusive("animal", "food")
+
+    def test_two_dp_cleaning_rounds_remove_pairs(self, small_pipeline):
+        extraction = small_pipeline.extract()
+        cleaner = DPCleaner(
+            small_pipeline.detect_fn(),
+            CleaningConfig(max_cleaning_rounds=2),
+            ranker=small_pipeline.ranker,
+            context=small_pipeline.context,
+            analysis=small_pipeline.analysis,
+        )
+        result = cleaner.clean(extraction.kb, extraction.corpus)
+        assert result.num_removed > 100
+        first, second = result.details["rounds"]
+        # Round one rolls back detected Accidental DPs with their cascades;
+        # round two refits detection on the KB those rollbacks changed.
+        assert first.accidental_dps > 0 and first.pairs_removed > 0
+        assert second.accidental_dps + second.intentional_dps > 0
 
     def test_detect_fn_returns_labels(self, small_pipeline):
         detect = small_pipeline.detect_fn()

@@ -71,9 +71,9 @@ class TestFigure2:
         result = run_figure2(small_pipeline, concept="animal")
         data = result.data
         assert data["intentional_dps"], "no intentional DP found"
+        assert data["non_dps"], "no non-DP found"
         series = data["series"]
-        truth_axis = set(data["axis"])
-        assert truth_axis
+        assert len(data["axis"]) >= 8
         # AVG distribution concentrates on the concept's frequent instances
         assert sum(series["AVG"].values()) > 0
 
@@ -114,14 +114,14 @@ class TestFigure5:
         assert pair_counts == sorted(pair_counts)
 
     def test_5b_precision_recall_tradeoff(self, small_pipeline):
-        result = run_figure5b(small_pipeline, k_values=(0, 2, 4))
+        result = run_figure5b(small_pipeline, k_values=(0, 2, 4, 6, 8))
         series = result.data["series"]
         assert series[0]["recall"] > series[-1]["recall"]
-        assert series[-1]["precision"] > 0.9
+        assert all(row["precision"] > 0.9 for row in series if row["k"] >= 4)
         assert all(row["precision"] > 0.8 for row in series)
 
     def test_5c_accuracy_stabilises(self, small_pipeline):
-        result = run_figure5c(small_pipeline, iterations=8)
+        result = run_figure5c(small_pipeline, iterations=12)
         accuracy = result.data["accuracy"]
         assert len(accuracy) >= 2
         assert accuracy[-1] >= accuracy[0] - 0.02  # rises or stays stable

@@ -99,6 +99,46 @@ class TestMain:
         out = capsys.readouterr().out
         assert "resumed:" in out
 
+    def test_ingest_resume_with_another_batch_size_sees_every_sentence(
+        self, capsys, tmp_path
+    ):
+        from repro.experiments.pipeline import Pipeline, experiment_config
+        from repro.service import IngestPolicy
+        from repro.world.presets import paper_world
+
+        def make_pipeline():
+            preset = paper_world(seed=7, scale=0.5)
+            config = experiment_config(num_sentences=1500, seed=7,
+                                       profiles=preset.profiles)
+            return Pipeline(preset=preset, config=config)
+
+        corpus = make_pipeline().corpus()
+        total = len(corpus)
+        path = tmp_path / "corpus.jsonl"
+        corpus.dump_jsonl(path)
+        ckpt = tmp_path / "state"
+        session = make_pipeline().session(
+            policy=IngestPolicy.never(), checkpoint_dir=ckpt,
+            checkpoint_every=1,
+        )
+        for batch in list(corpus.batches(300))[:2]:
+            session.ingest(batch)
+        del session
+        code = main(
+            ["ingest", str(path), "--resume", "--batch-size", "600",
+             "--checkpoint-dir", str(ckpt), "--staleness", "-1",
+             "--drift-threshold", "-1", "--scale", "0.5",
+             "--sentences", "1500", "--seed", "7"]
+        )
+        assert code == 0
+        assert "resumed: 2 batches already ingested" in (
+            capsys.readouterr().out
+        )
+        resumed = make_pipeline().session(
+            policy=IngestPolicy.never(), checkpoint_dir=ckpt, resume=True
+        )
+        assert sum(r.sentences_seen for r in resumed.reports) == total
+
     def test_ingest_corpus_file(self, capsys, tmp_path):
         from repro.experiments.pipeline import Pipeline, experiment_config
         from repro.world.presets import paper_world
