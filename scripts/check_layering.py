@@ -13,6 +13,9 @@ policy"): ``gc.disable``, ``gc.enable``, ``gc.freeze`` and
 Any other reference to them, through ``import gc`` (aliased or not) or
 ``from gc import ...``, is reported too.
 
+The library never writes to stdout: ``print`` may appear only in
+``repro/cli.py``, which renders the reports the library returns.
+
 Run directly (``python scripts/check_layering.py``) or through ``make
 lint``; the tier-1 suite also exercises it (``tests/test_layering.py``),
 including the failure path on a seeded violation.
@@ -70,6 +73,9 @@ COLLECTOR_SWITCHES = frozenset(
     {"disable", "enable", "freeze", "set_threshold"}
 )
 COLLECTOR_MODULE = ["runtime", "collector"]
+
+#: The one module allowed to reference ``print``.
+PRINT_MODULE = ["cli"]
 
 
 def _module_parts(path: Path, root: Path) -> list[str]:
@@ -152,6 +158,15 @@ def _collector_switches(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def _prints(tree: ast.Module) -> list[int]:
+    """Line of every reference to the ``print`` builtin."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "print"
+    )
+
+
 def check_layering(root: Path) -> list[str]:
     """All layering violations under ``root`` (the ``repro`` package dir)."""
     violations: list[str] = []
@@ -172,6 +187,12 @@ def check_layering(root: Path) -> list[str]:
                     f"{path}:{lineno}: gc.{name} outside "
                     "repro/runtime/collector.py — pause the collector "
                     "with repro.runtime.collector_paused"
+                )
+        if parts != PRINT_MODULE:
+            for lineno in _prints(tree):
+                violations.append(
+                    f"{path}:{lineno}: print outside repro/cli.py — the "
+                    "library returns reports and records spans instead"
                 )
         for lineno, imported in _imported_members(tree, parts):
             if imported == member:

@@ -16,8 +16,8 @@ The library builds every system the paper's evaluation depends on:
   cleaners (:mod:`repro.cleaning`);
 * metrics and one runner per table/figure (:mod:`repro.evaluation`,
   :mod:`repro.experiments`);
-* a structured run context threaded through every stage — typed event
-  bus and span tracing (:mod:`repro.runtime`).
+* a structured run context threaded through every stage — span tracing
+  (:mod:`repro.runtime`).
 
 Quickstart::
 
@@ -26,12 +26,13 @@ Quickstart::
     result = run_experiment("table3", pipeline=Pipeline())
     report = result.text  # formatted table, ready to render
 
-The library itself never writes to stdout: stages emit typed events and
-spans through their :class:`~repro.runtime.context.RunContext`, and
-front-ends (the CLI, a dashboard) subscribe to the bus and render what
-they want.  No stage subscribes: events are observation only.  Pass
-``Pipeline().run(trace="out.jsonl")`` — or ``repro run <experiment>
---trace out.jsonl`` — to export the span tree.
+The library itself never writes to stdout (``scripts/check_layering.py``
+allows ``print`` in ``repro/cli.py`` only): stages record spans through
+their :class:`~repro.runtime.context.RunContext`, and return reports —
+such as the :class:`~repro.service.session.BatchReport` of each
+``IngestSession.ingest()`` — that front-ends render as they want.  Spans
+are observation only.  Pass ``Pipeline().run(trace="out.jsonl")`` — or
+``repro run <experiment> --trace out.jsonl`` — to export the span tree.
 """
 
 from .cleaning import (
@@ -65,7 +66,7 @@ from .extraction import SemanticIterativeExtractor
 from .kb import IsAPair, KnowledgeBase, RollbackEngine
 from .labeling import DPLabel, EvidenceIndex, SeedLabeler
 from .learning import DPDetector
-from .runtime import NULL_CONTEXT, Event, EventBus, RunContext, Tracer
+from .runtime import NULL_CONTEXT, RunContext, Tracer
 from .service import CheckpointStore, IngestPolicy, IngestSession
 from .world import World, WorldBuilder, motivating_example_world, paper_world, toy_world
 
@@ -81,8 +82,6 @@ __all__ = [
     "DPDetector",
     "DPLabel",
     "DetectorConfig",
-    "Event",
-    "EventBus",
     "EvidenceIndex",
     "ExtractionConfig",
     "CheckpointStore",

@@ -30,7 +30,6 @@ from ..labeling.labels import DPLabel
 from ..ranking.random_walk import RandomWalkRanker
 from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
-from ..runtime.events import CleaningRound
 from .base import BaseCleaner, CleaningResult
 from .intentional import SentenceCheck, build_check, score_sentence
 
@@ -68,7 +67,7 @@ class DPCleaner(BaseCleaner):
     ) -> None:
         self._detect_fn = detect_fn
         self._config = config or CleaningConfig()
-        # Instrumentation only: spans and CleaningRound events.
+        # Instrumentation only: spans and their counters.
         self._ctx = context or NULL_CONTEXT
         # The guards read the per-KB MutualExclusionIndex through this
         # cache.  Passing the cache detection refreshes (as
@@ -126,7 +125,6 @@ class DPCleaner(BaseCleaner):
                         round_span.add(counter, value)
                 rounds.append(stats)
                 total_rolled += stats.records_rolled_back
-                ctx.emit(CleaningRound(round_index=round_index, **counters))
                 if (
                     stats.pairs_removed == 0
                     and stats.records_rolled_back == 0

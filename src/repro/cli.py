@@ -31,8 +31,8 @@ from pathlib import Path
 from .corpus.corpus import Corpus
 from .experiments.pipeline import Pipeline, experiment_config
 from .experiments.registry import experiment_names, run_experiment
-from .runtime.events import BatchIngested, SessionResumed
 from .service.policy import IngestPolicy
+from .service.session import BatchReport
 from .world.presets import paper_world
 
 __all__ = ["main", "build_parser"]
@@ -150,22 +150,15 @@ def _make_pipeline(args: argparse.Namespace) -> Pipeline:
     return Pipeline(preset=preset, config=config)
 
 
-def _print_resumed(event: SessionResumed) -> None:
-    if event.batches:
-        print(f"resumed: {event.batches} batches already ingested")
-
-
-def _print_batch(event: BatchIngested) -> None:
-    if event.replayed:
-        return
+def _print_batch(report: BatchReport) -> None:
     line = (
-        f"batch {event.index}: +{event.sentences_new} sentences, "
-        f"+{event.new_pairs} pairs, drift {event.drift_fraction:.3f}"
+        f"batch {report.index}: +{report.sentences_new} sentences, "
+        f"+{report.new_pairs} pairs, drift {report.drift.fraction:.3f}"
     )
-    if event.cleaned:
+    if report.cleaning is not None:
         line += (
-            f" -> cleaned ({event.clean_reason}): "
-            f"-{event.removed_pairs} pairs"
+            f" -> cleaned ({report.cleaning.reason}): "
+            f"-{report.cleaning.removed_pairs} pairs"
         )
     print(line)
 
@@ -177,13 +170,6 @@ def _run_ingest(args: argparse.Namespace) -> int:
     pipeline = _make_pipeline(args)
     if args.trace:
         pipeline.context.ensure_tracer()
-    # The per-batch progress lines are rendered off the session's event
-    # bus, which only observes the run (the session keeps its cleaning
-    # triggers itself).  Subscribe before the session is built so the
-    # resume notice (emitted during restore) is seen too.
-    bus = pipeline.context.bus
-    bus.subscribe(SessionResumed, _print_resumed)
-    bus.subscribe(BatchIngested, _print_batch)
     corpus = (
         Corpus.load_jsonl(args.corpus) if args.corpus else pipeline.corpus()
     )
@@ -202,11 +188,13 @@ def _run_ingest(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
     )
+    if session.batches_ingested:
+        print(f"resumed: {session.batches_ingested} batches already ingested")
     # Skip by sentence, not by batch: the run being resumed may have used
     # another --batch-size.
     seen = sum(report.sentences_seen for report in session.reports)
     for batch in Corpus(corpus.sentences[seen:]).batches(args.batch_size):
-        session.ingest(batch)
+        _print_batch(session.ingest(batch))
     if args.checkpoint_dir:
         session.checkpoint()
     if args.trace:

@@ -98,20 +98,34 @@ class Corpus:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "Corpus":
-        """Read a corpus previously written by :meth:`dump_jsonl`."""
+        """Read a corpus previously written by :meth:`dump_jsonl`.
+
+        A malformed record, or a sid that comes back with other content,
+        raises a :class:`~repro.errors.CorpusError` naming ``path:line``.
+        """
         sentences: list[Sentence] = []
+        first_seen: dict[int, tuple[int, Sentence]] = {}
         with open(path, encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                    sentences.append(_sentence_from_json(record))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                    sentence = _sentence_from_json(json.loads(line))
+                except (KeyError, ValueError) as exc:
                     raise CorpusError(
                         f"bad corpus record at {path}:{line_number}: {exc}"
                     ) from exc
+                earlier = first_seen.setdefault(
+                    sentence.sid, (line_number, sentence)
+                )
+                if earlier[1] != sentence:
+                    raise CorpusError(
+                        f"bad corpus record at {path}:{line_number}: sid "
+                        f"{sentence.sid} was already read with other "
+                        f"content at line {earlier[0]}"
+                    )
+                sentences.append(sentence)
         return cls(tuple(sentences))
 
 
@@ -144,7 +158,22 @@ def _sentence_to_json(sentence: Sentence) -> dict:
     return record
 
 
+def _strings(record: dict, key: str) -> tuple[str, ...]:
+    value = record[key]
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _sentence_from_json(record: dict) -> Sentence:
+    """Decode one record; ``KeyError``/``ValueError`` if it is malformed."""
+    if type(record) is not dict:
+        raise ValueError(f"record must be a JSON object, got {record!r}")
+    sid, surface = record["sid"], record["surface"]
+    if type(sid) is not int:
+        raise ValueError(f"'sid' must be an integer, got {sid!r}")
+    if type(surface) is not str:
+        raise ValueError(f"'surface' must be a string, got {surface!r}")
     truth = None
     if "truth" in record:
         raw = record["truth"]
@@ -156,10 +185,10 @@ def _sentence_from_json(record: dict) -> Sentence:
             bridge=raw.get("bridge"),
         )
     return Sentence(
-        sid=record["sid"],
-        surface=record["surface"],
-        concepts=tuple(record["concepts"]),
-        instances=tuple(record["instances"]),
+        sid=sid,
+        surface=surface,
+        concepts=_strings(record, "concepts"),
+        instances=_strings(record, "instances"),
         page_id=record.get("page_id", 0),
         truth=truth,
     )

@@ -201,8 +201,8 @@ class Pipeline:
         self._streams = RandomStreams(config.seed)
         self._corpus: Corpus | None = None
         self._extraction: ExtractionResult | None = None
-        # One context for every stage: the event bus and (optional) tracer
-        # observe the run.
+        # One context for every stage: its (optional) tracer observes the
+        # run.
         self._ctx = RunContext()
         # One ranker for every stage: its mutation-versioned score cache
         # makes repeated score_all calls (analysis, per-round detection

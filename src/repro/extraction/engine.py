@@ -35,7 +35,6 @@ from ..kb.pair import IsAPair
 from ..kb.snapshot import IterationLog
 from ..kb.store import KnowledgeBase
 from ..runtime.context import NULL_CONTEXT, RunContext
-from ..runtime.events import ExtractionIteration
 from .index import ResolutionWorklist
 from .trigger import resolve
 
@@ -337,16 +336,6 @@ class IncrementalExtractor:
                 new_pairs=len(kb),
                 total_pairs=len(kb),
             )
-            ctx.emit(
-                ExtractionIteration(
-                    iteration=1,
-                    sentences_scanned=len(unambiguous),
-                    sentences_resolved=len(unambiguous),
-                    new_pairs=len(kb),
-                    total_pairs=len(kb),
-                    trigger_fanout=0,
-                )
-            )
 
         base = self._iteration
         resolved, skipped, hits = self._resolve(ambiguous)
@@ -434,18 +423,6 @@ class IncrementalExtractor:
             skipped_total += skipped
             hits_total += hits
             self._iteration = iteration
-            ctx.emit(
-                ExtractionIteration(
-                    iteration=iteration,
-                    sentences_scanned=scanned,
-                    sentences_resolved=resolved_count,
-                    new_pairs=len(kb) - pairs_before,
-                    total_pairs=len(kb),
-                    trigger_fanout=fanout,
-                    sentences_skipped=skipped,
-                    index_hits=hits,
-                )
-            )
             all_arrived = iteration >= base + chunks_used
             if resolved_count == 0 and all_arrived:
                 break

@@ -27,7 +27,6 @@ from ..labeling.labels import DPLabel
 from ..labeling.rules import SeedLabelSet
 from ..rng import generator_from
 from ..runtime.context import NULL_CONTEXT, RunContext
-from ..runtime.events import DetectorFitted
 from .adhoc import AdHocDetector
 from .embedding import FrozenEmbedding
 from .multitask import MultiTaskTrainer
@@ -148,8 +147,8 @@ class DPDetector:
                 self._fit_raw_baseline(seeds)
                 self._fitted = True
                 return self
-            transforms_reused = self._embed(embedding, refit_cache)
-            manifolds_reused = self._build_datasets(seeds, refit_cache)
+            self._embed(embedding, refit_cache)
+            self._build_datasets(seeds, refit_cache)
             labelled = [d for d in self._datasets.values() if d.n_labeled > 0]
             if not labelled:
                 raise LearningError("no concept has labelled seeds")
@@ -186,15 +185,6 @@ class DPDetector:
                         for d in labelled
                     }
             self._fitted = True
-            ctx.emit(
-                DetectorFitted(
-                    method=self._method,
-                    concepts=len(self._matrices),
-                    labelled_concepts=len(labelled),
-                    transforms_reused=transforms_reused,
-                    manifolds_reused=manifolds_reused,
-                )
-            )
         return self
 
     # ------------------------------------------------------------------
@@ -253,7 +243,7 @@ class DPDetector:
         self,
         embedding: FrozenEmbedding | None,
         cache: DetectorRefitCache | None,
-    ) -> int:
+    ) -> None:
         with self._ctx.span("detector.embed") as span:
             fitted_here = embedding is None
             if embedding is None:
@@ -288,11 +278,10 @@ class DPDetector:
             span.add(
                 "transforms_computed", len(self._matrices) - reused
             )
-        return reused
 
     def _build_datasets(
         self, seeds: SeedLabelSet, cache: DetectorRefitCache | None = None
-    ) -> int:
+    ) -> None:
         class_weights = None
         if self._config.class_balance:
             counts = seeds.counts()
@@ -331,8 +320,7 @@ class DPDetector:
                     manifolds[concept] = a
                     if cache is not None:
                         cache.manifolds[concept] = (pending[concept], a)
-            reused = len(with_seeds) - len(pending)
-            span.add("manifolds_reused", reused)
+            span.add("manifolds_reused", len(with_seeds) - len(pending))
             span.add("manifolds_computed", len(pending))
             self._datasets = {}
             for concept, matrix in with_seeds:
@@ -345,7 +333,6 @@ class DPDetector:
                     class_weights=class_weights,
                     a=manifolds[concept],
                 )
-        return reused
 
     def _fit_pooled(self, labelled: list[ConceptTrainingData]) -> None:
         """Fallback detector for concepts without their own seeds."""

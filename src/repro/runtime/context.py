@@ -1,18 +1,17 @@
 """The structured run context threaded through every stage.
 
-A :class:`RunContext` is what observes a run:
-
-* a typed :class:`~repro.runtime.events.EventBus`;
-* an optional :class:`~repro.runtime.tracing.Tracer` (``None`` = tracing
-  disabled, the default).
+A :class:`RunContext` is what observes a run: an optional
+:class:`~repro.runtime.tracing.Tracer` (``None`` = tracing disabled, the
+default).  Spans, with their attributes and counters, are the only
+observation channel.
 
 Every stage accepts a context and defaults to :data:`NULL_CONTEXT`, a
-stateless singleton whose ``span``/``count``/``emit`` are no-ops, so
+stateless singleton whose ``span``/``count`` are no-ops, so
 un-contexted library use pays one attribute check per instrumentation
-point.  Tracing and events are observation only: no stage reads its own
-telemetry back, and anything stages share (the ranker, the analysis
-cache) is passed to them explicitly — which is what keeps traced and
-untraced runs bit-identical.
+point.  Tracing is observation only: no stage reads its own telemetry
+back, and anything stages share (the ranker, the analysis cache) is
+passed to them explicitly — which is what keeps traced and untraced runs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from contextlib import AbstractContextManager
 from pathlib import Path
 
-from .events import Event, EventBus, event_payload
 from .tracing import Span, Tracer
 
 __all__ = ["RunContext", "NULL_CONTEXT"]
@@ -57,17 +55,13 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 
 
 class RunContext:
-    """Event bus + optional tracer for one run."""
+    """The optional tracer for one run."""
 
-    __slots__ = ("bus", "tracer")
+    __slots__ = ("tracer",)
 
     def __init__(self) -> None:
-        self.bus = EventBus()
         self.tracer: Tracer | None = None
 
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
     @property
     def tracing(self) -> bool:
         """Whether a tracer is attached."""
@@ -98,17 +92,6 @@ class RunContext:
             raise ValueError("no tracer attached to this context")
         return self.tracer.export_jsonl(path)
 
-    # ------------------------------------------------------------------
-    # Events
-    # ------------------------------------------------------------------
-    def emit(self, event: Event) -> None:
-        """Publish an event to the bus and record it on the active span."""
-        if self.tracer is not None:
-            self.tracer.record_event(
-                type(event).__name__, event_payload(event)
-            )
-        self.bus.publish(event)
-
 
 class _NullContext(RunContext):
     """The shared do-nothing context (module singleton)."""
@@ -125,9 +108,6 @@ class _NullContext(RunContext):
         return _NULL_SPAN_CONTEXT
 
     def count(self, counter: str, n: int | float = 1) -> None:
-        pass
-
-    def emit(self, event: Event) -> None:
         pass
 
 

@@ -3,18 +3,19 @@
 A :class:`Tracer` collects a forest of :class:`Span` objects.  Spans nest
 via a context manager; each records wall time (``perf_counter``), CPU
 time (``process_time``), structured attributes set at open or via
-:meth:`Span.set`, monotonic counters (:meth:`Span.add`), and the events
-emitted while it was the innermost open span.
+:meth:`Span.set`, and monotonic counters (:meth:`Span.add`).  Spans are
+the library's only observation channel: DESIGN.md §8 lists every span
+name with the attributes and counters it carries.
 
 The export format is JSONL — one record per line, every record carrying
 ``schema``/``kind`` discriminators so downstream tooling can rely on the
 field names (pinned by ``tests/runtime/test_tracing.py``):
 
-* ``{"kind": "trace", "schema": 1, "spans": N}`` — header line;
-* ``{"kind": "span", "schema": 1, "id", "parent", "name", "start",
-  "wall_ms", "cpu_ms", "attributes", "counters", "events"}`` — one per
-  span, depth-first in start order (parents precede children);
-* ``{"kind": "counters", "schema": 1, "counters": {...}}`` — trailing
+* ``{"kind": "trace", "schema": 2, "spans": N}`` — header line;
+* ``{"kind": "span", "schema": 2, "id", "parent", "name", "start",
+  "wall_ms", "cpu_ms", "attributes", "counters"}`` — one per span,
+  depth-first in start order (parents precede children);
+* ``{"kind": "counters", "schema": 2, "counters": {...}}`` — trailing
   record for counts recorded outside any span (only when nonempty).
 
 Tracing is observation only: spans never touch RNG state and never feed
@@ -34,7 +35,7 @@ from collections.abc import Iterator
 
 __all__ = ["Span", "Tracer", "TRACE_SCHEMA_VERSION", "read_trace"]
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 
 class Span:
@@ -46,7 +47,6 @@ class Span:
         "parent",
         "attributes",
         "counters",
-        "events",
         "children",
         "start",
         "wall_ms",
@@ -63,7 +63,6 @@ class Span:
         self.parent = parent
         self.attributes = attributes
         self.counters: dict[str, int | float] = {}
-        self.events: list[dict] = []
         self.children: list[Span] = []
         self.start = time.time()
         self.wall_ms: float | None = None
@@ -109,7 +108,6 @@ class Span:
             "cpu_ms": self.cpu_ms,
             "attributes": self.attributes,
             "counters": self.counters,
-            "events": self.events,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -159,12 +157,6 @@ class Tracer:
             )
         else:
             target.add(counter, n)
-
-    def record_event(self, name: str, payload: dict) -> None:
-        """Attach an event record to the current span (dropped if none)."""
-        target = self.current
-        if target is not None:
-            target.events.append({"event": name, **payload})
 
     def spans(self) -> Iterator[Span]:
         """Every collected span, depth-first across roots."""

@@ -117,8 +117,8 @@ class PolicyMonitor:
     The session records every batch (:meth:`batch`, live and replayed) and
     every cleaning pass (:meth:`cleaned`) directly, so the state belongs
     to the one session that decides on it — sessions sharing a pipeline
-    (and its event bus) never see each other's batches.  The policy itself
-    stays a pure threshold table.
+    (and its run context) never see each other's batches.  The policy
+    itself stays a pure threshold table.
     """
 
     def __init__(self) -> None:

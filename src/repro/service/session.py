@@ -44,14 +44,6 @@ from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
-from ..runtime.events import (
-    BatchExtracted,
-    BatchIngested,
-    CleaningCompleted,
-    CleaningTriggered,
-    DriftMeasured,
-    SessionResumed,
-)
 from .checkpoint import CheckpointStore
 from .journal import JournalingRollbackEngine, replay_clean_ops
 from .policy import IngestPolicy, PolicyMonitor
@@ -155,8 +147,8 @@ class IngestSession:
     resume:
         Rebuild state from ``checkpoint_dir`` before accepting batches.
     context:
-        The :class:`~repro.runtime.context.RunContext` to emit through
-        (default: the null context).  Events are observation only: the
+        The :class:`~repro.runtime.context.RunContext` to trace through
+        (default: the null context).  Spans are observation only: the
         session records its cleaning triggers in its own
         :class:`~repro.service.policy.PolicyMonitor`, so sessions sharing
         a pipeline's context stay independent.
@@ -214,7 +206,7 @@ class IngestSession:
 
     @property
     def context(self) -> RunContext:
-        """The run context the session emits through."""
+        """The run context the session traces through."""
         return self._ctx
 
     @property
@@ -285,17 +277,25 @@ class IngestSession:
             span.add("sentences_skipped", batch.sentences_skipped)
             span.add("index_hits", batch.index_hits)
             drift = self._drift_stats(batch)
-            self._publish_batch(batch, drift)
+            self._monitor.batch(
+                batch.sentences_new,
+                drift.new_pairs,
+                drift.fraction,
+                drift.per_concept,
+            )
+            span.set(
+                drift_fraction=drift.fraction,
+                conflicted=drift.conflicted,
+                total_pairs=batch.total_pairs,
+                iterations_run=batch.iterations_run,
+            )
             decision = self._monitor.decide(self._policy, forced=force_clean)
             cleaning = None
             clean_ops: list[list] = []
             if decision.clean:
-                ctx.emit(
-                    CleaningTriggered(
-                        reason=decision.reason,
-                        staleness=decision.staleness,
-                        drift=decision.drift,
-                    )
+                span.set(
+                    clean_reason=decision.reason,
+                    staleness=decision.staleness,
                 )
                 cleaning, clean_ops = self._clean(decision.reason)
             self._seq += 1
@@ -332,60 +332,7 @@ class IngestSession:
                 )
                 if due:
                     self.checkpoint()
-            ctx.emit(self._ingested_event(report, replayed=False))
         return report
-
-    def _publish_batch(
-        self, batch: BatchExtraction, drift: DriftStats
-    ) -> None:
-        """Record a batch's triggers and publish its extraction and drift
-        events, live or replayed."""
-        self._monitor.batch(
-            batch.sentences_new,
-            drift.new_pairs,
-            drift.fraction,
-            drift.per_concept,
-        )
-        self._ctx.emit(
-            BatchExtracted(
-                index=batch.index,
-                sentences_seen=batch.sentences_seen,
-                sentences_new=batch.sentences_new,
-                new_pairs=len(batch.new_pairs),
-                total_pairs=batch.total_pairs,
-                iterations_run=batch.iterations_run,
-            )
-        )
-        self._ctx.emit(
-            DriftMeasured(
-                index=batch.index,
-                new_pairs=drift.new_pairs,
-                conflicted=drift.conflicted,
-                fraction=drift.fraction,
-                per_concept=tuple(
-                    (concept, counts[0], counts[1])
-                    for concept, counts in sorted(drift.per_concept.items())
-                ),
-            )
-        )
-
-    def _ingested_event(
-        self, report: BatchReport, replayed: bool
-    ) -> BatchIngested:
-        cleaning = report.cleaning
-        return BatchIngested(
-            seq=report.seq,
-            index=report.index,
-            sentences_seen=report.sentences_seen,
-            sentences_new=report.sentences_new,
-            new_pairs=report.new_pairs,
-            total_pairs=report.total_pairs,
-            drift_fraction=report.drift.fraction,
-            cleaned=cleaning is not None,
-            clean_reason=cleaning.reason if cleaning else None,
-            removed_pairs=cleaning.removed_pairs if cleaning else 0,
-            replayed=replayed,
-        )
 
     def _new_batch_sentences(self, batch: BatchExtraction) -> list[Sentence]:
         """The batch's sentences that survived session-wide dedup.
@@ -449,23 +396,14 @@ class IngestSession:
                 for stats in result.details.get("rounds", [])
             ],
         )
-        self._cleaned(version_before, report)
+        self._cleaned(version_before)
         return report, engines[0].ops if engines else []
 
-    def _cleaned(self, version_before: int, cleaning: CleaningReport) -> None:
-        """Resync extraction to a live or replayed pass, record it, then
-        announce it."""
+    def _cleaned(self, version_before: int) -> None:
+        """Resync extraction to a live or replayed pass and record it."""
         kb = self._extractor.kb
         self._extractor.resync_visible(kb.dirty_concepts_since(version_before))
         self._monitor.cleaned()
-        self._ctx.emit(
-            CleaningCompleted(
-                rounds=cleaning.rounds,
-                pairs_removed=cleaning.removed_pairs,
-                records_rolled_back=cleaning.records_rolled_back,
-                reason=cleaning.reason,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Durability
@@ -497,21 +435,19 @@ class IngestSession:
         """Resume: load the snapshot, then replay the journal tail."""
         assert self._store is not None
         ctx = self._ctx
-        with ctx.span("session.restore"):
+        with ctx.span("session.restore") as span:
             with ctx.span("checkpoint.load"):
                 snapshot = self._store.load_snapshot()
             if snapshot is not None:
                 self._adopt_snapshot(*snapshot)
-            with ctx.span("journal.replay") as span:
+            with ctx.span("journal.replay") as replay_span:
                 for entry in self._store.journal.entries(after_seq=self._seq):
                     self._replay_entry(entry)
-                    span.add("entries")
-            ctx.emit(
-                SessionResumed(
-                    batches=len(self._reports),
-                    cleanings=self._monitor.cleanings,
-                    total_pairs=len(self.kb),
-                )
+                    replay_span.add("entries")
+            span.set(
+                batches=len(self._reports),
+                cleanings=self._monitor.cleanings,
+                total_pairs=len(self.kb),
             )
 
     def _adopt_snapshot(
@@ -559,15 +495,19 @@ class IngestSession:
                 f"journal recorded {report.total_pairs} — was the session "
                 "restarted with a different configuration?"
             )
-        self._publish_batch(batch, report.drift)
+        self._monitor.batch(
+            batch.sentences_new,
+            report.drift.new_pairs,
+            report.drift.fraction,
+            report.drift.per_concept,
+        )
         if report.cleaning is not None:
             kb = self._extractor.kb
             version_before = kb.version
             replay_clean_ops(kb, entry.get("clean_ops", []))
-            self._cleaned(version_before, report.cleaning)
+            self._cleaned(version_before)
         self._seq = entry["seq"]
         self._reports.append(report)
-        self._ctx.emit(self._ingested_event(report, replayed=True))
 
     def removed_pairs(self) -> frozenset[IsAPair]:
         """Pairs removed by the session's cleaning passes so far."""

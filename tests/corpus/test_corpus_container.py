@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.corpus.corpus import Corpus
@@ -93,3 +95,47 @@ class TestSerialisation:
         corpus.dump_jsonl(path)
         path.write_text(path.read_text() + "\n\n")
         assert len(Corpus.load_jsonl(path)) == 1
+
+
+GOOD = '{"sid": 0, "surface": "a", "concepts": ["animal"], "instances": ["dog"]}'
+
+
+class TestMalformedRecords:
+    """A malformed record fails as a ``CorpusError`` naming path:line."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '["a", "b"]',
+            '{"sid": 1, "surface": "b", "concepts": 5, "instances": ["x"]}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal", 3],'
+            ' "instances": ["x"]}',
+            '{"sid": "abc", "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"]}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": [["x"]]}',
+            '{"sid": 1, "surface": null, "concepts": ["animal"],'
+            ' "instances": ["x"]}',
+            '{"sid": 0, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["dog"]}',
+        ],
+        ids=[
+            "list-record",
+            "int-concepts",
+            "non-str-concept",
+            "str-sid",
+            "nested-instances",
+            "null-surface",
+            "sid-reused-with-other-content",
+        ],
+    )
+    def test_is_rejected_with_its_location(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{GOOD}\n{line}\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2")):
+            Corpus.load_jsonl(path)
+
+    def test_a_repeated_identical_record_is_accepted(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        path.write_text(f"{GOOD}\n{GOOD}\n")
+        assert len(Corpus.load_jsonl(path)) == 2

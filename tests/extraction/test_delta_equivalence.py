@@ -24,7 +24,7 @@ from repro.corpus.sentence import Sentence
 from repro.extraction import IncrementalExtractor, SemanticIterativeExtractor
 from repro.kb.rollback import RollbackEngine
 from repro.kb.serialize import save_kb
-from repro.runtime import ExtractionIteration, RunContext
+from repro.runtime import RunContext
 from repro.world import toy_world
 
 from .naive import NaiveExtractor, naive_extract
@@ -127,7 +127,7 @@ class TestBatchEquivalence:
 
     def test_zero_ambiguous_corpus_logs_iteration_one_only(self):
         # No resolution round runs while nothing is pending, whatever the
-        # arrival schedule: one logged iteration, one iteration event.
+        # arrival schedule: one logged iteration, one iteration span.
         corpus = Corpus(tuple(
             Sentence(sid=sid, surface=f"s{sid}", concepts=("animal",),
                      instances=(f"e{sid}", f"e{sid + 1}"))
@@ -136,11 +136,14 @@ class TestBatchEquivalence:
         for chunks in (1, 2, 3, 7):
             config = ExtractionConfig(stream_chunks=chunks)
             context = RunContext()
-            events: list[ExtractionIteration] = []
-            context.bus.subscribe(ExtractionIteration, events.append)
+            tracer = context.ensure_tracer()
             result = SemanticIterativeExtractor(config, context).run(corpus)
             assert result.iterations == 1
-            assert [event.iteration for event in events] == [1]
+            assert [
+                span.attributes["iteration"]
+                for span in tracer.spans()
+                if span.name == "extract.iteration"
+            ] == [1]
             assert result.unresolved_sids == ()
             _assert_equivalent(result, naive_extract(corpus, config))
 

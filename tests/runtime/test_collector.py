@@ -27,14 +27,11 @@ from repro.cleaning import (
     RWRankCleaner,
     TypeCheckingCleaner,
 )
-from repro.runtime import (
-    BatchExtracted,
-    DetectorFitted,
-    ExtractionIteration,
-    SessionResumed,
-    collector_paused,
-)
+from repro.extraction import IncrementalExtractor
+from repro.learning import DPDetector
+from repro.runtime import collector_paused
 from repro.service import IngestPolicy
+from repro.service.policy import PolicyMonitor
 
 from ..service.conftest import make_pipeline
 
@@ -158,24 +155,30 @@ class TestCollectorPaused:
         assert paused.__wrapped__ is documented
 
 
-def _record(bus, event_type) -> list[bool]:
-    """``gc.isenabled()`` at every ``event_type`` published on ``bus``."""
+def _record(monkeypatch, owner, name: str) -> list[bool]:
+    """``gc.isenabled()`` at every call of ``owner.name``."""
     seen: list[bool] = []
-    bus.subscribe(event_type, lambda _event: seen.append(gc.isenabled()))
+    inner = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
     return seen
 
 
 class TestSitesRunPaused:
-    def test_pipeline_extract(self):
+    def test_pipeline_extract(self, monkeypatch):
         pipeline = make_pipeline()
-        seen = _record(pipeline.context.bus, ExtractionIteration)
+        seen = _record(monkeypatch, IncrementalExtractor, "ingest")
         pipeline.extract()
         assert seen and not any(seen)
 
-    def test_pipeline_analyze(self):
+    def test_pipeline_analyze(self, monkeypatch):
         pipeline = make_pipeline()
         extraction = pipeline.extract()
-        seen = _record(pipeline.context.bus, DetectorFitted)
+        seen = _record(monkeypatch, DPDetector, "fit")
         pipeline.analyze(extraction)
         assert seen and not any(seen)
 
@@ -191,7 +194,7 @@ class TestSitesRunPaused:
         DPCleaner(detect).clean(extraction.kb, extraction.corpus)
         assert seen and not any(seen)
 
-    def test_session_ingest_and_restore(self, tmp_path):
+    def test_session_ingest_and_restore(self, tmp_path, monkeypatch):
         pipeline = make_pipeline()
         never = IngestPolicy.never()
         batches = list(pipeline.corpus().batches(500))
@@ -200,14 +203,14 @@ class TestSitesRunPaused:
             checkpoint_dir=tmp_path,
             checkpoint_every=len(batches) - 1,
         )
-        ingested = _record(session.context.bus, BatchExtracted)
+        recorded = _record(monkeypatch, PolicyMonitor, "batch")
         for batch in batches:
             session.ingest(batch)
-        assert len(ingested) == len(batches) and not any(ingested)
+        assert len(recorded) == len(batches) and not any(recorded)
 
         fresh = make_pipeline()
-        replayed = _record(fresh.context.bus, BatchExtracted)
-        resumed = _record(fresh.context.bus, SessionResumed)
+        recorded.clear()
+        restored = _record(monkeypatch, PolicyMonitor, "restore")
         fresh.session(policy=never, checkpoint_dir=tmp_path, resume=True)
         # The snapshot covers all but the last batch; the journal replays it.
-        assert replayed == [False] and resumed == [False]
+        assert recorded == [False] and restored == [False]

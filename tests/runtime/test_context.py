@@ -1,26 +1,16 @@
-"""RunContext: bus + tracer only, null-context no-ops, emit/trace wiring."""
+"""RunContext: the tracer only, null-context no-ops, trace wiring."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import pytest
 
 from repro.runtime.context import NULL_CONTEXT, RunContext
-from repro.runtime.events import Event
-
-
-@dataclass(frozen=True)
-class Note(Event):
-    """A test-local event."""
-
-    message: str
 
 
 class TestRunContext:
-    def test_holds_only_the_bus_and_the_tracer(self):
+    def test_holds_only_the_tracer(self):
         ctx = RunContext()
-        assert RunContext.__slots__ == ("bus", "tracer")
+        assert RunContext.__slots__ == ("tracer",)
         assert ctx.tracer is None
 
     def test_untraced_span_is_inert(self):
@@ -39,25 +29,13 @@ class TestRunContext:
             span.add("n", 2)
         assert tracer.find("s").counters == {"n": 2}
 
-    def test_emit_publishes_and_records(self):
-        ctx = RunContext()
-        seen = []
-        ctx.bus.subscribe(Note, seen.append)
-        ctx.ensure_tracer()
-        with ctx.span("stage"):
-            ctx.emit(Note("working"))
-        assert [e.message for e in seen] == ["working"]
-        assert ctx.tracer.find("stage").events == [
-            {"event": "Note", "message": "working"}
-        ]
-
     def test_export_requires_a_tracer(self, tmp_path):
         with pytest.raises(ValueError):
             RunContext().export_trace(tmp_path / "t.jsonl")
 
 
 class TestNullContext:
-    def test_span_count_emit_are_noops(self):
+    def test_span_and_count_are_noops(self):
         with NULL_CONTEXT.span("s", a=1) as span:
             span.set(b=2)
             span.add("c")
@@ -65,7 +43,6 @@ class TestNullContext:
             with NULL_CONTEXT.span("inner"):
                 pass
         NULL_CONTEXT.count("n", 5)
-        NULL_CONTEXT.emit(Note("dropped"))
         assert not NULL_CONTEXT.tracing
 
     def test_cannot_attach_a_tracer(self):

@@ -135,11 +135,22 @@ class TestTraceCoverage:
             if span["name"] == "clean.round":
                 assert by_id[span["parent"]]["name"] == "clean"
 
-    def test_detector_fit_emits_event(self, spans):
-        events = [e for s in spans for e in s["events"]]
-        assert any(e["event"] == "DetectorFitted" for e in events)
-        assert any(e["event"] == "CleaningRound" for e in events)
-        assert any(e["event"] == "ExtractionIteration" for e in events)
+    def test_round_reuse_and_iteration_counters_are_on_spans(self, spans):
+        expected = {
+            "clean.round": {
+                "intentional_dps", "accidental_dps", "pairs_removed",
+                "records_rolled_back", "sentence_checks",
+            },
+            "detector.embed": {"transforms_reused", "transforms_computed"},
+            "detector.datasets": {"manifolds_reused", "manifolds_computed"},
+            "extract.iteration": {
+                "sentences_scanned", "sentences_resolved", "pairs_committed",
+            },
+        }
+        for name, counters in expected.items():
+            named = [s for s in spans if s["name"] == name]
+            assert named, name
+            assert all(counters <= set(s["counters"]) for s in named), name
 
 
 def durable_session_run(tmp_path, traced: bool):
@@ -163,7 +174,7 @@ def durable_session_run(tmp_path, traced: bool):
     resumed = resume_pipeline.session(
         policy=IngestPolicy.never(), checkpoint_dir=ckpt, resume=True
     )
-    out = {}
+    out = {"pairs": len(resumed.kb)}
     for name, kb in (("live", session.kb), ("resumed", resumed.kb)):
         path = tmp_path / f"{ckpt.name}-{name}.jsonl"
         save_kb(kb, path)
@@ -222,30 +233,27 @@ class TestDurabilitySpans:
         }
         assert {"checkpoint.load", "journal.replay"} <= set(children)
         assert children["journal.replay"]["counters"]["entries"] == 1
-        assert by_id[restore[0]["id"]]["events"][-1]["event"] == (
-            "SessionResumed"
-        )
+        assert restore[0]["attributes"] == {
+            "batches": 5, "cleanings": 0, "total_pairs": runs[0]["pairs"],
+        }
 
 
 def observed_session_run(tmp_path, observed: bool):
     """A cleaning session in five batches plus a cold resume of it.
 
-    Unobserved, the session runs on the null context, so every event is
-    dropped; observed, it runs on its pipeline's context with a tracer and
-    a bus subscriber attached.  Returns the live and resumed sessions, the
-    checkpoint files and how many events the subscriber saw.
+    Unobserved, the session runs on the null context, so every span is
+    dropped; observed, it runs on its pipeline's context with a tracer
+    attached.  Returns the live and resumed sessions and the checkpoint
+    files.
     """
-    from repro.runtime.events import Event
     from repro.service import IngestPolicy, IngestSession
 
     ckpt = tmp_path / ("observed" if observed else "unobserved")
-    seen: list[Event] = []
 
     def open_session(**kwargs):
         pipeline = make_pipeline()
         if observed:
             pipeline.context.ensure_tracer()
-            pipeline.context.bus.subscribe(Event, seen.append)
             return pipeline, pipeline.session(
                 policy=IngestPolicy(), checkpoint_dir=ckpt, **kwargs
             )
@@ -268,7 +276,7 @@ def observed_session_run(tmp_path, observed: bool):
         if path.is_file()
     }
     _, resumed = open_session(resume=True)
-    return live, resumed, files, len(seen)
+    return live, resumed, files
 
 
 def session_kb_bytes(session, path) -> bytes:
@@ -277,7 +285,7 @@ def session_kb_bytes(session, path) -> bytes:
 
 
 class TestSessionObservation:
-    """Events are observation-only for the streaming service too."""
+    """Spans are observation-only for the streaming service too."""
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -290,9 +298,9 @@ class TestSessionObservation:
     def test_null_context_and_observed_sessions_are_identical(
         self, runs, tmp_path
     ):
-        (plain, _, plain_files, _), (seen, _, seen_files, events) = runs
+        (plain, _, plain_files), (seen, _, seen_files) = runs
         assert plain.context is NULL_CONTEXT
-        assert events > 0 and seen.context.tracing
+        assert seen.context.tracing
         assert plain.cleanings == seen.cleanings == 4
         assert plain.reports == seen.reports
         assert plain.stats() == seen.stats()
@@ -303,7 +311,7 @@ class TestSessionObservation:
         assert plain_files == seen_files
 
     def test_cold_resume_matches_the_live_session(self, runs, tmp_path):
-        for name, (live, resumed, _, _) in zip(("plain", "seen"), runs):
+        for name, (live, resumed, _) in zip(("plain", "seen"), runs):
             assert session_kb_bytes(live, tmp_path / f"{name}-live.json") == (
                 session_kb_bytes(resumed, tmp_path / f"{name}-resumed.json")
             )
@@ -314,3 +322,33 @@ class TestSessionObservation:
             assert list(resumed.drift_totals().items()) == list(
                 live.drift_totals().items()
             )
+
+    def test_batch_spans_carry_each_report(self, runs):
+        live = runs[1][0]
+        batches = [
+            span for span in live.context.tracer.spans()
+            if span.name == "ingest.batch"
+        ]
+        assert len(batches) == len(live.reports) == 5
+        for span, report in zip(batches, live.reports):
+            expected = {
+                "seq": report.seq,
+                "drift_fraction": report.drift.fraction,
+                "conflicted": report.drift.conflicted,
+                "total_pairs": report.total_pairs,
+                "iterations_run": report.iterations_run,
+            }
+            if report.cleaning is not None:
+                expected["clean_reason"] = report.cleaning.reason
+                expected["staleness"] = span.attributes["staleness"]
+                assert expected["staleness"] > 0
+            assert span.attributes == expected
+
+    def test_restore_span_carries_the_resume_totals(self, runs):
+        live, resumed, _ = runs[1]
+        restore = resumed.context.tracer.find("session.restore")
+        assert restore.attributes == {
+            "batches": 5,
+            "cleanings": live.cleanings,
+            "total_pairs": len(live.kb),
+        }

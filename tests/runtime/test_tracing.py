@@ -8,7 +8,6 @@ import timeit
 
 from repro.extraction import SemanticIterativeExtractor
 from repro.runtime.context import RunContext
-from repro.runtime.events import CleaningTriggered
 from repro.runtime.tracing import (
     TRACE_SCHEMA_VERSION,
     Tracer,
@@ -70,12 +69,6 @@ class TestSpanTree:
         assert tracer.counter_total("orphan") == 5
         assert tracer.counter_total("scoped") == 1
 
-    def test_record_event_attaches_to_current_span(self):
-        tracer = Tracer()
-        with tracer.span("s"):
-            tracer.record_event("Thing", {"n": 1})
-        assert tracer.find("s").events == [{"event": "Thing", "n": 1}]
-
     def test_span_survives_exceptions(self):
         tracer = Tracer()
         try:
@@ -93,7 +86,6 @@ class TestJsonlExport:
         tracer = Tracer()
         with tracer.span("root", stage="x") as root:
             root.add("n", 7)
-            tracer.record_event("E", {"k": "v"})
             with tracer.span("child"):
                 pass
         tracer.count("loose", 2)
@@ -108,7 +100,6 @@ class TestJsonlExport:
         assert [r["name"] for r in spans] == ["root", "child"]
         assert spans[0]["attributes"] == {"stage": "x"}
         assert spans[0]["counters"] == {"n": 7}
-        assert spans[0]["events"] == [{"event": "E", "k": "v"}]
         assert spans[1]["parent"] == spans[0]["id"]
         assert trailer == {
             "kind": "counters",
@@ -127,7 +118,6 @@ class TestJsonlExport:
             "attributes",
             "counters",
             "cpu_ms",
-            "events",
             "id",
             "kind",
             "name",
@@ -136,7 +126,7 @@ class TestJsonlExport:
             "start",
             "wall_ms",
         ]
-        assert record["schema"] == TRACE_SCHEMA_VERSION == 1
+        assert record["schema"] == TRACE_SCHEMA_VERSION == 2
 
     def test_no_trailer_without_loose_counters(self, tmp_path):
         tracer = Tracer()
@@ -149,19 +139,17 @@ class TestJsonlExport:
 def null_bundle_seconds() -> float:
     """Per-call cost of one bundle of untraced instrumentation.
 
-    A bundle opens and closes a span, sets an attribute, adds two counters
-    and emits an event — strictly more work than any real instrumentation
-    point performs per call.
+    A bundle opens and closes a span, sets an attribute and adds two
+    counters — strictly more work than any real instrumentation point
+    performs per call.
     """
-    ctx = RunContext()  # no tracer, no subscribers
-    event = CleaningTriggered(reason="overhead", staleness=0, drift=0.0)
+    ctx = RunContext()  # no tracer
 
     def bundle() -> None:
         with ctx.span("overhead", stage="x") as span:
             span.set(n=1)
             span.add("counter", 2)
             span.add("counter")
-            ctx.emit(event)
 
     calls = 20_000
     return timeit.timeit(bundle, number=calls) / calls
@@ -184,14 +172,14 @@ class TestDisabledOverhead:
         stage_seconds = time.perf_counter() - started
 
         # A traced run of the same stage counts its instrumentation ops:
-        # one bundle per span, plus one per event and counter so the
-        # estimate stays conservative.
+        # one bundle per span, plus one per counter so the estimate stays
+        # conservative.
         ctx = RunContext()
         tracer = ctx.ensure_tracer()
         SemanticIterativeExtractor(config, context=ctx).run(corpus)
         spans = list(tracer.spans())
         op_count = sum(
-            1 + len(span.events) + len(span.counters) for span in spans
+            1 + len(span.counters) for span in spans
         )
         op_seconds = null_bundle_seconds()
         overhead = op_count * op_seconds

@@ -99,6 +99,43 @@ class TestMain:
         out = capsys.readouterr().out
         assert "resumed:" in out
 
+    def test_ingest_progress_output_is_pinned(self, capsys, tmp_path):
+        # Three batches: one uncleaned, one staleness and one drift clean;
+        # then a --resume of the finished directory.  Every stdout line.
+        argv = ["ingest", "--scale", "0.5", "--sentences", "1200",
+                "--batch-size", "450", "--staleness", "800",
+                "--drift-threshold", "0.25",
+                "--checkpoint-dir", str(tmp_path / "state")]
+        stats = [
+            "{",
+            '  "batches": 3,',
+            '  "cleanings": 2,',
+            '  "pairs": 1780,',
+            '  "removed_pairs": 234,',
+            '  "unresolved": 25,',
+            '  "staleness": 0,',
+            '  "drift_history": [',
+            "    0.08937960042060988,",
+            "    0.19540229885057472,",
+            "    0.3180722891566265",
+            "  ]",
+            "}",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "batch 0: +450 sentences, +951 pairs, drift 0.089",
+            "batch 1: +450 sentences, +696 pairs, drift 0.195"
+            " -> cleaned (staleness): -151 pairs",
+            "batch 2: +299 sentences, +415 pairs, drift 0.318"
+            " -> cleaned (drift): -131 pairs",
+            *stats,
+        ]
+        assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "resumed: 3 batches already ingested",
+            *stats,
+        ]
+
     def test_ingest_resume_with_another_batch_size_sees_every_sentence(
         self, capsys, tmp_path
     ):
@@ -179,7 +216,7 @@ class TestMain:
         trace = tmp_path / "trace.jsonl"
         code = main(
             ["ingest", "--scale", "0.5", "--sentences", "800",
-             "--batch-size", "400", "--staleness", "-1",
+             "--batch-size", "400", "--staleness", "400",
              "--drift-threshold", "-1", "--trace", str(trace)]
         )
         assert code == 0
@@ -187,9 +224,16 @@ class TestMain:
         spans = [r for r in read_trace(trace) if r["kind"] == "span"]
         batches = [s for s in spans if s["name"] == "ingest.batch"]
         assert len(batches) >= 2
-        assert any(
-            e["event"] == "BatchIngested" for s in batches for e in s["events"]
-        )
+        for batch in batches:
+            assert {
+                "seq", "drift_fraction", "conflicted", "total_pairs",
+                "iterations_run",
+            } <= set(batch["attributes"])
+        cleaned = [s for s in batches if "clean_reason" in s["attributes"]]
+        assert cleaned
+        for batch in cleaned:
+            assert batch["attributes"]["clean_reason"] == "staleness"
+            assert batch["attributes"]["staleness"] >= 400
 
     def test_output_files_written(self, capsys, tmp_path):
         import json

@@ -1,7 +1,8 @@
 """The layered-module boundaries are enforced (scripts/check_layering.py).
 
 The same script keeps every switch of the cyclic collector inside
-``repro/runtime/collector.py``.
+``repro/runtime/collector.py`` and every ``print`` inside
+``repro/cli.py``.
 
 Two halves: the real source tree must be clean, and the checker must
 actually catch violations — a checker that always passes enforces
@@ -112,15 +113,17 @@ class TestSeededViolation:
         assert "layering violation" in capsys.readouterr().err
 
 
+def _make_module(tmp_path: Path, parts: list[str], source: str) -> Path:
+    """A scratch ``repro`` tree holding one module at ``parts``."""
+    root = tmp_path / "repro"
+    module = root.joinpath(*parts[:-1], f"{parts[-1]}.py")
+    module.parent.mkdir(parents=True, exist_ok=True)
+    module.write_text(source, encoding="utf-8")
+    return root
+
+
 class TestCollectorRule:
     """Only repro/runtime/collector.py may switch the cyclic collector."""
-
-    def _make_module(self, tmp_path: Path, parts: list[str], source: str):
-        root = tmp_path / "repro"
-        module = root.joinpath(*parts[:-1], f"{parts[-1]}.py")
-        module.parent.mkdir(parents=True, exist_ok=True)
-        module.write_text(source, encoding="utf-8")
-        return root
 
     @pytest.mark.parametrize(
         "source, name",
@@ -135,7 +138,7 @@ class TestCollectorRule:
     def test_switch_outside_the_collector_module_is_caught(
         self, checker, tmp_path, source, name
     ):
-        root = self._make_module(tmp_path, ["kb", "store"], source)
+        root = _make_module(tmp_path, ["kb", "store"], source)
         violations = checker.check_layering(root)
         assert len(violations) == 1
         assert f"gc.{name} outside repro/runtime/collector.py" in violations[0]
@@ -143,7 +146,7 @@ class TestCollectorRule:
     def test_switch_inside_the_collector_module_is_allowed(
         self, checker, tmp_path
     ):
-        root = self._make_module(
+        root = _make_module(
             tmp_path,
             ["runtime", "collector"],
             "import gc\n\ngc.disable()\ngc.enable()\n",
@@ -151,7 +154,32 @@ class TestCollectorRule:
         assert checker.check_layering(root) == []
 
     def test_collect_is_allowed_anywhere(self, checker, tmp_path):
-        root = self._make_module(
+        root = _make_module(
             tmp_path, ["kb", "store"], "import gc\n\ngc.collect()\n"
+        )
+        assert checker.check_layering(root) == []
+
+
+class TestPrintRule:
+    """Only repro/cli.py may write to stdout with ``print``."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ['print("progress")\n', "emit = print\n"],
+        ids=["call", "alias"],
+    )
+    def test_print_outside_the_cli_is_caught(self, checker, tmp_path, source):
+        root = _make_module(tmp_path, ["service", "session"], source)
+        violations = checker.check_layering(root)
+        assert len(violations) == 1
+        assert "session.py:1: print outside repro/cli.py" in violations[0]
+
+    def test_print_in_the_cli_is_allowed(self, checker, tmp_path):
+        root = _make_module(tmp_path, ["cli"], 'print("batch 0")\n')
+        assert checker.check_layering(root) == []
+
+    def test_print_in_a_docstring_is_allowed(self, checker, tmp_path):
+        root = _make_module(
+            tmp_path, ["kb", "store"], '"""Call print() to see it."""\n'
         )
         assert checker.check_layering(root) == []
