@@ -193,7 +193,6 @@ class DetectorConfig:
     """DP-detector learning parameters (§3.3)."""
 
     kpca_components: int = 15
-    kpca_kernel: str = "rbf"
     kpca_gamma: float | None = 2.0
     kpca_sample_size: int = 600
     k_neighbors: int = 5

@@ -158,11 +158,16 @@ def _sentence_to_json(sentence: Sentence) -> dict:
     return record
 
 
-def _strings(record: dict, key: str) -> tuple[str, ...]:
-    value = record[key]
+def _strings(key: str, value: object) -> tuple[str, ...]:
     if type(value) is not list or any(type(v) is not str for v in value):
         raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
     return tuple(value)
+
+
+def _string_or_null(key: str, value: object) -> str | None:
+    if value is not None and type(value) is not str:
+        raise ValueError(f"{key!r} must be a string or null, got {value!r}")
+    return value
 
 
 def _sentence_from_json(record: dict) -> Sentence:
@@ -170,25 +175,30 @@ def _sentence_from_json(record: dict) -> Sentence:
     if type(record) is not dict:
         raise ValueError(f"record must be a JSON object, got {record!r}")
     sid, surface = record["sid"], record["surface"]
+    page_id = record.get("page_id", 0)
     if type(sid) is not int:
         raise ValueError(f"'sid' must be an integer, got {sid!r}")
+    if type(page_id) is not int:
+        raise ValueError(f"'page_id' must be an integer, got {page_id!r}")
     if type(surface) is not str:
         raise ValueError(f"'surface' must be a string, got {surface!r}")
     truth = None
     if "truth" in record:
         raw = record["truth"]
+        if type(raw) is not dict:
+            raise ValueError(f"'truth' must be a JSON object, got {raw!r}")
         truth = SentenceTruth(
-            concept=raw["concept"],
+            concept=_string_or_null("concept", raw["concept"]),
             kind=SentenceKind(raw["kind"]),
-            contaminants=tuple(raw.get("contaminants", ())),
-            typos=tuple(raw.get("typos", ())),
-            bridge=raw.get("bridge"),
+            contaminants=_strings("contaminants", raw.get("contaminants", [])),
+            typos=_strings("typos", raw.get("typos", [])),
+            bridge=_string_or_null("bridge", raw.get("bridge")),
         )
     return Sentence(
         sid=sid,
         surface=surface,
-        concepts=_strings(record, "concepts"),
-        instances=_strings(record, "instances"),
-        page_id=record.get("page_id", 0),
+        concepts=_strings("concepts", record["concepts"]),
+        instances=_strings("instances", record["instances"]),
+        page_id=page_id,
         truth=truth,
     )

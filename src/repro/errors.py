@@ -44,10 +44,6 @@ class KnowledgeBaseError(ReproError):
     """Raised on invalid knowledge-base operations (e.g. double removal)."""
 
 
-class RankingError(ReproError):
-    """Raised when an instance-ranking model cannot be computed."""
-
-
 class LabelingError(ReproError):
     """Raised when seed-label construction fails."""
 

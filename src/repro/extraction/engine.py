@@ -31,6 +31,7 @@ from itertools import islice
 from ..config import ExtractionConfig
 from ..corpus.corpus import Corpus
 from ..corpus.sentence import Sentence
+from ..errors import ExtractionError
 from ..kb.pair import IsAPair
 from ..kb.snapshot import IterationLog
 from ..kb.store import KnowledgeBase
@@ -146,6 +147,10 @@ class IncrementalExtractor:
     * sentences whose exact surface was seen in *any* earlier batch are
       dropped (session-wide de-duplication, matching
       :meth:`Corpus.deduplicated` over the concatenated stream);
+    * a sentence whose sid was already kept with another surface, in this
+      batch or an earlier one, rejects the whole batch with an
+      :class:`~repro.errors.ExtractionError` before anything is
+      committed, so :meth:`corpus` never holds two sentences per sid;
     * unambiguous sentences commit at **iteration 1**: an unambiguous
       extraction is core evidence regardless of when it arrives;
     * ambiguous sentences join the unresolved pool and are resolved
@@ -172,6 +177,7 @@ class IncrementalExtractor:
         self._kb = kb if kb is not None else KnowledgeBase()
         self._log = IterationLog()
         self._seen: set[str] = set()
+        self._surface_of: dict[int, str] = {}
         self._sentences: list[Sentence] = []
         self._pool: dict[int, Sentence] = {}
         self._worklist = ResolutionWorklist()
@@ -251,6 +257,7 @@ class IncrementalExtractor:
         """
         self._sentences = list(sentences)
         self._seen = {s.surface for s in self._sentences}
+        self._surface_of = {s.sid: s.surface for s in self._sentences}
         wanted = set(pool_sids)
         self._pool = {s.sid: s for s in self._sentences if s.sid in wanted}
         self._worklist = ResolutionWorklist({
@@ -290,15 +297,36 @@ class IncrementalExtractor:
             span.add("index_hits", batch.index_hits)
         return batch
 
+    def _admit(self, raw: list[Sentence]) -> list[Sentence]:
+        """The batch's sentences with unseen surfaces, in arrival order.
+
+        Every sid is checked before any state changes, so a rejected
+        batch leaves the extractor as it was.
+        """
+        new: list[Sentence] = []
+        fresh: set[str] = set()
+        surface_of: dict[int, str] = {}
+        for sentence in raw:
+            sid, surface = sentence.sid, sentence.surface
+            kept = self._surface_of.get(sid, surface_of.get(sid))
+            if kept is not None and kept != surface:
+                raise ExtractionError(
+                    f"sid {sid} arrived as {surface!r} but was already "
+                    f"ingested as {kept!r}"
+                )
+            if surface in self._seen or surface in fresh:
+                continue
+            fresh.add(surface)
+            surface_of[sid] = surface
+            new.append(sentence)
+        self._seen |= fresh
+        self._surface_of.update(surface_of)
+        return new
+
     def _ingest(self, raw: list[Sentence]) -> BatchExtraction:
         ctx = self._ctx
         kb = self._kb
-        new: list[Sentence] = []
-        for sentence in raw:
-            if sentence.surface in self._seen:
-                continue
-            self._seen.add(sentence.surface)
-            new.append(sentence)
+        new = self._admit(raw)
         self._sentences.extend(new)
         unambiguous = sorted(
             (s for s in new if not s.is_ambiguous), key=lambda s: s.sid

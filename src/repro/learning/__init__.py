@@ -4,9 +4,9 @@ from .adhoc import AdHocDetector
 from .decision_tree import DecisionTreeClassifier
 from .detector import DETECTION_METHODS, DetectorRefitCache, DPDetector
 from .embedding import FrozenEmbedding
-from .kernels import get_kernel, linear_kernel, polynomial_kernel, rbf_kernel
+from .kernels import rbf_kernel
 from .kpca import KernelPCA
-from .local_predictor import knn_indices, local_laplacian, manifold_matrix
+from .local_predictor import knn_indices, manifold_matrices
 from .multitask import MultiTaskResult, MultiTaskTrainer
 from .random_forest import RandomForestClassifier
 from .semisupervised import solve_semisupervised
@@ -25,12 +25,8 @@ __all__ = [
     "MultiTaskTrainer",
     "RandomForestClassifier",
     "build_training_data",
-    "get_kernel",
     "knn_indices",
-    "linear_kernel",
-    "local_laplacian",
-    "manifold_matrix",
-    "polynomial_kernel",
+    "manifold_matrices",
     "rbf_kernel",
     "solve_semisupervised",
 ]

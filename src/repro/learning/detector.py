@@ -132,8 +132,11 @@ class DPDetector:
         cleaning loop freezes round one's embedding for later rounds.
         ``refit_cache`` reuses per-concept transforms and manifold
         regularisers for matrices *object-identical* to a previous fit
-        (bit-exact by construction).
+        (bit-exact by construction); without one, a fresh cache serves
+        this fit alone.
         """
+        if refit_cache is None:
+            refit_cache = DetectorRefitCache()
         self._matrices = dict(matrices)
         if not self._matrices:
             raise LearningError("no concept matrices supplied")
@@ -240,9 +243,7 @@ class DPDetector:
     # Internals
     # ------------------------------------------------------------------
     def _embed(
-        self,
-        embedding: FrozenEmbedding | None,
-        cache: DetectorRefitCache | None,
+        self, embedding: FrozenEmbedding | None, cache: DetectorRefitCache
     ) -> None:
         with self._ctx.span("detector.embed") as span:
             fitted_here = embedding is None
@@ -252,7 +253,7 @@ class DPDetector:
                 )
             span.set(fitted=fitted_here)
             self._embedding = embedding
-            if cache is not None and cache.embedding is not embedding:
+            if cache.embedding is not embedding:
                 # Transforms are only comparable under one basis.
                 cache.embedding = embedding
                 cache.transforms.clear()
@@ -263,16 +264,13 @@ class DPDetector:
             self._transformed = {}
             reused = 0
             for concept, matrix in self._matrices.items():
-                entry = (
-                    cache.transforms.get(concept) if cache is not None else None
-                )
+                entry = cache.transforms.get(concept)
                 if entry is not None and entry[0] is matrix:
                     transformed = entry[1]
                     reused += 1
                 else:
                     transformed = embedding.transform(matrix.x)
-                    if cache is not None:
-                        cache.transforms[concept] = (matrix, transformed)
+                    cache.transforms[concept] = (matrix, transformed)
                 self._transformed[concept] = transformed
             span.add("transforms_reused", reused)
             span.add(
@@ -280,7 +278,7 @@ class DPDetector:
             )
 
     def _build_datasets(
-        self, seeds: SeedLabelSet, cache: DetectorRefitCache | None = None
+        self, seeds: SeedLabelSet, cache: DetectorRefitCache
     ) -> None:
         class_weights = None
         if self._config.class_balance:
@@ -306,11 +304,10 @@ class DPDetector:
             pending: dict[str, np.ndarray] = {}
             for concept, matrix in with_seeds:
                 transformed = self._transformed[concept]
-                if cache is not None:
-                    entry = cache.manifolds.get(concept)
-                    if entry is not None and entry[0] is transformed:
-                        manifolds[concept] = entry[1]
-                        continue
+                entry = cache.manifolds.get(concept)
+                if entry is not None and entry[0] is transformed:
+                    manifolds[concept] = entry[1]
+                    continue
                 pending[concept] = transformed
             if pending:
                 fresh = manifold_matrices(
@@ -318,8 +315,7 @@ class DPDetector:
                 )
                 for concept, a in fresh.items():
                     manifolds[concept] = a
-                    if cache is not None:
-                        cache.manifolds[concept] = (pending[concept], a)
+                    cache.manifolds[concept] = (pending[concept], a)
             span.add("manifolds_reused", len(with_seeds) - len(pending))
             span.add("manifolds_computed", len(pending))
             self._datasets = {}
@@ -328,10 +324,8 @@ class DPDetector:
                     matrix,
                     self._transformed[concept],
                     seeds.labels_for(concept),
-                    k_neighbors=self._config.k_neighbors,
-                    local_reg=self._config.local_reg,
+                    manifolds[concept],
                     class_weights=class_weights,
-                    a=manifolds[concept],
                 )
 
     def _fit_pooled(self, labelled: list[ConceptTrainingData]) -> None:

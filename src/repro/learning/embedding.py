@@ -60,7 +60,6 @@ class FrozenEmbedding:
         kpca = KernelPCA.fit_on_sample(
             (pooled - mean) / std,
             n_components=config.kpca_components,
-            kernel=config.kpca_kernel,
             gamma=config.kpca_gamma,
             sample_size=config.kpca_sample_size,
             seed=seed,

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import LearningError
-
-__all__ = ["rbf_kernel", "linear_kernel", "polynomial_kernel", "get_kernel"]
+__all__ = ["rbf_kernel"]
 
 
 def rbf_kernel(
@@ -29,32 +27,3 @@ def rbf_kernel(
     distances *= -gamma
     return np.exp(distances, out=distances)
 
-
-def linear_kernel(a: np.ndarray, b: np.ndarray, gamma: float | None = None) -> np.ndarray:
-    """Plain inner-product kernel (``gamma`` ignored)."""
-    return a @ b.T
-
-
-def polynomial_kernel(
-    a: np.ndarray, b: np.ndarray, gamma: float | None = None, degree: int = 3
-) -> np.ndarray:
-    """Polynomial kernel ``(gamma * <a, b> + 1)^degree``."""
-    if gamma is None:
-        gamma = 1.0 / a.shape[1] if a.shape[1] else 1.0
-    return (gamma * (a @ b.T) + 1.0) ** degree
-
-
-_KERNELS = {
-    "rbf": rbf_kernel,
-    "linear": linear_kernel,
-    "poly": polynomial_kernel,
-}
-
-
-def get_kernel(name: str):
-    """Look up a kernel function by name."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        known = ", ".join(sorted(_KERNELS))
-        raise LearningError(f"unknown kernel {name!r} (known: {known})") from None

@@ -18,25 +18,22 @@ from scipy import linalg as scipy_linalg
 
 from ..errors import LearningError, NotFittedError
 from ..rng import generator_from
-from .kernels import get_kernel
+from .kernels import rbf_kernel
 
 __all__ = ["KernelPCA"]
 
 
 class KernelPCA:
-    """Kernel principal component analysis with a centred kernel."""
+    """Kernel principal component analysis with a centred RBF kernel."""
 
     def __init__(
         self,
         n_components: int = 8,
-        kernel: str = "rbf",
         gamma: float | None = None,
     ) -> None:
         if n_components < 1:
             raise LearningError("n_components must be >= 1")
         self._n_components = n_components
-        self._kernel_name = kernel
-        self._kernel = get_kernel(kernel)
         self._gamma = gamma
         self._fit_x: np.ndarray | None = None
         self._alphas: np.ndarray | None = None
@@ -56,7 +53,7 @@ class KernelPCA:
             raise LearningError("KernelPCA.fit needs at least two samples")
         self._fit_x = np.asarray(x, dtype=float)
         n = self._fit_x.shape[0]
-        k = self._kernel(self._fit_x, self._fit_x, self._gamma)
+        k = rbf_kernel(self._fit_x, self._fit_x, self._gamma)
         self._column_means = k.mean(axis=0)
         self._total_mean = float(k.mean())
         centred = (
@@ -87,7 +84,7 @@ class KernelPCA:
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             return np.zeros((0, self.n_components))
-        k = self._kernel(x, self._fit_x, self._gamma)
+        k = rbf_kernel(x, self._fit_x, self._gamma)
         row_means = k.mean(axis=1, keepdims=True)
         # Centre in place (the kernel matrix is ours): same operation
         # order as `k - col - row + total`, without the temporaries.
@@ -105,7 +102,6 @@ class KernelPCA:
         cls,
         x: np.ndarray,
         n_components: int = 8,
-        kernel: str = "rbf",
         gamma: float | None = None,
         sample_size: int = 600,
         seed: int | np.random.Generator | None = None,
@@ -115,4 +111,4 @@ class KernelPCA:
         if x.shape[0] > sample_size:
             picked = rng.choice(x.shape[0], size=sample_size, replace=False)
             x = x[np.sort(picked)]
-        return cls(n_components=n_components, kernel=kernel, gamma=gamma).fit(x)
+        return cls(n_components=n_components, gamma=gamma).fit(x)

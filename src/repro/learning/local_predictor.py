@@ -20,12 +20,7 @@ import numpy as np
 
 from ..errors import LearningError
 
-__all__ = [
-    "knn_indices",
-    "local_laplacian",
-    "manifold_matrix",
-    "manifold_matrices",
-]
+__all__ = ["knn_indices", "manifold_matrices"]
 
 
 def knn_indices(x: np.ndarray, k: int) -> np.ndarray:
@@ -44,69 +39,24 @@ def knn_indices(x: np.ndarray, k: int) -> np.ndarray:
     return order[:, :k_eff]
 
 
-def local_laplacian(block: np.ndarray, local_reg: float) -> np.ndarray:
-    """``L_i`` for one neighbourhood (rows of ``block`` are the samples)."""
-    m = block.shape[0]
-    h = np.eye(m) - np.full((m, m), 1.0 / m)
-    # Eq. 14 in row convention (paper's column matrix X̃ᵢ is blockᵀ):
-    #   X̃ᵢ H X̃ᵢᵀ + λI  →  blockᵀ H block + λI              (r × r)
-    #   L = H − H block (blockᵀ H block + λI)⁻¹ blockᵀ H     (m × m)
-    r = block.shape[1]
-    inner = block.T @ h @ block + local_reg * np.eye(r)
-    middle = np.linalg.solve(inner, block.T @ h)
-    laplacian = h - h @ block @ middle
-    # Symmetrise against round-off; L must be PSD (Lemma 1 in the paper).
-    return 0.5 * (laplacian + laplacian.T)
-
-
-def manifold_matrix(
-    x: np.ndarray, k_neighbors: int, local_reg: float
-) -> np.ndarray:
-    """``A = Xᵀ (Σᵢ Sᵢ Lᵢ Sᵢᵀ) X`` in row convention (r × r).
-
-    ``x`` holds one concept's transformed instances as rows (n × r).
-
-    All neighbourhoods share the block shape ``(m, r)``, so the ``n``
-    local Laplacians are computed as one batched solve instead of ``n``
-    independent ones; with ``H X̃ᵢ`` being the column-centred block, the
-    per-neighbourhood algebra of :func:`local_laplacian` becomes
-
-        Lᵢ = H − (H X̃ᵢ) (X̃ᵢᵀ H X̃ᵢ + λI)⁻¹ (H X̃ᵢ)ᵀ.
-    """
-    n, r = x.shape
-    if n == 0:
-        return np.zeros((r, r))
-    neighbours = knn_indices(x, k_neighbors)
-    blocks = x[neighbours]  # (n, m, r)
-    m_size = neighbours.shape[1]
-    # Push-through identity: H B (Bᵀ H B + λI)⁻¹ Bᵀ H =
-    # (H B Bᵀ + λI)⁻¹ (H B Bᵀ H), so the batched solve shrinks from the
-    # feature dimension r × r to the (smaller) neighbourhood size m × m.
-    bbt = np.matmul(blocks, np.transpose(blocks, (0, 2, 1)))  # (n, m, m)
-    hbbt = bbt - bbt.mean(axis=1, keepdims=True)  # H B Bᵀ
-    hbbth = hbbt - hbbt.mean(axis=2, keepdims=True)  # H B Bᵀ H
-    h = np.eye(m_size) - np.full((m_size, m_size), 1.0 / m_size)
-    laplacians = h - np.linalg.solve(
-        hbbt + local_reg * np.eye(m_size), hbbth
-    )
-    laplacians = 0.5 * (laplacians + np.transpose(laplacians, (0, 2, 1)))
-    # With Sᵢ the neighbourhood selector, Xᵀ Sᵢ is just blocksᵢᵀ, so the
-    # quadratic form contracts neighbourhood-by-neighbourhood without ever
-    # materialising the n × n scatter matrix Σᵢ Sᵢ Lᵢ Sᵢᵀ.
-    partial = np.matmul(np.transpose(blocks, (0, 2, 1)), laplacians)
-    return np.matmul(partial, blocks).sum(axis=0)
-
-
 def manifold_matrices(
     xs: Mapping[str, np.ndarray], k_neighbors: int, local_reg: float
 ) -> dict[str, np.ndarray]:
-    """:func:`manifold_matrix` for many concepts in shared batched calls.
+    """``A = Xᵀ (Σᵢ Sᵢ Lᵢ Sᵢᵀ) X`` (r × r, row convention) per concept.
+
+    Each ``xs`` value holds one concept's transformed instances as rows
+    (n × r).  All of a concept's neighbourhoods share the block shape
+    ``(m, r)``, so its ``n`` local Laplacians are one batched solve
+    instead of ``n`` independent ones; with ``H X̃ᵢ`` being the
+    column-centred block, the per-neighbourhood algebra of Eq. 14 becomes
+
+        Lᵢ = H − (H X̃ᵢ) (X̃ᵢᵀ H X̃ᵢ + λI)⁻¹ (H X̃ᵢ)ᵀ.
 
     Concepts whose neighbourhood blocks have the same shape are stacked
     into one batched solve/matmul sequence.  The gufuncs apply identical
     per-item kernels whatever the batch length, so every returned matrix
-    is bit-identical to a standalone :func:`manifold_matrix` call — only
-    the per-concept python and dispatch overhead is amortised.
+    is bit-identical to a call over that concept alone — only the
+    per-concept python and dispatch overhead is amortised.
     """
     result: dict[str, np.ndarray] = {}
     grouped: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
@@ -123,14 +73,21 @@ def manifold_matrices(
             if len(entries) == 1
             else np.concatenate([b for _, b in entries], axis=0)
         )
+        # Push-through identity: H B (Bᵀ H B + λI)⁻¹ Bᵀ H =
+        # (H B Bᵀ + λI)⁻¹ (H B Bᵀ H), so the batched solve shrinks from the
+        # feature dimension r × r to the (smaller) neighbourhood size m × m.
         bbt = np.matmul(blocks, np.transpose(blocks, (0, 2, 1)))
-        hbbt = bbt - bbt.mean(axis=1, keepdims=True)
-        hbbth = hbbt - hbbt.mean(axis=2, keepdims=True)
+        hbbt = bbt - bbt.mean(axis=1, keepdims=True)  # H B Bᵀ
+        hbbth = hbbt - hbbt.mean(axis=2, keepdims=True)  # H B Bᵀ H
         h = np.eye(m_size) - np.full((m_size, m_size), 1.0 / m_size)
         laplacians = h - np.linalg.solve(
             hbbt + local_reg * np.eye(m_size), hbbth
         )
+        # Symmetrise against round-off; L must be PSD (Lemma 1).
         laplacians = 0.5 * (laplacians + np.transpose(laplacians, (0, 2, 1)))
+        # With Sᵢ the neighbourhood selector, Xᵀ Sᵢ is just blocksᵢᵀ, so
+        # the quadratic form contracts neighbourhood-by-neighbourhood
+        # without materialising the n × n scatter matrix Σᵢ Sᵢ Lᵢ Sᵢᵀ.
         partial = np.matmul(np.transpose(blocks, (0, 2, 1)), laplacians)
         products = np.matmul(partial, blocks)
         offset = 0

@@ -9,7 +9,6 @@ import numpy as np
 from ..errors import LearningError
 from ..features.matrix import ConceptMatrix
 from ..labeling.labels import SeedLabel, label_to_vector
-from .local_predictor import manifold_matrix
 
 __all__ = ["ConceptTrainingData", "build_training_data"]
 
@@ -64,19 +63,16 @@ def build_training_data(
     matrix: ConceptMatrix,
     transformed: np.ndarray,
     seeds: list[SeedLabel],
-    k_neighbors: int,
-    local_reg: float,
+    a: np.ndarray,
     class_weights: np.ndarray | None = None,
-    a: np.ndarray | None = None,
 ) -> ConceptTrainingData:
     """Assemble one concept's bundle from transformed features and seeds.
 
+    ``a`` is the manifold regulariser of exactly this ``transformed``
+    (:func:`~repro.learning.local_predictor.manifold_matrices`).
     ``class_weights`` (length 3, one per label column) scales the squared
     loss per class; the detector passes inverse-frequency weights so the
-    dominant non-DP seed class does not drown the DP classes.  ``a``
-    optionally supplies a precomputed manifold regulariser for exactly
-    this ``transformed`` (the analysis cache reuses it across refits —
-    it is by far the most expensive part of the bundle).
+    dominant non-DP seed class does not drown the DP classes.
     """
     index = matrix.row_index
     rows = []
@@ -100,8 +96,6 @@ def build_training_data(
     weights = None
     if class_weights is not None and y.shape[0]:
         weights = y @ np.asarray(class_weights, dtype=float)
-    if a is None:
-        a = manifold_matrix(transformed, k_neighbors, local_reg)
     return ConceptTrainingData(
         concept=matrix.concept,
         instances=matrix.instances,

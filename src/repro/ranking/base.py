@@ -1,15 +1,14 @@
-"""Ranker protocol and registry (§5.2 of the paper)."""
+"""The ranker protocol (§5.2 of the paper)."""
 
 from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
 
-from ..errors import RankingError
 from ..kb.store import KnowledgeBase
 from ..runtime.context import NULL_CONTEXT, RunContext
 
-__all__ = ["Ranker", "RANKERS", "register_ranker", "get_ranker"]
+__all__ = ["Ranker"]
 
 
 class Ranker(ABC):
@@ -28,12 +27,14 @@ class Ranker(ABC):
     path.
     """
 
-    name: str = "abstract"
-
     #: instrumentation context; instances may override (e.g. via a
     #: constructor ``context=`` parameter).  Observation only — never
     #: changes scores.
     context: RunContext = NULL_CONTEXT
+
+    def __init__(self) -> None:
+        # kb → {concept: (concept_version, scores)}
+        self._score_caches = weakref.WeakKeyDictionary()
 
     @abstractmethod
     def score(self, kb: KnowledgeBase, concept: str) -> dict[str, float]:
@@ -54,14 +55,7 @@ class Ranker(ABC):
         are recomputed.
         """
         names = list(concepts) if concepts is not None else kb.concepts()
-        caches = self.__dict__.get("_score_caches")
-        if caches is None:
-            caches = weakref.WeakKeyDictionary()
-            self.__dict__["_score_caches"] = caches
-        cache = caches.get(kb)
-        if cache is None:
-            cache = {}
-            caches[kb] = cache
+        cache = self._score_caches.setdefault(kb, {})
         stale = []
         versions = {}
         for concept in names:
@@ -79,23 +73,3 @@ class Ranker(ABC):
                 cache[concept] = (versions[concept], fresh[concept])
         return {concept: cache[concept][1] for concept in names}
 
-
-RANKERS: dict[str, type[Ranker]] = {}
-
-
-def register_ranker(cls: type[Ranker]) -> type[Ranker]:
-    """Class decorator adding a ranker to the registry."""
-    if not cls.name or cls.name == "abstract":
-        raise RankingError(f"ranker {cls.__name__} must define a name")
-    RANKERS[cls.name] = cls
-    return cls
-
-
-def get_ranker(name: str, **kwargs) -> Ranker:
-    """Instantiate a registered ranker by name."""
-    try:
-        cls = RANKERS[name]
-    except KeyError:
-        known = ", ".join(sorted(RANKERS))
-        raise RankingError(f"unknown ranker {name!r} (known: {known})") from None
-    return cls(**kwargs)

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from ..kb.pair import IsAPair
 from ..kb.store import KnowledgeBase
-from .base import Ranker, register_ranker
+from .base import Ranker
 
 __all__ = ["FrequencyRanker"]
 
 
-@register_ranker
 class FrequencyRanker(Ranker):
     """Score ∝ evidence count, normalised per concept."""
-
-    name = "frequency"
 
     def score(self, kb: KnowledgeBase, concept: str) -> dict[str, float]:
         instances = kb.instances_of(concept)

@@ -16,19 +16,12 @@ those concepts) — not O(all records × concepts).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from collections.abc import Iterable
 
 import numpy as np
 
 from ..kb.store import KnowledgeBase
-
-# kb → {concept: (concept_version, graph)}.  Graphs are immutable and a
-# pure function of the concept's KB state, so any consumer (several
-# rankers may hold the same KB) can share one build per concept version.
-_GRAPH_CACHE: "weakref.WeakKeyDictionary[KnowledgeBase, dict]" = (
-    weakref.WeakKeyDictionary()
-)
 
 # kb → {concept: (list_length, codes array, rids array)} — materialised
 # views of the KB's append-only edge-occurrence lists.  Only re-converted
@@ -37,7 +30,7 @@ _EDGE_ARRAY_CACHE: "weakref.WeakKeyDictionary[KnowledgeBase, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
-__all__ = ["ConceptGraph", "build_concept_graph", "build_concept_graphs"]
+__all__ = ["ConceptGraph", "build_concept_graphs"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,90 +50,11 @@ class ConceptGraph:
     indices: np.ndarray
     data: np.ndarray
     restart: np.ndarray
-    _index_cache: dict[str, int] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _edges_cache: dict[int, dict[int, float]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def size(self) -> int:
         """Number of nodes."""
         return len(self.nodes)
-
-    def index_of(self, instance: str) -> int | None:
-        """Node index for an instance (``None`` if absent)."""
-        return self._index.get(instance)
-
-    @property
-    def _index(self) -> dict[str, int]:
-        cached = self._index_cache
-        if cached is None:
-            cached = {name: i for i, name in enumerate(self.nodes)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
-
-    @property
-    def edges(self) -> dict[int, dict[int, float]]:
-        """Adjacency as ``{source: {target: weight}}`` (materialised lazily).
-
-        Compatibility/diagnostics view over the CSR arrays; the kernels
-        never touch it.
-        """
-        cached = self._edges_cache
-        if cached is None:
-            cached = {}
-            for source in range(self.size):
-                start, stop = self.indptr[source], self.indptr[source + 1]
-                if start == stop:
-                    continue
-                cached[source] = {
-                    int(t): float(w)
-                    for t, w in zip(
-                        self.indices[start:stop], self.data[start:stop]
-                    )
-                }
-            object.__setattr__(self, "_edges_cache", cached)
-        return cached
-
-    def total_edge_weight(self) -> float:
-        """Sum of all edge weights (diagnostics)."""
-        return float(self.data.sum())
-
-    @classmethod
-    def from_edge_dict(
-        cls,
-        concept: str,
-        nodes: tuple[str, ...],
-        edges: Mapping[int, Mapping[int, float]],
-        restart: Iterable[float],
-    ) -> "ConceptGraph":
-        """Build a graph from the dict-of-dicts adjacency form."""
-        triplets = sorted(
-            (source, target, float(weight))
-            for source, row in edges.items()
-            for target, weight in row.items()
-        )
-        n = len(nodes)
-        sources = np.fromiter(
-            (t[0] for t in triplets), dtype=np.intp, count=len(triplets)
-        )
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.add.at(indptr, sources + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(
-            concept=concept,
-            nodes=nodes,
-            indptr=indptr,
-            indices=np.fromiter(
-                (t[1] for t in triplets), dtype=np.intp, count=len(triplets)
-            ),
-            data=np.fromiter(
-                (t[2] for t in triplets), dtype=float, count=len(triplets)
-            ),
-            restart=np.asarray(tuple(restart), dtype=float),
-        )
 
 
 def build_concept_graphs(
@@ -154,15 +68,9 @@ def build_concept_graphs(
     whole record table.
     """
     names = list(dict.fromkeys(concepts))
-    cache = _GRAPH_CACHE.setdefault(kb, {})
     arrays = _EDGE_ARRAY_CACHE.setdefault(kb, {})
     graphs: dict[str, ConceptGraph] = {}
     for concept in names:
-        version = kb.concept_version(concept)
-        cached = cache.get(concept)
-        if cached is not None and cached[0] == version:
-            graphs[concept] = cached[1]
-            continue
         nodes = tuple(sorted(kb.instances_of(concept)))
         n = len(nodes)
         index = {name: i for i, name in enumerate(nodes)}
@@ -209,10 +117,5 @@ def build_concept_graphs(
                 [float(core.get(name, 0)) for name in nodes], dtype=float
             ),
         )
-        cache[concept] = (version, graphs[concept])
     return graphs
 
-
-def build_concept_graph(kb: KnowledgeBase, concept: str) -> ConceptGraph:
-    """Build the trigger graph for one concept from KB provenance."""
-    return build_concept_graphs(kb, (concept,))[concept]

@@ -13,17 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..kb.store import KnowledgeBase
-from .base import Ranker, register_ranker
+from .base import Ranker
 from .graph import ConceptGraph, build_concept_graphs
 
 __all__ = ["PageRankRanker"]
 
 
-@register_ranker
 class PageRankRanker(Ranker):
     """Undirected PageRank over the per-concept trigger graph."""
-
-    name = "pagerank"
 
     def __init__(
         self,
@@ -33,6 +30,7 @@ class PageRankRanker(Ranker):
     ) -> None:
         if not 0.0 < teleport < 1.0:
             raise ValueError("teleport must be in (0, 1)")
+        super().__init__()
         self._teleport = teleport
         self._max_iterations = max_iterations
         self._tolerance = tolerance

@@ -19,10 +19,10 @@ from scipy import sparse
 
 from ..kb.store import KnowledgeBase
 from ..runtime.context import NULL_CONTEXT, RunContext
-from .base import Ranker, register_ranker
+from .base import Ranker
 from .graph import ConceptGraph, build_concept_graphs
 
-__all__ = ["RandomWalkRanker", "random_walk_scores"]
+__all__ = ["RandomWalkRanker"]
 
 
 def _normalised_restart(graph: ConceptGraph) -> np.ndarray:
@@ -31,40 +31,6 @@ def _normalised_restart(graph: ConceptGraph) -> np.ndarray:
         # No core instances (degenerate concept): restart uniformly.
         restart = np.full(graph.size, 1.0)
     return restart / restart.sum()
-
-
-def random_walk_scores(
-    graph: ConceptGraph,
-    restart_probability: float = 0.15,
-    max_iterations: int = 100,
-    tolerance: float = 1e-12,
-) -> dict[str, float]:
-    """Run RWR over a prebuilt concept graph (sparse, O(E) per step)."""
-    n = graph.size
-    if n == 0:
-        return {}
-    restart = _normalised_restart(graph)
-    sources = np.repeat(np.arange(n), np.diff(graph.indptr))
-    out_weight = np.bincount(sources, weights=graph.data, minlength=n)
-    dangling = out_weight <= 0
-    # Row-normalised edge weights (the per-source transition probabilities).
-    transition = graph.data / out_weight[sources] if len(sources) else graph.data
-    targets = graph.indices
-    p = restart.copy()
-    for _ in range(max_iterations):
-        # Walkers on dangling nodes restart deterministically.
-        dangling_mass = p[dangling].sum()
-        propagated = np.bincount(
-            targets, weights=p[sources] * transition, minlength=n
-        )
-        updated = (1.0 - restart_probability) * (
-            propagated + dangling_mass * restart
-        ) + restart_probability * restart
-        if np.abs(updated - p).sum() < tolerance:
-            p = updated
-            break
-        p = updated
-    return {name: float(p[i]) for i, name in enumerate(graph.nodes)}
 
 
 def _random_walk_scores_union(
@@ -155,7 +121,6 @@ def _random_walk_scores_union(
     ]
 
 
-@register_ranker
 class RandomWalkRanker(Ranker):
     """RWR from the core, over the directed trigger graph.
 
@@ -164,8 +129,6 @@ class RandomWalkRanker(Ranker):
     what lets :class:`Ranker`'s mutation-versioned score cache re-solve
     only the concepts a mutation touched.
     """
-
-    name = "random_walk"
 
     def __init__(
         self,
@@ -176,6 +139,7 @@ class RandomWalkRanker(Ranker):
     ) -> None:
         if not 0.0 < restart_probability < 1.0:
             raise ValueError("restart_probability must be in (0, 1)")
+        super().__init__()
         self._restart = restart_probability
         self._max_iterations = max_iterations
         self._tolerance = tolerance

@@ -118,6 +118,24 @@ class TestMalformedRecords:
             ' "instances": ["x"]}',
             '{"sid": 0, "surface": "b", "concepts": ["animal"],'
             ' "instances": ["dog"]}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "page_id": "abc"}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "page_id": null}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "truth": 5}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "truth": {"concept": ["a"],'
+            ' "kind": "unambiguous"}}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "truth": {"concept": "animal",'
+            ' "kind": "unambiguous", "contaminants": 5}}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "truth": {"concept": "animal",'
+            ' "kind": "unambiguous", "typos": [1]}}',
+            '{"sid": 1, "surface": "b", "concepts": ["animal"],'
+            ' "instances": ["x"], "truth": {"concept": "animal",'
+            ' "kind": "unambiguous", "bridge": 5}}',
         ],
         ids=[
             "list-record",
@@ -127,6 +145,13 @@ class TestMalformedRecords:
             "nested-instances",
             "null-surface",
             "sid-reused-with-other-content",
+            "str-page-id",
+            "null-page-id",
+            "int-truth",
+            "list-truth-concept",
+            "int-truth-contaminants",
+            "non-str-truth-typo",
+            "int-truth-bridge",
         ],
     )
     def test_is_rejected_with_its_location(self, tmp_path, line):

@@ -7,6 +7,7 @@ import pytest
 from repro.config import ConceptProfile, CorpusConfig, ExtractionConfig
 from repro.corpus import Corpus, generate_corpus
 from repro.corpus.sentence import Sentence
+from repro.errors import ExtractionError
 from repro.extraction import IncrementalExtractor, SemanticIterativeExtractor
 from repro.kb import IsAPair, KnowledgeBase
 
@@ -127,6 +128,47 @@ class TestIncrementalRestore:
         extractor = IncrementalExtractor(ExtractionConfig(), kb=kb)
         assert extractor.kb is kb
         assert extractor.kb.num_records == 1
+
+
+class TestSidConsistency:
+    """A sid that comes back with another surface rejects its batch."""
+
+    ANIMALS = Sentence(1, "animals such as dog and cat", ("animal",),
+                       ("dog", "cat"))
+    CITIES = Sentence(1, "cities such as paris and rome", ("city",),
+                      ("paris", "rome"))
+
+    def _assert_rejected(self, extractor, batch):
+        before = (len(extractor.kb), len(extractor.sentences),
+                  extractor.batches)
+        with pytest.raises(ExtractionError) as caught:
+            extractor.ingest(batch)
+        message = str(caught.value)
+        assert "sid 1" in message
+        assert self.ANIMALS.surface in message
+        assert self.CITIES.surface in message
+        assert (len(extractor.kb), len(extractor.sentences),
+                extractor.batches) == before
+
+    def test_across_batches(self):
+        extractor = IncrementalExtractor(ExtractionConfig())
+        extractor.ingest([self.ANIMALS])
+        # The identical sentence again is a duplicate, not a conflict.
+        assert extractor.ingest([self.ANIMALS]).sentences_new == 0
+        self._assert_rejected(extractor, [self.CITIES])
+        assert extractor.corpus().by_sid() == {1: self.ANIMALS}
+
+    def test_within_one_batch_commits_nothing(self):
+        extractor = IncrementalExtractor(ExtractionConfig())
+        self._assert_rejected(extractor, [self.ANIMALS, self.CITIES])
+        assert len(extractor.kb) == 0
+
+    def test_after_restore(self):
+        first = IncrementalExtractor(ExtractionConfig())
+        first.ingest([self.ANIMALS])
+        resumed = IncrementalExtractor(ExtractionConfig(), kb=first.kb)
+        resumed.restore(first.sentences, (), first.iteration, first.batches)
+        self._assert_rejected(resumed, [self.CITIES])
 
 
 class TestAgainstGeneratedCorpus:

@@ -1,4 +1,4 @@
-"""Tests for kernels and kernel PCA."""
+"""Tests for the RBF kernel and kernel PCA."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import LearningError, NotFittedError
-from repro.learning import KernelPCA, get_kernel, linear_kernel, rbf_kernel
+from repro.learning import KernelPCA, rbf_kernel
 
 
 class TestKernels:
@@ -31,15 +31,6 @@ class TestKernels:
         k = rbf_kernel(x, y, gamma=0.2)
         assert np.all(k <= 1.0 + 1e-12)
         assert np.all(k >= 0.0)
-
-    def test_linear_matches_dot(self):
-        x = np.arange(6, dtype=float).reshape(2, 3)
-        assert np.allclose(linear_kernel(x, x), x @ x.T)
-
-    def test_get_kernel(self):
-        assert get_kernel("rbf") is rbf_kernel
-        with pytest.raises(LearningError):
-            get_kernel("bogus")
 
 
 class TestKernelPCA:

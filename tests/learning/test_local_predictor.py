@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.errors import LearningError
-from repro.learning import knn_indices, local_laplacian, manifold_matrix
+from repro.learning import knn_indices, manifold_matrices
+
+from .oracle import local_laplacian, manifold_matrix_reference
+
+
+def manifold_matrix(x, k_neighbors, local_reg):
+    """One concept's regulariser through the batched production path."""
+    return manifold_matrices({"c": x}, k_neighbors, local_reg)["c"]
 
 
 class TestKnnIndices:
@@ -78,3 +85,36 @@ class TestManifoldMatrix:
         aligned = np.array([1.0, 2.0]) / np.sqrt(5)
         penalty_aligned = aligned @ a @ aligned
         assert penalty_aligned < np.trace(a)
+
+
+class TestManifoldMatrices:
+    """The batched production path against solo calls and the oracle."""
+
+    @staticmethod
+    def _concepts():
+        # Neighbourhood blocks of shape (6, 5) for a and b, (4, 5) for c
+        # (fewer rows than k + 1) and (6, 3) for d; e is empty.
+        rng = np.random.default_rng(5)
+        return {
+            "a": rng.normal(size=(30, 5)),
+            "b": rng.normal(size=(20, 5)),
+            "c": rng.normal(size=(4, 5)),
+            "d": rng.normal(size=(25, 3)),
+            "e": np.zeros((0, 5)),
+        }
+
+    def test_batched_call_is_bit_identical_to_solo_calls(self):
+        xs = self._concepts()
+        batched = manifold_matrices(xs, k_neighbors=5, local_reg=0.1)
+        assert set(batched) == set(xs)
+        for name, x in xs.items():
+            solo = manifold_matrices({name: x}, k_neighbors=5, local_reg=0.1)
+            assert batched[name].tobytes() == solo[name].tobytes(), name
+
+    def test_matches_the_per_neighbourhood_oracle(self):
+        xs = self._concepts()
+        batched = manifold_matrices(xs, k_neighbors=5, local_reg=0.1)
+        for name, x in xs.items():
+            reference = manifold_matrix_reference(x, 5, 0.1)
+            assert batched[name].shape == reference.shape
+            assert np.abs(batched[name] - reference).max(initial=0.0) <= 1e-10

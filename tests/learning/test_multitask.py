@@ -25,9 +25,10 @@ def _dataset(concept, seed, n=40, r=5, n_labeled=12, shift=0.0):
     labeled_idx = np.arange(n_labeled)
     y = np.zeros((n_labeled, 3))
     y[np.arange(n_labeled), classes[:n_labeled]] = 1.0
-    from repro.learning import manifold_matrix
+    from repro.learning import manifold_matrices
 
-    a = manifold_matrix(x, k_neighbors=4, local_reg=0.1)
+    a = manifold_matrices({concept: x}, k_neighbors=4, local_reg=0.1)
+    a = a[concept]
     return (
         ConceptTrainingData(
             concept=concept,

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RankingError
 from repro.kb import IsAPair, KnowledgeBase
-from repro.ranking import (
-    RANKERS,
-    FrequencyRanker,
-    PageRankRanker,
-    RandomWalkRanker,
-    get_ranker,
-)
+from repro.ranking import FrequencyRanker, PageRankRanker, RandomWalkRanker
 
 
 def _drift_kb(core_repeats: int = 3):
@@ -108,16 +101,6 @@ class TestPageRankRanker:
 
 
 class TestRegistry:
-    def test_all_models_registered(self):
-        assert {"frequency", "pagerank", "random_walk"} <= set(RANKERS)
-
-    def test_get_ranker(self):
-        assert isinstance(get_ranker("frequency"), FrequencyRanker)
-
-    def test_unknown_ranker(self):
-        with pytest.raises(RankingError):
-            get_ranker("bogus")
-
     def test_score_all(self):
         kb = _drift_kb()
         scores = FrequencyRanker().score_all(kb)

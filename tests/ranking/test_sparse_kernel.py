@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kb import IsAPair, KnowledgeBase
 from repro.ranking import RandomWalkRanker
-from repro.ranking.graph import ConceptGraph
-from repro.ranking.random_walk import (
-    _random_walk_scores_union,
-    random_walk_scores,
-)
+from repro.ranking.random_walk import _random_walk_scores_union
 
 from ..cleaning.uncached import UncachedRanker
-from .dense import random_walk_scores_dense
+from .dense import graph_from_edge_dict, random_walk_scores_dense
 
 
 @st.composite
@@ -34,29 +29,21 @@ def trigger_graphs(draw):
     restart = [
         float(draw(st.integers(min_value=0, max_value=3))) for _ in range(n)
     ]
-    return ConceptGraph.from_edge_dict("concept", nodes, edges, restart)
+    return graph_from_edge_dict("concept", nodes, edges, restart)
 
 
 class TestSparseMatchesDense:
     @given(trigger_graphs())
     @settings(max_examples=60, deadline=None)
     def test_sparse_within_1e9_of_dense_oracle(self, graph):
-        sparse_scores = random_walk_scores(graph)
+        (sparse_scores,) = _random_walk_scores_union(
+            [graph], restart_probability=0.15, max_iterations=100,
+            tolerance=1e-12,
+        )
         dense_scores = random_walk_scores_dense(graph)
         assert set(sparse_scores) == set(dense_scores)
         for name, value in sparse_scores.items():
             assert abs(value - dense_scores[name]) <= 1e-9
-
-    @given(trigger_graphs())
-    @settings(max_examples=30, deadline=None)
-    def test_union_solo_matches_sparse(self, graph):
-        (solo,) = _random_walk_scores_union(
-            [graph], restart_probability=0.15, max_iterations=100,
-            tolerance=1e-12,
-        )
-        reference = random_walk_scores(graph)
-        for name, value in solo.items():
-            assert abs(value - reference[name]) <= 1e-9
 
     @given(st.lists(trigger_graphs(), min_size=1, max_size=5))
     @settings(max_examples=20, deadline=None)
