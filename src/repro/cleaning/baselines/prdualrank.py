@@ -20,6 +20,8 @@ ranking with a hard cut.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ...corpus.corpus import Corpus
 from ...kb.pair import IsAPair
 from ...kb.store import KnowledgeBase
@@ -80,56 +82,82 @@ class PRDualRankCleaner(BaseCleaner):
     # Score propagation
     # ------------------------------------------------------------------
     def _dual_scores(self, kb: KnowledgeBase) -> dict[IsAPair, float]:
-        seeds: dict[IsAPair, float] = {}
-        for concept in kb.concepts():
-            for instance in self._evidence.evidenced_correct(concept):
-                seeds[IsAPair(concept, instance)] = 1.0
-        precision = dict(seeds)
-        recall = dict(seeds)
+        seeds = [
+            IsAPair(concept, instance)
+            for concept in kb.concepts()
+            for instance in self._evidence.evidenced_correct(concept)
+        ]
         # The record–pair graph does not change while scores propagate:
-        # build it once, in kb.records()/kb.pairs() order, so each sum adds
-        # the same terms in the same order on every iteration.  Triggers
-        # play the "pattern" role: a sentence inherits quality from the
-        # knowledge that resolved it as well as from what it produced.
-        records = [
-            (record.rid, linked)
-            for record in kb.records()
-            if (linked := record.produced + record.triggers)
-        ]
-        # pair → [(producing rid, that record's fan-out)]
-        producers = [
-            (pair, [(r.rid, max(1, len(r.produced))) for r in found])
-            for pair in kb.pairs()
-            if (found := kb.records_for_pair(pair))
-        ]
+        # build it once as integer link arrays.  Every pair gets a slot —
+        # alive pairs first, in kb.pairs() order, then linked or seed pairs
+        # that are not alive (dead triggers, removed pairs), which only
+        # ever score 0 or their seed value.  Triggers play the "pattern"
+        # role: a sentence inherits quality from the knowledge that
+        # resolved it as well as from what it produced.
+        slot = {pair: index for index, pair in enumerate(kb.pairs())}
+        alive = len(slot)
+        # record → pair links, in kb.records() order and, per record, in
+        # produced + triggers order.
+        row_of: dict[int, int] = {}
+        link_row, link_slot = [], []
+        for record in kb.records():
+            linked = record.produced + record.triggers
+            if linked:
+                row_of[record.rid] = row = len(row_of)
+                link_row += [row] * len(linked)
+                link_slot += [
+                    slot.setdefault(pair, len(slot)) for pair in linked
+                ]
+        # pair → producing record links, in kb.pairs() order and, per pair,
+        # in records_for_pair order, with that record's fan-out.
+        producer_slot, producer_row, fan_outs = [], [], []
+        for index, pair in enumerate(kb.pairs()):
+            for record in kb.records_for_pair(pair):
+                producer_slot.append(index)
+                producer_row.append(row_of[record.rid])
+                fan_outs.append(max(1, len(record.produced)))
+        seed_slots = np.array(
+            [slot.setdefault(pair, len(slot)) for pair in seeds], dtype=np.intp
+        )
+        slots, rows = len(slot), len(row_of)
+        link_row, link_slot, producer_slot, producer_row, fan_outs = (
+            np.array(values, dtype=np.intp)
+            for values in (
+                link_row, link_slot, producer_slot, producer_row, fan_outs
+            )
+        )
+        links = np.bincount(link_row, minlength=rows)
+        producers = np.maximum(np.bincount(producer_slot, minlength=slots), 1)
+        precision = np.zeros(slots)
+        precision[seed_slots] = 1.0
+        recall = precision.copy()
+        # bincount adds each row's weights in input order starting from
+        # 0.0 — exactly the left-to-right order of a Python sum over the
+        # links — so every score is bit-identical to the per-element form
+        # (tests/cleaning/oracle.py).  reduceat, sparse matvecs and @ may
+        # reorder the additions: do not swap them in.
         for _ in range(self._iterations):
-            record_precision: dict[int, float] = {}
-            record_recall: dict[int, float] = {}
-            for rid, linked in records:
-                record_precision[rid] = sum(
-                    precision.get(pair, 0.0) for pair in linked
-                ) / len(linked)
-                record_recall[rid] = sum(
-                    recall.get(pair, 0.0) for pair in linked
-                )
-            new_precision: dict[IsAPair, float] = {}
-            new_recall: dict[IsAPair, float] = {}
-            for pair, found in producers:
-                new_precision[pair] = sum(
-                    record_precision.get(rid, 0.0) for rid, _ in found
-                ) / len(found)
-                new_recall[pair] = sum(
-                    record_recall.get(rid, 0.0) / fan_out
-                    for rid, fan_out in found
-                )
-            for pair, value in seeds.items():
-                new_precision[pair] = max(new_precision.get(pair, 0.0), value)
-                new_recall[pair] = max(new_recall.get(pair, 0.0), value)
-            precision, recall = new_precision, new_recall
-        max_recall = max(recall.values(), default=1.0) or 1.0
+            record_precision = np.bincount(
+                link_row, weights=precision[link_slot], minlength=rows
+            ) / links
+            record_recall = np.bincount(
+                link_row, weights=recall[link_slot], minlength=rows
+            )
+            precision = np.bincount(
+                producer_slot, weights=record_precision[producer_row],
+                minlength=slots,
+            ) / producers
+            recall = np.bincount(
+                producer_slot, weights=record_recall[producer_row] / fan_outs,
+                minlength=slots,
+            )
+            precision[seed_slots] = np.maximum(precision[seed_slots], 1.0)
+            recall[seed_slots] = np.maximum(recall[seed_slots], 1.0)
+        max_recall = float(recall.max(initial=0.0)) or 1.0
         scores: dict[IsAPair, float] = {}
-        for pair in kb.pairs():
-            p = precision.get(pair, 0.0)
-            r = recall.get(pair, 0.0) / max_recall
+        for pair, p, r in zip(
+            kb.pairs(), precision[:alive].tolist(), recall[:alive].tolist()
+        ):
+            r = r / max_recall
             scores[pair] = 0.0 if p + r == 0 else 2 * p * r / (p + r)
         return scores

@@ -24,6 +24,7 @@ from ..analysis.cache import AnalysisCache
 from ..config import CleaningConfig
 from ..corpus.corpus import Corpus
 from ..kb.pair import IsAPair
+from ..kb.record import ExtractionRecord
 from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..labeling.labels import DPLabel
@@ -37,6 +38,11 @@ __all__ = ["DPCleaner", "RoundStats", "DetectFn"]
 
 #: concept → instance → label for the current knowledge base.
 DetectFn = Callable[[KnowledgeBase], Mapping[str, Mapping[str, DPLabel]]]
+
+_MemoEntry = tuple[
+    tuple[str, ...], tuple[int, ...], dict[str, float],
+    dict[str, SentenceCheck],
+]
 
 
 @dataclass
@@ -90,12 +96,9 @@ class DPCleaner(BaseCleaner):
         # valid while every candidate concept's KB version is unchanged
         # (the ranker's versioned cache then guarantees identical score
         # rows, so the recomputation would be bit-identical).  Entries are
-        # ``(candidate concepts, their versions at scoring, scores)``;
-        # stale entries are pruned in one pass per round so the check loop
-        # hits the memo with a plain dict get.
-        self._check_memo: dict[
-            int, tuple[tuple[str, ...], tuple[int, ...], dict[str, float]]
-        ] = {}
+        # ``(candidate concepts, their versions at scoring, scores,
+        # chosen concept → verdict)`` and are validated when looked up.
+        self._check_memo: dict[int, _MemoEntry] = {}
 
     @collector_paused
     def clean(self, kb: KnowledgeBase, corpus: Corpus) -> CleaningResult:
@@ -224,73 +227,66 @@ class DPCleaner(BaseCleaner):
         # Intentional DPs: keep the pair, re-score what it triggered.
         # Eq. 21 needs scores for *every* candidate concept of the checked
         # sentences (not just the DP's own concept), and the accidental
-        # rollbacks above changed the graph, so re-rank now.
-        checkable: list[tuple[IsAPair, int]] = []
+        # rollbacks above changed the graph, so re-rank now.  Each record
+        # is checked once, for the first DP in sorted order that triggered
+        # it; inactive records and sentences outside the corpus are never
+        # checked, so they are dropped before they become entries.
+        entries: list[tuple[str, ExtractionRecord]] = []
         candidate_concepts: set[str] = set()
+        seen_records: set[int] = set()
+        triggered = kb.trigger_index()
         for pair in sorted(intentional):
-            if pair not in kb:
+            rids = triggered.get(pair)
+            if not rids or pair not in kb:
                 continue
-            for record in kb.records_triggered_by(pair):
+            for rid in rids:
+                if rid in seen_records:
+                    continue
+                seen_records.add(rid)
+                record = kb.record(rid)
+                if not record.active:
+                    continue
                 sentence = by_sid.get(record.sid)
                 if sentence is None:
                     continue
-                checkable.append((pair, record.rid))
+                entries.append((pair.instance, record))
                 candidate_concepts.update(sentence.concepts)
         check_scores = self._ranker.score_all(kb, sorted(candidate_concepts))
         # The KB is stable until the rollback below, so concept versions
-        # are round constants: prune stale memo entries once up front and
-        # the check loop hits the memo with a plain dict get.
+        # are round constants.  Versions only grow, so a memo entry found
+        # stale is replaced, never revived.  Several DPs can trigger
+        # records of the same sentence: the scoring (per sid) and each
+        # verdict (per sid + chosen concept) are shared, restamped with
+        # the trigger at hand.
         memo = self._check_memo
         version = kb.concept_version
-        for sid in [
-            sid
-            for sid, (names, stamped, _) in memo.items()
-            if tuple(map(version, names)) != stamped
-        ]:
-            del memo[sid]
         to_roll: list[int] = []
-        seen_records: set[int] = set()
-        # Several DPs can trigger records of the same sentence; Eq. 21
-        # scores a sentence once for all its candidate concepts, so both
-        # the scoring (per sid) and the verdict (per sid + chosen
-        # concept) are shared, restamped with the trigger at hand.
-        checked: dict[tuple[int, str], SentenceCheck] = {}
-        round_scores: dict[int, dict[str, float]] = {}
-        for pair, rid in checkable:
-            if rid in seen_records:
-                continue
-            seen_records.add(rid)
-            record = kb.record(rid)
-            if not record.active:
-                continue
-            key = (record.sid, record.concept)
-            check = checked.get(key)
-            if check is None:
-                sid = record.sid
-                concept_scores = round_scores.get(sid)
-                if concept_scores is None:
-                    entry = memo.get(sid)
-                    if entry is not None:
-                        concept_scores = entry[2]
-                    else:
-                        sentence = by_sid[sid]
-                        concept_scores = score_sentence(sentence, check_scores)
-                        names = sentence.concepts
-                        memo[sid] = (
-                            names, tuple(map(version, names)), concept_scores
-                        )
-                    round_scores[sid] = concept_scores
-                check = build_check(
-                    sid, concept_scores, record.concept, pair.instance
+        for trigger, record in entries:
+            sid = record.sid
+            entry = memo.get(sid)
+            if entry is None or tuple(map(version, entry[0])) != entry[1]:
+                sentence = by_sid[sid]
+                names = sentence.concepts
+                entry = memo[sid] = (
+                    names,
+                    tuple(map(version, names)),
+                    score_sentence(sentence, check_scores),
+                    {},
                 )
-                checked[key] = check
-            elif check.trigger_instance != pair.instance:
-                check = replace(check, trigger_instance=pair.instance)
+            _, _, concept_scores, verdicts = entry
+            check = verdicts.get(record.concept)
+            if check is None:
+                check = build_check(
+                    sid, concept_scores, record.concept, trigger
+                )
+                verdicts[record.concept] = check
+            elif check.trigger_instance != trigger:
+                check = replace(check, trigger_instance=trigger)
             stats.sentence_checks.append(check)
             if check.is_drifting:
-                to_roll.append(rid)
+                to_roll.append(record.rid)
         if to_roll:
-            result = engine.rollback_records(sorted(set(to_roll)))
+            result = engine.rollback_records(sorted(to_roll))
             stats.records_rolled_back += result.num_records
             stats.pairs_removed += result.num_pairs
         return stats

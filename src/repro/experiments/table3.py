@@ -26,18 +26,23 @@ _HEADERS = ("Cleaning Method", "p_error", "r_error", "p_correct", "r_correct")
 
 
 def run_cleaner(pipeline: Pipeline, cleaner, concepts):
-    """Run one cleaner on its own extraction; return (metrics, result, truth)."""
-    extraction = pipeline.extract()
-    truth = GroundTruth(pipeline.preset.world, extraction.kb)
-    before = {
-        concept: extraction.kb.instances_of(concept)
-        for concept in extraction.kb.concepts()
-    }
-    result = cleaner.clean(extraction.kb, extraction.corpus)
-    after = {
-        concept: extraction.kb.instances_of(concept) for concept in before
-    }
-    metrics = cleaning_metrics(truth, before, after, concepts)
+    """Run one cleaner on its own extraction; return (metrics, result, truth).
+
+    The whole run, scoring included, is one ``cleaner.run`` span.
+    """
+    with pipeline.context.span("cleaner.run", method=cleaner.name) as span:
+        extraction = pipeline.extract()
+        truth = GroundTruth(pipeline.preset.world, extraction.kb)
+        before = {
+            concept: extraction.kb.instances_of(concept)
+            for concept in extraction.kb.concepts()
+        }
+        result = cleaner.clean(extraction.kb, extraction.corpus)
+        after = {
+            concept: extraction.kb.instances_of(concept) for concept in before
+        }
+        metrics = cleaning_metrics(truth, before, after, concepts)
+        span.add("pairs_removed", result.num_removed)
     return metrics, result, truth, extraction
 
 

@@ -64,16 +64,61 @@ def record_row(record: ExtractionRecord) -> dict:
     }
 
 
+def _strings(key: str, value: object) -> tuple[str, ...]:
+    """Decode a list of strings."""
+    if type(value) is list:
+        try:
+            # join type-checks every item at C speed: replay sits on the
+            # resume path, where a per-item Python check is measurable.
+            "".join(value)
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
+
+
+def _pairs(key: str, value: object) -> tuple[IsAPair, ...]:
+    """Decode a list of ``[concept, instance]`` string pairs."""
+    if type(value) is not list:
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    pairs = []
+    for item in value:
+        if (
+            type(item) is not list or len(item) != 2
+            or type(item[0]) is not str or type(item[1]) is not str
+        ):
+            raise ValueError(
+                f"{key!r} entries must be [concept, instance] strings, got "
+                f"{item!r}"
+            )
+        pairs.append(IsAPair(item[0], item[1]))
+    return tuple(pairs)
+
+
 def replay_row(kb: KnowledgeBase, row: dict) -> ExtractionRecord:
-    """Re-commit one :func:`record_row` row; rids must stay dense."""
+    """Re-commit one :func:`record_row` row; rids must stay dense.
+
+    A malformed row raises ``KeyError`` or ``ValueError`` (or a
+    :class:`KnowledgeBaseError` the store raises); callers name the
+    file and line.
+    """
+    if type(row) is not dict:
+        raise ValueError(f"row must be a JSON object, got {row!r}")
+    sid, concept, iteration = row["sid"], row["concept"], row["iteration"]
+    if type(sid) is not int:
+        raise ValueError(f"'sid' must be an integer, got {sid!r}")
+    if type(concept) is not str:
+        raise ValueError(f"'concept' must be a string, got {concept!r}")
+    if type(iteration) is not int or iteration < 1:
+        raise ValueError(
+            f"'iteration' must be an integer >= 1, got {iteration!r}"
+        )
     record = kb.add_extraction(
-        sid=row["sid"],
-        concept=row["concept"],
-        instances=tuple(row["instances"]),
-        triggers=tuple(
-            IsAPair(concept, instance) for concept, instance in row["triggers"]
-        ),
-        iteration=row["iteration"],
+        sid=sid,
+        concept=concept,
+        instances=_strings("instances", row["instances"]),
+        triggers=_pairs("triggers", row["triggers"]),
+        iteration=iteration,
     )
     if record.rid != row["rid"]:
         raise KnowledgeBaseError(
@@ -209,13 +254,24 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             try:
                 row = json.loads(line)
                 record = replay_row(kb, row)
+                active = row.get("active", True)
+                if type(active) is not bool:
+                    raise ValueError(
+                        f"'active' must be true or false, got {active!r}"
+                    )
+                dead = _pairs("dead_triggers", row.get("dead_triggers", []))
+                if not set(dead) <= set(record.triggers):
+                    raise ValueError(
+                        f"'dead_triggers' {row['dead_triggers']!r} are not "
+                        f"all among the record's triggers"
+                    )
             except (KeyError, TypeError, ValueError, KnowledgeBaseError) as exc:
                 raise KnowledgeBaseError(
                     f"bad KB record at {path}:{line_number}: {exc}"
                 ) from exc
-            if not row.get("active", True):
+            if not active:
                 state["inactive"].append(record.rid)
-            if row.get("dead_triggers"):
+            if dead:
                 state["dead_triggers"].append(
                     [record.rid, row["dead_triggers"]]
                 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -539,6 +539,16 @@ class KnowledgeBase:
             for rid in self._records_by_trigger.get(pair, ())
             if (record := records[rid]).active
         ]
+
+    def trigger_index(self) -> Mapping[IsAPair, Collection[int]]:
+        """Trigger pair → the rids it triggered, active or not (read-only).
+
+        Pairs that never triggered anything are absent.  Each rid
+        collection iterates in the order :meth:`records_triggered_by`
+        returns its records, so bulk readers that filter activity
+        themselves see the same sequence.
+        """
+        return self._records_by_trigger
 
     def sub_instance_counts(self, concept: str, instance: str) -> dict[str, int]:
         """Frequency of sub-instances triggered by ``(concept, instance)``.

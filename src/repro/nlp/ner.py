@@ -59,6 +59,9 @@ class SimulatedNER:
         self._accuracy = accuracy
         self._misc_bias = misc_bias
         self._seed = seed
+        # surface → tag: the draw is a pure function of the surface, and
+        # TCh asks about most surfaces more than once.
+        self._tags: dict[str, EntityType] = {}
 
     @property
     def accuracy(self) -> float:
@@ -73,6 +76,12 @@ class SimulatedNER:
 
     def tag(self, surface: str) -> EntityType:
         """Return the (possibly confused) coarse type for ``surface``."""
+        tag = self._tags.get(surface)
+        if tag is None:
+            tag = self._tags[surface] = self._draw(surface)
+        return tag
+
+    def _draw(self, surface: str) -> EntityType:
         true_type = self._gazetteer.get(surface)
         if true_type is None:
             return EntityType.MISC

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cleaning import (
     MutualExclusionCleaner,
@@ -16,10 +18,12 @@ from repro.config import LabelingConfig, SimilarityConfig
 from repro.corpus.corpus import Corpus
 from repro.corpus.sentence import Sentence
 from repro.extraction import SemanticIterativeExtractor
-from repro.kb import IsAPair
+from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
 from repro.labeling import DPLabel, EvidenceIndex, SeedLabel
 from repro.labeling.rules import SeedLabelSet
 from repro.nlp import EntityType, SimulatedNER
+
+from .oracle import loop_dual_scores
 
 
 def _sentence(sid, concepts, instances):
@@ -180,3 +184,96 @@ class TestRankingCleaners:
         evidence = EvidenceIndex(result.kb, exclusion)
         with pytest.raises(ValueError):
             PRDualRankCleaner(self._seeds(), evidence, iterations=0)
+
+
+_CONCEPTS = ("animal", "food", "city")
+_INSTANCES = tuple(f"i{k}" for k in range(8))
+
+
+class _Evidence:
+    """The one ``EvidenceIndex`` read PRDual-Rank makes, from a table."""
+
+    def __init__(self, correct: dict[str, frozenset[str]]) -> None:
+        self._correct = correct
+
+    def evidenced_correct(self, concept: str) -> frozenset[str]:
+        return self._correct.get(concept, frozenset())
+
+
+@st.composite
+def _propagation_cases(draw):
+    """A small KB with every kind of link PRDual-Rank must score.
+
+    Records chain through one to three triggers; rollbacks leave
+    inactive records and dead triggers behind, force-removals leave
+    linked pairs that are no longer alive, re-extraction restarts some
+    of them, and the seeds include pairs that are not in the KB.
+    """
+    kb = KnowledgeBase()
+    sid = 0
+    for _ in range(draw(st.integers(3, 14))):
+        concept = draw(st.sampled_from(_CONCEPTS))
+        names = draw(st.lists(
+            st.sampled_from(_INSTANCES), min_size=1, max_size=4, unique=True
+        ))
+        alive = sorted(kb.instance_view(concept))
+        triggers = ()
+        if alive and draw(st.booleans()):
+            triggers = tuple(
+                IsAPair(concept, name)
+                for name in draw(st.lists(
+                    st.sampled_from(alive), min_size=1, max_size=3,
+                    unique=True,
+                ))
+            )
+        iteration = 2 if triggers else draw(st.integers(1, 2))
+        kb.add_extraction(sid, concept, names, triggers=triggers,
+                          iteration=iteration)
+        sid += 1
+        engine = RollbackEngine(kb)
+        action = draw(st.sampled_from(("none", "records", "pair", "pair",
+                                       "force")))
+        active = [record.rid for record in kb.records()]
+        pairs = sorted(kb.pairs())
+        if action == "records" and active:
+            engine.rollback_records(draw(st.lists(
+                st.sampled_from(active), min_size=1, max_size=2, unique=True
+            )))
+        elif action == "pair" and pairs:
+            engine.rollback_pair(draw(st.sampled_from(pairs)))
+        elif action == "force" and pairs:
+            kb.remove_pair(draw(st.sampled_from(pairs)))
+    correct = {
+        concept: frozenset(draw(st.lists(
+            st.sampled_from(_INSTANCES + ("ghost",)), max_size=4
+        )))
+        for concept in _CONCEPTS
+    }
+    return kb, correct, draw(st.sampled_from((1, 8)))
+
+
+class TestPRDualRankMatchesLoopOracle:
+    """Vectorised propagation equals the per-element sums bit for bit."""
+
+    @given(_propagation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_score_is_identical(self, case):
+        kb, correct, iterations = case
+        cleaner = PRDualRankCleaner(
+            SeedLabelSet(), _Evidence(correct), iterations=iterations
+        )
+        scores = cleaner._dual_scores(kb)
+        expected = loop_dual_scores(cleaner, kb)
+        assert list(scores) == list(expected)
+        assert all(scores[pair] == expected[pair] for pair in expected)
+
+    def test_extraction_scores_are_identical(self):
+        result = _extraction()
+        exclusion = MutualExclusionIndex(result.kb, _similarity_config())
+        evidence = EvidenceIndex(
+            result.kb, exclusion, LabelingConfig(evidence_threshold_k=1)
+        )
+        cleaner = PRDualRankCleaner(SeedLabelSet(), evidence)
+        assert cleaner._dual_scores(result.kb) == loop_dual_scores(
+            cleaner, result.kb
+        )

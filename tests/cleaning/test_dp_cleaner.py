@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cleaning import DPCleaner
 from repro.config import CleaningConfig
 from repro.corpus.corpus import Corpus
 from repro.corpus.sentence import Sentence
+from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.extraction import SemanticIterativeExtractor
-from repro.kb import IsAPair
+from repro.kb import IsAPair, save_kb
 from repro.labeling import DPLabel
+from repro.world import paper_world
 
-from .uncached import MemolessDPCleaner, UncachedRanker
+from .uncached import MemolessDPCleaner, NaiveRoundDPCleaner, UncachedRanker
 
 
 def _sentence(sid, concepts, instances):
@@ -170,3 +174,65 @@ class TestScoreCacheEquivalence:
             for check in stats.sentence_checks
         ]
         assert checks_cached == checks_uncached
+
+
+def _every_animal_intentional(kb):
+    """Every alive animal is an Intentional DP: sentences meet many DPs."""
+    return {
+        "animal": {
+            instance: DPLabel.INTENTIONAL
+            for instance in kb.instances_of("animal")
+        }
+    }
+
+
+def _round_outcome(cleaner, kb, corpus, tmp_path):
+    """Every RoundStats field, checks included, and the cleaned KB bytes."""
+    report = cleaner.clean(kb, corpus)
+    path = tmp_path / f"{type(cleaner).__name__}.jsonl"
+    save_kb(kb, path)
+    rounds = [vars(stats) for stats in report.details["rounds"]]
+    return rounds, path.read_bytes()
+
+
+class TestNaiveRoundEquivalence:
+    """The trigger-index collect phase and memoised verdicts change nothing.
+
+    ``NaiveRoundDPCleaner`` collects with one ``records_triggered_by``
+    call per DP and rebuilds every verdict each round.
+    """
+
+    @pytest.mark.parametrize(
+        "detect", [_oracle_detect, _every_animal_intentional]
+    )
+    def test_fixture_rounds_identical(self, detect, tmp_path):
+        outcomes = []
+        for cleaner_type in (DPCleaner, NaiveRoundDPCleaner):
+            result = SemanticIterativeExtractor().run(_corpus())
+            outcomes.append(_round_outcome(
+                cleaner_type(detect, CleaningConfig()), result.kb,
+                result.corpus, tmp_path,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert any(stats["sentence_checks"] for stats in outcomes[0][0])
+
+    def test_pipeline_rounds_identical(self, tmp_path):
+        outcomes = []
+        for cleaner_type in (DPCleaner, NaiveRoundDPCleaner):
+            preset = paper_world(seed=3, scale=0.5)
+            config = experiment_config(
+                num_sentences=1500, seed=3, profiles=preset.profiles
+            )
+            pipeline = Pipeline(preset=preset, config=config)
+            extraction = pipeline.extract()
+            cleaner = cleaner_type(
+                pipeline.detect_fn(), config.cleaning,
+                ranker=pipeline.ranker, context=pipeline.context,
+                analysis=pipeline.analysis,
+            )
+            outcomes.append(_round_outcome(
+                cleaner, extraction.kb, extraction.corpus, tmp_path
+            ))
+        assert outcomes[0] == outcomes[1]
+        rounds = outcomes[0][0]
+        assert len(rounds) > 1 and all(s["sentence_checks"] for s in rounds)

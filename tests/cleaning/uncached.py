@@ -5,7 +5,10 @@ ranker's mutation-versioned score cache, the cleaner's Eq. 21 check memo
 and the analysis cache behind pipeline detection and the cleaner's
 guards.  Each oracle here
 recomputes from scratch instead, so the suites can pin production
-bit-identical to it.
+bit-identical to it.  :class:`NaiveRoundDPCleaner` keeps the round body
+as it was before the collect phase walked the trigger index: one
+``records_triggered_by`` call per Intentional DP, and a memo of scorings
+pruned at every round start with verdicts rebuilt per round.
 """
 
 from __future__ import annotations
@@ -14,11 +17,17 @@ from dataclasses import replace
 
 from repro.analysis import AnalysisCache
 from repro.cleaning import DPCleaner
-from repro.cleaning.dp_cleaner import DetectFn
+from repro.cleaning.dp_cleaner import DetectFn, RoundStats
+from repro.cleaning.intentional import (
+    SentenceCheck,
+    build_check,
+    score_sentence,
+)
 from repro.concepts import MutualExclusionIndex
 from repro.features import FeatureExtractor
 from repro.features.matrix import build_concept_matrix
-from repro.labeling import EvidenceIndex, SeedLabeler
+from repro.kb import IsAPair
+from repro.labeling import DPLabel, EvidenceIndex, SeedLabeler
 from repro.learning import DPDetector
 from repro.ranking import RandomWalkRanker
 from repro.rng import RandomStreams
@@ -27,6 +36,7 @@ __all__ = [
     "UncachedRanker",
     "UncachedExclusion",
     "MemolessDPCleaner",
+    "NaiveRoundDPCleaner",
     "uncached_detect",
 ]
 
@@ -52,6 +62,155 @@ class MemolessDPCleaner(DPCleaner):
     def _run_round(self, kb, by_sid, engine, round_index):
         self._check_memo = {}
         return super()._run_round(kb, by_sid, engine, round_index)
+
+
+class NaiveRoundDPCleaner(DPCleaner):
+    """A DP cleaner that collects and checks its round the naive way."""
+
+    def _run_round(self, kb, by_sid, engine, round_index):
+        stats = RoundStats(round_index=round_index)
+        detections = self._detect_fn(kb)
+        intentional: list[IsAPair] = []
+        accidental: list[IsAPair] = []
+        acc_label = DPLabel.ACCIDENTAL
+        int_label = DPLabel.INTENTIONAL
+        for concept, labels in detections.items():
+            alive = kb.instance_view(concept)
+            for instance, label in labels.items():
+                if label is acc_label:
+                    if instance in alive:
+                        accidental.append(IsAPair(concept, instance))
+                elif label is int_label:
+                    if instance in alive:
+                        intentional.append(IsAPair(concept, instance))
+        stats.accidental_dps = len(accidental)
+        stats.intentional_dps = len(intentional)
+
+        # Scores for Eq. 21 checks and for the weaker-side test below.  The
+        # refresh is a no-op when detection just refreshed the shared index
+        # (refresh == rebuild is pinned by the concepts property tests).
+        exclusion = self._analysis.exclusion(kb)
+        relevant = {pair.concept for pair in intentional}
+        relevant.update(pair.concept for pair in accidental)
+        for pair in accidental:
+            relevant.update(
+                exclusion.exclusive_concepts_containing(
+                    kb, pair.concept, pair.instance
+                )
+            )
+        scores = self._ranker.score_all(kb, sorted(relevant))
+
+        def relative_score(concept: str, instance: str) -> float:
+            concept_scores = scores.get(concept, {})
+            if not concept_scores:
+                return 0.0
+            return concept_scores.get(instance, 0.0) * len(concept_scores)
+
+        # Accidental DPs: drop the pair + everything it activated.
+        # Two definition-level guards protect against detector false
+        # positives (whose cascades would nuke correct knowledge):
+        # Property 3 — a real Accidental DP rests on one or two sentences;
+        # Definition 4 — it is an instance of *another* class accidentally
+        # extracted here, so it must appear under a mutually exclusive
+        # concept.
+        for pair in sorted(accidental):
+            if pair not in kb:
+                continue  # removed by an earlier cascade this round
+            well_evidenced = kb.count(pair) > self._config.accidental_max_count
+            elsewhere = exclusion.exclusive_concepts_containing(
+                kb, pair.concept, pair.instance
+            )
+            # Weaker-side test: the accidental home must score worse than
+            # the instance's true home (cf. the paper's New York example:
+            # strong under city, one stray sentence under country).
+            own = relative_score(pair.concept, pair.instance)
+            weaker_side = any(
+                relative_score(other, pair.instance) > own
+                for other in elsewhere
+            )
+            if well_evidenced or not weaker_side:
+                # Not droppable as accidental — but the detector still
+                # considers it a DP, and Eq. 21 arbitration is safe on
+                # correct triggers, so check its sentences instead.
+                intentional.append(pair)
+                continue
+            result = engine.rollback_pair(pair)
+            stats.records_rolled_back += result.num_records
+            stats.pairs_removed += result.num_pairs
+
+        # Intentional DPs: keep the pair, re-score what it triggered.
+        # Eq. 21 needs scores for *every* candidate concept of the checked
+        # sentences (not just the DP's own concept), and the accidental
+        # rollbacks above changed the graph, so re-rank now.
+        checkable: list[tuple[IsAPair, int]] = []
+        candidate_concepts: set[str] = set()
+        for pair in sorted(intentional):
+            if pair not in kb:
+                continue
+            for record in kb.records_triggered_by(pair):
+                sentence = by_sid.get(record.sid)
+                if sentence is None:
+                    continue
+                checkable.append((pair, record.rid))
+                candidate_concepts.update(sentence.concepts)
+        check_scores = self._ranker.score_all(kb, sorted(candidate_concepts))
+        # The KB is stable until the rollback below, so concept versions
+        # are round constants: prune stale memo entries once up front and
+        # the check loop hits the memo with a plain dict get.
+        memo = self._check_memo
+        version = kb.concept_version
+        for sid in [
+            sid
+            for sid, (names, stamped, _) in memo.items()
+            if tuple(map(version, names)) != stamped
+        ]:
+            del memo[sid]
+        to_roll: list[int] = []
+        seen_records: set[int] = set()
+        # Several DPs can trigger records of the same sentence; Eq. 21
+        # scores a sentence once for all its candidate concepts, so both
+        # the scoring (per sid) and the verdict (per sid + chosen
+        # concept) are shared, restamped with the trigger at hand.
+        checked: dict[tuple[int, str], SentenceCheck] = {}
+        round_scores: dict[int, dict[str, float]] = {}
+        for pair, rid in checkable:
+            if rid in seen_records:
+                continue
+            seen_records.add(rid)
+            record = kb.record(rid)
+            if not record.active:
+                continue
+            key = (record.sid, record.concept)
+            check = checked.get(key)
+            if check is None:
+                sid = record.sid
+                concept_scores = round_scores.get(sid)
+                if concept_scores is None:
+                    entry = memo.get(sid)
+                    if entry is not None:
+                        concept_scores = entry[2]
+                    else:
+                        sentence = by_sid[sid]
+                        concept_scores = score_sentence(sentence, check_scores)
+                        names = sentence.concepts
+                        memo[sid] = (
+                            names, tuple(map(version, names)), concept_scores
+                        )
+                    round_scores[sid] = concept_scores
+                check = build_check(
+                    sid, concept_scores, record.concept, pair.instance
+                )
+                checked[key] = check
+            elif check.trigger_instance != pair.instance:
+                check = replace(check, trigger_instance=pair.instance)
+            stats.sentence_checks.append(check)
+            if check.is_drifting:
+                to_roll.append(rid)
+        if to_roll:
+            result = engine.rollback_records(sorted(set(to_roll)))
+            stats.records_rolled_back += result.num_records
+            stats.pairs_removed += result.num_pairs
+        return stats
 
 
 def uncached_detect(pipeline) -> DetectFn:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.experiments.table3 import run_table3
 from repro.experiments.table5 import run_table5
+from repro.world import paper_world
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +72,24 @@ class TestTable5Shape:
         overall = table5.data["Overall"]
         assert overall["p_stc"] > 0.85
         assert overall["r_stc"] > 0.3
+
+
+class TestCleanerSpans:
+    """Each of Table 3's five cleaner runs is one root span."""
+
+    def test_every_cleaner_run_is_a_span(self):
+        preset = paper_world(seed=3, scale=0.5)
+        pipeline = Pipeline(preset=preset, config=experiment_config(
+            num_sentences=1500, seed=3, profiles=preset.profiles
+        ))
+        tracer = pipeline.context.ensure_tracer()
+        run_table3(pipeline)
+        runs = [root for root in tracer.roots if root.name == "cleaner.run"]
+        assert [span.attributes["method"] for span in runs] == [
+            "mex", "tch", "prdualrank", "rw_rank", "dp_cleaning",
+        ]
+        for span in runs:
+            children = [child.name for child in span.children]
+            assert children[0] == "kb.copy"
+            assert span.counters["pairs_removed"] > 0
+        assert "clean" in [child.name for child in runs[-1].children]

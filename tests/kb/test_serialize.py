@@ -171,6 +171,46 @@ class TestValidation:
             load_kb(path)
 
 
+
+class TestMalformedRows:
+    """A row with a field of the wrong type fails naming path:line."""
+
+    @pytest.mark.parametrize(
+        ("line", "field", "value"),
+        [
+            # Each of these four loaded silently before rows were
+            # type-checked: the sid as a string (Eq. 21's sid lookup then
+            # never finds it), a fractional iteration, an "active" flag
+            # read by truthiness, a dead trigger the record never had.
+            (2, "sid", "1"),
+            (2, "iteration", 1.5),
+            (2, "active", "no"),
+            (4, "dead_triggers", [["animal", "dog"]]),
+            (2, "iteration", True),
+            (2, "iteration", 0),
+            (2, "concept", 5),
+            (2, "instances", "dog"),
+            (2, "instances", ["dog", 5]),
+            (4, "triggers", [["animal"]]),
+            (4, "triggers", [["animal", 5]]),
+            (2, "active", 0),
+            (2, "dead_triggers", "chicken"),
+        ],
+    )
+    def test_is_rejected_with_its_location(self, tmp_path, line, field,
+                                           value):
+        path = tmp_path / "kb.jsonl"
+        save_kb(_kb(), path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[line - 1])
+        row[field] = value
+        lines[line - 1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(KnowledgeBaseError, match=field) as info:
+            load_kb(path)
+        assert f"{path}:{line}" in str(info.value)
+
+
 class TestSchemaVersion:
     def test_header_is_stamped(self, tmp_path):
         path = tmp_path / "kb.jsonl"

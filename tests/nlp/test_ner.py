@@ -60,3 +60,33 @@ class TestSimulatedNER:
         assert "paris" in ner
         assert "ghost" not in ner
         assert len(ner) == 4
+
+
+class TestTagMemo:
+    """Tags are memoised per surface; a memo hit is the fresh draw."""
+
+    def test_memoised_tags_equal_fresh_ones_over_the_gazetteer(
+        self, toy_preset
+    ):
+        gazetteer = toy_preset.world.gazetteer()
+        ner = SimulatedNER(gazetteer, accuracy=0.6, misc_bias=0.5, seed=7)
+        first = {surface: ner.tag(surface) for surface in gazetteer}
+        for surface in gazetteer:
+            fresh = SimulatedNER(
+                gazetteer, accuracy=0.6, misc_bias=0.5, seed=7
+            )
+            assert ner.tag(surface) is first[surface]
+            assert fresh.tag(surface) is first[surface]
+        assert len(set(first.values())) > 1
+
+    def test_memo_belongs_to_the_instance(self, toy_preset):
+        gazetteer = toy_preset.world.gazetteer()
+        seven = SimulatedNER(gazetteer, accuracy=0.6, seed=7)
+        tags_seven = seven.tag_many(gazetteer)
+        eight = SimulatedNER(gazetteer, accuracy=0.6, seed=8)
+        tags_eight = eight.tag_many(gazetteer)
+        assert tags_eight != tags_seven
+        assert tags_eight == {
+            surface: SimulatedNER(gazetteer, accuracy=0.6, seed=8).tag(surface)
+            for surface in gazetteer
+        }

@@ -324,6 +324,22 @@ class TestLoadErrors:
         meta_path.write_text(json.dumps(meta))
         self._fails_naming(store, f"{segment}:1", match="Extra data")
 
+    def test_mistyped_kb_row_names_file_and_line(self, store):
+        # A string sid replayed silently before rows were type-checked.
+        segment = store.directory / "snapshot-2" / "kb-1.jsonl"
+        lines = segment.read_text().splitlines(keepends=True)
+        row = json.loads(lines[0])
+        row["sid"] = str(row["sid"])
+        lines[0] = json.dumps(row) + "\n"
+        segment.write_text("".join(lines))
+        meta_path = store.directory / "snapshot-2" / "META.json"
+        meta = json.loads(meta_path.read_text())
+        for entry in meta["segments"]:
+            if entry["file"] == segment.name:
+                entry["bytes"] = segment.stat().st_size
+        meta_path.write_text(json.dumps(meta))
+        self._fails_naming(store, f"{segment}:1", match="'sid'")
+
     def test_corrupt_corpus_row(self, store):
         segment = store.directory / "snapshot-2" / "corpus-0.jsonl"
         data = segment.read_bytes().replace(b'"sid"', b'"xid"', 1)
