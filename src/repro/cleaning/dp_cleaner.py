@@ -235,6 +235,7 @@ class DPCleaner(BaseCleaner):
         candidate_concepts: set[str] = set()
         seen_records: set[int] = set()
         triggered = kb.trigger_index()
+        active = kb.record_active_flags()
         for pair in sorted(intentional):
             rids = triggered.get(pair)
             if not rids or pair not in kb:
@@ -243,9 +244,9 @@ class DPCleaner(BaseCleaner):
                 if rid in seen_records:
                     continue
                 seen_records.add(rid)
-                record = kb.record(rid)
-                if not record.active:
+                if not active[rid]:
                     continue
+                record = kb.record(rid)
                 sentence = by_sid.get(record.sid)
                 if sentence is None:
                     continue

@@ -60,6 +60,7 @@ class CorpusGenerator:
             self._members[spec.name] = members
             self._weights[spec.name] = weights / weights.sum()
         self._tail_cache: dict[str, np.ndarray] = {}
+        self._benign_cache: dict[str, tuple[str, ...]] = {}
         if not self._members:
             raise CorpusError("world has no concepts with members")
 
@@ -300,18 +301,28 @@ class CorpusGenerator:
 
     def _benign_modifier(self, concept: str) -> str | None:
         """A cross-domain modifier that shares no members with ``concept``."""
-        own_domain = self._world.concept(concept).domain
-        own_members = self._world.members(concept)
-        candidates = [
-            other.name
-            for other in self._world.iter_concepts()
-            if other.domain != own_domain
-            and other.name in self._members
-            and not (own_members & self._world.members(other.name))
-        ]
+        candidates = self._benign_candidates(concept)
         if not candidates:
             return None
         return candidates[int(self._rng.integers(0, len(candidates)))]
+
+    def _benign_candidates(self, concept: str) -> tuple[str, ...]:
+        """The concepts :meth:`_benign_modifier` draws from (memoised).
+
+        They depend only on the world, so each concept scans it once.
+        """
+        cached = self._benign_cache.get(concept)
+        if cached is None:
+            own_domain = self._world.concept(concept).domain
+            own_members = self._world.members(concept)
+            cached = self._benign_cache[concept] = tuple(
+                other.name
+                for other in self._world.iter_concepts()
+                if other.domain != own_domain
+                and other.name in self._members
+                and not (own_members & self._world.members(other.name))
+            )
+        return cached
 
     def _duplicates(self, base: list[Sentence]) -> list[Sentence]:
         """Re-emit some sentences on later pages with fresh sids."""

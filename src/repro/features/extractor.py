@@ -193,7 +193,8 @@ class FeatureExtractor:
         if codes:
             codes_arr = np.asarray(codes, dtype=np.int64)
             rids_arr = np.asarray(rids, dtype=np.int64)
-            codes_arr = codes_arr[kb.record_active_flags()[rids_arr]]
+            active = np.frombuffer(kb.record_active_flags(), dtype=bool)
+            codes_arr = codes_arr[active[rids_arr]]
             if codes_arr.size:
                 sources = codes_arr >> 32
                 targets = codes_arr & 0xFFFFFFFF

@@ -51,19 +51,19 @@ class RollbackEngine:
 
     def rollback_records(self, rids: Iterable[int]) -> RollbackResult:
         """Roll back the given records and cascade to completion."""
+        kb = self._kb
         result = RollbackResult()
-        worklist = [rid for rid in rids if self._kb.record(rid).active]
+        worklist = [rid for rid in rids if kb.is_active(rid)]
         while worklist:
             rid = worklist.pop()
-            record = self._kb.record(rid)
-            if not record.active:
+            if not kb.is_active(rid):
                 continue
-            died = self._kb.deactivate_record(rid)
+            died = kb.deactivate_record(rid)
             result.records_rolled_back.append(rid)
             result.pairs_removed.extend(died)
             for pair in died:
-                for dependent in self._kb.records_triggered_by(pair):
-                    if dependent.kill_trigger(pair):
+                for dependent in kb.records_triggered_by(pair):
+                    if kb.kill_trigger(dependent.rid, pair):
                         worklist.append(dependent.rid)
         return result
 
@@ -75,12 +75,14 @@ class RollbackEngine:
         innocent and survive; extractions *triggered by* the DP roll back
         (cascading), exactly as the paper prescribes.
         """
+        kb = self._kb
         result = RollbackResult()
-        triggered = self._kb.records_triggered_by(pair)
-        self._kb.remove_pair(pair)
+        triggered = kb.records_triggered_by(pair)
+        kb.remove_pair(pair)
         result.pairs_removed.append(pair)
         orphaned = [
-            record.rid for record in triggered if record.kill_trigger(pair)
+            record.rid for record in triggered
+            if kb.kill_trigger(record.rid, pair)
         ]
         result.merge(self.rollback_records(orphaned))
         return result

@@ -1,8 +1,8 @@
 """Knowledge-base persistence.
 
-Stores the full provenance — every extraction record with its triggers and
-activity flag — so a reloaded knowledge base supports rollback, feature
-extraction and cleaning exactly like the original.  The format is
+Stores the full provenance — every extraction record with its triggers,
+activity and dead triggers — so a reloaded knowledge base supports
+rollback, feature extraction and cleaning exactly like the original.  The format is
 line-oriented JSON: one header line, then one line per record (active and
 inactive alike, so removed-pair history survives the round trip).
 
@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import KnowledgeBaseError
 from .pair import IsAPair
@@ -130,19 +132,15 @@ def replay_row(kb: KnowledgeBase, row: dict) -> ExtractionRecord:
 
 def kb_state(kb: KnowledgeBase) -> dict:
     """The mutable part of a knowledge base, plus its integrity counts."""
-    inactive: list[int] = []
-    dead: list[list] = []
-    for record in kb.records(include_inactive=True):
-        if not record.active:
-            inactive.append(record.rid)
-        killed = record.dead_triggers()
-        if killed:
-            dead.append([record.rid, _pairs_json(killed)])
+    active = np.frombuffer(kb.record_active_flags(), dtype=bool)
     return {
         "records": kb.num_records,
         "pairs": len(kb),
-        "inactive": inactive,
-        "dead_triggers": dead,
+        "inactive": np.flatnonzero(~active[:kb.num_records]).tolist(),
+        "dead_triggers": [
+            [rid, _pairs_json(killed)]
+            for rid, killed in kb.dead_triggers().items()
+        ],
         # Pairs force-removed (e.g. Accidental DPs) while their producing
         # records stayed active; replay must re-remove them.
         "removed_pairs": sorted(_pairs_json(kb.removed_pairs())),
@@ -174,9 +172,8 @@ def apply_state(kb: KnowledgeBase, state: dict, source: str | Path) -> None:
     for rid in state["inactive"]:
         kb.deactivate_record(rid)
     for rid, dead in state["dead_triggers"]:
-        record = kb.record(rid)
         for concept, instance in dead:
-            record.kill_trigger(IsAPair(concept, instance))
+            kb.kill_trigger(rid, IsAPair(concept, instance))
     for concept, instance in state["removed_pairs"]:
         pair = IsAPair(concept, instance)
         if pair in kb:
@@ -195,6 +192,7 @@ def apply_state(kb: KnowledgeBase, state: dict, source: str | Path) -> None:
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
     """Write a knowledge base (with provenance) to a JSONL file."""
     state = kb_state(kb)
+    dead = dict(state["dead_triggers"])
     header = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -206,10 +204,11 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
     }
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
+        inactive = set(state["inactive"])
         for record in kb.records(include_inactive=True):
             row = record_row(record)
-            row["active"] = record.active
-            row["dead_triggers"] = _pairs_json(record.dead_triggers())
+            row["active"] = record.rid not in inactive
+            row["dead_triggers"] = dead.get(record.rid, [])
             handle.write(json.dumps(row) + "\n")
 
 

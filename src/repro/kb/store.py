@@ -10,6 +10,9 @@ Design notes
 * ``first_iteration`` of a pair never changes, even if later records add
   evidence, so ``E(C, i)`` (the paper's per-iteration snapshots) can always
   be reconstructed.
+* Records are immutable (:class:`~repro.kb.record.ExtractionRecord`);
+  what rollback changes about them — activity and dead triggers — lives
+  in the store, so :meth:`KnowledgeBase.copy` shares record objects.
 * The store is **mutation-versioned**: every write (``add_extraction``,
   ``remove_pair``, ``deactivate_record``) bumps a monotonic
   :attr:`version` and stamps the touched concept in
@@ -24,8 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Collection, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from ..errors import KnowledgeBaseError
 from .pair import IsAPair
@@ -61,7 +62,8 @@ class KnowledgeBase:
         # per-concept reads the ranking substrate does in bulk.
         self._by_concept: dict[str, dict[str, PairState]] = {}
         self._instance_concepts: dict[str, set[str]] = {}
-        self._records: dict[int, ExtractionRecord] = {}
+        # Indexed by rid (rids are dense, ``0..n-1``).
+        self._records: list[ExtractionRecord] = []
         self._records_by_trigger: dict[IsAPair, set[int]] = {}
         # concept → rids in insertion order; records are only ever
         # deactivated, never deleted, so the lists stay valid.
@@ -77,11 +79,14 @@ class KnowledgeBase:
         self._instance_ids: dict[str, dict[str, int]] = {}
         self._edge_codes: dict[str, list[int]] = {}
         self._edge_rids: dict[str, list[int]] = {}
-        # record activity as a flat bool array indexed by rid (doubling
-        # growth), so bulk readers can mask by rid without touching
-        # record objects.
-        self._active_flags = np.zeros(1024, dtype=bool)
-        self._next_rid = 0
+        # Record activity, one byte per rid (doubling growth by
+        # replacement, never resized in place, so a NumPy view a bulk
+        # reader took stays valid).  Per-rid checks index it directly;
+        # bulk readers mask by rid through a view.
+        self._active_flags = bytearray(1024)
+        # rid → its triggers whose pairs died; an entry appears only when
+        # the first one dies.
+        self._dead_triggers: dict[int, set[IsAPair]] = {}
         self._removed_pairs: set[IsAPair] = set()
         # Mutation versioning (see module docstring).
         self._version = 0
@@ -126,15 +131,14 @@ class KnowledgeBase:
     def copy(self) -> KnowledgeBase:
         """An independent copy that reads and iterates exactly like this one.
 
-        Records and pair states are new objects, every index is copied, and
-        :attr:`version` and each :meth:`concept_version` carry over.  The
-        memo caches start empty: they are pure functions of those versions.
-        Pairs, record tuples and instance strings are immutable and shared.
+        Pair states are new objects, every index is copied (activity and
+        dead triggers included), and :attr:`version` and each
+        :meth:`concept_version` carry over.  The memo caches start empty:
+        they are pure functions of those versions.  Records, pairs and
+        instance strings are immutable and shared.
         """
         clone = KnowledgeBase()
-        clone._records = {
-            rid: record.copy() for rid, record in self._records.items()
-        }
+        clone._records = self._records.copy()
         fresh = {
             id(state): PairState(
                 state.count, state.first_iteration, state.record_ids.copy(),
@@ -165,7 +169,7 @@ class KnowledgeBase:
         clone._edge_codes = _copy_values(self._edge_codes)
         clone._edge_rids = _copy_values(self._edge_rids)
         clone._active_flags = self._active_flags.copy()
-        clone._next_rid = self._next_rid
+        clone._dead_triggers = _copy_values(self._dead_triggers)
         clone._removed_pairs = self._removed_pairs.copy()
         clone._version = self._version
         clone._concept_version = self._concept_version.copy()
@@ -193,20 +197,18 @@ class KnowledgeBase:
                     f"trigger {trigger} is not in the knowledge base"
                 )
         record = ExtractionRecord(
-            rid=self._next_rid,
+            rid=len(self._records),
             sid=sid,
             concept=concept,
             instances=instances,
             triggers=triggers,
             iteration=iteration,
         )
-        self._next_rid += 1
-        self._records[record.rid] = record
-        if record.rid >= self._active_flags.size:
-            grown = np.zeros(self._active_flags.size * 2, dtype=bool)
-            grown[: self._active_flags.size] = self._active_flags
-            self._active_flags = grown
-        self._active_flags[record.rid] = True
+        self._records.append(record)
+        flags = self._active_flags
+        if record.rid >= len(flags):
+            flags = self._active_flags = flags + bytes(len(flags))
+        flags[record.rid] = 1
         self._records_by_concept.setdefault(concept, []).append(record.rid)
         ids = self._instance_ids.setdefault(concept, {})
         for pair in record.produced:
@@ -402,12 +404,12 @@ class KnowledgeBase:
         current = self.concept_version(concept)
         if cached is None or cached[0] != current:
             records = self._records
+            active = self._active_flags
             counts = {}
             for instance, state in self._by_concept.get(concept, {}).items():
                 total = 0
                 for rid in state.record_ids:
-                    record = records[rid]
-                    if record.active and record.iteration == 1:
+                    if active[rid] and records[rid].iteration == 1:
                         total += 1
                 counts[instance] = total
             cached = (current, counts)
@@ -462,21 +464,39 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     def record(self, rid: int) -> ExtractionRecord:
         """Look up a record by id."""
-        try:
+        if 0 <= rid < len(self._records):
             return self._records[rid]
-        except KeyError:
-            raise KnowledgeBaseError(f"no record with rid {rid}") from None
+        raise KnowledgeBaseError(f"no record with rid {rid}")
 
     @property
     def num_records(self) -> int:
         """Records ever committed, active or not (rids are ``0..n-1``)."""
-        return self._next_rid
+        return len(self._records)
 
     def records(self, include_inactive: bool = False) -> Iterator[ExtractionRecord]:
-        """Iterate over records (active only, by default)."""
-        for record in self._records.values():
-            if include_inactive or record.active:
+        """Iterate over records in rid order (active only, by default)."""
+        active = self._active_flags
+        for record in self._records:
+            if include_inactive or active[record.rid]:
                 yield record
+
+    def is_active(self, rid: int) -> bool:
+        """True until record ``rid`` is rolled back."""
+        if 0 <= rid < len(self._records):
+            return self._active_flags[rid] == 1
+        raise KnowledgeBaseError(f"no record with rid {rid}")
+
+    def dead_triggers(self) -> dict[int, tuple[IsAPair, ...]]:
+        """Rid → the record's triggers whose pairs were removed.
+
+        Rids ascend and each tuple keeps trigger order; records whose
+        triggers are all alive are absent.
+        """
+        records = self._records
+        return {
+            rid: tuple(t for t in records[rid].triggers if t in dead)
+            for rid, dead in sorted(self._dead_triggers.items())
+        }
 
     def instance_id_map(self, concept: str) -> dict[str, int]:
         """Stable per-concept instance ids (grow-only; treat as read-only).
@@ -500,44 +520,34 @@ class KnowledgeBase:
             self._edge_rids.get(concept, []),
         )
 
-    def record_active_flags(self) -> np.ndarray:
-        """Record activity by rid as a bool array (treat as read-only).
+    def record_active_flags(self) -> bytearray:
+        """Record activity by rid, 1 or 0 per byte (live; read-only).
 
-        May be longer than the number of records; indexing by any valid
-        rid is always in bounds.
+        Read it immediately, never hold it across KB mutations.  Per-rid
+        hot loops index it directly; bulk readers mask by rid through
+        ``np.frombuffer(flags, dtype=bool)``, which does not copy.  May be
+        longer than the number of records; indexing by any valid rid is
+        always in bounds.
         """
         return self._active_flags
-
-    def records_for_concept(self, concept: str) -> Iterator[ExtractionRecord]:
-        """Active records extracted under one concept (insertion order).
-
-        Indexed, so per-concept consumers (the trigger-graph builder) do
-        not scan the whole record table.
-        """
-        records = self._records
-        for rid in self._records_by_concept.get(concept, ()):
-            record = records[rid]
-            if record.active:
-                yield record
 
     def records_for_pair(self, pair: IsAPair) -> list[ExtractionRecord]:
         """Active records that produced a pair."""
         state = self._pairs.get(pair)
         if state is None:
             return []
-        return [
-            self._records[rid]
-            for rid in state.record_ids
-            if self._records[rid].active
-        ]
+        records = self._records
+        active = self._active_flags
+        return [records[rid] for rid in state.record_ids if active[rid]]
 
     def records_triggered_by(self, pair: IsAPair) -> list[ExtractionRecord]:
         """Active records that list ``pair`` among their triggers."""
         records = self._records
+        active = self._active_flags
         return [
-            record
+            records[rid]
             for rid in self._records_by_trigger.get(pair, ())
-            if (record := records[rid]).active
+            if active[rid]
         ]
 
     def trigger_index(self) -> Mapping[IsAPair, Collection[int]]:
@@ -630,11 +640,10 @@ class KnowledgeBase:
         engine) is responsible for cascading into records triggered by the
         dead pairs.
         """
-        record = self.record(rid)
-        if not record.active:
+        if not self.is_active(rid):
             raise KnowledgeBaseError(f"record {rid} is already inactive")
-        record.active = False
-        self._active_flags[rid] = False
+        record = self._records[rid]
+        self._active_flags[rid] = 0
         died: list[IsAPair] = []
         for pair in record.produced:
             state = self._pairs.get(pair)
@@ -648,6 +657,22 @@ class KnowledgeBase:
                 died.append(pair)
         self._touch(record.concept)
         return died
+
+    def kill_trigger(self, rid: int, pair: IsAPair) -> bool:
+        """Mark ``pair`` dead among record ``rid``'s triggers.
+
+        A pair the record was not triggered by is ignored.  Returns True
+        when the record has triggers and none of them is alive any more.
+        """
+        triggers = self.record(rid).triggers
+        if not triggers:
+            return False
+        dead = self._dead_triggers.get(rid)
+        if pair in triggers:
+            if dead is None:
+                dead = self._dead_triggers[rid] = set()
+            dead.add(pair)
+        return dead is not None and all(t in dead for t in triggers)
 
     def restore_restarts(
         self, restarts: Iterable[tuple[IsAPair, int, int]]

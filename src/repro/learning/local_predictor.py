@@ -27,6 +27,13 @@ def knn_indices(x: np.ndarray, k: int) -> np.ndarray:
     """Index matrix of each row's ``k`` nearest neighbours (self included).
 
     Returns shape ``(n, min(k + 1, n))``; column 0 is the row itself.
+
+    The whole n × n distance matrix and its full ``argsort`` are built at
+    once, so this is the O(n²) term of a concept's memory.  It is not
+    blocked by rows because that is not bit-identical: a row block's
+    ``x[b] @ x.T`` need not equal the same rows of ``x @ x.T`` bitwise
+    (BLAS picks its kernel and accumulation order by operand shape), and
+    a flipped last bit can reorder tied neighbours.
     """
     n = x.shape[0]
     if n == 0:
@@ -52,47 +59,37 @@ def manifold_matrices(
 
         Lᵢ = H − (H X̃ᵢ) (X̃ᵢᵀ H X̃ᵢ + λI)⁻¹ (H X̃ᵢ)ᵀ.
 
-    Concepts whose neighbourhood blocks have the same shape are stacked
-    into one batched solve/matmul sequence.  The gufuncs apply identical
-    per-item kernels whatever the batch length, so every returned matrix
-    is bit-identical to a call over that concept alone — only the
-    per-concept python and dispatch overhead is amortised.
+    Concepts are solved one at a time, so the call's memory peaks at the
+    largest concept's temporaries, not at the sum over all concepts; the
+    result for a concept does not depend on which others share the call.
     """
-    result: dict[str, np.ndarray] = {}
-    grouped: dict[tuple[int, int], list[tuple[str, np.ndarray]]] = {}
-    for name, x in xs.items():
-        n, r = x.shape
-        if n == 0:
-            result[name] = np.zeros((r, r))
-            continue
-        blocks = x[knn_indices(x, k_neighbors)]
-        grouped.setdefault(blocks.shape[1:], []).append((name, blocks))
-    for (m_size, _), entries in grouped.items():
-        blocks = (
-            entries[0][1]
-            if len(entries) == 1
-            else np.concatenate([b for _, b in entries], axis=0)
-        )
-        # Push-through identity: H B (Bᵀ H B + λI)⁻¹ Bᵀ H =
-        # (H B Bᵀ + λI)⁻¹ (H B Bᵀ H), so the batched solve shrinks from the
-        # feature dimension r × r to the (smaller) neighbourhood size m × m.
-        bbt = np.matmul(blocks, np.transpose(blocks, (0, 2, 1)))
-        hbbt = bbt - bbt.mean(axis=1, keepdims=True)  # H B Bᵀ
-        hbbth = hbbt - hbbt.mean(axis=2, keepdims=True)  # H B Bᵀ H
-        h = np.eye(m_size) - np.full((m_size, m_size), 1.0 / m_size)
-        laplacians = h - np.linalg.solve(
-            hbbt + local_reg * np.eye(m_size), hbbth
-        )
-        # Symmetrise against round-off; L must be PSD (Lemma 1).
-        laplacians = 0.5 * (laplacians + np.transpose(laplacians, (0, 2, 1)))
-        # With Sᵢ the neighbourhood selector, Xᵀ Sᵢ is just blocksᵢᵀ, so
-        # the quadratic form contracts neighbourhood-by-neighbourhood
-        # without materialising the n × n scatter matrix Σᵢ Sᵢ Lᵢ Sᵢᵀ.
-        partial = np.matmul(np.transpose(blocks, (0, 2, 1)), laplacians)
-        products = np.matmul(partial, blocks)
-        offset = 0
-        for name, concept_blocks in entries:
-            count = concept_blocks.shape[0]
-            result[name] = products[offset:offset + count].sum(axis=0)
-            offset += count
-    return result
+    return {
+        name: _manifold_matrix(x, k_neighbors, local_reg)
+        for name, x in xs.items()
+    }
+
+
+def _manifold_matrix(
+    x: np.ndarray, k_neighbors: int, local_reg: float
+) -> np.ndarray:
+    """One concept's ``A`` (see :func:`manifold_matrices`)."""
+    n, r = x.shape
+    if n == 0:
+        return np.zeros((r, r))
+    blocks = x[knn_indices(x, k_neighbors)]
+    m_size = blocks.shape[1]
+    # Push-through identity: H B (Bᵀ H B + λI)⁻¹ Bᵀ H =
+    # (H B Bᵀ + λI)⁻¹ (H B Bᵀ H), so the batched solve shrinks from the
+    # feature dimension r × r to the (smaller) neighbourhood size m × m.
+    bbt = np.matmul(blocks, np.transpose(blocks, (0, 2, 1)))
+    hbbt = bbt - bbt.mean(axis=1, keepdims=True)  # H B Bᵀ
+    hbbth = hbbt - hbbt.mean(axis=2, keepdims=True)  # H B Bᵀ H
+    h = np.eye(m_size) - np.full((m_size, m_size), 1.0 / m_size)
+    laplacians = h - np.linalg.solve(hbbt + local_reg * np.eye(m_size), hbbth)
+    # Symmetrise against round-off; L must be PSD (Lemma 1).
+    laplacians = 0.5 * (laplacians + np.transpose(laplacians, (0, 2, 1)))
+    # With Sᵢ the neighbourhood selector, Xᵀ Sᵢ is just blocksᵢᵀ, so the
+    # quadratic form contracts neighbourhood-by-neighbourhood without
+    # materialising the n × n scatter matrix Σᵢ Sᵢ Lᵢ Sᵢᵀ.
+    partial = np.matmul(np.transpose(blocks, (0, 2, 1)), laplacians)
+    return np.matmul(partial, blocks).sum(axis=0)

@@ -88,7 +88,8 @@ def build_concept_graphs(
             # Keep occurrences from active records whose endpoints are
             # both still alive; remap stable ids to node positions and
             # merge duplicates (np.unique also CSR-sorts the codes).
-            codes = codes_all[kb.record_active_flags()[rids_all]]
+            active = np.frombuffer(kb.record_active_flags(), dtype=bool)
+            codes = codes_all[active[rids_all]]
             ids = kb.instance_id_map(concept)
             positions = np.full(len(ids), -1, dtype=np.int64)
             for name, i in index.items():

@@ -177,9 +177,9 @@ class NaiveRoundDPCleaner(DPCleaner):
             if rid in seen_records:
                 continue
             seen_records.add(rid)
-            record = kb.record(rid)
-            if not record.active:
+            if not kb.is_active(rid):
                 continue
+            record = kb.record(rid)
             key = (record.sid, record.concept)
             check = checked.get(key)
             if check is None:

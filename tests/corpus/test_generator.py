@@ -8,7 +8,7 @@ import pytest
 from repro.config import ConceptProfile, CorpusConfig
 from repro.corpus import CorpusGenerator, SentenceKind, generate_corpus
 from repro.errors import CorpusError
-from repro.world import toy_world
+from repro.world import paper_world, toy_world
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +202,24 @@ class TestDuplication:
         # Residual collisions are possible (same template + same draw), but
         # explicit duplication is off, so the overlap must be tiny.
         assert len(corpus) - len(corpus.deduplicated()) < 0.05 * len(corpus)
+
+
+class TestBenignCandidateMemo:
+    def test_memo_equals_a_fresh_scan_for_every_concept(self):
+        world = paper_world(seed=11, scale=1.0).world
+        generator = CorpusGenerator(world, _config(), seed=3)
+        members = {spec.name for spec in world.iter_concepts() if spec.members}
+        drawn = 0
+        for spec in world.iter_concepts():
+            fresh = tuple(
+                other.name
+                for other in world.iter_concepts()
+                if other.domain != spec.domain
+                and other.name in members
+                and not (world.members(spec.name) & world.members(other.name))
+            )
+            # Twice: the second read comes from the memo.
+            assert generator._benign_candidates(spec.name) == fresh
+            assert generator._benign_candidates(spec.name) == fresh
+            drawn += bool(fresh)
+        assert drawn > 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.kb import KnowledgeBase
+from repro.kb.record import ExtractionRecord
 
 
 def assert_same_state(a: KnowledgeBase, b: KnowledgeBase) -> None:
@@ -23,7 +24,14 @@ def assert_same_state(a: KnowledgeBase, b: KnowledgeBase) -> None:
     assert set(a_records) == set(b_records)
     for rid, record in a_records.items():
         other = b_records[rid]
-        assert record.active == other.active
+        assert a.is_active(rid) == b.is_active(rid)
         assert record.instances == other.instances
         assert record.triggers == other.triggers
-        assert record.alive_triggers() == other.alive_triggers()
+    assert a.dead_triggers() == b.dead_triggers()
+
+
+def records_for_concept(
+    kb: KnowledgeBase, concept: str
+) -> list[ExtractionRecord]:
+    """Active records extracted under one concept, in rid order."""
+    return [record for record in kb.records() if record.concept == concept]

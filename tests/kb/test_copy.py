@@ -34,8 +34,8 @@ def mid_session_kb(toy_corpus) -> KnowledgeBase:
     assert engine.rollback_records([root.rid]).pairs_removed
     kb.add_extraction(10_000, trigger.concept, (trigger.instance,),
                       iteration=3)
-    assert any(not r.active for r in kb.records(include_inactive=True))
-    assert any(r.dead_triggers() for r in kb.records(include_inactive=True))
+    assert kb_state(kb)["inactive"]
+    assert kb.dead_triggers()
     assert kb.restarted_pairs() and kb.removed_pairs()
     return kb
 
@@ -137,7 +137,7 @@ class TestCopyIsIndependent:
     def test_no_mutable_object_is_shared(self, mid_session_kb):
         kb = mid_session_kb
         clone = kb.copy()
-        mutable = (dict, list, set, np.ndarray, PairState, ExtractionRecord)
+        mutable = (dict, list, set, bytearray, np.ndarray, PairState)
 
         def containers(store: KnowledgeBase) -> dict[int, str]:
             found: dict[int, str] = {}
@@ -148,8 +148,6 @@ class TestCopyIsIndependent:
                     for key, inner in value.items():
                         if isinstance(inner, mutable):
                             found[id(inner)] = f"{name}[{key!r}]"
-            for record in store.records(include_inactive=True):
-                found[id(record._dead_triggers)] = f"record {record.rid}"
             for pair in store.pairs():
                 state = store._pairs[pair]
                 found[id(state.record_ids)] = f"record_ids of {pair}"
@@ -159,3 +157,49 @@ class TestCopyIsIndependent:
         shared = [name for key, name in containers(clone).items()
                   if key in ours]
         assert not shared
+
+
+class TestCopySharesRecords:
+    """Records are immutable values; copies share them, not their state."""
+
+    def test_copy_holds_the_same_record_objects(self, mid_session_kb):
+        kb = mid_session_kb
+        clone = kb.copy()
+        ours = list(kb.records(include_inactive=True))
+        theirs = list(clone.records(include_inactive=True))
+        assert len(ours) == len(theirs) == kb.num_records
+        assert all(a is b for a, b in zip(ours, theirs))
+        assert all(isinstance(r, ExtractionRecord) for r in ours)
+
+    @staticmethod
+    def _reads(kb: KnowledgeBase) -> tuple:
+        return (
+            [kb.is_active(rid) for rid in range(kb.num_records)],
+            kb.dead_triggers(),
+            kb_state(kb),
+        )
+
+    @pytest.mark.parametrize("side", ["copy", "original"])
+    def test_rollback_never_shows_through(self, mid_session_kb, side):
+        kb = mid_session_kb
+        clone = kb.copy()
+        target, other = (clone, kb) if side == "copy" else (kb, clone)
+        before = self._reads(other)
+        # The sole trigger of an active record: rolling it back kills a
+        # fresh trigger and deactivates that record.
+        pair = next(
+            p for p in sorted(target.pairs())
+            if any(r.triggers == (p,) for r in target.records_triggered_by(p))
+        )
+        result = RollbackEngine(target).rollback_pair(pair)
+        assert result.records_rolled_back
+        after = self._reads(target)
+        assert after[0] != before[0]
+        assert after[1] != before[1]
+        assert after[2]["inactive"] != before[2]["inactive"]
+        assert self._reads(other) == before
+        shared = [
+            rid for rid in result.records_rolled_back
+            if target.record(rid) is other.record(rid)
+        ]
+        assert shared == result.records_rolled_back

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from repro.kb import IsAPair
+from repro.kb import IsAPair, KnowledgeBase
 from repro.kb.record import ExtractionRecord
+
+CHICKEN, DUCK = IsAPair("animal", "chicken"), IsAPair("animal", "duck")
 
 
 def _record(**overrides):
@@ -19,6 +23,19 @@ def _record(**overrides):
     )
     base.update(overrides)
     return ExtractionRecord(**base)
+
+
+def _committed(triggers):
+    """A KB whose record 1 extracts pork and beef, triggered by ``triggers``.
+
+    Record 0 is the root that extracted chicken and duck.
+    """
+    kb = KnowledgeBase()
+    kb.add_extraction(0, "animal", ("chicken", "duck"), iteration=1)
+    record = kb.add_extraction(
+        10, "animal", ("pork", "beef"), triggers=triggers, iteration=2
+    )
+    return kb, record.rid
 
 
 class TestExtractionRecord:
@@ -37,34 +54,37 @@ class TestExtractionRecord:
         assert record.is_root
 
     def test_kill_trigger_orphans_when_last(self):
-        record = _record()
-        orphaned = record.kill_trigger(IsAPair("animal", "chicken"))
-        assert orphaned
-        assert record.alive_triggers() == ()
+        kb, rid = _committed((CHICKEN,))
+        assert kb.kill_trigger(rid, CHICKEN)
+        assert kb.dead_triggers() == {rid: (CHICKEN,)}
 
     def test_kill_trigger_partial(self):
-        record = _record(
-            triggers=(IsAPair("animal", "chicken"), IsAPair("animal", "duck"))
-        )
-        assert not record.kill_trigger(IsAPair("animal", "chicken"))
-        assert record.alive_triggers() == (IsAPair("animal", "duck"),)
+        kb, rid = _committed((CHICKEN, DUCK))
+        assert not kb.kill_trigger(rid, CHICKEN)
+        assert kb.dead_triggers() == {rid: (CHICKEN,)}
 
     def test_dead_triggers_follow_trigger_order(self):
-        chicken, duck = IsAPair("animal", "chicken"), IsAPair("animal", "duck")
-        record = _record(triggers=(chicken, duck))
-        assert record.dead_triggers() == ()
-        record.kill_trigger(duck)
-        record.kill_trigger(chicken)
-        assert record.dead_triggers() == (chicken, duck)
-        assert record.alive_triggers() == ()
+        kb, rid = _committed((CHICKEN, DUCK))
+        assert kb.dead_triggers() == {}
+        assert not kb.kill_trigger(rid, DUCK)
+        assert kb.kill_trigger(rid, CHICKEN)
+        assert kb.dead_triggers() == {rid: (CHICKEN, DUCK)}
 
     def test_kill_unknown_trigger_is_noop(self):
-        record = _record()
-        assert not record.kill_trigger(IsAPair("animal", "ghost"))
+        kb, rid = _committed((CHICKEN,))
+        assert not kb.kill_trigger(rid, IsAPair("animal", "ghost"))
+        assert kb.dead_triggers() == {}
 
     def test_root_record_never_orphaned(self):
-        record = _record(triggers=(), iteration=1)
-        assert not record.kill_trigger(IsAPair("animal", "chicken"))
+        kb, _ = _committed((CHICKEN,))
+        assert not kb.kill_trigger(0, CHICKEN)
+        assert kb.dead_triggers() == {}
+
+    def test_records_are_immutable(self):
+        record = _record()
+        with pytest.raises(FrozenInstanceError):
+            record.iteration = 3
+        assert not hasattr(record, "__dict__")
 
     def test_trigger_concept_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from repro.kb import IsAPair, KnowledgeBase
 
+from .state import records_for_concept
+
 
 def _kb():
     kb = KnowledgeBase()
@@ -49,7 +51,7 @@ class TestVersionCounters:
         kb.concepts()
         kb.core_counts("animal")
         kb.sub_instance_counts("animal", "chicken")
-        list(kb.records_for_concept("animal"))
+        records_for_concept(kb, "animal")
         assert kb.version == version
 
     def test_dirty_concepts_since(self):

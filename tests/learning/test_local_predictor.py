@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,30 @@ class TestManifoldMatrices:
             reference = manifold_matrix_reference(x, 5, 0.1)
             assert batched[name].shape == reference.shape
             assert np.abs(batched[name] - reference).max(initial=0.0) <= 1e-10
+
+
+class TestManifoldMemory:
+    """A call's memory peaks at its largest concept, not at their sum."""
+
+    @staticmethod
+    def _peak(xs) -> int:
+        tracemalloc.start()
+        try:
+            manifold_matrices(xs, k_neighbors=5, local_reg=0.1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_that_of_the_largest_concept(self):
+        rng = np.random.default_rng(9)
+        # 25 concepts whose neighbourhood blocks all share one shape, of
+        # 40 to 280 instances.  Stacking them took 9× the largest's peak.
+        xs = {
+            f"c{i}": rng.normal(size=(n, 8))
+            for i, n in enumerate(range(40, 281, 10))
+        }
+        largest = max(xs.values(), key=len)
+        solo = self._peak({"largest": largest})
+        many = self._peak(xs)
+        # The 25 returned 8 × 8 matrices are the only growth allowed.
+        assert many <= 1.25 * solo + len(xs) * 1024, (many, solo)

@@ -445,7 +445,7 @@ class TestInterleavings:
                     RollbackEngine(kb).rollback_pair(pairs[op[1] % len(pairs)])
                 elif kind == "rollback_record" and kb.num_records:
                     rid = op[1] % kb.num_records
-                    if kb.record(rid).active:
+                    if kb.is_active(rid):
                         RollbackEngine(kb).rollback_records([rid])
                 elif kind == "remove_pair" and pairs:
                     kb.remove_pair(pairs[op[1] % len(pairs)])

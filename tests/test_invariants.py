@@ -80,7 +80,7 @@ class TestExtractionInvariants:
         for pair in kb.pairs():
             producing = kb.records_for_pair(pair)
             assert kb.count(pair) == len(producing)
-            assert all(record.active for record in producing)
+            assert all(kb.is_active(record.rid) for record in producing)
 
     @given(world_params)
     @settings(**_SETTINGS)
