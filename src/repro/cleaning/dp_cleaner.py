@@ -12,7 +12,9 @@ Each cleaning round:
 
 Rounds repeat — removing early-iteration DPs exposes and removes the later
 DPs they fed — until a round finds nothing to clean or the round cap is
-reached.
+reached.  The cap is ``CleaningConfig.max_cleaning_rounds`` unless the
+caller passes its own budget for one call (an ingest session gives a
+drift-triggered pass one round; see :mod:`repro.service.session`).
 """
 
 from __future__ import annotations
@@ -101,7 +103,21 @@ class DPCleaner(BaseCleaner):
         self._check_memo: dict[int, _MemoEntry] = {}
 
     @collector_paused
-    def clean(self, kb: KnowledgeBase, corpus: Corpus) -> CleaningResult:
+    def clean(
+        self,
+        kb: KnowledgeBase,
+        corpus: Corpus,
+        max_rounds: int | None = None,
+    ) -> CleaningResult:
+        """Clean ``kb`` in rounds until one removes nothing.
+
+        ``max_rounds`` caps the rounds of this call; ``None`` uses
+        ``CleaningConfig.max_cleaning_rounds``.
+        """
+        if max_rounds is None:
+            max_rounds = self._config.max_cleaning_rounds
+        elif max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
         before = kb.removed_pairs()
         by_sid = corpus.by_sid()
         self._check_memo = {}
@@ -110,9 +126,7 @@ class DPCleaner(BaseCleaner):
         total_rolled = 0
         ctx = self._ctx
         with ctx.span("clean", method=self.name) as span:
-            for round_index in range(
-                1, self._config.max_cleaning_rounds + 1
-            ):
+            for round_index in range(1, max_rounds + 1):
                 with ctx.span(
                     "clean.round", round=round_index
                 ) as round_span:
@@ -145,7 +159,7 @@ class DPCleaner(BaseCleaner):
         )
 
     # ------------------------------------------------------------------
-    # One round
+    # One round: detect, drop accidental DPs, collect, check
     # ------------------------------------------------------------------
     def _run_round(
         self,
@@ -154,7 +168,23 @@ class DPCleaner(BaseCleaner):
         engine: RollbackEngine,
         round_index: int,
     ) -> RoundStats:
+        ctx = self._ctx
         stats = RoundStats(round_index=round_index)
+        with ctx.span("clean.detect"):
+            intentional, accidental = self._detect(kb)
+        stats.accidental_dps = len(accidental)
+        stats.intentional_dps = len(intentional)
+        self._drop_accidental(kb, engine, accidental, intentional, stats)
+        with ctx.span("clean.collect"):
+            entries, check_scores = self._collect(kb, by_sid, intentional)
+        with ctx.span("clean.check"):
+            self._check(kb, by_sid, engine, entries, check_scores, stats)
+        return stats
+
+    def _detect(
+        self, kb: KnowledgeBase
+    ) -> tuple[list[IsAPair], list[IsAPair]]:
+        """Refit detection; the (intentional, accidental) DPs still alive."""
         detections = self._detect_fn(kb)
         intentional: list[IsAPair] = []
         accidental: list[IsAPair] = []
@@ -169,12 +199,23 @@ class DPCleaner(BaseCleaner):
                 elif label is int_label:
                     if instance in alive:
                         intentional.append(IsAPair(concept, instance))
-        stats.accidental_dps = len(accidental)
-        stats.intentional_dps = len(intentional)
+        return intentional, accidental
 
-        # Scores for Eq. 21 checks and for the weaker-side test below.  The
-        # refresh is a no-op when detection just refreshed the shared index
-        # (refresh == rebuild is pinned by the concepts property tests).
+    def _drop_accidental(
+        self,
+        kb: KnowledgeBase,
+        engine: RollbackEngine,
+        accidental: list[IsAPair],
+        intentional: list[IsAPair],
+        stats: RoundStats,
+    ) -> None:
+        """Roll back the accidental DPs the guards let through.
+
+        The ones a guard keeps are appended to ``intentional``.
+        """
+        # Scores for the weaker-side test below.  The exclusion refresh is
+        # a no-op when detection just refreshed the shared index (refresh
+        # == rebuild is pinned by the concepts property tests).
         exclusion = self._analysis.exclusion(kb)
         relevant = {pair.concept for pair in intentional}
         relevant.update(pair.concept for pair in accidental)
@@ -224,13 +265,21 @@ class DPCleaner(BaseCleaner):
             stats.records_rolled_back += result.num_records
             stats.pairs_removed += result.num_pairs
 
-        # Intentional DPs: keep the pair, re-score what it triggered.
-        # Eq. 21 needs scores for *every* candidate concept of the checked
-        # sentences (not just the DP's own concept), and the accidental
-        # rollbacks above changed the graph, so re-rank now.  Each record
-        # is checked once, for the first DP in sorted order that triggered
-        # it; inactive records and sentences outside the corpus are never
-        # checked, so they are dropped before they become entries.
+    def _collect(
+        self,
+        kb: KnowledgeBase,
+        by_sid: Mapping[int, "object"],
+        intentional: list[IsAPair],
+    ) -> tuple[list[tuple[str, ExtractionRecord]], dict]:
+        """The (trigger, record) entries to check, and their scores.
+
+        Eq. 21 needs scores for *every* candidate concept of the checked
+        sentences (not just the DP's own concept), and the accidental
+        rollbacks changed the graph, so this re-ranks.  Each record is
+        checked once, for the first DP in sorted order that triggered it;
+        inactive records and sentences outside the corpus are never
+        checked, so they are dropped before they become entries.
+        """
         entries: list[tuple[str, ExtractionRecord]] = []
         candidate_concepts: set[str] = set()
         seen_records: set[int] = set()
@@ -253,6 +302,18 @@ class DPCleaner(BaseCleaner):
                 entries.append((pair.instance, record))
                 candidate_concepts.update(sentence.concepts)
         check_scores = self._ranker.score_all(kb, sorted(candidate_concepts))
+        return entries, check_scores
+
+    def _check(
+        self,
+        kb: KnowledgeBase,
+        by_sid: Mapping[int, "object"],
+        engine: RollbackEngine,
+        entries: list[tuple[str, ExtractionRecord]],
+        check_scores: dict,
+        stats: RoundStats,
+    ) -> None:
+        """Eq. 21 over the entries; roll back the losing extractions."""
         # The KB is stable until the rollback below, so concept versions
         # are round constants.  Versions only grow, so a memo entry found
         # stale is replaced, never revived.  Several DPs can trigger
@@ -290,4 +351,3 @@ class DPCleaner(BaseCleaner):
             result = engine.rollback_records(sorted(to_roll))
             stats.records_rolled_back += result.num_records
             stats.pairs_removed += result.num_pairs
-        return stats

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from collections.abc import Iterator
 
 from ..kb.store import KnowledgeBase
@@ -34,7 +35,9 @@ class CoreSimilarity:
     def __init__(self, kb: KnowledgeBase, min_core_size: int = 1) -> None:
         if min_core_size < 1:
             raise ValueError("min_core_size must be >= 1")
-        self._kb = kb
+        # Weak: caches keyed weakly by KB hold the index (and so this
+        # snapshot) as their value, which must not keep the KB alive.
+        self._kb = weakref.ref(kb)
         self._min_core_size = min_core_size
         self._kb_version = kb.version
         self._cores: dict[str, frozenset[str]] = {}
@@ -56,9 +59,9 @@ class CoreSimilarity:
         reported alongside it — ``similarity(a, b)`` can change only if
         ``a`` or ``b`` is in the returned set.
         """
-        kb = self._kb
-        if kb.version == self._kb_version:
-            return frozenset()
+        kb = self._kb()
+        if kb is None or kb.version == self._kb_version:
+            return frozenset()  # a collected KB can no longer change
         dirty = kb.dirty_concepts_since(self._kb_version)
         self._kb_version = kb.version
         affected: set[str] = set()

@@ -234,6 +234,11 @@ class CleaningConfig:
     point *during cleaning only*: the cleaner's definition-level guards and
     Eq. 21 arbitration absorb false DP flags cheaply, while every missed DP
     leaves its whole error cascade in place.
+
+    ``max_cleaning_rounds`` caps the passes that run to the fixed point:
+    one-shot cleaning, and an ingest session's staleness-triggered and
+    forced passes.  A session's drift-triggered pass runs one round and
+    leaves the rest to the next pass.
     """
 
     max_cleaning_rounds: int = 10

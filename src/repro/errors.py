@@ -44,10 +44,6 @@ class KnowledgeBaseError(ReproError):
     """Raised on invalid knowledge-base operations (e.g. double removal)."""
 
 
-class LabelingError(ReproError):
-    """Raised when seed-label construction fails."""
-
-
 class LearningError(ReproError):
     """Raised when a DP detector cannot be trained or applied."""
 
@@ -58,10 +54,6 @@ class NotFittedError(LearningError):
     def __init__(self, what: str) -> None:
         super().__init__(f"{what} must be fitted before use")
         self.what = what
-
-
-class CleaningError(ReproError):
-    """Raised when a cleaning strategy is misconfigured."""
 
 
 class ExperimentError(ReproError):

@@ -46,9 +46,12 @@ def run_cleaner(pipeline: Pipeline, cleaner, concepts):
     return metrics, result, truth, extraction
 
 
-def run_table3(pipeline: Pipeline | None = None) -> ExperimentResult:
-    """Regenerate Table 3."""
-    pipeline = default_pipeline(pipeline)
+def _cleaners(pipeline: Pipeline):
+    """The evaluation concepts, the uncleaned metrics and the cleaners.
+
+    The analysis copy's KB stays reachable only through the seeds and
+    evidence the PRDual-Rank and RW-Rank cleaners hold.
+    """
     artifacts = pipeline.analyze(fit_detector=False)
     targets = list(artifacts.target_concepts)
     baseline_before = cleaning_metrics(
@@ -64,6 +67,13 @@ def run_table3(pipeline: Pipeline | None = None) -> ExperimentResult:
         ("RW-Rank", RWRankCleaner(artifacts.seeds)),
         ("DP Cleaning", pipeline.dp_cleaner()),
     ]
+    return targets, baseline_before, cleaners
+
+
+def run_table3(pipeline: Pipeline | None = None) -> ExperimentResult:
+    """Regenerate Table 3."""
+    pipeline = default_pipeline(pipeline)
+    targets, baseline_before, cleaners = _cleaners(pipeline)
     rows: list[tuple] = [
         ("Before Cleaning", "-", "-",
          round(baseline_before.p_corr, 4), 1.0),
@@ -71,9 +81,12 @@ def run_table3(pipeline: Pipeline | None = None) -> ExperimentResult:
     data: dict[str, dict[str, float]] = {
         "Before Cleaning": {"p_corr": baseline_before.p_corr, "r_corr": 1.0}
     }
-    for label, cleaner in cleaners:
+    while cleaners:
         # Keep only the metrics: the cleaned KB, its result and its truth
-        # are dropped here, so one cleaner's KB is alive at a time.
+        # are dropped here, and each cleaner leaves the list as it runs,
+        # so one cleaner's KB is alive at a time and the analysis copy is
+        # gone before the DP row.
+        label, cleaner = cleaners.pop(0)
         metrics = run_cleaner(pipeline, cleaner, targets)[0]
         rows.append((
             label,

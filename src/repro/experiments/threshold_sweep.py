@@ -23,14 +23,14 @@ __all__ = ["run_threshold_sweep"]
 _MULTIPLIERS = (0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.5)
 
 
-def run_threshold_sweep(pipeline: Pipeline | None = None) -> ExperimentResult:
-    """Sweep RW-Rank's removal threshold; compare against DP cleaning."""
-    pipeline = default_pipeline(pipeline)
-    targets = list(pipeline.preset.target_concepts)
-    # One extraction scored once; each threshold is evaluated analytically
-    # against the same snapshot (removal = score below multiplier/n).
-    extraction = pipeline.extract()
-    kb = extraction.kb
+def _sweep(pipeline: Pipeline, targets: list[str]):
+    """The RW-Rank rows and curve, one row per threshold multiplier.
+
+    One extraction scored once; each threshold is evaluated analytically
+    against the same snapshot (removal = score below multiplier/n).  Its
+    KB is local, so it is freed before the DP row copies another.
+    """
+    kb = pipeline.extract().kb
     truth = GroundTruth(pipeline.preset.world, kb)
     scored = RandomWalkRanker().score_all(kb)
     before = {concept: kb.instances_of(concept) for concept in kb.concepts()}
@@ -62,12 +62,15 @@ def run_threshold_sweep(pipeline: Pipeline | None = None) -> ExperimentResult:
             "p_error": metrics.p_error, "r_error": metrics.r_error,
             "p_corr": metrics.p_corr, "r_corr": metrics.r_corr,
         })
+    return rows, curve
 
-    dp_metrics, _result, _truth, _extraction = run_cleaner(
-        pipeline,
-        pipeline.dp_cleaner(),
-        targets,
-    )
+
+def run_threshold_sweep(pipeline: Pipeline | None = None) -> ExperimentResult:
+    """Sweep RW-Rank's removal threshold; compare against DP cleaning."""
+    pipeline = default_pipeline(pipeline)
+    targets = list(pipeline.preset.target_concepts)
+    rows, curve = _sweep(pipeline, targets)
+    dp_metrics = run_cleaner(pipeline, pipeline.dp_cleaner(), targets)[0]
     rows.append((
         "DP Cleaning (no threshold)",
         round(dp_metrics.p_error, 4), round(dp_metrics.r_error, 4),

@@ -12,11 +12,21 @@ Per batch it:
 3. asks the :class:`~repro.service.policy.IngestPolicy` whether a
    DP-cleaning pass is due (staleness or drift), and runs one if so.
 
+The pass's round budget follows its trigger.  Paper §4 cleans after each
+extraction iteration until no DP remains; in a session the next batch's
+pass is that next iteration, so a **drift**-triggered pass runs exactly
+one DP round and leaves the rest to the next pass.  **Staleness**-
+triggered and **forced** passes run to the fixed point, capped by
+``CleaningConfig.max_cleaning_rounds`` — so ``IngestPolicy.every_batch()``
+(a staleness threshold of 0) and ``force_clean=True`` keep batch
+cleaning's meaning.  :meth:`IngestSession.stats` reports ``converged``:
+whether the last pass's last round rolled nothing back.
+
 Cleaning passes are **self-contained**: each pass gets a fresh cleaner
 and with it a fresh detection callback, so the detector embedding is
 frozen across the pass's rounds (exactly as in batch cleaning) but
 refitted per pass.  That makes every pass a pure function of (KB, corpus,
-config) — the property both invariants ride on:
+config, trigger) — the property both invariants ride on:
 
 * *batch equivalence*: the whole corpus in one batch with cleaning
   forced reproduces ``Pipeline.extract()`` +
@@ -64,7 +74,7 @@ class DriftStats:
 
 @dataclass(frozen=True)
 class CleaningReport:
-    """What one drift-triggered cleaning pass did."""
+    """What one cleaning pass did."""
 
     reason: str
     removed_pairs: int
@@ -246,7 +256,14 @@ class IngestSession:
         }
 
     def stats(self) -> dict:
-        """A summary of the session so far."""
+        """A summary of the session so far.
+
+        ``converged`` says whether the last cleaning pass reached its
+        fixed point (its last round rolled nothing back); ``None`` before
+        any pass.  A drift pass runs one round, so after one that still
+        removed pairs this is false: ``ingest([], force_clean=True)``
+        converges on demand.
+        """
         return {
             "batches": self.batches_ingested,
             "cleanings": self._monitor.cleanings,
@@ -254,8 +271,19 @@ class IngestSession:
             "removed_pairs": len(self.kb.removed_pairs()),
             "unresolved": len(self._extractor.unresolved_sids()),
             "staleness": self._monitor.staleness,
+            "converged": self._converged(),
             "drift_history": [r.drift.fraction for r in self._reports],
         }
+
+    def _converged(self) -> bool | None:
+        last = next(
+            (r.cleaning for r in reversed(self._reports) if r.cleaning),
+            None,
+        )
+        if last is None:
+            return None
+        final = last.round_stats[-1]
+        return not (final["records_rolled_back"] or final["pairs_removed"])
 
     # ------------------------------------------------------------------
     # Ingest
@@ -384,7 +412,13 @@ class IngestSession:
 
         cleaner = self._cleaner_factory(factory)
         version_before = kb.version
-        result = cleaner.clean(kb, self._extractor.corpus())
+        # A drift pass runs one round: what it leaves, the next pass's
+        # first round finds.  Staleness and forced passes converge.
+        result = cleaner.clean(
+            kb,
+            self._extractor.corpus(),
+            max_rounds=1 if reason == "drift" else None,
+        )
         report = CleaningReport(
             reason=reason,
             removed_pairs=result.num_removed,

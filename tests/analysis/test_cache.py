@@ -10,6 +10,8 @@ exactly what the cache-off oracles of ``tests/cleaning/uncached.py`` do.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -287,3 +289,21 @@ class TestCleanerCacheEquivalence:
         # same chosen concepts, identical score tuples.
         assert rounds_on == rounds_off
         assert removed_on  # the scenario actually exercises the cleaner
+
+
+class TestKBLifetime:
+    """The cache observes KBs; it must not keep a dropped one alive."""
+
+    def test_exclusion_state_does_not_pin_its_kb(self):
+        kb = KnowledgeBase()
+        kb.add_extraction(0, "animal", ("dog", "cat"), iteration=1)
+        kb.add_extraction(1, "food", ("rice", "dog"), iteration=1)
+        cache = AnalysisCache()
+        exclusion = cache.exclusion(kb)
+        collected = []
+        weakref.finalize(kb, collected.append, True)
+        del kb
+        gc.collect()
+        assert collected == [True]
+        # A collected KB can no longer change: refreshing finds nothing.
+        assert exclusion.refresh() == frozenset()

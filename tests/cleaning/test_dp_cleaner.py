@@ -131,6 +131,35 @@ class TestDPCleaner:
         report = cleaner.clean(result.kb, result.corpus)
         assert report.rounds == 1
 
+    def test_call_budget_caps_the_rounds_of_one_call(self, tmp_path):
+        # A budget of 1 under the default cap runs exactly what a cap of
+        # 1 runs; without a budget the same cleaner converges.
+        outcomes = []
+        for config, budget in (
+            (CleaningConfig(max_cleaning_rounds=1), None),
+            (CleaningConfig(), 1),
+        ):
+            result = SemanticIterativeExtractor().run(_corpus())
+            cleaner = DPCleaner(_oracle_detect, config)
+            report = cleaner.clean(result.kb, result.corpus, max_rounds=budget)
+            path = tmp_path / f"budget-{budget}.jsonl"
+            save_kb(result.kb, path)
+            outcomes.append((
+                [vars(stats) for stats in report.details["rounds"]],
+                path.read_bytes(),
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 1
+        _kb, converged = self._clean()
+        assert converged.rounds > 1
+
+    def test_call_budget_must_be_positive(self):
+        result = SemanticIterativeExtractor().run(_corpus())
+        with pytest.raises(ValueError, match="max_rounds"):
+            DPCleaner(_oracle_detect).clean(
+                result.kb, result.corpus, max_rounds=0
+            )
+
 
 class TestScoreCacheEquivalence:
     """The score cache and the Eq. 21 memo must never change outcomes."""

@@ -76,6 +76,7 @@ class TestIngest:
         stats = session.stats()
         assert stats["batches"] == len(reports)
         assert stats["cleanings"] == 0
+        assert stats["converged"] is None  # no pass has run
         assert stats["pairs"] == len(session.kb)
         assert stats["drift_history"] == [
             r.drift.fraction for r in reports
@@ -144,6 +145,58 @@ class TestCleaningTriggers:
         report = stale.ingest(service_corpus.sentences[:10])
         assert report.cleaning is None
         assert stale.staleness == report.sentences_new == 10
+
+
+class TestRoundBudget:
+    """A drift pass runs one round; staleness and forced passes converge.
+
+    The end of a stream is not cleaned implicitly: ``stats()["converged"]``
+    says whether the last pass reached its fixed point, and an empty
+    forced batch converges on demand.
+    """
+
+    DRIFT = IngestPolicy(
+        staleness_threshold=None, drift_threshold=0.05, min_new_pairs=10
+    )
+
+    @pytest.fixture(scope="class")
+    def drift_then_forced(self, service_corpus):
+        session = make_pipeline().session(policy=self.DRIFT)
+        drift = session.ingest(next(service_corpus.batches(600)))
+        after_drift = session.stats()
+        forced = session.ingest([], force_clean=True)
+        return session, drift, after_drift, forced
+
+    def test_drift_pass_runs_one_round(self, drift_then_forced):
+        _, drift, after_drift, _ = drift_then_forced
+        assert drift.cleaning.reason == "drift"
+        assert drift.cleaning.rounds == 1
+        assert len(drift.cleaning.round_stats) == 1
+        assert drift.cleaning.removed_pairs > 0
+        # Its one round still removed pairs: the fixed point is deferred.
+        assert after_drift["converged"] is False
+
+    def test_forced_empty_batch_converges_the_stream(self, drift_then_forced):
+        session, _, _, forced = drift_then_forced
+        assert forced.cleaning.reason == "forced"
+        assert forced.sentences_new == 0
+        final = forced.cleaning.round_stats[-1]
+        assert final["records_rolled_back"] == final["pairs_removed"] == 0
+        assert session.stats()["converged"] is True
+
+    def test_staleness_pass_converges_from_the_same_first_round(
+        self, drift_then_forced, service_corpus
+    ):
+        _, drift, _, _ = drift_then_forced
+        session = make_pipeline().session(policy=IngestPolicy.every_batch())
+        stale = session.ingest(next(service_corpus.batches(600)))
+        assert stale.cleaning.reason == "staleness"
+        assert stale.cleaning.rounds > 1
+        final = stale.cleaning.round_stats[-1]
+        assert final["records_rolled_back"] == final["pairs_removed"] == 0
+        assert session.stats()["converged"] is True
+        # The budget only truncates: round 1 is the drift pass's round.
+        assert stale.cleaning.round_stats[0] == drift.cleaning.round_stats[0]
 
 
 class TestDurabilityGuards:

@@ -102,6 +102,8 @@ class TestMain:
     def test_ingest_progress_output_is_pinned(self, capsys, tmp_path):
         # Three batches: one uncleaned, one staleness and one drift clean;
         # then a --resume of the finished directory.  Every stdout line.
+        # The drift pass runs one round and that round removed pairs, so
+        # the summary reports the stream as not converged.
         argv = ["ingest", "--scale", "0.5", "--sentences", "1200",
                 "--batch-size", "450", "--staleness", "800",
                 "--drift-threshold", "0.25",
@@ -114,6 +116,7 @@ class TestMain:
             '  "removed_pairs": 234,',
             '  "unresolved": 25,',
             '  "staleness": 0,',
+            '  "converged": false,',
             '  "drift_history": [',
             "    0.08937960042060988,",
             "    0.19540229885057472,",
