@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Enforce the repro package's import-direction and collector rules.
+"""Enforce the repro package's import-direction, collector and scipy rules.
 
 The package is layered (DESIGN.md §8): a module may import from its own
 layer or any layer below it, never from above.  This script walks every
@@ -15,6 +15,12 @@ Any other reference to them, through ``import gc`` (aliased or not) or
 
 The library never writes to stdout: ``print`` may appear only in
 ``repro/cli.py``, which renders the reports the library returns.
+
+scipy loads on first use (DESIGN.md §6, "Process footprint"): it brings
+a second OpenBLAS runtime, so no module under ``src/repro`` may import
+``scipy`` at module level — in the module body or in an ``if``, ``try``,
+``with`` or class block nested in it.  Imports inside a function body
+are allowed.
 
 Run directly (``python scripts/check_layering.py``) or through ``make
 lint``; the tier-1 suite also exercises it (``tests/test_layering.py``),
@@ -167,6 +173,30 @@ def _prints(tree: ast.Module) -> list[int]:
     )
 
 
+def _eager_scipy_imports(tree: ast.Module) -> list[int]:
+    """Line of every ``scipy`` import that runs when the module loads.
+
+    Everything outside a function body runs at import time, so the walk
+    descends into every statement except function definitions.
+    """
+    found: list[int] = []
+    pending: list[ast.AST] = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 def check_layering(root: Path) -> list[str]:
     """All layering violations under ``root`` (the ``repro`` package dir)."""
     violations: list[str] = []
@@ -194,6 +224,12 @@ def check_layering(root: Path) -> list[str]:
                     f"{path}:{lineno}: print outside repro/cli.py — the "
                     "library returns reports and records spans instead"
                 )
+        for lineno in _eager_scipy_imports(tree):
+            violations.append(
+                f"{path}:{lineno}: module-level scipy import — import it "
+                "in the function that needs it (scipy loads a second "
+                "OpenBLAS runtime)"
+            )
         for lineno, imported in _imported_members(tree, parts):
             if imported == member:
                 continue

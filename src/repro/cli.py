@@ -18,6 +18,10 @@ Stream a corpus through a durable ingestion session::
 
     repro ingest corpus.jsonl --batch-size 500 --checkpoint-dir state/
     repro ingest corpus.jsonl --checkpoint-dir state/ --resume
+
+Summarise an exported trace into self time per span name::
+
+    repro trace summarize trace.jsonl
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 from .corpus.corpus import Corpus
 from .experiments.pipeline import Pipeline, experiment_config
 from .experiments.registry import experiment_names, run_experiment
+from .runtime.tracing import read_trace, summarize_trace
 from .service.policy import IngestPolicy
 from .service.session import BatchReport
 from .world.presets import paper_world
@@ -137,6 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", type=str, default=None,
         help="JSONL file to export the session's span tree to",
     )
+    trace = sub.add_parser("trace", help="inspect an exported trace")
+    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
+    summarize = trace_sub.add_parser(
+        "summarize",
+        help="one row per span name, sorted by self time",
+    )
+    summarize.add_argument("trace", help="JSONL trace written by --trace")
     return parser
 
 
@@ -203,6 +215,28 @@ def _run_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _summarize_trace(path: str) -> int:
+    try:
+        rows = summarize_trace(read_trace(path))
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    width = max([len("span")] + [len(row.name) for row in rows])
+    print(
+        f"{'span':<{width}}  {'count':>6}  {'total_ms':>10}  "
+        f"{'self_ms':>10}  counters"
+    )
+    for row in rows:
+        counters = " ".join(
+            f"{name}={value}" for name, value in row.counters.items()
+        )
+        print(
+            f"{row.name:<{width}}  {row.count:>6}  {row.total_ms:>10.1f}  "
+            f"{row.self_ms:>10.1f}  {counters}".rstrip()
+        )
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
@@ -212,6 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "ingest":
         return _run_ingest(args)
+    if args.command == "trace":
+        return _summarize_trace(args.trace)
     names = experiment_names() if args.experiment == "all" else [args.experiment]
     output_dir = Path(args.output) if args.output else None
     if output_dir is not None:

@@ -435,17 +435,22 @@ class Pipeline:
     def _inputs(self, kb: KnowledgeBase) -> _Inputs:
         """Everything the detector is fitted on, built through the cache."""
         concepts = self.analysis_concepts(kb)
-        exclusion = self._analysis.exclusion(kb)
+        span = self._ctx.span
+        with span("analysis.exclusion"):
+            exclusion = self._analysis.exclusion(kb)
         scores = self._ranker.score_all(kb, concepts)
         features = FeatureExtractor(kb, exclusion, scores)
-        matrices = self._analysis.matrices(kb, concepts, features)
-        verified = self._analysis.verified(
-            kb, concepts, self._verified_concept
-        )
-        evidence = self._analysis.evidence(
-            kb, self._config.labeling, verified
-        )
-        seeds = self._analysis.seeds(kb, concepts, evidence)
+        with span("analysis.matrices"):
+            matrices = self._analysis.matrices(kb, concepts, features)
+        with span("analysis.verified"):
+            verified = self._analysis.verified(
+                kb, concepts, self._verified_concept
+            )
+        with span("analysis.seeds"):
+            evidence = self._analysis.evidence(
+                kb, self._config.labeling, verified
+            )
+            seeds = self._analysis.seeds(kb, concepts, evidence)
         return _Inputs(
             exclusion, scores, features, matrices, verified, evidence, seeds
         )

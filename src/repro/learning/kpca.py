@@ -14,7 +14,6 @@ feature space; a shared basis is the consistent reading.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 
 from ..errors import LearningError, NotFittedError
 from ..rng import generator_from
@@ -49,6 +48,9 @@ class KernelPCA:
 
     def fit(self, x: np.ndarray) -> "KernelPCA":
         """Fit the basis on sample rows ``x`` (n × d)."""
+        # Lazy: scipy loads a second OpenBLAS runtime (about 28 MB, 0.3 s).
+        from scipy import linalg as scipy_linalg
+
         if x.ndim != 2 or x.shape[0] < 2:
             raise LearningError("KernelPCA.fit needs at least two samples")
         self._fit_x = np.asarray(x, dtype=float)

@@ -15,7 +15,6 @@ product, which survives only as the oracle in ``tests/ranking/``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from ..kb.store import KnowledgeBase
 from ..runtime.context import NULL_CONTEXT, RunContext
@@ -49,6 +48,9 @@ def _random_walk_scores_union(
     call overhead of a step over every concept, which is what makes
     scoring hundreds of small graphs cheap.
     """
+    # Lazy: scipy loads a second OpenBLAS runtime (about 28 MB, 0.3 s).
+    from scipy import sparse
+
     solutions: list[dict[str, float] | None] = [
         {} if graph.size == 0 else None for graph in graphs
     ]

@@ -8,14 +8,23 @@ span names and the import-direction rules this package anchors.
 
 from .collector import collector_paused
 from .context import NULL_CONTEXT, RunContext
-from .tracing import TRACE_SCHEMA_VERSION, Span, Tracer, read_trace
+from .tracing import (
+    TRACE_SCHEMA_VERSION,
+    Span,
+    SpanSummary,
+    Tracer,
+    read_trace,
+    summarize_trace,
+)
 
 __all__ = [
     "collector_paused",
     "NULL_CONTEXT",
     "RunContext",
     "Span",
+    "SpanSummary",
     "Tracer",
     "TRACE_SCHEMA_VERSION",
     "read_trace",
+    "summarize_trace",
 ]

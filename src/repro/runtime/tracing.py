@@ -18,6 +18,9 @@ field names (pinned by ``tests/runtime/test_tracing.py``):
 * ``{"kind": "counters", "schema": 2, "counters": {...}}`` — trailing
   record for counts recorded outside any span (only when nonempty).
 
+:func:`read_trace` parses an export back and :func:`summarize_trace`
+rolls it up into self time per span name (``repro trace summarize``).
+
 Tracing is observation only: spans never touch RNG state and never feed
 back into any stage, so a traced run is bit-identical to an untraced one
 (pinned by ``tests/runtime/test_trace_identity.py``).  The tracer keeps
@@ -31,9 +34,18 @@ import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from collections import Counter, defaultdict
 from collections.abc import Iterator
+from typing import NamedTuple
 
-__all__ = ["Span", "Tracer", "TRACE_SCHEMA_VERSION", "read_trace"]
+__all__ = [
+    "Span",
+    "SpanSummary",
+    "Tracer",
+    "TRACE_SCHEMA_VERSION",
+    "read_trace",
+    "summarize_trace",
+]
 
 TRACE_SCHEMA_VERSION = 2
 
@@ -207,11 +219,66 @@ class Tracer:
 
 
 def read_trace(path: str | Path) -> list[dict]:
-    """Parse a JSONL trace back into its records (round-trip helper)."""
+    """Parse a JSONL trace back into its records.
+
+    A line that is not a JSON object raises ``ValueError`` naming
+    ``path:line``.
+    """
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed trace record: {exc.msg}"
+                ) from None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: trace record is not a JSON object"
+                )
+            records.append(record)
     return records
+
+
+class SpanSummary(NamedTuple):
+    """Every span of one name in a trace, rolled up."""
+
+    name: str
+    count: int
+    total_ms: float
+    self_ms: float
+    counters: dict[str, int | float]
+
+
+def summarize_trace(records: list[dict]) -> list[SpanSummary]:
+    """One :class:`SpanSummary` per span name, largest self time first.
+
+    A span's self time is its wall time minus its children's wall time,
+    so the self times of every span sum to the roots' wall time.
+    """
+    spans = [record for record in records if record["kind"] == "span"]
+    child_ms: Counter[int] = Counter()
+    by_name: defaultdict[str, list[dict]] = defaultdict(list)
+    for span in spans:
+        if span["parent"] is not None:
+            child_ms[span["parent"]] += span["wall_ms"]
+        by_name[span["name"]].append(span)
+    summaries = []
+    for name, group in by_name.items():
+        counters: Counter[str] = Counter()
+        for span in group:
+            counters.update(span["counters"])
+        summaries.append(
+            SpanSummary(
+                name,
+                len(group),
+                sum(span["wall_ms"] for span in group),
+                sum(span["wall_ms"] - child_ms[span["id"]] for span in group),
+                dict(sorted(counters.items())),
+            )
+        )
+    return sorted(summaries, key=lambda row: (-row.self_ms, row.name))

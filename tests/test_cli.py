@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.tracing import read_trace, summarize_trace
 
 
 class TestParser:
@@ -253,3 +257,84 @@ class TestMain:
         )
         assert payload["name"] == "figure4"
         assert "bands" in payload["data"]
+
+
+_SUMMARY_ROW = re.compile(
+    r"^(\S+) +(\d+) +(\d+\.\d) +(-?\d+\.\d)(?:  (\S.*))?$"
+)
+
+
+class TestTraceSummarize:
+    """``repro trace summarize``: self time per span name of a trace."""
+
+    @pytest.fixture(scope="class")
+    def trace(self, tmp_path_factory) -> Path:
+        trace = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+        code = main(
+            ["ingest", "--scale", "0.5", "--sentences", "800",
+             "--batch-size", "400", "--staleness", "400",
+             "--drift-threshold", "-1", "--trace", str(trace)]
+        )
+        assert code == 0
+        return trace
+
+    def test_parser(self):
+        args = build_parser().parse_args(["trace", "summarize", "t.jsonl"])
+        assert args.command == "trace"
+        assert args.trace_command == "summarize"
+        assert args.trace == "t.jsonl"
+
+    def test_output_shape(self, capsys, trace):
+        capsys.readouterr()
+        assert main(["trace", "summarize", str(trace)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == [
+            "span", "count", "total_ms", "self_ms", "counters",
+        ]
+        rows = [_SUMMARY_ROW.match(line) for line in lines]
+        assert all(rows), lines
+        names = [row[1] for row in rows]
+        spans = [r for r in read_trace(trace) if r["kind"] == "span"]
+        assert sorted(names) == sorted({span["name"] for span in spans})
+        assert sum(int(row[2]) for row in rows) == len(spans)
+        self_ms = [float(row[4]) for row in rows]
+        assert self_ms == sorted(self_ms, reverse=True)
+        by_name = {row[1]: row for row in rows}
+        assert int(by_name["ingest.batch"][2]) == sum(
+            span["name"] == "ingest.batch" for span in spans
+        )
+        assert "sentences_new=800" in by_name["ingest.batch"][5].split()
+        # Detection breaks down into the analysis stages it refits.
+        assert {
+            "analysis.exclusion", "analysis.matrices", "analysis.verified",
+            "analysis.seeds",
+        } <= set(names)
+        assert float(by_name["analysis.refresh"][4]) < float(
+            by_name["analysis.refresh"][3]
+        )
+
+    def test_self_times_sum_to_the_roots_wall_time(self, capsys, trace):
+        spans = [r for r in read_trace(trace) if r["kind"] == "span"]
+        roots_ms = sum(s["wall_ms"] for s in spans if s["parent"] is None)
+        rows = summarize_trace(read_trace(trace))
+        assert sum(row.self_ms for row in rows) == pytest.approx(
+            roots_ms, abs=1e-6
+        )
+        capsys.readouterr()
+        main(["trace", "summarize", str(trace)])
+        _, *lines = capsys.readouterr().out.splitlines()
+        printed = sum(float(_SUMMARY_ROW.match(line)[4]) for line in lines)
+        # Each printed value is rounded to 0.1 ms.
+        assert abs(printed - roots_ms) <= 0.05 * len(lines) + 1e-9
+
+    def test_malformed_line_names_path_and_line(self, capsys, trace, tmp_path):
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{broken}:3:")):
+            read_trace(broken)
+        assert main(["trace", "summarize", str(broken)]) == 1
+        assert f"error: {broken}:3: malformed trace record" in (
+            capsys.readouterr().err
+        )

@@ -1,8 +1,8 @@
 """The layered-module boundaries are enforced (scripts/check_layering.py).
 
 The same script keeps every switch of the cyclic collector inside
-``repro/runtime/collector.py`` and every ``print`` inside
-``repro/cli.py``.
+``repro/runtime/collector.py``, every ``print`` inside ``repro/cli.py``
+and every ``scipy`` import inside a function body.
 
 Two halves: the real source tree must be clean, and the checker must
 actually catch violations — a checker that always passes enforces
@@ -181,5 +181,57 @@ class TestPrintRule:
     def test_print_in_a_docstring_is_allowed(self, checker, tmp_path):
         root = _make_module(
             tmp_path, ["kb", "store"], '"""Call print() to see it."""\n'
+        )
+        assert checker.check_layering(root) == []
+
+
+class TestScipyRule:
+    """scipy is imported in the function that needs it, never on load."""
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("import scipy\n", 1),
+            ("import numpy as np\nimport scipy.sparse as sp\n", 2),
+            ("from scipy import linalg\n", 1),
+            ("from scipy.sparse import csr_matrix\n", 1),
+            ("if True:\n    from scipy import linalg\n", 2),
+            (
+                "try:\n    import scipy.linalg\n"
+                "except ImportError:\n    pass\n",
+                2,
+            ),
+            ("class Solver:\n    from scipy import sparse\n", 2),
+        ],
+        ids=[
+            "import", "aliased-submodule", "from-import",
+            "from-submodule", "in-if", "in-try", "in-class-body",
+        ],
+    )
+    def test_module_level_import_is_caught(
+        self, checker, tmp_path, source, line
+    ):
+        root = _make_module(tmp_path, ["learning", "kpca"], source)
+        violations = checker.check_layering(root)
+        assert len(violations) == 1
+        assert f"kpca.py:{line}: module-level scipy import" in violations[0]
+
+    def test_import_in_a_function_body_is_allowed(self, checker, tmp_path):
+        root = _make_module(
+            tmp_path,
+            ["learning", "kpca"],
+            "class KernelPCA:\n"
+            "    def fit(self):\n"
+            "        from scipy import linalg\n"
+            "\n"
+            "\n"
+            "def solve():\n"
+            "    import scipy.sparse\n",
+        )
+        assert checker.check_layering(root) == []
+
+    def test_a_module_named_like_scipy_is_allowed(self, checker, tmp_path):
+        root = _make_module(
+            tmp_path, ["learning", "kpca"], "import scipyish\n"
         )
         assert checker.check_layering(root) == []
