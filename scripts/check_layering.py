@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Enforce the repro package's import-direction, collector and scipy rules.
+"""Enforce the repro package's import-direction, collector, scipy and
+dead-definition rules.
 
 The package is layered (DESIGN.md §8): a module may import from its own
 layer or any layer below it, never from above.  This script walks every
@@ -22,6 +23,13 @@ a second OpenBLAS runtime, so no module under ``src/repro`` may import
 ``with`` or class block nested in it.  Imports inside a function body
 are allowed.
 
+``src/`` holds only what a production path runs: every ``def`` and
+``class`` under ``src/repro`` must be named, as a whole word, somewhere
+in ``src/``, ``examples/`` or ``perfbench/`` besides its own definition
+line, an ``__all__`` list or a package ``__init__``'s re-export imports.
+Dunder names are exempt, and ``tests/`` does not count as a caller: an
+oracle or fault injector that only tests use lives in ``tests/``.
+
 Run directly (``python scripts/check_layering.py``) or through ``make
 lint``; the tier-1 suite also exercises it (``tests/test_layering.py``),
 including the failure path on a seeded violation.
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -82,6 +91,12 @@ COLLECTOR_MODULE = ["runtime", "collector"]
 
 #: The one module allowed to reference ``print``.
 PRINT_MODULE = ["cli"]
+
+#: Directories, beside the package's own ``src/``, whose files count as
+#: callers for the dead-definition rule (relative to the repository root).
+CALLER_DIRS = ("examples", "perfbench")
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _module_parts(path: Path, root: Path) -> list[str]:
@@ -197,6 +212,71 @@ def _eager_scipy_imports(tree: ast.Module) -> list[int]:
     return sorted(found)
 
 
+def _uncounted_lines(tree: ast.Module, path: Path) -> set[int]:
+    """Lines of ``__all__`` lists and of a package ``__init__``'s imports.
+
+    Names there are exports, not uses.
+    """
+    lines: set[int] = set()
+    for node in tree.body:
+        exported = isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        )
+        reexported = path.name == "__init__.py" and isinstance(
+            node, (ast.Import, ast.ImportFrom)
+        )
+        if exported or reexported:
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def check_dead_definitions(root: Path) -> list[str]:
+    """Every ``def`` and ``class`` under ``root`` that no caller names.
+
+    Callers are the ``.py`` files under ``root.parent`` (``src/``) and
+    the :data:`CALLER_DIRS` of the repository that holds it; each file is
+    read once.  A name counts as used when it appears as a whole word on
+    any line other than its own definition line and the lines
+    :func:`_uncounted_lines` excludes.
+    """
+    repository = root.parent.parent
+    sources = [root.parent] + [repository / name for name in CALLER_DIRS]
+    # word → every (path, line) it appears on as a use.
+    uses: dict[str, set[tuple[Path, int]]] = {}
+    definitions: list[tuple[Path, int, str]] = []
+    for source in sources:
+        for path in sorted(source.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            tree = ast.parse(text, filename=str(path))
+            if path.is_relative_to(root):
+                definitions.extend(
+                    (path, node.lineno, node.name)
+                    for node in ast.walk(tree)
+                    if isinstance(
+                        node,
+                        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+                    )
+                    and not (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")
+                    )
+                )
+            skipped = _uncounted_lines(tree, path)
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                if lineno in skipped:
+                    continue
+                for word in _WORD.findall(line):
+                    uses.setdefault(word, set()).add((path, lineno))
+    return [
+        f"{path}:{lineno}: {name} is defined but nothing in src/, "
+        "examples/ or perfbench/ uses it — delete it, or move it into "
+        "tests/ if only tests call it"
+        for path, lineno, name in sorted(definitions)
+        if not uses.get(name, set()) - {(path, lineno)}
+    ]
+
+
 def check_layering(root: Path) -> list[str]:
     """All layering violations under ``root`` (the ``repro`` package dir)."""
     violations: list[str] = []
@@ -256,7 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         help="the repro package directory to check",
     )
     args = parser.parse_args(argv)
-    violations = check_layering(args.root)
+    violations = check_layering(args.root) + check_dead_definitions(
+        args.root
+    )
     if violations:
         print(f"{len(violations)} layering violation(s):", file=sys.stderr)
         for violation in violations:

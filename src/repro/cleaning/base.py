@@ -33,14 +33,6 @@ class CleaningResult:
         """Number of pairs removed from the knowledge base."""
         return len(self.removed_pairs)
 
-    def removed_under(self, concept: str) -> frozenset[str]:
-        """Instances removed under one concept."""
-        return frozenset(
-            pair.instance
-            for pair in self.removed_pairs
-            if pair.concept == concept
-        )
-
 
 class BaseCleaner(ABC):
     """A cleaning strategy over a knowledge base."""

@@ -179,6 +179,12 @@ def _run_ingest(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    if args.batch_size < 1:
+        print("error: --batch-size must be >= 1", file=sys.stderr)
+        return 2
+    if args.checkpoint_every < 0:
+        print("error: --checkpoint-every must be >= 0", file=sys.stderr)
+        return 2
     pipeline = _make_pipeline(args)
     if args.trace:
         pipeline.context.ensure_tracer()

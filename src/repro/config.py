@@ -89,7 +89,6 @@ class CorpusConfig:
     profiles: Mapping[str, ConceptProfile] = field(default_factory=dict)
     misparse_rate: float = 0.003
     duplicate_rate: float = 0.08
-    sentences_per_page: int = 4
     tail_bias_rate: float = 0.35
     tail_fraction: float = 0.7
 
@@ -102,8 +101,6 @@ class CorpusConfig:
             raise ValueError("misparse_rate must be in [0, 1]")
         if not 0.0 <= self.duplicate_rate <= 1.0:
             raise ValueError("duplicate_rate must be in [0, 1]")
-        if self.sentences_per_page <= 0:
-            raise ValueError("sentences_per_page must be positive")
         if not 0.0 <= self.tail_bias_rate <= 1.0:
             raise ValueError("tail_bias_rate must be in [0, 1]")
         if not 0.0 < self.tail_fraction <= 1.0:
@@ -202,7 +199,6 @@ class DetectorConfig:
     gamma: float = 0.01
     training_iterations: int = 20
     tolerance: float = 1e-6
-    class_balance: bool = True
     # Decision-threshold shift for the 3-way arg-max: DP seeds are scarce
     # relative to non-DPs even after loss balancing, so the F1-optimal
     # operating point handicaps the non-DP score slightly.  Cleaning

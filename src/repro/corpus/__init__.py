@@ -3,14 +3,11 @@
 from .corpus import Corpus, sentence_from_json, sentence_to_json
 from .documents import Page, deduplicate, group_pages
 from .generator import CorpusGenerator, generate_corpus
-from .stats import CorpusStats, corpus_stats
 from .sentence import Sentence, SentenceKind, SentenceTruth
 
 __all__ = [
     "Corpus",
     "CorpusGenerator",
-    "CorpusStats",
-    "corpus_stats",
     "Page",
     "Sentence",
     "SentenceKind",

@@ -52,15 +52,6 @@ class Corpus:
         """All sentences with exactly one candidate concept."""
         return [s for s in self.sentences if not s.is_ambiguous]
 
-    def kind_counts(self) -> dict[SentenceKind, int]:
-        """Histogram of generation kinds (requires truth records)."""
-        counts: dict[SentenceKind, int] = {}
-        for sentence in self.sentences:
-            if sentence.truth is not None:
-                kind = sentence.truth.kind
-                counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
     def without_truth(self) -> "Corpus":
         """A copy safe to hand to extraction code in adversarial tests."""
         return Corpus(tuple(s.without_truth() for s in self.sentences))

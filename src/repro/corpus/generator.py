@@ -35,6 +35,9 @@ from .sentence import Sentence, SentenceKind, SentenceTruth
 
 __all__ = ["CorpusGenerator", "generate_corpus"]
 
+#: Sentences grouped onto one synthetic web page (``Sentence.page_id``).
+SENTENCES_PER_PAGE = 4
+
 
 class CorpusGenerator:
     """Generate a drift-prone Hearst corpus from a ground-truth world."""
@@ -97,7 +100,7 @@ class CorpusGenerator:
                     surface=surface,
                     concepts=concepts,
                     instances=instances,
-                    page_id=sid // config.sentences_per_page,
+                    page_id=sid // SENTENCES_PER_PAGE,
                     truth=truth,
                 )
             )
@@ -338,7 +341,7 @@ class CorpusGenerator:
                         surface=sentence.surface,
                         concepts=sentence.concepts,
                         instances=sentence.instances,
-                        page_id=next_page + len(extras) // config.sentences_per_page,
+                        page_id=next_page + len(extras) // SENTENCES_PER_PAGE,
                         truth=sentence.truth,
                     )
                 )

@@ -1,8 +1,9 @@
 """Hearst-pattern surface templates.
 
-Surfaces are genuinely parseable: :mod:`repro.extraction.pattern` recovers
-the candidate structure from the raw string, and round-trip tests assert
-``parse(render(x)) == x``.  Three shapes are used:
+Surfaces are genuinely parseable: the test oracle
+``tests/corpus/hearst_parser.py`` recovers the candidate structure from
+the raw string, and round-trip tests assert ``parse(render(x)) == x``.
+Three shapes are used:
 
 * ``<C-pl> such as a, b and c`` — unambiguous, one candidate;
 * ``<head-pl> from <modifier-pl> such as a, b and c`` — ambiguous; the

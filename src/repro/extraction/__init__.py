@@ -7,20 +7,16 @@ from .engine import (
     SemanticIterativeExtractor,
 )
 from .index import EvidenceIndex, ResolutionWorklist
-from .pattern import HearstParser, ParsedSentence, naive_singularize
 from .trigger import POLICIES, Resolution, resolve
 
 __all__ = [
     "BatchExtraction",
     "EvidenceIndex",
     "ExtractionResult",
-    "HearstParser",
     "IncrementalExtractor",
     "POLICIES",
-    "ParsedSentence",
     "Resolution",
     "ResolutionWorklist",
     "SemanticIterativeExtractor",
-    "naive_singularize",
     "resolve",
 ]

@@ -83,11 +83,6 @@ class EvidenceIndex:
     def __contains__(self, sid: int) -> bool:
         return sid in self._pairs_by_sid
 
-    @property
-    def pairs_indexed(self) -> int:
-        """Number of distinct candidate pairs with at least one waiter."""
-        return len(self._waiting)
-
     def watch(self, sentence: Sentence) -> None:
         """Register every candidate pair of a pending sentence (idempotent)."""
         sid = sentence.sid
@@ -165,11 +160,6 @@ class ResolutionWorklist:
         attempts are sound, see the module docstring.
         """
         self._woken.update(sids)
-
-    @property
-    def wake_set_size(self) -> int:
-        """Sentences currently queued for re-attempt."""
-        return len(self._woken)
 
     def take_woken(self, pending: Mapping[int, Sentence]) -> set[int]:
         """Drain the wake set, keeping only sids still pending."""

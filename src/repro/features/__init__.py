@@ -2,14 +2,13 @@
 
 from .distribution import cosine_counts, normalize_counts
 from .extractor import FEATURE_NAMES, FeatureExtractor, FeatureVector
-from .matrix import ConceptMatrix, build_concept_matrix
+from .matrix import ConceptMatrix
 
 __all__ = [
     "ConceptMatrix",
     "FEATURE_NAMES",
     "FeatureExtractor",
     "FeatureVector",
-    "build_concept_matrix",
     "cosine_counts",
     "normalize_counts",
 ]

@@ -129,19 +129,6 @@ class FeatureExtractor:
             concept=concept, instance=instance, f1=f1, f2=f2, f3=f3, f4=f4
         )
 
-    def extract_concept(self, concept: str) -> list[FeatureVector]:
-        """Features for every alive instance of a concept (sorted order).
-
-        Hoists the per-concept lookups (core distribution, score table) out
-        of the per-instance loop.
-        """
-        core = self._core_frequency(concept)
-        scores = self._scores.get(concept, {})
-        return [
-            self._extract(concept, instance, core, scores)
-            for instance in sorted(self._kb.instances_of(concept))
-        ]
-
     def feature_matrix(
         self, concept: str
     ) -> tuple[tuple[str, ...], np.ndarray]:

@@ -7,9 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .extractor import FeatureExtractor
-
-__all__ = ["ConceptMatrix", "build_concept_matrix"]
+__all__ = ["ConceptMatrix"]
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,3 @@ class ConceptMatrix:
         """Row index for an instance name."""
         return self.row_index[instance]
 
-
-def build_concept_matrix(
-    extractor: FeatureExtractor, concept: str
-) -> ConceptMatrix:
-    """Extract all features of a concept into a matrix."""
-    instances, x = extractor.feature_matrix(concept)
-    return ConceptMatrix(concept=concept, instances=instances, x=x)

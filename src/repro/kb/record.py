@@ -77,8 +77,3 @@ class ExtractionRecord:
             for e in self.instances
             if e not in trigger_instances
         ))
-
-    @property
-    def is_root(self) -> bool:
-        """True for iteration-1 extractions, which need no trigger."""
-        return not self.triggers

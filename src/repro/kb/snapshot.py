@@ -47,7 +47,3 @@ class IterationLog:
     def iterations(self) -> int:
         """Number of iterations logged."""
         return len(self.entries)
-
-    def cumulative_pairs(self) -> list[int]:
-        """Total distinct pairs after each iteration."""
-        return [entry.total_pairs for entry in self.entries]

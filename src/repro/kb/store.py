@@ -439,14 +439,6 @@ class KnowledgeBase:
             self._late_cache[concept] = cached
         return cached[1]
 
-    def instances_by_iteration(self, concept: str, iteration: int) -> frozenset[str]:
-        """``E(C, i)``: instances first learned in or before ``iteration``."""
-        return frozenset(
-            instance
-            for instance, state in self._by_concept.get(concept, {}).items()
-            if state.first_iteration <= iteration
-        )
-
     def removed_pairs(self) -> frozenset[IsAPair]:
         """Pairs that existed once but were rolled back to zero evidence."""
         return frozenset(self._removed_pairs)

@@ -1,7 +1,7 @@
 """Seed labelling: evidence, heuristic rules, label taxonomy."""
 
 from .evidence import EvidenceIndex
-from .labels import DPLabel, SeedLabel, label_to_vector, vector_to_label
+from .labels import DPLabel, SeedLabel, label_to_vector
 from .rules import SeedLabeler, SeedLabelSet
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "SeedLabelSet",
     "SeedLabeler",
     "label_to_vector",
-    "vector_to_label",
 ]

@@ -118,11 +118,3 @@ class EvidenceIndex:
             if self.is_evidenced_correct(other, instance):
                 return True
         return False
-
-    def evidenced_incorrect(self, concept: str) -> frozenset[str]:
-        """All evidenced-incorrect instances of a concept."""
-        return frozenset(
-            instance
-            for instance in self._kb.instances_of(concept)
-            if self.is_evidenced_incorrect(concept, instance)
-        )

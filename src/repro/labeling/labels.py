@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DPLabel", "SeedLabel", "label_to_vector", "vector_to_label"]
+__all__ = ["DPLabel", "SeedLabel", "label_to_vector"]
 
 
 class DPLabel(enum.Enum):
@@ -31,11 +31,6 @@ def label_to_vector(label: DPLabel) -> np.ndarray:
     vector = np.zeros(3, dtype=float)
     vector[_ORDER.index(label)] = 1.0
     return vector
-
-
-def vector_to_label(vector: np.ndarray) -> DPLabel:
-    """Decode a prediction vector by arg-max."""
-    return _ORDER[int(np.argmax(vector))]
 
 
 @dataclass(frozen=True)

@@ -231,14 +231,6 @@ class DPDetector:
             concept: self.predict_concept(concept) for concept in self._matrices
         }
 
-    def detected_dps(self, concept: str) -> dict[str, DPLabel]:
-        """Only the instances flagged as DPs under a concept."""
-        return {
-            name: label
-            for name, label in self.predict_concept(concept).items()
-            if label.is_dp
-        }
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -280,14 +272,12 @@ class DPDetector:
     def _build_datasets(
         self, seeds: SeedLabelSet, cache: DetectorRefitCache
     ) -> None:
-        class_weights = None
-        if self._config.class_balance:
-            counts = seeds.counts()
-            totals = np.array(
-                [max(1, counts.get(label, 0)) for label in _CLASS_ORDER],
-                dtype=float,
-            )
-            class_weights = totals.sum() / (3.0 * totals)
+        counts = seeds.counts()
+        totals = np.array(
+            [max(1, counts.get(label, 0)) for label in _CLASS_ORDER],
+            dtype=float,
+        )
+        class_weights = totals.sum() / (3.0 * totals)
         # Only concepts with seed labels ever enter training (pooled or
         # multi-task); seed-less ones are predicted with the pooled weight
         # and need no dataset — and, above all, no manifold regulariser,

@@ -95,10 +95,6 @@ class KernelPCA:
         k += self._total_mean
         return k @ self._alphas
 
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        """Fit on ``x`` and return its projection."""
-        return self.fit(x).transform(x)
-
     @classmethod
     def fit_on_sample(
         cls,

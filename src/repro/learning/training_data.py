@@ -64,7 +64,7 @@ def build_training_data(
     transformed: np.ndarray,
     seeds: list[SeedLabel],
     a: np.ndarray,
-    class_weights: np.ndarray | None = None,
+    class_weights: np.ndarray,
 ) -> ConceptTrainingData:
     """Assemble one concept's bundle from transformed features and seeds.
 
@@ -94,7 +94,7 @@ def build_training_data(
         else np.zeros((0, 3))
     )
     weights = None
-    if class_weights is not None and y.shape[0]:
+    if y.shape[0]:
         weights = y @ np.asarray(class_weights, dtype=float)
     return ConceptTrainingData(
         concept=matrix.concept,

@@ -1,14 +1,13 @@
 """NLP substrate: tokenisation, coarse entity types, simulated NER."""
 
 from .ner import SimulatedNER
-from .tokenizer import detokenize, normalize, tokenize
+from .tokenizer import normalize, tokenize
 from .types import COARSE_TYPES, EntityType
 
 __all__ = [
     "COARSE_TYPES",
     "EntityType",
     "SimulatedNER",
-    "detokenize",
     "normalize",
     "tokenize",
 ]

@@ -22,7 +22,7 @@ dictionary-backed tagger would behave.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class SimulatedNER:
             return EntityType.MISC
         alternatives = [t for t in COARSE_TYPES if t is not true_type]
         return alternatives[int(rng.integers(0, len(alternatives)))]
-
-    def tag_many(self, surfaces: Iterable[str]) -> dict[str, EntityType]:
-        """Tag a batch of surfaces; convenience wrapper over :meth:`tag`."""
-        return {surface: self.tag(surface) for surface in surfaces}
 
     def _surface_rng(self, surface: str) -> np.random.Generator:
         key = zlib.crc32(surface.encode("utf-8"))

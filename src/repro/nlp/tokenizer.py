@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["normalize", "tokenize", "detokenize"]
+__all__ = ["normalize", "tokenize"]
 
 _WHITESPACE = re.compile(r"\s+")
 _STRIP_CHARS = ".,;:!?\"'()[]"
@@ -44,8 +44,3 @@ def tokenize(sentence: str) -> list[str]:
         if token:
             tokens.append(token)
     return tokens
-
-
-def detokenize(tokens: list[str]) -> str:
-    """Join tokens back into a plain space-separated sentence."""
-    return " ".join(tokens)

@@ -68,10 +68,5 @@ class RandomStreams:
         )
         return np.random.default_rng(sequence)
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Return a child fan-out rooted at the named substream."""
-        child_seed = int(self.stream(name).integers(0, 2**31 - 1))
-        return RandomStreams(child_seed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed})"

@@ -182,13 +182,6 @@ class Tracer:
                 return span
         return None
 
-    def counter_total(self, counter: str) -> int | float:
-        """Sum of one counter over every span plus the loose pool."""
-        total = self.loose_counters.get(counter, 0)
-        for span in self.spans():
-            total += span.counters.get(counter, 0)
-        return total
-
     def to_records(self) -> list[dict]:
         """Header + span records (+ loose counters), export order."""
         records: list[dict] = [

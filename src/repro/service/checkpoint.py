@@ -186,13 +186,6 @@ class CheckpointStore:
         """The checkpoint directory."""
         return self._dir
 
-    def has_state(self) -> bool:
-        """True when there is anything to resume from."""
-        return (self._dir / "CURRENT").exists() or (
-            self.journal.path.exists()
-            and self.journal.path.stat().st_size > 0
-        )
-
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------

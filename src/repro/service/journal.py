@@ -153,22 +153,3 @@ class Journal:
         with open(self._path, "w", encoding="utf-8") as handle:
             handle.flush()
             os.fsync(handle.fileno())
-
-    def truncate_last_entry(self) -> bool:
-        """Remove the final committed entry (test/ops hook for torn writes).
-
-        Returns ``True`` when an entry was removed.  Used by crash-drill
-        tests to simulate a batch whose journal append never completed.
-        """
-        if not self._path.exists():
-            return False
-        with open(self._path, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-        if not lines:
-            return False
-        with open(self._path, "w", encoding="utf-8") as handle:
-            for line in lines[:-1]:
-                handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return True

@@ -153,7 +153,7 @@ class IngestSession:
     checkpoint_every:
         Snapshot cadence in batches (0 = only on explicit
         :meth:`checkpoint` calls; the journal alone already makes the
-        session durable).
+        session durable).  A negative value raises ``ServiceError``.
     resume:
         Rebuild state from ``checkpoint_dir`` before accepting batches.
     context:
@@ -178,6 +178,10 @@ class IngestSession:
         resume: bool = False,
         context: RunContext | None = None,
     ) -> None:
+        if checkpoint_every < 0:
+            raise ServiceError(
+                f"checkpoint_every must be >= 0, got {checkpoint_every}"
+            )
         self._config = config
         self._cleaner_factory = cleaner_factory
         self._policy = policy or IngestPolicy()
@@ -218,11 +222,6 @@ class IngestSession:
     def context(self) -> RunContext:
         """The run context the session traces through."""
         return self._ctx
-
-    @property
-    def monitor(self) -> PolicyMonitor:
-        """The session's trigger state (staleness, drift, cleanings)."""
-        return self._monitor
 
     @property
     def reports(self) -> list[BatchReport]:

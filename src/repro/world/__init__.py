@@ -4,13 +4,11 @@ from .builder import WorldBuilder
 from .presets import WorldPreset, motivating_example_world, paper_world, toy_world
 from .schema import ConceptSpec, Domain, InstanceSpec, Sense
 from .serialize import load_world, save_world
-from .stats import ConceptStats, WorldStats, world_stats
 from .taxonomy import World
 from .vocabulary import Vocabulary, make_typo
 
 __all__ = [
     "ConceptSpec",
-    "ConceptStats",
     "Domain",
     "InstanceSpec",
     "Sense",
@@ -18,12 +16,10 @@ __all__ = [
     "World",
     "WorldBuilder",
     "WorldPreset",
-    "WorldStats",
     "load_world",
     "make_typo",
     "motivating_example_world",
     "paper_world",
     "save_world",
     "toy_world",
-    "world_stats",
 ]

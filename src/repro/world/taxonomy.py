@@ -146,13 +146,6 @@ class World:
         """All concepts an instance belongs to (empty for unknown surfaces)."""
         return self._concepts_of.get(instance_name, frozenset())
 
-    def domains_of(self, instance_name: str) -> frozenset[str]:
-        """All domains an instance has senses in (empty for unknown)."""
-        spec = self._instances.get(instance_name)
-        if spec is None:
-            return frozenset()
-        return frozenset(sense.domain for sense in spec.senses)
-
     def is_polysemous(self, instance_name: str) -> bool:
         """True iff the instance has senses in more than one domain."""
         spec = self._instances.get(instance_name)
@@ -167,10 +160,6 @@ class World:
     # ------------------------------------------------------------------
     # Typing (for the NER substrate)
     # ------------------------------------------------------------------
-    def coarse_type_of(self, instance_name: str) -> EntityType:
-        """Coarse type from the instance's primary sense's domain."""
-        spec = self.instance(instance_name)
-        return self._domains[spec.primary_domain].coarse_type
 
     def expected_type(self, concept_name: str) -> EntityType:
         """Coarse type a concept's instances should have."""

@@ -24,8 +24,7 @@ from repro.cleaning.intentional import (
     score_sentence,
 )
 from repro.concepts import MutualExclusionIndex
-from repro.features import FeatureExtractor
-from repro.features.matrix import build_concept_matrix
+from repro.features import ConceptMatrix, FeatureExtractor
 from repro.kb import IsAPair
 from repro.labeling import DPLabel, EvidenceIndex, SeedLabeler
 from repro.learning import DPDetector
@@ -38,7 +37,16 @@ __all__ = [
     "MemolessDPCleaner",
     "NaiveRoundDPCleaner",
     "uncached_detect",
+    "build_concept_matrix",
 ]
+
+
+def build_concept_matrix(
+    extractor: FeatureExtractor, concept: str
+) -> ConceptMatrix:
+    """Extract all features of a concept into a matrix, with no cache."""
+    instances, x = extractor.feature_matrix(concept)
+    return ConceptMatrix(concept=concept, instances=instances, x=x)
 
 
 class UncachedRanker(RandomWalkRanker):

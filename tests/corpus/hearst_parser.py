@@ -1,9 +1,12 @@
-"""Surface-level Hearst pattern parsing.
+"""Surface-level Hearst pattern parsing: the round-trip oracle for
+:mod:`repro.corpus.templates`.
 
-The extraction engine consumes structured candidates, but those candidates
-must be derivable from the raw sentence text — this module is the parser
-that does it, and round-trip tests assert that parsing a rendered surface
-recovers exactly the candidate structure the generator recorded.
+The extraction engine consumes the structured candidates the corpus
+records, so no production path parses text.  Those candidates must still
+be derivable from the raw sentence text: this parser recovers them, and
+the round-trip tests (``tests/extraction/test_pattern*.py``) assert that
+parsing a rendered surface yields exactly the candidate structure the
+generator recorded.
 
 The parser is deliberately *naive* in the same way large-scale Hearst
 extractors are: ``X other than Y such as Z`` attaches ``such as`` to the
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from ..corpus.templates import LEADINS, pluralize
+from repro.corpus.templates import LEADINS, pluralize
 
 __all__ = ["ParsedSentence", "HearstParser", "naive_singularize"]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,7 @@ class TestKinds:
         corpus = generate_corpus(
             preset.world, _config(profiles=preset.profiles), seed=1
         )
-        counts = corpus.kind_counts()
+        counts = Counter(s.truth.kind for s in corpus)
         assert counts[SentenceKind.UNAMBIGUOUS] > 0
         assert counts[SentenceKind.AMBIGUOUS] > 0
         assert counts.get(SentenceKind.MISPARSE, 0) > 0

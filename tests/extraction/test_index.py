@@ -19,7 +19,6 @@ class TestEvidenceIndex:
         index.watch(_sentence(7, ("animal", "food"), ("pork", "ham")))
         assert 7 in index
         assert len(index) == 1
-        assert index.pairs_indexed == 4
         for concept in ("animal", "food"):
             for instance in ("pork", "ham"):
                 assert index.waiters(concept, instance) == {7}
@@ -41,7 +40,8 @@ class TestEvidenceIndex:
         assert index.waiters("a", "x") == {2}
         assert index.waiters("b", "x") == frozenset()
         index.discard(2)
-        assert index.pairs_indexed == 0
+        assert len(index) == 0
+        assert index.waiters("a", "y") == frozenset()
         index.discard(99)  # unknown sid is a no-op
 
     def test_waiters_unknown_pair_is_empty(self):
@@ -78,15 +78,14 @@ class TestResolutionWorklist:
                           triggers=(), iteration=1)
         worklist.commit_deltas(kb, ["animal"])
         worklist.resolved(1)
-        assert worklist.wake_set_size == 0
+        assert worklist.take_woken({1: None}) == set()
         assert 1 not in worklist.index
 
     def test_take_woken_filters_to_pending_and_drains(self):
         worklist = ResolutionWorklist()
         worklist.wake_all([1, 2, 3])
         assert worklist.take_woken({2: None, 3: None}) == {2, 3}
-        assert worklist.wake_set_size == 0
-        assert worklist.take_woken({2: None}) == set()
+        assert worklist.take_woken({1: None, 2: None, 3: None}) == set()
 
     def test_resync_forgets_removed_pairs_and_rearms_the_delta(self):
         kb = KnowledgeBase()

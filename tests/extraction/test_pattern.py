@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import ConceptProfile, CorpusConfig
 from repro.corpus import generate_corpus
-from repro.extraction.pattern import HearstParser, naive_singularize
+
+from ..corpus.hearst_parser import HearstParser, naive_singularize
 
 
 class TestNaiveSingularize:

@@ -12,8 +12,9 @@ from repro.corpus.templates import (
     render_misparse,
     render_unambiguous,
 )
-from repro.extraction.pattern import HearstParser
 from repro.world.vocabulary import Vocabulary
+
+from ..corpus.hearst_parser import HearstParser
 
 # Pseudo-word pools drawn from the same generator the worlds use, so the
 # property covers exactly the surface space the corpus can produce.

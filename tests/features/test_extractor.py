@@ -6,8 +6,10 @@ import pytest
 
 from repro.concepts import MutualExclusionIndex
 from repro.config import SimilarityConfig
-from repro.features import FeatureExtractor, build_concept_matrix
+from repro.features import FeatureExtractor
 from repro.kb import IsAPair, KnowledgeBase
+
+from ..cleaning.uncached import build_concept_matrix
 
 
 def _setup():
@@ -96,9 +98,8 @@ class TestFeatureExtractor:
     def test_extract_concept_sorted(self):
         kb, exclusion, scores = _setup()
         extractor = FeatureExtractor(kb, exclusion, scores)
-        vectors = extractor.extract_concept("animal")
-        names = [v.instance for v in vectors]
-        assert names == sorted(names)
+        names, _ = extractor.feature_matrix("animal")
+        assert list(names) == sorted(names)
 
 
 class TestConceptMatrix:

@@ -29,7 +29,7 @@ def mid_session_kb(toy_corpus) -> KnowledgeBase:
     engine.rollback_pair(trigger)
     root = next(
         r for r in kb.records()
-        if r.is_root and any(kb.count(p) == 1 for p in r.produced)
+        if not r.triggers and any(kb.count(p) == 1 for p in r.produced)
     )
     assert engine.rollback_records([root.rid]).pairs_removed
     kb.add_extraction(10_000, trigger.concept, (trigger.instance,),

@@ -49,10 +49,6 @@ class TestExtractionRecord:
     def test_trigger_instances(self):
         assert _record().trigger_instances == ("chicken",)
 
-    def test_root_records_have_no_triggers(self):
-        record = _record(triggers=(), iteration=1)
-        assert record.is_root
-
     def test_kill_trigger_orphans_when_last(self):
         kb, rid = _committed((CHICKEN,))
         assert kb.kill_trigger(rid, CHICKEN)

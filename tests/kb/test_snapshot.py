@@ -13,9 +13,3 @@ class TestIterationLog:
         assert len(log) == 2
         assert log.iterations == 2
         assert [e.iteration for e in log] == [1, 2]
-
-    def test_cumulative_pairs(self):
-        log = IterationLog()
-        log.record(1, 10, 5, 5)
-        log.record(2, 4, 3, 8)
-        assert log.cumulative_pairs() == [5, 8]

@@ -87,13 +87,6 @@ class TestQueries:
         kb = self._kb()
         assert kb.core_instances("animal") == frozenset({"dog", "chicken"})
 
-    def test_instances_by_iteration(self):
-        kb = self._kb()
-        assert kb.instances_by_iteration("animal", 1) == frozenset(
-            {"dog", "chicken"}
-        )
-        assert "pork" in kb.instances_by_iteration("animal", 2)
-
     def test_core_count_only_counts_iteration1_records(self):
         kb = self._kb()
         assert kb.core_count(IsAPair("animal", "chicken")) == 1

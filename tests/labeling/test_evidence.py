@@ -96,7 +96,10 @@ class TestEvidencedIncorrect:
         assert not evidence.is_evidenced_incorrect("country", "ghost")
 
     def test_evidenced_incorrect_set(self):
-        evidence = _evidence(_kb())
-        assert evidence.evidenced_incorrect("country") == frozenset(
-            {"new york"}
-        )
+        kb = _kb()
+        evidence = _evidence(kb)
+        assert {
+            instance
+            for instance in kb.instances_of("country")
+            if evidence.is_evidenced_incorrect("country", instance)
+        } == {"new york"}

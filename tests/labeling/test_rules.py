@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.concepts import MutualExclusionIndex
 from repro.config import LabelingConfig, SimilarityConfig
 from repro.kb import IsAPair, KnowledgeBase
 from repro.labeling import DPLabel, EvidenceIndex, SeedLabeler
-from repro.labeling.labels import label_to_vector, vector_to_label
+from repro.labeling.labels import label_to_vector
 
 
 def _kb():
@@ -113,7 +114,8 @@ class TestRules:
 class TestLabelVectors:
     @pytest.mark.parametrize("label", list(DPLabel))
     def test_roundtrip(self, label):
-        assert vector_to_label(label_to_vector(label)) is label
+        vector = label_to_vector(label)
+        assert list(DPLabel)[int(np.argmax(vector))] is label
 
     def test_is_dp(self):
         assert DPLabel.INTENTIONAL.is_dp

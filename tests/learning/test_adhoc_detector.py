@@ -134,12 +134,6 @@ class TestDPDetector:
         )
         assert good / len(predictions) > 0.6
 
-    def test_detected_dps_only_returns_dps(self):
-        matrices, seeds, _ = _world()
-        detector = DPDetector(method="multitask", seed=0).fit(matrices, seeds)
-        for label in detector.detected_dps("concept0").values():
-            assert label.is_dp
-
     def test_unknown_method(self):
         with pytest.raises(LearningError):
             DPDetector(method="bogus")
@@ -160,8 +154,16 @@ class TestDPDetector:
         biased = DPDetector(
             DetectorConfig(non_dp_bias=5.0), method="multitask", seed=0
         ).fit(matrices, seeds)
-        plain_dps = sum(len(plain.detected_dps(c)) for c in matrices)
-        biased_dps = sum(len(biased.detected_dps(c)) for c in matrices)
+        plain_dps = sum(
+            label.is_dp
+            for c in matrices
+            for label in plain.predict_concept(c).values()
+        )
+        biased_dps = sum(
+            label.is_dp
+            for c in matrices
+            for label in biased.predict_concept(c).values()
+        )
         assert biased_dps >= plain_dps
 
     def test_requires_seeds(self):

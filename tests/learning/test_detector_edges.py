@@ -73,13 +73,6 @@ class TestDetectorEdges:
         detector = DPDetector(method="supervised", seed=0).fit(matrices, seeds)
         assert "ghost" not in detector.predict_concept("c0")
 
-    def test_class_balance_flag_off(self):
-        matrices, seeds = self._world()
-        config = DetectorConfig(class_balance=False)
-        detector = DPDetector(config, method="multitask", seed=0)
-        detector.fit(matrices, seeds)
-        assert detector.predict_concept("c0")
-
 
 class TestSeedLabelSet:
     def test_counts_and_len(self):

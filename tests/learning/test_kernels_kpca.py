@@ -52,12 +52,12 @@ class TestKernelPCA:
 
     def test_training_projections_centred(self):
         x = self._data()
-        z = KernelPCA(n_components=4).fit_transform(x)
+        z = KernelPCA(n_components=4).fit(x).transform(x)
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-8)
 
     def test_components_uncorrelated(self):
         x = self._data(n=60)
-        z = KernelPCA(n_components=4).fit_transform(x)
+        z = KernelPCA(n_components=4).fit(x).transform(x)
         covariance = z.T @ z
         off_diagonal = covariance - np.diag(np.diag(covariance))
         assert np.abs(off_diagonal).max() < 1e-6

@@ -46,11 +46,6 @@ class TestSimulatedNER:
         correct = sum(ner.tag(name) is EntityType.PERSON for name in gazetteer)
         assert 0.85 < correct / len(gazetteer) < 0.95
 
-    def test_tag_many(self):
-        ner = SimulatedNER(_gazetteer(), accuracy=1.0)
-        tags = ner.tag_many(["paris", "nope"])
-        assert tags == {"paris": EntityType.LOCATION, "nope": EntityType.MISC}
-
     def test_bad_accuracy_rejected(self):
         with pytest.raises(ValueError):
             SimulatedNER({}, accuracy=1.2)
@@ -82,9 +77,9 @@ class TestTagMemo:
     def test_memo_belongs_to_the_instance(self, toy_preset):
         gazetteer = toy_preset.world.gazetteer()
         seven = SimulatedNER(gazetteer, accuracy=0.6, seed=7)
-        tags_seven = seven.tag_many(gazetteer)
+        tags_seven = {surface: seven.tag(surface) for surface in gazetteer}
         eight = SimulatedNER(gazetteer, accuracy=0.6, seed=8)
-        tags_eight = eight.tag_many(gazetteer)
+        tags_eight = {surface: eight.tag(surface) for surface in gazetteer}
         assert tags_eight != tags_seven
         assert tags_eight == {
             surface: SimulatedNER(gazetteer, accuracy=0.6, seed=8).tag(surface)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nlp.tokenizer import detokenize, normalize, tokenize
+from repro.nlp.tokenizer import normalize, tokenize
 
 
 class TestNormalize:
@@ -35,7 +35,3 @@ class TestTokenize:
 
     def test_keeps_hyphens_and_apostrophes(self):
         assert tokenize("well-known u.s. state's") == ["well-known", "u.s.", "state's"]
-
-    def test_roundtrip_simple(self):
-        tokens = ["animals", "such", "as", "dogs"]
-        assert tokenize(detokenize(tokens)) == tokens

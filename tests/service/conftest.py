@@ -6,6 +6,8 @@ run and the streaming/crash-resume runs are always comparable.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.pipeline import Pipeline, experiment_config
@@ -24,6 +26,27 @@ def make_pipeline() -> Pipeline:
         num_sentences=SENTENCES, seed=SEED, profiles=preset.profiles
     )
     return Pipeline(preset=preset, config=config)
+
+
+def truncate_last_entry(journal_path: Path) -> bool:
+    """Remove a journal's final committed entry, as a torn write would.
+
+    Returns ``True`` when an entry was removed.  The crash drills use it
+    to simulate a batch whose journal append never reached the disk.
+    """
+    if not journal_path.exists():
+        return False
+    lines = [
+        line
+        for line in journal_path.read_text(encoding="utf-8").splitlines()
+        if line.strip()
+    ]
+    if not lines:
+        return False
+    journal_path.write_text(
+        "".join(line + "\n" for line in lines[:-1]), encoding="utf-8"
+    )
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -43,13 +43,7 @@ def _sentences() -> list[Sentence]:
 class TestCheckpointStore:
     def test_empty_store_has_no_state(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
-        assert not store.has_state()
         assert store.load_snapshot() is None
-
-    def test_journal_alone_counts_as_state(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.journal.append({"seq": 1, "type": "batch"})
-        assert store.has_state()
 
     def test_snapshot_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

@@ -14,7 +14,7 @@ import pytest
 from repro.kb.serialize import save_kb
 from repro.service import CheckpointStore, IngestPolicy
 
-from .conftest import make_pipeline
+from .conftest import make_pipeline, truncate_last_entry
 
 
 POLICY = IngestPolicy(
@@ -108,7 +108,7 @@ class TestCrashResume:
             session.ingest(batch)
         del session
         store = CheckpointStore(ckpt)
-        assert store.journal.truncate_last_entry()
+        assert truncate_last_entry(store.journal.path)
         resumed = make_pipeline().session(
             policy=POLICY, checkpoint_dir=ckpt, resume=True
         )

@@ -11,6 +11,8 @@ from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
 from repro.service import Journal, JournalingRollbackEngine, replay_clean_ops
 from repro.service.journal import JOURNAL_VERSION
 
+from .conftest import truncate_last_entry
+
 
 def _entry(seq: int, **extra) -> dict:
     return {"seq": seq, "type": "batch", **extra}
@@ -68,10 +70,10 @@ class TestJournal:
         journal = Journal(tmp_path / "j.jsonl")
         journal.append(_entry(1))
         journal.append(_entry(2))
-        assert journal.truncate_last_entry()
+        assert truncate_last_entry(journal.path)
         assert [e["seq"] for e in journal.entries()] == [1]
-        assert journal.truncate_last_entry()
-        assert not journal.truncate_last_entry()
+        assert truncate_last_entry(journal.path)
+        assert not truncate_last_entry(journal.path)
 
     def test_entries_are_compact_json_lines(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")

@@ -126,5 +126,4 @@ class TestPolicyMonitor:
             session.ingest(batch)
         expected = sum(r.sentences_new for r in session.reports)
         assert session.staleness == expected
-        assert session.monitor.staleness == expected
         assert session.cleanings == 0

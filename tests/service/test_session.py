@@ -205,6 +205,14 @@ class TestDurabilityGuards:
         with pytest.raises(ServiceError):
             pipeline.session(resume=True)
 
+    def test_negative_checkpoint_every_rejected(self, tmp_path):
+        pipeline = make_pipeline()
+        with pytest.raises(ServiceError, match="checkpoint_every"):
+            pipeline.session(
+                checkpoint_dir=tmp_path / "ckpt", checkpoint_every=-3
+            )
+        assert not (tmp_path / "ckpt").exists()
+
     def test_checkpoint_requires_store(self):
         pipeline = make_pipeline()
         session = pipeline.session()

@@ -87,6 +87,23 @@ class TestMain:
         assert main(["ingest", "--resume"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--batch-size", "0"), ("--checkpoint-every", "-3")],
+        ids=["batch-size-0", "checkpoint-every-negative"],
+    )
+    def test_ingest_rejects_bad_counts_before_any_side_effect(
+        self, capsys, tmp_path, flag, value
+    ):
+        ckpt = tmp_path / "state"
+        argv = ["ingest", "--scale", "0.5", "--sentences", "600",
+                "--checkpoint-dir", str(ckpt), flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be")
+        assert captured.out == ""
+        assert not ckpt.exists()
+
     def test_ingest_synthetic_end_to_end(self, capsys, tmp_path):
         ckpt = tmp_path / "state"
         argv = ["ingest", "--scale", "0.5", "--sentences", "1200",

@@ -67,7 +67,7 @@ class TestExtractionInvariants:
         _preset, _corpus, result = _pipeline(*params)
         kb = result.kb
         for record in kb.records():
-            if record.is_root:
+            if not record.triggers:
                 continue
             for trigger in record.triggers:
                 assert kb.first_iteration(trigger) < record.iteration
@@ -95,7 +95,7 @@ class TestExtractionInvariants:
     @settings(**_SETTINGS)
     def test_log_totals_monotone(self, params):
         _preset, _corpus, result = _pipeline(*params)
-        totals = result.log.cumulative_pairs()
+        totals = [entry.total_pairs for entry in result.log]
         assert totals == sorted(totals)
 
 
@@ -106,7 +106,7 @@ class TestRollbackInvariants:
         _preset, _corpus, result = _pipeline(*params)
         kb = result.kb
         engine = RollbackEngine(kb)
-        ambiguous_records = [r.rid for r in kb.records() if not r.is_root]
+        ambiguous_records = [r.rid for r in kb.records() if r.triggers]
         engine.rollback_records(ambiguous_records)
         # Only iteration-1 knowledge may survive.
         for pair in kb.pairs():
@@ -120,7 +120,7 @@ class TestRollbackInvariants:
         _preset, _corpus, result = _pipeline(*params)
         kb = result.kb
         engine = RollbackEngine(kb)
-        victims = [r.rid for r in kb.records() if not r.is_root][:20]
+        victims = [r.rid for r in kb.records() if r.triggers][:20]
         engine.rollback_records(victims)
         for concept in kb.concepts():
             for instance in kb.instances_of(concept):

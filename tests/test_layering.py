@@ -2,7 +2,9 @@
 
 The same script keeps every switch of the cyclic collector inside
 ``repro/runtime/collector.py``, every ``print`` inside ``repro/cli.py``
-and every ``scipy`` import inside a function body.
+and every ``scipy`` import inside a function body, and reports every
+definition under ``src/repro`` that nothing in ``src/``, ``examples/``
+or ``perfbench/`` uses.
 
 Two halves: the real source tree must be clean, and the checker must
 actually catch violations — a checker that always passes enforces
@@ -43,6 +45,9 @@ class TestRealTree:
             elif path.suffix == ".py":
                 members.add(path.stem)
         assert members <= set(checker.LAYERS)
+
+    def test_no_dead_definitions(self, checker):
+        assert checker.check_dead_definitions(PACKAGE_ROOT) == []
 
     def test_cli_exit_code_zero(self, checker):
         assert checker.main(["--root", str(PACKAGE_ROOT)]) == 0
@@ -235,3 +240,76 @@ class TestScipyRule:
             tmp_path, ["learning", "kpca"], "import scipyish\n"
         )
         assert checker.check_layering(root) == []
+
+
+class TestDeadDefinitionRule:
+    """Every definition under src/repro has a caller outside tests/."""
+
+    def _repository(self, tmp_path: Path, files: dict[str, str]) -> Path:
+        """A scratch repository; returns its ``src/repro`` package root."""
+        for name, source in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        return tmp_path / "src" / "repro"
+
+    def test_unused_function_is_caught(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/kb/store.py": "def used():\n    pass\n\n\n"
+                                     "def orphan():\n    pass\n",
+            "src/repro/kb/rollback.py": "from .store import used\n",
+        })
+        violations = checker.check_dead_definitions(root)
+        assert len(violations) == 1
+        assert "store.py:5: orphan is defined but nothing" in violations[0]
+
+    def test_unused_method_is_caught(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/kb/store.py": (
+                "class Store:\n"
+                "    def __init__(self):\n"
+                "        self.size()\n"
+                "\n"
+                "    def size(self):\n"
+                "        return 0\n"
+                "\n"
+                "    def unread(self):\n"
+                "        return 1\n"
+            ),
+            "src/repro/cli.py": "from .kb.store import Store\n",
+        })
+        violations = checker.check_dead_definitions(root)
+        assert len(violations) == 1
+        assert "store.py:8: unread is defined" in violations[0]
+
+    def test_name_used_only_in_tests_is_caught(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/kb/__init__.py": (
+                "from .store import oracle\n\n__all__ = [\"oracle\"]\n"
+            ),
+            "src/repro/kb/store.py": "def oracle():\n    pass\n",
+            "tests/test_store.py": "from repro.kb import oracle\n\noracle()\n",
+        })
+        violations = checker.check_dead_definitions(root)
+        assert len(violations) == 1
+        assert "store.py:1: oracle is defined" in violations[0]
+        assert checker.main(["--root", str(root)]) == 1
+
+    def test_name_used_only_in_an_example_is_allowed(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/world/serialize.py": "def load_world(path):\n    pass\n",
+            "examples/custom_world.py": (
+                "from repro.world.serialize import load_world\n\n"
+                "load_world('w.json')\n"
+            ),
+        })
+        assert checker.check_dead_definitions(root) == []
+
+    def test_dunder_names_are_exempt(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/kb/store.py": (
+                "class Store:\n    def __len__(self):\n        return 0\n"
+            ),
+            "src/repro/cli.py": "from .kb.store import Store\n",
+        })
+        assert checker.check_dead_definitions(root) == []

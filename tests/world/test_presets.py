@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.world import motivating_example_world, paper_world, toy_world, world_stats
+from repro.world import motivating_example_world, paper_world, toy_world
 
 
 class TestPaperWorld:
@@ -86,13 +86,11 @@ class TestMotivatingExampleWorld:
 
 class TestWorldStats:
     def test_counts(self, toy_preset):
-        stats = world_stats(toy_preset.world)
-        assert stats.num_concepts == len(toy_preset.world.concepts)
-        assert stats.num_instances == len(toy_preset.world.instances)
-        assert 0 < stats.polysemy_rate < 1
+        world = toy_preset.world
+        polysemous = len(world.polysemous_instances())
+        assert 0 < polysemous < len(world.instances)
 
     def test_concept_rows(self, toy_preset):
-        stats = world_stats(toy_preset.world)
-        by_name = {row.name: row for row in stats.concepts}
-        assert by_name["animal"].polysemous_members >= 3
-        assert by_name["animal"].polysemy_rate > 0
+        world = toy_preset.world
+        members = world.members("animal")
+        assert sum(world.is_polysemous(name) for name in members) >= 3

@@ -67,16 +67,11 @@ class TestPolysemyAndExclusion:
     def test_exclusive_cross_domain(self):
         assert _tiny_world().exclusive("animal", "food")
 
-    def test_domains_of(self):
-        world = _tiny_world()
-        assert world.domains_of("chicken") == frozenset({"animals", "foods"})
-        assert world.domains_of("nope") == frozenset()
-
 
 class TestTyping:
     def test_coarse_type_uses_primary_sense(self):
         world = _tiny_world()
-        assert world.coarse_type_of("chicken") is EntityType.MISC
+        assert world.gazetteer()["chicken"] is EntityType.MISC
 
     def test_expected_type(self):
         assert _tiny_world().expected_type("animal") is EntityType.MISC
