@@ -24,11 +24,13 @@ a second OpenBLAS runtime, so no module under ``src/repro`` may import
 are allowed.
 
 ``src/`` holds only what a production path runs: every ``def`` and
-``class`` under ``src/repro`` must be named, as a whole word, somewhere
-in ``src/``, ``examples/`` or ``perfbench/`` besides its own definition
-line, an ``__all__`` list or a package ``__init__``'s re-export imports.
-Dunder names are exempt, and ``tests/`` does not count as a caller: an
-oracle or fault injector that only tests use lives in ``tests/``.
+``class`` under ``src/repro`` must be referenced by code somewhere in
+``src/``, ``examples/`` or ``perfbench/`` — as a name, an attribute or a
+``from ... import`` outside a package ``__init__`` (whose imports are
+re-exports).  Docstrings, comments and other strings do not count;
+expressions inside f-strings do.  Dunder names are exempt, and
+``tests/`` does not count as a caller: an oracle or fault injector that
+only tests use lives in ``tests/``.
 
 Run directly (``python scripts/check_layering.py``) or through ``make
 lint``; the tier-1 suite also exercises it (``tests/test_layering.py``),
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import re
 import sys
 from pathlib import Path
 
@@ -95,8 +96,6 @@ PRINT_MODULE = ["cli"]
 #: Directories, beside the package's own ``src/``, whose files count as
 #: callers for the dead-definition rule (relative to the repository root).
 CALLER_DIRS = ("examples", "perfbench")
-
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _module_parts(path: Path, root: Path) -> list[str]:
@@ -212,38 +211,36 @@ def _eager_scipy_imports(tree: ast.Module) -> list[int]:
     return sorted(found)
 
 
-def _uncounted_lines(tree: ast.Module, path: Path) -> set[int]:
-    """Lines of ``__all__`` lists and of a package ``__init__``'s imports.
+def _references(tree: ast.Module, path: Path) -> set[str]:
+    """Every name the module's code references.
 
-    Names there are exports, not uses.
+    Names, attribute names (``obj.name``) and the names a ``from ...
+    import`` brings in, except in a package ``__init__``, where imports
+    are re-exports.  Module names are not references to definitions, so
+    ``import`` statements and ``from`` paths do not count.
     """
-    lines: set[int] = set()
-    for node in tree.body:
-        exported = isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        )
-        reexported = path.name == "__init__.py" and isinstance(
-            node, (ast.Import, ast.ImportFrom)
-        )
-        if exported or reexported:
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+    reexports = path.name == "__init__.py"
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def check_dead_definitions(root: Path) -> list[str]:
-    """Every ``def`` and ``class`` under ``root`` that no caller names.
+    """Every ``def`` and ``class`` under ``root`` that no caller references.
 
     Callers are the ``.py`` files under ``root.parent`` (``src/``) and
     the :data:`CALLER_DIRS` of the repository that holds it; each file is
-    read once.  A name counts as used when it appears as a whole word on
-    any line other than its own definition line and the lines
-    :func:`_uncounted_lines` excludes.
+    parsed once and contributes its :func:`_references`.
     """
     repository = root.parent.parent
     sources = [root.parent] + [repository / name for name in CALLER_DIRS]
-    # word → every (path, line) it appears on as a use.
-    uses: dict[str, set[tuple[Path, int]]] = {}
+    uses: set[str] = set()
     definitions: list[tuple[Path, int, str]] = []
     for source in sources:
         for path in sorted(source.rglob("*.py")):
@@ -262,18 +259,13 @@ def check_dead_definitions(root: Path) -> list[str]:
                         and node.name.endswith("__")
                     )
                 )
-            skipped = _uncounted_lines(tree, path)
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if lineno in skipped:
-                    continue
-                for word in _WORD.findall(line):
-                    uses.setdefault(word, set()).add((path, lineno))
+            uses |= _references(tree, path)
     return [
         f"{path}:{lineno}: {name} is defined but nothing in src/, "
         "examples/ or perfbench/ uses it — delete it, or move it into "
         "tests/ if only tests call it"
         for path, lineno, name in sorted(definitions)
-        if not uses.get(name, set()) - {(path, lineno)}
+        if name not in uses
     ]
 
 

@@ -68,7 +68,7 @@ from .labeling import DPLabel, EvidenceIndex, SeedLabeler
 from .learning import DPDetector
 from .runtime import NULL_CONTEXT, RunContext, Tracer
 from .service import CheckpointStore, IngestPolicy, IngestSession
-from .world import World, WorldBuilder, motivating_example_world, paper_world, toy_world
+from .world import World, WorldBuilder, paper_world, toy_world
 
 __version__ = "1.0.0"
 
@@ -114,7 +114,6 @@ __all__ = [
     "experiment_config",
     "experiment_names",
     "generate_corpus",
-    "motivating_example_world",
     "paper_world",
     "run_experiment",
     "toy_world",

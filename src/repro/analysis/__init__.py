@@ -1,4 +1,4 @@
-"""Versioned analysis cache for incremental detection refits."""
+"""The per-KB exclusion index and the builders of the detector's inputs."""
 
 from .cache import AnalysisCache
 

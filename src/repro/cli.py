@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "corpus", nargs="?", default=None,
         help=(
-            "JSONL corpus to ingest (written by Corpus.dump_jsonl); omit "
-            "to generate a synthetic corpus from --scale/--sentences/--seed"
+            "JSONL corpus to ingest: one JSON sentence record per line, "
+            "as Corpus.load_jsonl reads them; omit to generate a "
+            "synthetic corpus from --scale/--sentences/--seed"
         ),
     )
     ingest.add_argument(

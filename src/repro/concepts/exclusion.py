@@ -45,11 +45,6 @@ class MutualExclusionIndex:
         # is fixed between refreshes, and refresh() drops every entry a
         # core change could have flipped.
         self._exclusive_cache: dict[tuple[str, str], bool] = {}
-        # Monotonic per-concept stamp bumped whenever a refresh may have
-        # changed any relation (similarity row, group, exclusivity)
-        # involving the concept.  Downstream caches key on it.
-        self._epoch = 0
-        self._relations_version: dict[str, int] = {}
 
     def _compute_group(self, concept: str) -> frozenset[str]:
         similar = {
@@ -60,15 +55,6 @@ class MutualExclusionIndex:
         similar.add(concept)
         return frozenset(similar)
 
-    def relations_version(self, concept: str) -> int:
-        """Epoch at which the concept's relations last changed (0 = never)."""
-        return self._relations_version.get(concept, 0)
-
-    @property
-    def epoch(self) -> int:
-        """Global refresh epoch (bumps whenever any relation may change)."""
-        return self._epoch
-
     def refresh(self) -> frozenset[str]:
         """Incrementally re-sync with the KB; return the affected closure.
 
@@ -78,8 +64,7 @@ class MutualExclusionIndex:
         concept whose group contains an affected member (exclusivity
         propagates through groups, so those verdicts may flip too).
         ``exclusive(a, b)`` can change only if ``a`` or ``b`` is in the
-        returned closure; each closure member's
-        :meth:`relations_version` is bumped.
+        returned closure.
         """
         affected = self._similarity.refresh()
         if not affected:
@@ -102,9 +87,6 @@ class MutualExclusionIndex:
             ]
             for key in dead:
                 del self._exclusive_cache[key]
-        self._epoch += 1
-        for concept in closure:
-            self._relations_version[concept] = self._epoch
         return frozenset(closure)
 
     @property

@@ -8,7 +8,6 @@ from pathlib import Path
 from collections.abc import Iterator
 
 from ..errors import CorpusError
-from .documents import Page, deduplicate, group_pages
 from .sentence import Sentence, SentenceKind, SentenceTruth
 
 __all__ = ["Corpus", "sentence_to_json", "sentence_from_json"]
@@ -35,14 +34,6 @@ class Corpus:
     def by_sid(self) -> dict[int, Sentence]:
         """Sentence lookup by id (built on demand)."""
         return {sentence.sid: sentence for sentence in self.sentences}
-
-    def pages(self) -> list[Page]:
-        """The page grouping of this corpus."""
-        return group_pages(self.sentences)
-
-    def deduplicated(self) -> "Corpus":
-        """A corpus with exact-duplicate surfaces removed (first one wins)."""
-        return Corpus(tuple(deduplicate(self.sentences)))
 
     def ambiguous(self) -> list[Sentence]:
         """All sentences with more than one candidate concept."""
@@ -81,15 +72,10 @@ class Corpus:
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
-    def dump_jsonl(self, path: str | Path) -> None:
-        """Write the corpus to a JSON-lines file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for sentence in self.sentences:
-                handle.write(json.dumps(_sentence_to_json(sentence)) + "\n")
-
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "Corpus":
-        """Read a corpus previously written by :meth:`dump_jsonl`.
+        """Read a JSON-lines corpus: one :func:`sentence_to_json` record
+        per line, blank lines skipped.
 
         A malformed record, or a sid that comes back with other content,
         raises a :class:`~repro.errors.CorpusError` naming ``path:line``.
@@ -121,7 +107,7 @@ class Corpus:
 
 
 def sentence_to_json(sentence: Sentence) -> dict:
-    """The JSON form of one sentence (as in :meth:`Corpus.dump_jsonl`)."""
+    """The JSON form of one sentence (one line of a JSONL corpus)."""
     return _sentence_to_json(sentence)
 
 

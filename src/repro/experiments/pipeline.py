@@ -27,7 +27,7 @@ from ..kb.store import KnowledgeBase
 from ..labeling.evidence import EvidenceIndex
 from ..labeling.labels import DPLabel
 from ..labeling.rules import SeedLabelSet
-from ..learning.detector import DPDetector
+from ..learning.detector import DetectorRefitCache, DPDetector
 from ..nlp.ner import SimulatedNER
 from ..ranking.random_walk import RandomWalkRanker
 from ..rng import RandomStreams
@@ -209,10 +209,8 @@ class Pipeline:
         # refits during cleaning) re-rank only concepts the KB mutated.
         self._ranker = RandomWalkRanker(context=self._ctx)
         # One analysis cache behind analyze(), every detection callback
-        # and every cleaner this pipeline hands out: per-concept matrices,
-        # seeds, verified samples and detector transforms survive across
-        # cleaning rounds and are invalidated by KB/relation version
-        # signatures (see repro.analysis.cache); the exclusion index
+        # and every cleaner this pipeline hands out: it keeps one
+        # incrementally refreshed exclusion index per KB, so the index
         # detection refreshes is the one the cleaner's guards query.
         self._analysis = AnalysisCache(
             similarity=self._config.similarity, context=self._ctx
@@ -230,7 +228,7 @@ class Pipeline:
 
     @property
     def analysis(self) -> AnalysisCache:
-        """The shared analysis cache behind analysis and detection."""
+        """The shared per-KB exclusion index and detector-input builders."""
         return self._analysis
 
     @property
@@ -336,15 +334,14 @@ class Pipeline:
         """A streaming ingestion session on this pipeline's substrate.
 
         The session cleans with :meth:`dp_cleaner`, so it shares the
-        pipeline's ranker score cache, analysis cache and run context, and
-        cleaning passes inside the session cost the same incremental
-        refits batch cleaning does.  Each cleaning pass gets a *fresh*
-        cleaner, hence a fresh :meth:`detect_fn` callback: the detector
-        embedding is frozen within a pass but refitted across passes —
-        making batch mode the degenerate session: the whole corpus as one
-        batch with cleaning forced reproduces ``extract()`` +
-        ``dp_cleaner().clean()`` bit-identically (pinned by
-        ``tests/service/test_equivalence.py``).
+        pipeline's ranker score cache, exclusion indexes and run context.
+        Each cleaning pass gets a *fresh* cleaner, hence a fresh
+        :meth:`detect_fn` callback: the detector embedding is frozen
+        within a pass but refitted across passes, so a pass reuses no
+        detector work from an earlier one.  That makes batch mode the
+        degenerate session: the whole corpus as one batch with cleaning
+        forced reproduces ``extract()`` + ``dp_cleaner().clean()``
+        bit-identically (pinned by ``tests/service/test_equivalence.py``).
         """
         return IngestSession(
             config=self._config,
@@ -399,17 +396,18 @@ class Pipeline:
         DP flags cheap while missed DPs leave whole cascades in place.
 
         Every call of the returned callback rebuilds the detector's inputs
-        through the pipeline's shared
-        :class:`~repro.analysis.AnalysisCache` (see :meth:`_inputs`), so
-        later rounds recompute only what the cleaner's rollbacks
-        invalidated.  The embedding (standardisation + KPCA basis) fitted
-        on the first call is frozen and reused by later calls.
+        (see :meth:`_inputs`) over the pipeline's shared exclusion index.
+        The embedding (standardisation + KPCA basis) fitted on the first
+        call is frozen and reused by later calls, and so are the KPCA
+        transforms and manifold regularisers of matrices whose content
+        has not changed since the previous call.
         """
         config = replace(
             self._config.detector,
             non_dp_bias=self._config.cleaning.cleaning_non_dp_bias,
         )
         embedding = None
+        refit_cache = DetectorRefitCache()
 
         def detect(kb: KnowledgeBase) -> dict[str, dict[str, DPLabel]]:
             nonlocal embedding
@@ -425,7 +423,7 @@ class Pipeline:
                     inputs.matrices,
                     inputs.seeds,
                     embedding=embedding,
-                    refit_cache=self._analysis.refit_cache(kb),
+                    refit_cache=refit_cache,
                 )
                 embedding = detector.embedding
                 return detector.predict_all()
@@ -433,7 +431,7 @@ class Pipeline:
         return detect
 
     def _inputs(self, kb: KnowledgeBase) -> _Inputs:
-        """Everything the detector is fitted on, built through the cache."""
+        """Everything the detector is fitted on, built afresh over ``kb``."""
         concepts = self.analysis_concepts(kb)
         span = self._ctx.span
         with span("analysis.exclusion"):
@@ -461,17 +459,24 @@ class Pipeline:
         """One concept's verified sample (own RNG substream).
 
         The draw sequence depends only on the concept's own alive
-        instances, so a rollback elsewhere cannot shift it — which is
-        what lets the analysis cache key the sample on
-        ``concept_version(concept)`` alone.
+        instances, so a rollback elsewhere cannot shift it.
         """
         fraction = self._config.labeling.verified_fraction
         if fraction <= 0:
             return frozenset()
-        world = self._preset.world
-        rng = self._streams.stream(f"verified:{concept}")
+        members = self._preset.world.members(concept)
+        candidates = [
+            instance
+            for instance in sorted(kb.instances_of(concept))
+            if instance in members
+        ]
+        # One draw per true member, in sorted order: the array form draws
+        # exactly the values a per-instance rng.random() loop would.
+        draws = self._streams.stream(f"verified:{concept}").random(
+            len(candidates)
+        )
         return frozenset(
             IsAPair(concept, instance)
-            for instance in sorted(kb.instances_of(concept))
-            if world.is_member(concept, instance) and rng.random() < fraction
+            for instance, draw in zip(candidates, draws)
+            if draw < fraction
         )

@@ -145,8 +145,8 @@ class IncrementalExtractor:
     Semantics per batch:
 
     * sentences whose exact surface was seen in *any* earlier batch are
-      dropped (session-wide de-duplication, matching
-      :meth:`Corpus.deduplicated` over the concatenated stream);
+      dropped (session-wide de-duplication: the first surface wins, as
+      over the concatenated stream);
     * a sentence whose sid was already kept with another surface, in this
       batch or an earlier one, rejects the whole batch with an
       :class:`~repro.errors.ExtractionError` before anything is

@@ -58,8 +58,6 @@ from ..kb.store import KnowledgeBase
 
 __all__ = ["EvidenceIndex", "ResolutionWorklist"]
 
-_EMPTY_SET: frozenset[int] = frozenset()
-
 
 class EvidenceIndex:
     """Inverted index: candidate ``(concept, instance)`` → pending sids.
@@ -114,11 +112,6 @@ class EvidenceIndex:
                 entry.discard(sid)
                 if not entry:
                     del waiting[pair]
-
-    def waiters(self, concept: str, instance: str) -> frozenset[int]:
-        """Pending sids with ``(concept, instance)`` among their candidates."""
-        entry = self._waiting.get((concept, instance))
-        return frozenset(entry) if entry else _EMPTY_SET
 
 
 class ResolutionWorklist:

@@ -344,9 +344,8 @@ class KnowledgeBase:
     def concepts_sharing(self, instances: Iterable[str]) -> set[str]:
         """Union of :meth:`concepts_with_instance` over many instances.
 
-        One pass without per-instance frozenset copies — the analysis
-        cache walks instance → concept reverse dependencies in bulk when
-        it computes invalidation signatures.
+        One pass without per-instance frozenset copies — feature f2 walks
+        the concepts sharing any of a concept's instances in bulk.
         """
         result: set[str] = set()
         by_instance = self._instance_concepts

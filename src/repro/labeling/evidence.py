@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from ..concepts.exclusion import MutualExclusionIndex
 from ..config import LabelingConfig
@@ -60,20 +60,6 @@ class EvidenceIndex:
     def verified_instances(self, concept: str) -> frozenset[str]:
         """Verified instances of one concept (empty set when none)."""
         return self._verified_by_concept.get(concept, _EMPTY)
-
-    def prime_correct(self, entries: Mapping[str, frozenset[str]]) -> None:
-        """Seed the evidenced-correct memo with externally cached results.
-
-        The analysis cache carries evidenced-correct sets across detection
-        refits for concepts whose KB version (and hence verified sample)
-        is unchanged; a primed entry must be exactly what
-        :meth:`evidenced_correct` would compute.
-        """
-        self._correct_cache.update(entries)
-
-    def correct_snapshot(self) -> dict[str, frozenset[str]]:
-        """The evidenced-correct results computed (or primed) so far."""
-        return dict(self._correct_cache)
 
     def evidenced_correct(self, concept: str) -> frozenset[str]:
         """All evidenced-correct instances of a concept."""

@@ -51,15 +51,15 @@ _CLASS_ORDER = (DPLabel.INTENTIONAL, DPLabel.ACCIDENTAL, DPLabel.NON_DP)
 
 
 class DetectorRefitCache:
-    """Per-knowledge-base reuse of transforms and manifolds across refits.
+    """Reuse of transforms and manifolds across refits under one embedding.
 
-    Entries are validated by **object identity**: the analysis cache hands
-    back the *same* :class:`ConceptMatrix` object when a concept's
-    dependency versions are unchanged, so ``entry matrix is matrix``
-    proves the raw features are byte-identical and the cached transform —
-    and the manifold regulariser derived from it — are exact.  The cache
-    is cleared whenever the embedding object changes, since transforms
-    are only comparable under one basis.
+    A transform entry is validated by **content**: it hits when the cached
+    matrix has the same instances and bit-equal features as the new one,
+    so the cached transform is exactly what a recomputation would return.
+    A manifold regulariser is reused when its concept's transform was, by
+    identity of that transform.  The cache is cleared whenever the
+    embedding object changes, since transforms are only comparable under
+    one basis.
     """
 
     __slots__ = ("embedding", "transforms", "manifolds")
@@ -131,7 +131,7 @@ class DPDetector:
         basis instead of fitting one on the supplied matrices — the
         cleaning loop freezes round one's embedding for later rounds.
         ``refit_cache`` reuses per-concept transforms and manifold
-        regularisers for matrices *object-identical* to a previous fit
+        regularisers for matrices equal in content to a previous fit's
         (bit-exact by construction); without one, a fresh cache serves
         this fit alone.
         """
@@ -257,7 +257,11 @@ class DPDetector:
             reused = 0
             for concept, matrix in self._matrices.items():
                 entry = cache.transforms.get(concept)
-                if entry is not None and entry[0] is matrix:
+                if (
+                    entry is not None
+                    and entry[0].instances == matrix.instances
+                    and np.array_equal(entry[0].x, matrix.x)
+                ):
                     transformed = entry[1]
                     reused += 1
                 else:

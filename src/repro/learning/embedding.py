@@ -7,8 +7,8 @@ any concept's features move — so recomputing them per cleaning round would
 force a full refit even when one concept changed.  Instead the cleaning
 loop fits the embedding once, on the first detection, and **freezes** it
 for subsequent rounds: per-concept transforms stay deterministic functions
-of the concept's own raw features, which is what makes the analysis
-cache's per-concept transform reuse bit-exact.  (The cleaner removes a few
+of the concept's own raw features, which is what makes the detector's
+content-keyed transform reuse bit-exact.  (The cleaner removes a few
 percent of rows per round; the round-one statistics remain representative.)
 """
 

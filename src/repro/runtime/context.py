@@ -62,11 +62,6 @@ class RunContext:
     def __init__(self) -> None:
         self.tracer: Tracer | None = None
 
-    @property
-    def tracing(self) -> bool:
-        """Whether a tracer is attached."""
-        return self.tracer is not None
-
     def ensure_tracer(self) -> Tracer:
         """Attach (if needed) and return the tracer."""
         if self.tracer is None:

@@ -100,13 +100,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> "Span | None":
-        """First descendant (or self) with the given name."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
     def to_record(self) -> dict:
         """The pinned JSONL record for this span."""
         return {
@@ -174,13 +167,6 @@ class Tracer:
         """Every collected span, depth-first across roots."""
         for root in self.roots:
             yield from root.walk()
-
-    def find(self, name: str) -> Span | None:
-        """First span with the given name anywhere in the forest."""
-        for span in self.spans():
-            if span.name == name:
-                return span
-        return None
 
     def to_records(self) -> list[dict]:
         """Header + span records (+ loose counters), export order."""

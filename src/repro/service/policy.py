@@ -101,11 +101,6 @@ class IngestPolicy:
         )
 
     @classmethod
-    def every_batch(cls) -> "IngestPolicy":
-        """A policy that cleans after every batch (batch-mode equivalence)."""
-        return cls(staleness_threshold=0, drift_threshold=None)
-
-    @classmethod
     def never(cls) -> "IngestPolicy":
         """A policy that never triggers (cleaning only when forced)."""
         return cls(staleness_threshold=None, drift_threshold=None)

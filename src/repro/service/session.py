@@ -5,7 +5,7 @@ analysis substrate and the DP cleaner into a long-running service loop.
 Per batch it:
 
 1. extracts only the new sentences (riding the incremental visible
-   snapshot and the versioned KB/score/analysis caches);
+   snapshot and the versioned KB and score caches);
 2. updates drift telemetry — the fraction of the batch's new pairs whose
    instance also lives under a mutually exclusive concept, read from the
    shared :class:`~repro.concepts.exclusion.MutualExclusionIndex`;
@@ -17,10 +17,10 @@ extraction iteration until no DP remains; in a session the next batch's
 pass is that next iteration, so a **drift**-triggered pass runs exactly
 one DP round and leaves the rest to the next pass.  **Staleness**-
 triggered and **forced** passes run to the fixed point, capped by
-``CleaningConfig.max_cleaning_rounds`` — so ``IngestPolicy.every_batch()``
-(a staleness threshold of 0) and ``force_clean=True`` keep batch
-cleaning's meaning.  :meth:`IngestSession.stats` reports ``converged``:
-whether the last pass's last round rolled nothing back.
+``CleaningConfig.max_cleaning_rounds`` — so a policy with a staleness
+threshold of 0 and ``force_clean=True`` keep batch cleaning's meaning.
+:meth:`IngestSession.stats` reports ``converged``: whether the last
+pass's last round rolled nothing back.
 
 Cleaning passes are **self-contained**: each pass gets a fresh cleaner
 and with it a fresh detection callback, so the detector embedding is

@@ -1,7 +1,7 @@
 """Ground-truth world substrate: domains, concepts, instances, polysemy."""
 
 from .builder import WorldBuilder
-from .presets import WorldPreset, motivating_example_world, paper_world, toy_world
+from .presets import WorldPreset, paper_world, toy_world
 from .schema import ConceptSpec, Domain, InstanceSpec, Sense
 from .serialize import load_world, save_world
 from .taxonomy import World
@@ -18,7 +18,6 @@ __all__ = [
     "WorldPreset",
     "load_world",
     "make_typo",
-    "motivating_example_world",
     "paper_world",
     "save_world",
     "toy_world",

@@ -4,8 +4,6 @@
   paper (popular concepts plus one tail concept), with per-concept drift
   intensity profiles so that the error-rate spread of Table 1 is reproduced.
 * :func:`toy_world` — a small world for tests and the quickstart example.
-* :func:`motivating_example_world` — hand-written real-word world reproducing
-  the paper's Fig. 1(b) *animal/food/chicken* walkthrough.
 """
 
 from __future__ import annotations
@@ -16,10 +14,9 @@ from collections.abc import Mapping
 from ..config import ConceptProfile
 from ..nlp.types import EntityType
 from .builder import WorldBuilder
-from .schema import ConceptSpec, Domain, InstanceSpec, Sense
 from .taxonomy import World
 
-__all__ = ["WorldPreset", "paper_world", "toy_world", "motivating_example_world"]
+__all__ = ["WorldPreset", "paper_world", "toy_world"]
 
 
 @dataclass(frozen=True)
@@ -209,80 +206,6 @@ def toy_world(seed: int = 7, bridges: int = 3) -> WorldPreset:
         "animal": ConceptProfile(ambiguous_rate=0.45, drift_rate=0.7, bridge_rate=0.4),
         "country": ConceptProfile(
             ambiguous_rate=0.35, drift_rate=0.5, bridge_rate=0.0, false_fact_rate=0.03
-        ),
-    }
-    return WorldPreset(
-        world=world, target_concepts=("animal", "country"), profiles=profiles
-    )
-
-
-# ---------------------------------------------------------------------------
-# The paper's Fig. 1(b) walkthrough, with real words
-# ---------------------------------------------------------------------------
-
-def motivating_example_world() -> WorldPreset:
-    """The *animal / food / chicken* world from the paper's introduction.
-
-    Hand-written with real surfaces so examples and documentation read like
-    the paper.  *chicken* and *duck* are polysemous bridges between
-    ``animal`` and ``food``; *new york* is city-only, ready to become an
-    Accidental DP of ``country`` when a false-fact sentence mentions it.
-    """
-    animals = [
-        "dog", "cat", "pig", "horse", "rabbit", "elephant", "dolphin",
-        "lion", "camel", "pigeon", "donkey", "chimpanzee", "monkey",
-        "snake", "tiger", "giraffe", "chicken", "duck",
-    ]
-    foods = [
-        "pork", "beef", "milk", "meat", "bread", "cheese", "rice",
-        "noodle", "butter", "tofu", "chicken", "duck",
-    ]
-    countries = [
-        "france", "portugal", "mauritius", "norway", "japan", "china",
-        "brazil", "kenya", "india", "canada",
-    ]
-    cities = [
-        "new york", "london", "paris", "tokyo", "boston", "chicago",
-        "shanghai", "mumbai",
-    ]
-    domains = [
-        Domain("animals", EntityType.MISC),
-        Domain("foods", EntityType.MISC),
-        Domain("countries", EntityType.LOCATION),
-        Domain("cities", EntityType.LOCATION),
-    ]
-    concepts = [
-        ConceptSpec("animal", "animals", tuple(animals), popularity=3.0,
-                    partners=("food",)),
-        ConceptSpec("food", "foods", tuple(foods), popularity=3.0),
-        ConceptSpec("country", "countries", tuple(countries), popularity=2.0,
-                    partners=("city",)),
-        ConceptSpec("city", "cities", tuple(cities), popularity=2.0),
-    ]
-    instances = []
-    weights = {"dog": 3.0, "cat": 3.0, "chicken": 2.5, "duck": 1.5,
-               "pork": 2.5, "beef": 2.5, "new york": 3.0, "france": 2.0}
-    polysemous = {"chicken", "duck"}
-    for name in sorted(set(animals) | set(foods) | set(countries) | set(cities)):
-        senses = []
-        if name in animals:
-            senses.append(Sense("animals", frozenset({"animal"})))
-        if name in foods:
-            senses.append(Sense("foods", frozenset({"food"})))
-        if name in countries:
-            senses.append(Sense("countries", frozenset({"country"})))
-        if name in cities:
-            senses.append(Sense("cities", frozenset({"city"})))
-        if name in polysemous:  # primary sense is the animal reading
-            senses.sort(key=lambda s: s.domain != "animals")
-        instances.append(
-            InstanceSpec(name, tuple(senses), popularity=weights.get(name, 1.0))
-        )
-    world = World(domains, concepts, instances)
-    profiles = {
-        "animal": ConceptProfile(ambiguous_rate=0.5, drift_rate=0.8, bridge_rate=0.5),
-        "country": ConceptProfile(
-            ambiguous_rate=0.4, drift_rate=0.6, bridge_rate=0.0, false_fact_rate=0.05
         ),
     }
     return WorldPreset(

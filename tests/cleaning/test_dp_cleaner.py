@@ -14,6 +14,7 @@ from repro.kb import IsAPair, save_kb
 from repro.labeling import DPLabel
 from repro.world import paper_world
 
+from ..corpus.helpers import deduplicated
 from .uncached import MemolessDPCleaner, NaiveRoundDPCleaner, UncachedRanker
 
 
@@ -111,7 +112,7 @@ class TestDPCleaner:
     def test_idempotent_second_run(self):
         kb, _ = self._clean()
         cleaner = DPCleaner(_oracle_detect, CleaningConfig())
-        second = cleaner.clean(kb, _corpus().deduplicated())
+        second = cleaner.clean(kb, deduplicated(_corpus()))
         assert second.num_removed == 0
 
     def test_well_evidenced_accidental_flag_ignored(self):

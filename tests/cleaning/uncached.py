@@ -1,14 +1,15 @@
 """Cache-off oracles for the DP cleaner's cache-equivalence suites.
 
-Production cleaning reuses work across rounds in three places: the
-ranker's mutation-versioned score cache, the cleaner's Eq. 21 check memo
-and the analysis cache behind pipeline detection and the cleaner's
-guards.  Each oracle here
-recomputes from scratch instead, so the suites can pin production
-bit-identical to it.  :class:`NaiveRoundDPCleaner` keeps the round body
-as it was before the collect phase walked the trigger index: one
-``records_triggered_by`` call per Intentional DP, and a memo of scorings
-pruned at every round start with verdicts rebuilt per round.
+Production cleaning reuses work across rounds in four places: the
+ranker's mutation-versioned score cache, the cleaner's Eq. 21 check memo,
+the per-KB exclusion index the analysis cache refreshes in place, and the
+detection callback's content-keyed KPCA transforms and manifold
+regularisers.  Each oracle here recomputes from scratch instead, so the
+suites can pin production bit-identical to it.
+:class:`NaiveRoundDPCleaner` keeps the round body as it was before the
+collect phase walked the trigger index: one ``records_triggered_by``
+call per Intentional DP, and a memo of scorings pruned at every round
+start with verdicts rebuilt per round.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def uncached_detect(pipeline) -> DetectFn:
     """``pipeline.detect_fn()`` with every detector input rebuilt per call.
 
     Like production, the embedding fitted on the first call is frozen for
-    later calls.
+    later calls; unlike it, every fit recomputes its transforms and
+    manifold regularisers.
     """
     config = pipeline.config
     detector_config = replace(

@@ -13,7 +13,9 @@ from repro.config import ConceptProfile, CorpusConfig, ExtractionConfig
 from repro.corpus import generate_corpus
 from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.extraction import SemanticIterativeExtractor
-from repro.world import motivating_example_world, paper_world, toy_world
+from repro.world import paper_world, toy_world
+
+from .world.motivating import motivating_example_world
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ import re
 import pytest
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.documents import deduplicate, group_pages
 from repro.corpus.sentence import Sentence, SentenceKind, SentenceTruth
 from repro.errors import CorpusError
+
+from .helpers import deduplicate, dump_jsonl, group_pages
 
 
 def _sentence(sid, surface, concepts=("animal",), page=0):
@@ -73,14 +74,14 @@ class TestSerialisation:
             (_sentence(0, "a"), _sentence(1, "b", concepts=("animal", "food")))
         )
         path = tmp_path / "corpus.jsonl"
-        corpus.dump_jsonl(path)
+        dump_jsonl(corpus, path)
         loaded = Corpus.load_jsonl(path)
         assert loaded == corpus
 
     def test_roundtrip_without_truth(self, tmp_path):
         corpus = Corpus((_sentence(0, "a"),)).without_truth()
         path = tmp_path / "corpus.jsonl"
-        corpus.dump_jsonl(path)
+        dump_jsonl(corpus, path)
         assert Corpus.load_jsonl(path) == corpus
 
     def test_bad_record_raises(self, tmp_path):
@@ -92,7 +93,7 @@ class TestSerialisation:
     def test_skips_blank_lines(self, tmp_path):
         corpus = Corpus((_sentence(0, "a"),))
         path = tmp_path / "c.jsonl"
-        corpus.dump_jsonl(path)
+        dump_jsonl(corpus, path)
         path.write_text(path.read_text() + "\n\n")
         assert len(Corpus.load_jsonl(path)) == 1
 

@@ -12,6 +12,8 @@ from repro.corpus import CorpusGenerator, SentenceKind, generate_corpus
 from repro.errors import CorpusError
 from repro.world import paper_world, toy_world
 
+from .helpers import deduplicated
+
 
 @pytest.fixture(scope="module")
 def preset():
@@ -195,7 +197,7 @@ class TestDuplication:
     def test_duplicates_share_surface(self, preset):
         config = _config(duplicate_rate=0.5)
         corpus = generate_corpus(preset.world, config, seed=1)
-        deduped = corpus.deduplicated()
+        deduped = deduplicated(corpus)
         assert len(deduped) < len(corpus)
 
     def test_zero_duplicate_rate(self, preset):
@@ -203,7 +205,7 @@ class TestDuplication:
         corpus = generate_corpus(preset.world, config, seed=1)
         # Residual collisions are possible (same template + same draw), but
         # explicit duplication is off, so the overlap must be tiny.
-        assert len(corpus) - len(corpus.deduplicated()) < 0.05 * len(corpus)
+        assert len(corpus) - len(deduplicated(corpus)) < 0.05 * len(corpus)
 
 
 class TestBenignCandidateMemo:

@@ -9,6 +9,7 @@ from repro.extraction import SemanticIterativeExtractor
 from repro.kb import KnowledgeBase, save_kb
 from repro.labeling import DPLabel
 
+from ..runtime.spans import find_span
 from ..service.conftest import make_pipeline
 
 
@@ -118,7 +119,7 @@ class TestExtractOnce:
         names = [span.name for span in tracer.spans()]
         assert names.count("extract") == 1
         assert names.count("kb.copy") == 3
-        copy_span = tracer.find("kb.copy")
+        copy_span = find_span(tracer, "kb.copy")
         assert copy_span.counters == {
             "records": fresh.kb.num_records, "pairs": len(fresh.kb)
         }

@@ -8,6 +8,11 @@ from repro.kb import IsAPair
 from repro.kb.store import KnowledgeBase
 
 
+def _waiters(index, concept, instance):
+    """Pending sids with ``(concept, instance)`` among their candidates."""
+    return frozenset(index._waiting.get((concept, instance), ()))
+
+
 def _sentence(sid, concepts, instances):
     return Sentence(sid=sid, surface=f"s{sid}", concepts=concepts,
                     instances=instances)
@@ -21,7 +26,7 @@ class TestEvidenceIndex:
         assert len(index) == 1
         for concept in ("animal", "food"):
             for instance in ("pork", "ham"):
-                assert index.waiters(concept, instance) == {7}
+                assert _waiters(index, concept, instance) == {7}
 
     def test_watch_is_idempotent(self):
         index = EvidenceIndex()
@@ -29,7 +34,7 @@ class TestEvidenceIndex:
         index.watch(sentence)
         index.watch(sentence)
         assert len(index) == 1
-        assert index.waiters("a", "x") == {1}
+        assert _waiters(index, "a", "x") == {1}
 
     def test_discard_drops_all_entries(self):
         index = EvidenceIndex()
@@ -37,15 +42,15 @@ class TestEvidenceIndex:
         index.watch(_sentence(2, ("a",), ("x", "y")))
         index.discard(1)
         assert 1 not in index
-        assert index.waiters("a", "x") == {2}
-        assert index.waiters("b", "x") == frozenset()
+        assert _waiters(index, "a", "x") == {2}
+        assert _waiters(index, "b", "x") == frozenset()
         index.discard(2)
         assert len(index) == 0
-        assert index.waiters("a", "y") == frozenset()
+        assert _waiters(index, "a", "y") == frozenset()
         index.discard(99)  # unknown sid is a no-op
 
     def test_waiters_unknown_pair_is_empty(self):
-        assert EvidenceIndex().waiters("a", "x") == frozenset()
+        assert _waiters(EvidenceIndex(), "a", "x") == frozenset()
 
 
 class TestResolutionWorklist:

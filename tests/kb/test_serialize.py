@@ -14,6 +14,7 @@ from repro.kb import IsAPair, KnowledgeBase, RollbackEngine, load_kb, save_kb
 from repro.kb.serialize import SCHEMA_VERSION
 from repro.labeling import DPLabel
 
+from ..corpus.helpers import deduplicated
 from .state import assert_same_state
 
 
@@ -117,7 +118,7 @@ class TestRoundTrip:
             return labels
 
         DPCleaner(detect, CleaningConfig(max_cleaning_rounds=1)).clean(
-            kb, toy_corpus.deduplicated()
+            kb, deduplicated(toy_corpus)
         )
         path = tmp_path / "kb.jsonl"
         save_kb(kb, path)

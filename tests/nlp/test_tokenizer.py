@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.nlp.tokenizer import normalize, tokenize
+from .tokenizer import normalize, tokenize
 
 
 class TestNormalize:

@@ -1,10 +1,9 @@
-"""A small tokenizer / normaliser shared by corpus generation and parsing.
+"""A small tokenizer / normaliser for surface-form tests.
 
 Real web-scale extraction pipelines normalise surface strings before storing
 isA pairs (lower-casing, whitespace collapsing, light punctuation stripping).
-The synthetic corpus is much cleaner than the web, but the extraction engine
-still goes through the same normalisation path so that typo-noise and
-surface-form tests exercise realistic code.
+No production path runs these (sentences arrive with their candidates
+pre-parsed); tests use them to reason about surface forms.
 """
 
 from __future__ import annotations

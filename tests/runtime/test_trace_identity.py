@@ -17,6 +17,8 @@ from repro.runtime.context import NULL_CONTEXT
 from repro.runtime.tracing import read_trace
 from repro.world.presets import paper_world
 
+from .spans import find_span
+
 SCALE = 0.5
 SENTENCES = 1500
 SEED = 20140324
@@ -300,7 +302,7 @@ class TestSessionObservation:
     ):
         (plain, _, plain_files), (seen, _, seen_files) = runs
         assert plain.context is NULL_CONTEXT
-        assert seen.context.tracing
+        assert seen.context.tracer is not None
         assert plain.cleanings == seen.cleanings == 4
         assert plain.reports == seen.reports
         assert plain.stats() == seen.stats()
@@ -346,7 +348,7 @@ class TestSessionObservation:
 
     def test_restore_span_carries_the_resume_totals(self, runs):
         live, resumed, _ = runs[1]
-        restore = resumed.context.tracer.find("session.restore")
+        restore = find_span(resumed.context.tracer, "session.restore")
         assert restore.attributes == {
             "batches": 5,
             "cleanings": live.cleanings,

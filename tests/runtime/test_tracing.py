@@ -14,6 +14,8 @@ from repro.runtime.tracing import (
     read_trace,
 )
 
+from .spans import find_span
+
 
 class TestSpanTree:
     def test_nesting_builds_a_tree(self):
@@ -65,7 +67,7 @@ class TestSpanTree:
         with tracer.span("s"):
             tracer.count("scoped", 1)
         assert tracer.loose_counters == {"orphan": 5}
-        assert tracer.find("s").counters == {"scoped": 1}
+        assert find_span(tracer, "s").counters == {"scoped": 1}
 
     def test_span_survives_exceptions(self):
         tracer = Tracer()
@@ -74,7 +76,7 @@ class TestSpanTree:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        span = tracer.find("fails")
+        span = find_span(tracer, "fails")
         assert span.wall_ms is not None
         assert tracer.current is None
 

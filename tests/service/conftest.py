@@ -11,12 +11,16 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.pipeline import Pipeline, experiment_config
+from repro.service import IngestPolicy
 from repro.world.presets import paper_world
 
 
 SCALE = 0.5
 SENTENCES = 1500
 SEED = 20140324
+#: Cleans after every batch, each pass to the fixed point (a staleness
+#: threshold of 0 and no drift trigger): batch-mode equivalence.
+EVERY_BATCH = IngestPolicy(staleness_threshold=0, drift_threshold=None)
 
 
 def make_pipeline() -> Pipeline:

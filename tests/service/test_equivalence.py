@@ -16,7 +16,7 @@ from repro.extraction import IncrementalExtractor, SemanticIterativeExtractor
 from repro.kb.serialize import save_kb
 from repro.service import IngestPolicy
 
-from .conftest import make_pipeline
+from .conftest import EVERY_BATCH, make_pipeline
 
 
 def _kb_bytes(kb, tmp_path, name):
@@ -123,7 +123,7 @@ class TestCleaningEquivalence:
 
     def test_every_batch_policy_cleans_each_batch(self, service_corpus):
         pipeline = make_pipeline()
-        session = pipeline.session(policy=IngestPolicy.every_batch())
+        session = pipeline.session(policy=EVERY_BATCH)
         reports = [session.ingest(b) for b in service_corpus.batches(500)]
         assert all(r.cleaning is not None for r in reports)
         assert session.cleanings == len(reports)

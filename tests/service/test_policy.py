@@ -6,6 +6,8 @@ import pytest
 
 from repro.service import IngestPolicy, PolicyMonitor
 
+from .conftest import EVERY_BATCH
+
 
 class TestValidation:
     def test_negative_staleness_rejected(self):
@@ -75,8 +77,7 @@ class TestDecide:
         assert not decision.clean
 
     def test_every_batch_policy(self):
-        policy = IngestPolicy.every_batch()
-        assert policy.decide(staleness=0, drift=0.0, new_pairs=0).clean
+        assert EVERY_BATCH.decide(staleness=0, drift=0.0, new_pairs=0).clean
 
 
 class TestPolicyMonitor:

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import IngestPolicy
 
-from .conftest import make_pipeline
+from .conftest import EVERY_BATCH, make_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,7 @@ class TestRoundBudget:
         self, drift_then_forced, service_corpus
     ):
         _, drift, _, _ = drift_then_forced
-        session = make_pipeline().session(policy=IngestPolicy.every_batch())
+        session = make_pipeline().session(policy=EVERY_BATCH)
         stale = session.ingest(next(service_corpus.batches(600)))
         assert stale.cleaning.reason == "staleness"
         assert stale.cleaning.rounds > 1

@@ -10,6 +10,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.runtime.tracing import read_trace, summarize_trace
 
+from .corpus.helpers import dump_jsonl
+
 
 class TestParser:
     def test_run_defaults(self):
@@ -176,7 +178,7 @@ class TestMain:
         corpus = make_pipeline().corpus()
         total = len(corpus)
         path = tmp_path / "corpus.jsonl"
-        corpus.dump_jsonl(path)
+        dump_jsonl(corpus, path)
         ckpt = tmp_path / "state"
         session = make_pipeline().session(
             policy=IngestPolicy.never(), checkpoint_dir=ckpt,
@@ -209,7 +211,7 @@ class TestMain:
                                    profiles=preset.profiles)
         corpus = Pipeline(preset=preset, config=config).corpus()
         path = tmp_path / "corpus.jsonl"
-        corpus.dump_jsonl(path)
+        dump_jsonl(corpus, path)
         code = main(
             ["ingest", str(path), "--scale", "0.5", "--batch-size", "400",
              "--staleness", "-1", "--drift-threshold", "-1"]

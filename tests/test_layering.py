@@ -313,3 +313,49 @@ class TestDeadDefinitionRule:
             "src/repro/cli.py": "from .kb.store import Store\n",
         })
         assert checker.check_dead_definitions(root) == []
+
+    def test_name_used_only_in_prose_is_caught(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/kb/store.py": "def orphan():\n    pass\n",
+            "src/repro/cli.py": (
+                '"""Call orphan() to see the rule."""\n'
+                "# orphan is named in this comment\n"
+                "HELP = 'written by orphan'\n"
+            ),
+        })
+        violations = checker.check_dead_definitions(root)
+        assert len(violations) == 1
+        assert "store.py:1: orphan is defined" in violations[0]
+
+    def test_call_inside_an_fstring_counts(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/world/taxonomy.py": (
+                "class World:\n"
+                "    def polysemous_instances(self):\n"
+                "        return []\n"
+            ),
+            "examples/quickstart.py": (
+                "from repro.world.taxonomy import World\n\n"
+                "world = World()\n"
+                "print(f\"{len(world.polysemous_instances())} polysemous\")\n"
+            ),
+        })
+        assert checker.check_dead_definitions(root) == []
+
+    def test_module_path_is_not_a_use(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/runtime/context.py": (
+                "class RunContext:\n"
+                "    def tracing(self):\n"
+                "        return False\n"
+            ),
+            "src/repro/runtime/tracing.py": "def read_trace():\n    pass\n",
+            "src/repro/cli.py": (
+                "import repro.runtime.tracing\n"
+                "from .runtime.tracing import read_trace\n"
+                "from .runtime.context import RunContext\n"
+            ),
+        })
+        violations = checker.check_dead_definitions(root)
+        assert len(violations) == 1
+        assert "context.py:2: tracing is defined" in violations[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.world import motivating_example_world, paper_world, toy_world
+from repro.world import paper_world, toy_world
 
 
 class TestPaperWorld:
