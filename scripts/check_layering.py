@@ -32,6 +32,13 @@ expressions inside f-strings do.  Dunder names are exempt, and
 ``tests/`` does not count as a caller: an oracle or fault injector that
 only tests use lives in ``tests/``.
 
+No module imports a name it never uses: every name an ``import`` binds
+in ``src/``, ``tests/``, ``scripts/`` or ``examples/`` must be read in
+that module.  Exempt are ``from __future__`` imports, package
+``__init__`` modules (whose imports are re-exports), names listed in the
+module's ``__all__``, and in ``tests/`` names a function takes as a
+parameter (a pytest fixture imported from another module).
+
 Run directly (``python scripts/check_layering.py``) or through ``make
 lint``; the tier-1 suite also exercises it (``tests/test_layering.py``),
 including the failure path on a seeded violation.
@@ -96,6 +103,10 @@ PRINT_MODULE = ["cli"]
 #: Directories, beside the package's own ``src/``, whose files count as
 #: callers for the dead-definition rule (relative to the repository root).
 CALLER_DIRS = ("examples", "perfbench")
+
+#: Directories the unused-import rule walks (relative to the repository
+#: root).
+IMPORT_DIRS = ("src", "tests", "scripts", "examples")
 
 
 def _module_parts(path: Path, root: Path) -> list[str]:
@@ -269,6 +280,97 @@ def check_dead_definitions(root: Path) -> list[str]:
     ]
 
 
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, quoted annotations included."""
+    names = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(
+                inner.id
+                for inner in ast.walk(quoted)
+                if isinstance(inner, ast.Name)
+            )
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The strings of a module-level ``__all__`` list or tuple."""
+    names: set[str] = set()
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            )
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            names.update(
+                element.value
+                for element in node.value.elts
+                if isinstance(element, ast.Constant)
+            )
+    return names
+
+
+def _unused_imports(tree: ast.Module, fixtures: bool) -> list[tuple[int, str]]:
+    """(line, name) for every imported name the module never reads.
+
+    ``fixtures`` exempts names some function takes as a parameter.
+    """
+    used = _read_names(tree) | _exported_names(tree)
+    if fixtures:
+        used.update(
+            arg.arg
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in node.args.args + node.args.kwonlyargs
+        )
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name != "*"
+            ]
+        else:
+            continue
+        found.extend(
+            (node.lineno, name) for name in bound if name not in used
+        )
+    return sorted(found)
+
+
+def check_unused_imports(repository: Path) -> list[str]:
+    """Every unused import under the :data:`IMPORT_DIRS` of a repository."""
+    violations: list[str] = []
+    for directory in IMPORT_DIRS:
+        for path in sorted((repository / directory).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(
+                path.read_text(encoding="utf-8"), filename=str(path)
+            )
+            fixtures = directory == "tests"
+            for lineno, name in _unused_imports(tree, fixtures):
+                violations.append(
+                    f"{path}:{lineno}: {name} is imported but never used"
+                )
+    return violations
+
+
 def check_layering(root: Path) -> list[str]:
     """All layering violations under ``root`` (the ``repro`` package dir)."""
     violations: list[str] = []
@@ -328,8 +430,10 @@ def main(argv: list[str] | None = None) -> int:
         help="the repro package directory to check",
     )
     args = parser.parse_args(argv)
-    violations = check_layering(args.root) + check_dead_definitions(
-        args.root
+    violations = (
+        check_layering(args.root)
+        + check_dead_definitions(args.root)
+        + check_unused_imports(args.root.parent.parent)
     )
     if violations:
         print(f"{len(violations)} layering violation(s):", file=sys.stderr)

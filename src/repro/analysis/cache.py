@@ -70,11 +70,7 @@ class AnalysisCache:
         features: FeatureExtractor,
     ) -> dict[str, ConceptMatrix]:
         """One feature matrix per concept, built by ``features``."""
-        result: dict[str, ConceptMatrix] = {}
-        for concept in concepts:
-            names, x = features.feature_matrix(concept)
-            result[concept] = ConceptMatrix(concept, names, x)
-        return result
+        return features.feature_matrices(list(concepts))
 
     def verified(
         self,
@@ -95,19 +91,14 @@ class AnalysisCache:
         verified: frozenset[IsAPair],
     ) -> EvidenceIndex:
         """Labelling evidence over ``kb``'s exclusion index."""
-        return EvidenceIndex(
-            kb, self._exclusions[kb], config, verified=verified
-        )
+        return EvidenceIndex(kb, config, verified=verified)
 
     def seeds(
         self,
         kb: KnowledgeBase,
         concepts: Iterable[str],
         evidence: EvidenceIndex,
-        rule3_mode: str = "tolerant",
     ) -> SeedLabelSet:
         """Seed labels of ``concepts`` under the three labelling rules."""
-        labeler = SeedLabeler(
-            kb, self._exclusions[kb], evidence, rule3_mode=rule3_mode
-        )
+        labeler = SeedLabeler(kb, self._exclusions[kb], evidence)
         return labeler.label_all(list(concepts))

@@ -19,14 +19,19 @@ drift-triggered pass one round; see :mod:`repro.service.session`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, is_not
+from typing import NamedTuple
+
+import numpy as np
 
 from ..analysis.cache import AnalysisCache
 from ..config import CleaningConfig
 from ..corpus.corpus import Corpus
+from ..corpus.sentence import Sentence
 from ..kb.pair import IsAPair
-from ..kb.record import ExtractionRecord
 from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..labeling.labels import DPLabel
@@ -34,17 +39,28 @@ from ..ranking.random_walk import RandomWalkRanker
 from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
 from .base import BaseCleaner, CleaningResult
-from .intentional import SentenceCheck, build_check, score_sentence
+from .intentional import SentenceCheck, check_sentences
 
 __all__ = ["DPCleaner", "RoundStats", "DetectFn"]
 
 #: concept → instance → label for the current knowledge base.
 DetectFn = Callable[[KnowledgeBase], Mapping[str, Mapping[str, DPLabel]]]
 
-_MemoEntry = tuple[
-    tuple[str, ...], tuple[int, ...], dict[str, float],
-    dict[str, SentenceCheck],
-]
+
+class _Claims(NamedTuple):
+    """One round's Eq. 21 checks, before they are decided.
+
+    Check ``i`` is record ``rids[i]``, extracted from sentence
+    ``sentences[rows[i]]`` and claimed by the Intentional DP ``dps[i]``
+    (whose concept the record chose); ``scores`` holds the score row of
+    every candidate concept of those sentences.
+    """
+
+    rids: np.ndarray
+    sentences: list[Sentence]
+    rows: np.ndarray
+    dps: list[IsAPair]
+    scores: dict[str, dict[str, float]]
 
 
 @dataclass
@@ -56,7 +72,8 @@ class RoundStats:
     accidental_dps: int = 0
     records_rolled_back: int = 0
     pairs_removed: int = 0
-    sentence_checks: list[SentenceCheck] = field(default_factory=list)
+    #: The round's Eq. 21 checks (a :class:`SentenceChecks` when it ran).
+    sentence_checks: Sequence[SentenceCheck] = ()
 
 
 class DPCleaner(BaseCleaner):
@@ -94,13 +111,6 @@ class DPCleaner(BaseCleaner):
         # touched.  Passing the ranker detection scores with shares its
         # warm cache.
         self._ranker = ranker or RandomWalkRanker()
-        # Eq. 21 sentence scorings carried across rounds: keyed by sid,
-        # valid while every candidate concept's KB version is unchanged
-        # (the ranker's versioned cache then guarantees identical score
-        # rows, so the recomputation would be bit-identical).  Entries are
-        # ``(candidate concepts, their versions at scoring, scores,
-        # chosen concept → verdict)`` and are validated when looked up.
-        self._check_memo: dict[int, _MemoEntry] = {}
 
     @collector_paused
     def clean(
@@ -120,7 +130,6 @@ class DPCleaner(BaseCleaner):
             raise ValueError("max_rounds must be >= 1")
         before = kb.removed_pairs()
         by_sid = corpus.by_sid()
-        self._check_memo = {}
         engine = self._engine_factory(kb)
         rounds: list[RoundStats] = []
         total_rolled = 0
@@ -164,7 +173,7 @@ class DPCleaner(BaseCleaner):
     def _run_round(
         self,
         kb: KnowledgeBase,
-        by_sid: Mapping[int, "object"],
+        by_sid: Mapping[int, Sentence],
         engine: RollbackEngine,
         round_index: int,
     ) -> RoundStats:
@@ -176,9 +185,9 @@ class DPCleaner(BaseCleaner):
         stats.intentional_dps = len(intentional)
         self._drop_accidental(kb, engine, accidental, intentional, stats)
         with ctx.span("clean.collect"):
-            entries, check_scores = self._collect(kb, by_sid, intentional)
+            claims = self._collect(kb, by_sid, intentional)
         with ctx.span("clean.check"):
-            self._check(kb, by_sid, engine, entries, check_scores, stats)
+            self._check(engine, claims, stats)
         return stats
 
     def _detect(
@@ -268,86 +277,69 @@ class DPCleaner(BaseCleaner):
     def _collect(
         self,
         kb: KnowledgeBase,
-        by_sid: Mapping[int, "object"],
+        by_sid: Mapping[int, Sentence],
         intentional: list[IsAPair],
-    ) -> tuple[list[tuple[str, ExtractionRecord]], dict]:
-        """The (trigger, record) entries to check, and their scores.
+    ) -> _Claims:
+        """The records to check, and the scores Eq. 21 needs.
 
         Eq. 21 needs scores for *every* candidate concept of the checked
         sentences (not just the DP's own concept), and the accidental
         rollbacks changed the graph, so this re-ranks.  Each record is
-        checked once, for the first DP in sorted order that triggered it;
-        inactive records and sentences outside the corpus are never
-        checked, so they are dropped before they become entries.
+        checked once, for the first DP in sorted order that triggered it:
+        one ordered first-occurrence dedupe of the DPs' triggered rids.
+        Inactive records and sentences outside the corpus are never
+        checked, so they are dropped before they become checks.
         """
-        entries: list[tuple[str, ExtractionRecord]] = []
-        candidate_concepts: set[str] = set()
-        seen_records: set[int] = set()
         triggered = kb.trigger_index()
-        active = kb.record_active_flags()
-        for pair in sorted(intentional):
-            rids = triggered.get(pair)
-            if not rids or pair not in kb:
-                continue
-            for rid in rids:
-                if rid in seen_records:
-                    continue
-                seen_records.add(rid)
-                if not active[rid]:
-                    continue
-                record = kb.record(rid)
-                sentence = by_sid.get(record.sid)
-                if sentence is None:
-                    continue
-                entries.append((pair.instance, record))
-                candidate_concepts.update(sentence.concepts)
-        check_scores = self._ranker.score_all(kb, sorted(candidate_concepts))
-        return entries, check_scores
+        dps = sorted(
+            [pair for pair in intentional if pair in triggered and pair in kb]
+        )
+        groups = list(map(triggered.__getitem__, dps))
+        sizes = list(map(len, groups))
+        rids = np.fromiter(
+            chain.from_iterable(groups), dtype=np.int64, count=sum(sizes)
+        )
+        claimant = np.repeat(np.arange(len(dps)), sizes)
+        # Keep each rid's first occurrence: its earliest claim.
+        order = np.arange(len(rids))
+        earliest = np.full(kb.num_records, len(rids))
+        np.minimum.at(earliest, rids, order)
+        first = earliest[rids] == order
+        rids = rids[first]
+        claimant = claimant[first]
+        active = np.frombuffer(kb.record_active_flags(), dtype=bool)
+        keep = active[rids]
+        rids = rids[keep]
+        claimant = claimant[keep]
+        sids, _ = kb.record_arrays()
+        sids, rows = np.unique(sids[rids], return_inverse=True)
+        found = list(map(by_sid.get, sids.tolist()))
+        present = np.fromiter(
+            map(is_not, found, repeat(None)), dtype=bool, count=len(found)
+        )
+        keep = present[rows]
+        sentences = [sentence for sentence in found if sentence is not None]
+        candidates = set(
+            chain.from_iterable(map(attrgetter("concepts"), sentences))
+        )
+        return _Claims(
+            rids[keep],
+            sentences,
+            (np.cumsum(present) - 1)[rows[keep]],
+            list(map(dps.__getitem__, claimant[keep].tolist())),
+            self._ranker.score_all(kb, sorted(candidates)),
+        )
 
     def _check(
-        self,
-        kb: KnowledgeBase,
-        by_sid: Mapping[int, "object"],
-        engine: RollbackEngine,
-        entries: list[tuple[str, ExtractionRecord]],
-        check_scores: dict,
-        stats: RoundStats,
+        self, engine: RollbackEngine, claims: _Claims, stats: RoundStats
     ) -> None:
-        """Eq. 21 over the entries; roll back the losing extractions."""
-        # The KB is stable until the rollback below, so concept versions
-        # are round constants.  Versions only grow, so a memo entry found
-        # stale is replaced, never revived.  Several DPs can trigger
-        # records of the same sentence: the scoring (per sid) and each
-        # verdict (per sid + chosen concept) are shared, restamped with
-        # the trigger at hand.
-        memo = self._check_memo
-        version = kb.concept_version
-        to_roll: list[int] = []
-        for trigger, record in entries:
-            sid = record.sid
-            entry = memo.get(sid)
-            if entry is None or tuple(map(version, entry[0])) != entry[1]:
-                sentence = by_sid[sid]
-                names = sentence.concepts
-                entry = memo[sid] = (
-                    names,
-                    tuple(map(version, names)),
-                    score_sentence(sentence, check_scores),
-                    {},
-                )
-            _, _, concept_scores, verdicts = entry
-            check = verdicts.get(record.concept)
-            if check is None:
-                check = build_check(
-                    sid, concept_scores, record.concept, trigger
-                )
-                verdicts[record.concept] = check
-            elif check.trigger_instance != trigger:
-                check = replace(check, trigger_instance=trigger)
-            stats.sentence_checks.append(check)
-            if check.is_drifting:
-                to_roll.append(record.rid)
-        if to_roll:
-            result = engine.rollback_records(sorted(to_roll))
+        """Eq. 21 over the claims; roll back the losing extractions."""
+        checks = check_sentences(
+            claims.sentences, claims.rows, claims.dps, claims.scores
+        )
+        stats.sentence_checks = checks
+        to_roll = claims.rids[checks.drifting]
+        if len(to_roll):
+            result = engine.rollback_records(np.sort(to_roll).tolist())
             stats.records_rolled_back += result.num_records
             stats.pairs_removed += result.num_pairs

@@ -18,11 +18,36 @@ runner regenerates the distribution the threshold is read from.
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Sequence
+from typing import NamedTuple
+
+import numpy as np
+
 from ..config import SimilarityConfig
 from ..kb.store import KnowledgeBase
 from .similarity import CoreSimilarity
 
-__all__ = ["MutualExclusionIndex"]
+__all__ = ["ExclusiveMemberships", "MutualExclusionIndex"]
+
+
+class ExclusiveMemberships(NamedTuple):
+    """Where the instances of some concepts sit under exclusive concepts.
+
+    The *query space* lays the instance ids of each asked concept end to
+    end, from ``query_offsets[concept]``; the *member space* does the same
+    for every concept with an alive instance, in ``members`` order.  Entry
+    ``j`` of the two arrays says that the instance at query position
+    ``query[j]`` is alive under a concept mutually exclusive with its
+    own, at member position ``member[j]``.  Dead ids are queried too:
+    they have no entries of their own but can be looked up.
+    """
+
+    query_offsets: dict[str, int]
+    query_size: int
+    members: list[str]
+    query: np.ndarray
+    member: np.ndarray
 
 
 class MutualExclusionIndex:
@@ -45,6 +70,10 @@ class MutualExclusionIndex:
         # is fixed between refreshes, and refresh() drops every entry a
         # core change could have flipped.
         self._exclusive_cache: dict[tuple[str, str], bool] = {}
+        # The last exclusive_memberships join: (KB, its version, the
+        # concepts asked, the join).  Feature and seed builders of one
+        # detection refit ask the same question.
+        self._memberships: tuple | None = None
 
     def _compute_group(self, concept: str) -> frozenset[str]:
         similar = {
@@ -140,6 +169,82 @@ class MutualExclusionIndex:
                     return False
         return True
 
+    def exclusive_memberships(
+        self, kb: KnowledgeBase, concepts: Sequence[str]
+    ) -> ExclusiveMemberships:
+        """Join the ids of ``concepts`` with every exclusive membership.
+
+        One pass in KB-wide instance numbers: each query id expands to the
+        alive memberships of its instance, and each distinct pair of
+        concepts met that way asks :meth:`exclusive` once.  Feature f2 is
+        the number of entries per query position; the labelling rules
+        weigh the entries by what is known about each membership.  The last
+        join is kept until the KB changes.
+        """
+        concepts = tuple(dict.fromkeys(concepts))
+        last = self._memberships
+        if (
+            last is not None
+            and last[0]() is kb
+            and last[1] == kb.version
+            and last[2] == concepts
+        ):
+            return last[3]
+        joined = self._join_memberships(kb, concepts)
+        self._memberships = (weakref.ref(kb), kb.version, concepts, joined)
+        return joined
+
+    def _join_memberships(
+        self, kb: KnowledgeBase, concepts: tuple[str, ...]
+    ) -> ExclusiveMemberships:
+        members = kb.concepts()
+        names = list(dict.fromkeys(members + list(concepts)))
+        code = {concept: i for i, concept in enumerate(names)}
+        # Every alive membership, grouped by instance number.
+        states = [kb.concept_state(concept) for concept in members]
+        member_offsets = _starts([len(state.alive) for state in states])
+        numbers = _end_to_end(
+            kb.instance_numbers(concept)[state.ids]
+            for concept, state in zip(members, states)
+        )
+        positions = _end_to_end(
+            offset + state.ids
+            for offset, state in zip(member_offsets.tolist(), states)
+        )
+        owner = np.repeat(
+            np.arange(len(members)), [len(state.ids) for state in states]
+        )
+        by_number = np.argsort(numbers, kind="stable")
+        indptr = _starts(
+            np.bincount(numbers, minlength=kb.num_instance_numbers + 1)
+        )
+        # Every id of every asked concept, laid end to end.
+        query_numbers = [kb.instance_numbers(concept) for concept in concepts]
+        sizes = list(map(len, query_numbers))
+        query_offsets = dict(zip(concepts, _starts(sizes).tolist()))
+        query_owner = np.repeat(
+            np.array([code[c] for c in concepts], dtype=np.int64), sizes
+        )
+        query_numbers = _end_to_end(query_numbers)
+        # Expand each query position to the memberships of its instance.
+        first = indptr[query_numbers]
+        degree = indptr[query_numbers + 1] - first
+        query = np.repeat(np.arange(len(query_numbers)), degree)
+        slot = by_number[
+            np.arange(len(query)) + np.repeat(first - _starts(degree), degree)
+        ]
+        keys = query_owner[query] * len(names) + owner[slot]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        pairs = [divmod(key, len(names)) for key in distinct.tolist()]
+        verdicts = np.array(
+            [self.exclusive(names[a], names[b]) for a, b in pairs], dtype=bool
+        )
+        keep = verdicts[inverse]
+        return ExclusiveMemberships(
+            query_offsets, len(query_numbers), members,
+            query[keep], positions[slot[keep]],
+        )
+
     def exclusive_concepts_containing(
         self, kb: KnowledgeBase, concept: str, instance: str
     ) -> frozenset[str]:
@@ -164,3 +269,15 @@ class MutualExclusionIndex:
             if other != concept and exclusive(concept, other):
                 count += 1
         return count
+
+
+def _starts(sizes) -> np.ndarray:
+    """Where each of consecutive runs of ``sizes`` starts."""
+    starts = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts
+
+
+def _end_to_end(parts) -> np.ndarray:
+    """Integer arrays laid end to end (an empty array when there are none)."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])

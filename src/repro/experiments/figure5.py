@@ -80,7 +80,6 @@ def run_figure5b(
     for k in k_values:
         evidence = EvidenceIndex(
             kb,
-            artifacts.exclusion,
             LabelingConfig(
                 evidence_threshold_k=k,
                 verified_fraction=pipeline.config.labeling.verified_fraction,

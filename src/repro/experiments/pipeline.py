@@ -467,7 +467,7 @@ class Pipeline:
         members = self._preset.world.members(concept)
         candidates = [
             instance
-            for instance in sorted(kb.instances_of(concept))
+            for instance in kb.concept_state(concept).names
             if instance in members
         ]
         # One draw per true member, in sorted order: the array form draws

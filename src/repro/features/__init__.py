@@ -1,6 +1,6 @@
 """The paper's four DP features and design-matrix helpers."""
 
-from .distribution import cosine_counts, normalize_counts
+from .distribution import normalize_counts
 from .extractor import FEATURE_NAMES, FeatureExtractor, FeatureVector
 from .matrix import ConceptMatrix
 
@@ -9,6 +9,5 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureExtractor",
     "FeatureVector",
-    "cosine_counts",
     "normalize_counts",
 ]

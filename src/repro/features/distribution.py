@@ -1,33 +1,10 @@
-"""Frequency-distribution vectors and cosine similarity (feature f1)."""
+"""Frequency-distribution vectors."""
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 
-__all__ = ["cosine_counts", "normalize_counts"]
-
-
-def cosine_counts(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    """Cosine similarity of two sparse count vectors.
-
-    The vectors are mapped into the same space keyed by instance name, as
-    Eq. (1) requires for comparing the sub-instance distribution of an
-    instance against a concept's core distribution.
-
-    >>> cosine_counts({"x": 1.0}, {"x": 2.0})
-    1.0
-    >>> cosine_counts({"x": 1.0}, {"y": 1.0})
-    0.0
-    """
-    if not a or not b:
-        return 0.0
-    dot = sum(value * b.get(key, 0.0) for key, value in a.items())
-    if dot == 0.0:
-        return 0.0
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
-    return dot / (norm_a * norm_b)
+__all__ = ["normalize_counts"]
 
 
 def normalize_counts(counts: Mapping[str, float]) -> dict[str, float]:

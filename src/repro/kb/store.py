@@ -27,6 +27,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Collection, Iterable, Iterator, Mapping
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from ..errors import KnowledgeBaseError
 from .pair import IsAPair
@@ -34,12 +39,59 @@ from .record import ExtractionRecord
 
 _EMPTY_DICT: dict = {}
 
-__all__ = ["PairState", "KnowledgeBase"]
+__all__ = ["ConceptState", "PairState", "KnowledgeBase"]
 
 
 def _copy_values(mapping: dict) -> dict:
     """``mapping`` with a shallow copy of each value, in the same order."""
     return {key: value.copy() for key, value in mapping.items()}
+
+
+class _GrowingArray:
+    """A read-only NumPy copy of an append-only int list.
+
+    Each read copies only what was appended since the last one, into a
+    buffer that doubles when full and is replaced, never resized, so an
+    array handed out earlier stays valid.
+    """
+
+    __slots__ = ("_buffer", "_size")
+
+    def __init__(self) -> None:
+        self._buffer = np.empty(0, dtype=np.int64)
+        self._size = 0
+
+    def of(self, items: list[int]) -> np.ndarray:
+        """``items`` as an array (``items`` only ever grows)."""
+        size = len(items)
+        if size != self._size:
+            if size > len(self._buffer):
+                grown = np.empty(max(size, 2 * len(self._buffer)), np.int64)
+                grown[: self._size] = self._buffer[: self._size]
+                self._buffer = grown
+            self._buffer[self._size : size] = items[self._size : size]
+            self._size = size
+        view = self._buffer[:size]
+        view.flags.writeable = False
+        return view
+
+
+class ConceptState(NamedTuple):
+    """A concept's alive pairs as arrays indexed by instance id.
+
+    ``names`` are the alive instances in sorted order and ``ids`` their
+    :meth:`KnowledgeBase.instance_id_map` ids.  The other arrays hold one
+    entry per id the concept ever assigned: whether the pair is alive,
+    its count, first iteration and core count (0 where it is not alive).
+    Read-only.
+    """
+
+    names: tuple[str, ...]
+    ids: np.ndarray
+    alive: np.ndarray
+    count: np.ndarray
+    first_iteration: np.ndarray
+    core_count: np.ndarray
 
 
 @dataclass
@@ -62,8 +114,12 @@ class KnowledgeBase:
         # per-concept reads the ranking substrate does in bulk.
         self._by_concept: dict[str, dict[str, PairState]] = {}
         self._instance_concepts: dict[str, set[str]] = {}
-        # Indexed by rid (rids are dense, ``0..n-1``).
+        # Indexed by rid (rids are dense, ``0..n-1``), with the sid and
+        # iteration of each record alongside for the array readers.
         self._records: list[ExtractionRecord] = []
+        self._record_sids: list[int] = []
+        self._record_iterations: list[int] = []
+        self._record_arrays = (_GrowingArray(), _GrowingArray())
         self._records_by_trigger: dict[IsAPair, set[int]] = {}
         # concept → rids in insertion order; records are only ever
         # deactivated, never deleted, so the lists stay valid.
@@ -79,6 +135,14 @@ class KnowledgeBase:
         self._instance_ids: dict[str, dict[str, int]] = {}
         self._edge_codes: dict[str, list[int]] = {}
         self._edge_rids: dict[str, list[int]] = {}
+        # The same lists as arrays that grow with them (per concept).
+        self._edge_arrays: dict[str, tuple[_GrowingArray, _GrowingArray]] = {}
+        # KB-wide instance numbers, so per-concept ids of one instance
+        # can be joined across concepts: name → number, and per concept
+        # id → number.
+        self._instance_numbers: dict[str, int] = {}
+        self._id_numbers: dict[str, list[int]] = {}
+        self._id_number_arrays: dict[str, _GrowingArray] = {}
         # Record activity, one byte per rid (doubling growth by
         # replacement, never resized in place, so a NumPy view a bulk
         # reader took stays valid).  Per-rid checks index it directly;
@@ -94,14 +158,10 @@ class KnowledgeBase:
         self._concepts_cache: tuple[str, ...] | None = None
         # concept → (version, {instance: sub-instance counts}) memo.
         self._subs_cache: dict[str, tuple[int, dict[str, dict[str, int]]]] = {}
-        # concept → (version, {instance: core count}) memo.
-        self._core_cache: dict[str, tuple[int, dict[str, int]]] = {}
         # concept → (version, core instance frozenset) memo.
         self._core_set_cache: dict[str, tuple[int, frozenset[str]]] = {}
-        # concept → (version, sorted instance tuple) memo.
-        self._sorted_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
-        # concept → (version, singleton-late instance frozenset) memo.
-        self._late_cache: dict[str, tuple[int, frozenset[str]]] = {}
+        # concept → (version, ConceptState) memo.
+        self._state_cache: dict[str, tuple[int, ConceptState]] = {}
 
     # ------------------------------------------------------------------
     # Versioning
@@ -139,6 +199,8 @@ class KnowledgeBase:
         """
         clone = KnowledgeBase()
         clone._records = self._records.copy()
+        clone._record_sids = self._record_sids.copy()
+        clone._record_iterations = self._record_iterations.copy()
         fresh = {
             id(state): PairState(
                 state.count, state.first_iteration, state.record_ids.copy(),
@@ -168,6 +230,8 @@ class KnowledgeBase:
         clone._instance_ids = _copy_values(self._instance_ids)
         clone._edge_codes = _copy_values(self._edge_codes)
         clone._edge_rids = _copy_values(self._edge_rids)
+        clone._instance_numbers = self._instance_numbers.copy()
+        clone._id_numbers = _copy_values(self._id_numbers)
         clone._active_flags = self._active_flags.copy()
         clone._dead_triggers = _copy_values(self._dead_triggers)
         clone._removed_pairs = self._removed_pairs.copy()
@@ -205,6 +269,8 @@ class KnowledgeBase:
             iteration=iteration,
         )
         self._records.append(record)
+        self._record_sids.append(sid)
+        self._record_iterations.append(iteration)
         flags = self._active_flags
         if record.rid >= len(flags):
             flags = self._active_flags = flags + bytes(len(flags))
@@ -214,6 +280,10 @@ class KnowledgeBase:
         for pair in record.produced:
             if pair.instance not in ids:
                 ids[pair.instance] = len(ids)
+                numbers = self._instance_numbers
+                self._id_numbers.setdefault(concept, []).append(
+                    numbers.setdefault(pair.instance, len(numbers))
+                )
         if triggers:
             # Every edge endpoint has an id by now: targets are either
             # produced above or trigger instances, and triggers are
@@ -324,37 +394,6 @@ class KnowledgeBase:
         """
         return self._by_concept.get(concept, _EMPTY_DICT).keys()
 
-    def sorted_instances(self, concept: str) -> tuple[str, ...]:
-        """Alive instances of a concept in sorted order (memoised).
-
-        Feature extraction and seed labelling both walk every concept's
-        instances in deterministic order once per refit; the memo is
-        invalidated by the concept version counter.
-        """
-        cached = self._sorted_cache.get(concept)
-        current = self.concept_version(concept)
-        if cached is None or cached[0] != current:
-            cached = (
-                current,
-                tuple(sorted(self._by_concept.get(concept, ()))),
-            )
-            self._sorted_cache[concept] = cached
-        return cached[1]
-
-    def concepts_sharing(self, instances: Iterable[str]) -> set[str]:
-        """Union of :meth:`concepts_with_instance` over many instances.
-
-        One pass without per-instance frozenset copies — feature f2 walks
-        the concepts sharing any of a concept's instances in bulk.
-        """
-        result: set[str] = set()
-        by_instance = self._instance_concepts
-        for instance in instances:
-            concepts = by_instance.get(instance)
-            if concepts:
-                result |= concepts
-        return result
-
     def core_instances(self, concept: str) -> frozenset[str]:
         """Instances first extracted in iteration 1 (the paper's Core(C))."""
         cached = self._core_set_cache.get(concept)
@@ -373,69 +412,59 @@ class KnowledgeBase:
             self._core_set_cache[concept] = cached
         return cached[1]
 
-    def instance_stats(self, concept: str, instance: str) -> tuple[int, int] | None:
-        """``(count, first_iteration)`` for an alive pair, else ``None``.
-
-        One lookup for readers that would otherwise pay three
-        (``__contains__`` + ``count`` + ``first_iteration``).
-        """
-        by_instance = self._by_concept.get(concept)
-        if by_instance is None:
-            return None
-        state = by_instance.get(instance)
-        if state is None:
-            return None
-        return (state.count, state.first_iteration)
-
     def core_count(self, pair: IsAPair) -> int:
         """Evidence for a pair coming from iteration-1 records only."""
         if pair not in self._pairs:
             return 0
-        return self.core_counts(pair.concept).get(pair.instance, 0)
+        ids = self.instance_id_map(pair.concept)
+        core = self.concept_state(pair.concept).core_count
+        return int(core[ids[pair.instance]])
 
-    def core_counts(self, concept: str) -> dict[str, int]:
-        """``core_count`` for every alive instance of a concept (memoised).
+    def concept_state(self, concept: str) -> ConceptState:
+        """A concept's alive pairs as id-indexed arrays (memoised).
 
-        The restart vector of the trigger graph needs this for all nodes at
-        once; the memo is invalidated by the version counter.
+        The bulk readers (trigger graphs, feature matrices, seed labels)
+        read every alive pair of every analysed concept once per
+        detection refit; the memo is invalidated by the version counter.
         """
-        cached = self._core_cache.get(concept)
+        cached = self._state_cache.get(concept)
         current = self.concept_version(concept)
         if cached is None or cached[0] != current:
-            records = self._records
-            active = self._active_flags
-            counts = {}
-            for instance, state in self._by_concept.get(concept, {}).items():
-                total = 0
-                for rid in state.record_ids:
-                    if active[rid] and records[rid].iteration == 1:
-                        total += 1
-                counts[instance] = total
-            cached = (current, counts)
-            self._core_cache[concept] = cached
-        return cached[1]
-
-    def singleton_late_instances(self, concept: str) -> frozenset[str]:
-        """Alive instances extracted exactly once, after iteration 1.
-
-        The candidate set of the evidenced-incorrect rule (§3.2.2): any
-        other instance fails its count/first-iteration gate, so the seed
-        labeler consults this memo instead of per-instance stats.
-        """
-        cached = self._late_cache.get(concept)
-        current = self.concept_version(concept)
-        if cached is None or cached[0] != current:
-            cached = (
-                current,
-                frozenset(
-                    instance
-                    for instance, state in self._by_concept.get(
-                        concept, _EMPTY_DICT
-                    ).items()
-                    if state.count == 1 and state.first_iteration > 1
-                ),
+            names = tuple(sorted(self._by_concept.get(concept, ())))
+            ids = self._instance_ids.get(concept, _EMPTY_DICT)
+            order = np.fromiter(
+                map(ids.__getitem__, names), np.int64, len(names)
             )
-            self._late_cache[concept] = cached
+            by_instance = self._by_concept.get(concept, _EMPTY_DICT)
+            states = list(map(by_instance.__getitem__, names))
+            # Core count: the active iteration-1 records among each pair's
+            # record ids.
+            record_ids = list(map(attrgetter("record_ids"), states))
+            sizes = list(map(len, record_ids))
+            rids = np.fromiter(
+                chain.from_iterable(record_ids), np.int64, sum(sizes)
+            )
+            _, iterations = self.record_arrays()
+            active = np.frombuffer(self._active_flags, dtype=bool)
+            core = np.bincount(
+                np.repeat(np.arange(len(states)), sizes),
+                weights=active[rids] & (iterations[rids] == 1),
+                minlength=len(states),
+            )
+            columns = np.zeros((3, len(ids)), dtype=np.int64)
+            columns[:, order] = [
+                list(map(attrgetter("count"), states)),
+                list(map(attrgetter("first_iteration"), states)),
+                core,
+            ]
+            alive = np.zeros(len(ids), dtype=bool)
+            alive[order] = True
+            for array in (order, alive, columns):
+                array.flags.writeable = False
+            cached = (
+                current, ConceptState(names, order, alive, *columns)
+            )
+            self._state_cache[concept] = cached
         return cached[1]
 
     def removed_pairs(self) -> frozenset[IsAPair]:
@@ -471,6 +500,18 @@ class KnowledgeBase:
             if include_inactive or active[record.rid]:
                 yield record
 
+    def record_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sids, iterations)`` of every record, indexed by rid.
+
+        Read-only arrays that grow with the KB, so a read converts only
+        the records committed since the last one.
+        """
+        sids, iterations = self._record_arrays
+        return (
+            sids.of(self._record_sids),
+            iterations.of(self._record_iterations),
+        )
+
     def is_active(self, rid: int) -> bool:
         """True until record ``rid`` is rolled back."""
         if 0 <= rid < len(self._records):
@@ -497,19 +538,59 @@ class KnowledgeBase:
         """
         return self._instance_ids.get(concept, {})
 
-    def edge_occurrences(self, concept: str) -> tuple[list[int], list[int]]:
-        """Trigger-edge occurrences of a concept (treat as read-only).
+    def edge_arrays(self, concept: str) -> tuple[np.ndarray, np.ndarray]:
+        """Trigger-edge occurrences of a concept (read-only arrays).
 
-        Returns ``(codes, rids)``: parallel append-only lists with one
-        entry per trigger → instance occurrence, where a code is
+        Returns ``(codes, rids)``: one entry per trigger → instance
+        occurrence in the order they were extracted, where a code is
         ``source_id << 32 | target_id`` over :meth:`instance_id_map` ids
         and ``rids[i]`` is the record the occurrence came from.  Consumers
-        filter by record activity themselves.
+        filter by record activity themselves.  The arrays grow with the
+        KB, so a read converts only the occurrences added since the last.
         """
+        arrays = self._edge_arrays.get(concept)
+        if arrays is None:
+            arrays = self._edge_arrays[concept] = (
+                _GrowingArray(), _GrowingArray()
+            )
         return (
-            self._edge_codes.get(concept, []),
-            self._edge_rids.get(concept, []),
+            arrays[0].of(self._edge_codes.get(concept, [])),
+            arrays[1].of(self._edge_rids.get(concept, [])),
         )
+
+    def active_edges(
+        self, concepts: Iterable[str], offsets: Mapping[str, int]
+    ) -> np.ndarray:
+        """The active records' edge codes of many concepts in one id space.
+
+        Each concept's ids are shifted by ``offsets[concept]`` (both halves
+        of the code), so the codes of one source still sort by target id
+        and the concepts' ids can be laid end to end.
+        """
+        active = np.frombuffer(self._active_flags, dtype=bool)
+        both = (1 << 32) + 1
+        shifted = [np.zeros(0, dtype=np.int64)]
+        for concept in concepts:
+            codes, rids = self.edge_arrays(concept)
+            shifted.append(codes[active[rids]] + offsets[concept] * both)
+        return np.concatenate(shifted)
+
+    def instance_numbers(self, concept: str) -> np.ndarray:
+        """KB-wide number of each of a concept's instance ids (read-only).
+
+        Entry ``i`` numbers the instance with id ``i``; one instance has
+        the same number under every concept, so per-concept ids join
+        across concepts through it.
+        """
+        array = self._id_number_arrays.get(concept)
+        if array is None:
+            array = self._id_number_arrays[concept] = _GrowingArray()
+        return array.of(self._id_numbers.get(concept, []))
+
+    @property
+    def num_instance_numbers(self) -> int:
+        """Instances ever numbered (numbers are ``0..n-1``)."""
+        return len(self._instance_numbers)
 
     def record_active_flags(self) -> bytearray:
         """Record activity by rid, 1 or 0 per byte (live; read-only).
@@ -587,15 +668,6 @@ class KnowledgeBase:
         return {
             instance: state.count
             for instance, state in self._by_concept.get(concept, {}).items()
-        }
-
-    def core_frequency_distribution(self, concept: str) -> dict[str, int]:
-        """Iteration-1 evidence counts for core instances of a concept."""
-        counts = self.core_counts(concept)
-        return {
-            instance: counts[instance]
-            for instance, state in self._by_concept.get(concept, {}).items()
-            if state.first_iteration == 1 and counts[instance] > 0
         }
 
     # ------------------------------------------------------------------

@@ -10,12 +10,17 @@
   instances of ``C``  →  non-DP.
 
 The rules are strict by design: they label only a small fraction of the
-instances, but with near-perfect precision (Fig. 5b).
+instances, but with near-perfect precision (Fig. 5b).  RULE 3 is applied
+in its sparse-evidence reading (see :class:`SeedLabeler`); the paper's
+wording lives on as a reference in ``tests/cleaning/per_instance.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..concepts.exclusion import MutualExclusionIndex
 from ..kb.store import KnowledgeBase
@@ -23,6 +28,9 @@ from .evidence import EvidenceIndex
 from .labels import DPLabel, SeedLabel
 
 __all__ = ["SeedLabeler", "SeedLabelSet"]
+
+#: Label codes of the array pass (0: unlabelled).
+_LABELS = (None, DPLabel.INTENTIONAL, DPLabel.ACCIDENTAL, DPLabel.NON_DP)
 
 
 @dataclass
@@ -61,16 +69,12 @@ class SeedLabelSet:
 class SeedLabeler:
     """Applies RULES 1–3 over a knowledge base.
 
-    ``rule3_mode`` controls the non-DP rule:
-
-    * ``"strict"`` — the paper's wording: every sub-instance must itself be
-      evidenced correct.  At web scale evidence covers most correct
-      instances, so popular triggers qualify; at our corpus scale they
-      almost never do, which starves the training set of exactly the
-      high-score non-DPs the detector must learn.
-    * ``"tolerant"`` (default) — the same intent restated for sparse
-      evidence: the instance is evidenced correct and *no* sub-instance
-      shows contrary (exclusive-concept) evidence.
+    RULE 3 is read for sparse evidence: the instance is evidenced correct
+    and *no* sub-instance shows contrary (exclusive-concept) evidence.  The
+    paper's wording — every sub-instance must itself be evidenced correct —
+    presumes web-scale evidence, where popular triggers qualify; at our
+    corpus scale they almost never do, which starves the training set of
+    exactly the high-score non-DPs the detector must learn.
     """
 
     def __init__(
@@ -78,91 +82,78 @@ class SeedLabeler:
         kb: KnowledgeBase,
         exclusion: MutualExclusionIndex,
         evidence: EvidenceIndex,
-        rule3_mode: str = "tolerant",
     ) -> None:
-        if rule3_mode not in ("strict", "tolerant"):
-            raise ValueError(f"unknown rule3_mode: {rule3_mode!r}")
         self._kb = kb
         self._exclusion = exclusion
         self._evidence = evidence
-        self._rule3_mode = rule3_mode
 
-    def label_concept(self, concept: str) -> list[SeedLabel]:
-        """Label the seeds of one concept."""
-        labels: list[SeedLabel] = []
-        correct = self._evidence.evidenced_correct(concept)
-        # Every rule needs the instance either evidenced correct (RULES
-        # 1/3) or extracted once after iteration 1 (RULE 2's gate);
-        # anything else classifies to None without further lookups.
-        late = self._kb.singleton_late_instances(concept)
-        for instance in self._kb.sorted_instances(concept):
-            if instance not in correct and instance not in late:
-                continue
-            label = self._classify(concept, instance, correct, late)
-            if label is not None:
-                labels.append(SeedLabel(concept, instance, label))
-        return labels
+    def label_all(self, concepts: Sequence[str] | None = None) -> SeedLabelSet:
+        """Label seeds for many concepts (all KB concepts by default).
 
-    def label_all(self, concepts: list[str] | None = None) -> SeedLabelSet:
-        """Label seeds for many concepts (all KB concepts by default)."""
+        One pass over the concepts' instance ids.  An id is *contradicted*
+        when its instance is evidenced correct under a concept mutually
+        exclusive with its own.  Then, per alive instance in sorted order:
+
+        * RULE 2 — extracted once, after iteration 1, and contradicted:
+          evidenced incorrect, an Accidental DP;
+        * RULE 1 — evidenced correct, and some active record it triggered
+          holds a contradicted sub-instance that is neither evidenced
+          correct, verified nor core here (a benign trigger may co-occur
+          with a polysemous bridge: dog triggering chicken must not make
+          dog an Intentional DP): an Intentional DP;
+        * RULE 3 — any other evidenced-correct instance: non-DP.
+        """
+        kb = self._kb
+        evidence = self._evidence
+        names = list(
+            dict.fromkeys(concepts if concepts is not None else kb.concepts())
+        )
+        joined = self._exclusion.exclusive_memberships(kb, names)
+        correct = {
+            concept: evidence.correct_mask(concept)
+            for concept in dict.fromkeys(joined.members + names)
+        }
+        member_correct = _laid_out((correct[c] for c in joined.members), bool)
+        contradicted = np.bincount(
+            joined.query,
+            weights=member_correct[joined.member],
+            minlength=joined.query_size,
+        ) > 0
+        # The asked concepts' pair state, laid out like the query space.
+        states = [kb.concept_state(concept) for concept in names]
+        here = _laid_out((correct[c] for c in names), bool)
+        verified = _laid_out(map(evidence.verified_mask, names), bool)
+        alive = _laid_out((state.alive for state in states), bool)
+        count = _laid_out((state.count for state in states), np.int64)
+        first = _laid_out(
+            (state.first_iteration for state in states), np.int64
+        )
+        core = _laid_out((state.core_count for state in states), np.int64)
+        codes = kb.active_edges(names, joined.query_offsets)
+        targets = codes & 0xFFFFFFFF
+        incriminating = (
+            contradicted[targets]
+            & ~here[targets]
+            & ~verified[targets]
+            & (core[targets] == 0)
+        )
+        rule1 = np.zeros(joined.query_size, dtype=bool)
+        rule1[codes[incriminating] >> 32] = True
+        accidental = alive & (count == 1) & (first > 1) & contradicted
+        label = np.where(rule1, 1, 3) * (here & ~accidental)
+        label[accidental] = 2
         result = SeedLabelSet()
-        names = concepts if concepts is not None else self._kb.concepts()
-        for concept in names:
-            for label in self.label_concept(concept):
-                result.add(label)
+        for concept, state in zip(names, states):
+            labels = label[state.ids + joined.query_offsets[concept]]
+            rows = np.flatnonzero(labels)
+            if len(rows):
+                result.by_concept[concept] = [
+                    SeedLabel(concept, state.names[row], _LABELS[code])
+                    for row, code in zip(rows.tolist(), labels[rows].tolist())
+                ]
         return result
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _classify(
-        self,
-        concept: str,
-        instance: str,
-        correct: frozenset[str],
-        late: frozenset[str],
-    ) -> DPLabel | None:
-        # RULE 2 first: evidenced incorrect is the strongest signal and is
-        # mutually exclusive with being evidenced correct.
-        if instance in late and self._evidence.is_evidenced_incorrect(
-            concept, instance
-        ):
-            return DPLabel.ACCIDENTAL
-        if instance not in correct:
-            return None
-        subs = self._kb.sub_instance_counts(concept, instance)
-        if self._subs_hit_exclusive_concept(concept, subs, correct):
-            return DPLabel.INTENTIONAL  # RULE 1
-        if self._rule3_mode == "tolerant":
-            return DPLabel.NON_DP  # RULE 3 (sparse-evidence reading)
-        if all(sub in correct for sub in subs):
-            return DPLabel.NON_DP  # RULE 3 (paper verbatim)
-        return None
 
-    def _subs_hit_exclusive_concept(
-        self, concept: str, subs: dict[str, int], correct: frozenset[str]
-    ) -> bool:
-        evidence = self._evidence
-        kb = self._kb
-        core = kb.core_counts(concept)
-        exclusive = self._exclusion.exclusive
-        verified = evidence.verified_instances(concept)
-        for sub in subs:
-            # A sub-instance only incriminates its trigger if the sub does
-            # not itself look like a member of the target concept: a benign
-            # trigger may legitimately co-occur with a polysemous bridge
-            # (dog triggering chicken must not make dog an Intentional DP).
-            # (Inline is_evidenced_correct(concept, sub): the caller's
-            # ``correct`` set is exactly evidenced_correct(concept).)
-            if sub in correct or sub in verified:
-                continue
-            if core.get(sub, 0) > 0:
-                continue
-            for other in kb.iter_concepts_with_instance(sub):
-                if other == concept:
-                    continue
-                if not exclusive(concept, other):
-                    continue
-                if evidence.is_evidenced_correct(other, sub):
-                    return True
-        return False
+def _laid_out(parts: Iterable[np.ndarray], dtype) -> np.ndarray:
+    """Per-concept arrays end to end (an empty array when there are none)."""
+    return np.concatenate([np.zeros(0, dtype)] + list(parts))

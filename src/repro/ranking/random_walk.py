@@ -14,6 +14,8 @@ product, which survives only as the oracle in ``tests/ranking/``.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..kb.store import KnowledgeBase
@@ -32,21 +34,40 @@ def _normalised_restart(graph: ConceptGraph) -> np.ndarray:
     return restart / restart.sum()
 
 
+class UnionSolve(NamedTuple):
+    """The scores of one union solve, and how the solve stopped."""
+
+    #: One ``{node: score}`` per input graph, in input order.
+    scores: list[dict[str, float]]
+    #: Power-iteration steps run.
+    iterations: int
+    #: Blocks still above the tolerance when the step cap stopped them.
+    capped_blocks: int
+
+
 def _random_walk_scores_union(
     graphs: list[ConceptGraph],
     restart_probability: float,
     max_iterations: int,
     tolerance: float,
-) -> list[dict[str, float]]:
+) -> UnionSolve:
     """Solve many disjoint graphs in one block-diagonal power iteration.
 
     The graphs never interact (the union adjacency is block-diagonal, the
     restart is normalised per block, dangling mass redistributes within its
     own block), so each block's iterates match a standalone solve; a block
-    is frozen the first iteration its own residual clears the tolerance,
-    preserving standalone early-stopping.  Batching amortises the numpy
-    call overhead of a step over every concept, which is what makes
-    scoring hundreds of small graphs cheap.
+    is frozen the first iteration its own L1 residual falls below
+    ``tolerance``, preserving standalone early-stopping.  Batching
+    amortises the numpy call overhead of a step over every concept, which
+    is what makes scoring hundreds of small graphs cheap.
+
+    In practice the step cap, not the tolerance, ends most solves: the
+    restart contraction alone guarantees only 0.85^100 ≈ 9e-8 after 100
+    steps, far above the default 1e-12.  Counted by the ``rank.batch``
+    span's ``capped_blocks`` on the benchmark's seed-11 passes: 7 of 9
+    union solves in ``table3`` (761 steps, 72 capped blocks) and 23 of 29
+    in ``ingest-clean`` (2,306 steps, 228 capped blocks) stop at the cap
+    with some block unconverged.
     """
     # Lazy: scipy loads a second OpenBLAS runtime (about 28 MB, 0.3 s).
     from scipy import sparse
@@ -57,7 +78,7 @@ def _random_walk_scores_union(
     blocks = [graph for graph in graphs if graph.size]
     count = len(blocks)
     if count == 0:
-        return [solution or {} for solution in solutions]
+        return UnionSolve([solution or {} for solution in solutions], 0, 0)
     sizes = np.array([graph.size for graph in blocks], dtype=np.intp)
     starts = np.zeros(count + 1, dtype=np.intp)
     np.cumsum(sizes, out=starts[1:])
@@ -88,7 +109,8 @@ def _random_walk_scores_union(
     p = restart.copy()
     result = np.empty(total)
     done = np.zeros(count, dtype=bool)
-    for _ in range(max_iterations):
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
         dangling_mass = np.bincount(
             dangling_block, weights=p[dangling], minlength=count
         )
@@ -110,17 +132,19 @@ def _random_walk_scores_union(
         p = updated
         if done.all():
             break
-    for block in np.nonzero(~done)[0]:
+    capped = np.nonzero(~done)[0]
+    for block in capped:
         segment = slice(starts[block], starts[block + 1])
         result[segment] = p[segment]
     solved = iter(
         dict(zip(graph.nodes, result[starts[i] : starts[i + 1]].tolist()))
         for i, graph in enumerate(blocks)
     )
-    return [
+    scores = [
         next(solved) if solution is None else solution
         for solution in solutions
     ]
+    return UnionSolve(scores, iterations, len(capped))
 
 
 class RandomWalkRanker(Ranker):
@@ -129,7 +153,11 @@ class RandomWalkRanker(Ranker):
     Every solve routes through the union batch kernel, so a concept's
     scores are bit-identical whichever batch it was solved in — which is
     what lets :class:`Ranker`'s mutation-versioned score cache re-solve
-    only the concepts a mutation touched.
+    only the concepts a mutation touched.  A solve runs at most
+    ``max_iterations`` steps; ``tolerance`` freezes a block early, but at
+    the default 1e-12 most solves run all 100 steps (see
+    :func:`_random_walk_scores_union`), which the ``rank.batch`` span
+    reports as ``iterations`` and ``capped_blocks``.
     """
 
     def __init__(
@@ -157,10 +185,12 @@ class RandomWalkRanker(Ranker):
             graphs = build_concept_graphs(kb, concepts)
             ordered = [graphs[concept] for concept in concepts]
             span.add("nodes", sum(graph.size for graph in ordered))
-            solved = _random_walk_scores_union(
+            solve = _random_walk_scores_union(
                 ordered,
                 restart_probability=self._restart,
                 max_iterations=self._max_iterations,
                 tolerance=self._tolerance,
             )
-            return dict(zip(concepts, solved))
+            span.add("iterations", solve.iterations)
+            span.add("capped_blocks", solve.capped_blocks)
+            return dict(zip(concepts, solve.scores))

@@ -19,16 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AnalysisCache
+from repro.cleaning import DPCleaner
 from repro.concepts import CoreSimilarity, MutualExclusionIndex
 from repro.config import CleaningConfig, LabelingConfig
 from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.features import FeatureExtractor
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
-from repro.labeling import EvidenceIndex, SeedLabeler
 from repro.world import paper_world
 
+from ..cleaning.per_instance import (
+    PerConceptFeatureExtractor,
+    PerConceptSeedLabeler,
+    PerInstanceEvidence,
+)
 from ..cleaning.uncached import (
-    MemolessDPCleaner,
     UncachedExclusion,
     UncachedRanker,
     uncached_detect,
@@ -191,23 +195,25 @@ class TestAnalysisCacheEquivalence:
             seeds = cache.seeds(kb, concepts, evidence)
 
             fresh_exclusion = MutualExclusionIndex(kb)
-            fresh_features = FeatureExtractor(kb, fresh_exclusion, scores)
+            fresh_features = PerConceptFeatureExtractor(
+                kb, fresh_exclusion, scores
+            )
             for concept in concepts:
-                names, x = fresh_features.feature_matrix(concept)
-                assert matrices[concept].instances == names
-                assert np.array_equal(matrices[concept].x, x)
+                fresh = fresh_features.feature_matrix(concept)
+                assert matrices[concept].instances == fresh.instances
+                assert np.array_equal(matrices[concept].x, fresh.x)
             fresh_verified: frozenset[IsAPair] = frozenset().union(
                 *(_verified_sampler(kb, c) for c in concepts)
             )
             assert verified == fresh_verified
-            fresh_evidence = EvidenceIndex(
+            fresh_evidence = PerInstanceEvidence(
                 kb, fresh_exclusion, config, verified=fresh_verified
             )
             for concept in concepts:
                 assert evidence.evidenced_correct(
                     concept
                 ) == fresh_evidence.evidenced_correct(concept)
-            fresh_seeds = SeedLabeler(
+            fresh_seeds = PerConceptSeedLabeler(
                 kb, fresh_exclusion, fresh_evidence
             ).label_all(concepts)
 
@@ -235,7 +241,7 @@ class TestCleanerCacheEquivalence:
         if analysis_cache:
             cleaner = pipeline.dp_cleaner()
         else:
-            cleaner = MemolessDPCleaner(
+            cleaner = DPCleaner(
                 uncached_detect(pipeline),
                 config.cleaning,
                 ranker=UncachedRanker(),

@@ -166,9 +166,8 @@ class TestRankingCleaners:
 
     def test_prdualrank_runs_and_keeps_seed_pairs(self):
         result = _extraction()
-        exclusion = MutualExclusionIndex(result.kb, _similarity_config())
         evidence = EvidenceIndex(
-            result.kb, exclusion, LabelingConfig(evidence_threshold_k=1)
+            result.kb, LabelingConfig(evidence_threshold_k=1)
         )
         report = PRDualRankCleaner(self._seeds(), evidence).clean(
             result.kb, result.corpus
@@ -180,8 +179,7 @@ class TestRankingCleaners:
 
     def test_prdualrank_validation(self):
         result = _extraction()
-        exclusion = MutualExclusionIndex(result.kb, _similarity_config())
-        evidence = EvidenceIndex(result.kb, exclusion)
+        evidence = EvidenceIndex(result.kb)
         with pytest.raises(ValueError):
             PRDualRankCleaner(self._seeds(), evidence, iterations=0)
 
@@ -269,9 +267,8 @@ class TestPRDualRankMatchesLoopOracle:
 
     def test_extraction_scores_are_identical(self):
         result = _extraction()
-        exclusion = MutualExclusionIndex(result.kb, _similarity_config())
         evidence = EvidenceIndex(
-            result.kb, exclusion, LabelingConfig(evidence_threshold_k=1)
+            result.kb, LabelingConfig(evidence_threshold_k=1)
         )
         cleaner = PRDualRankCleaner(SeedLabelSet(), evidence)
         assert cleaner._dual_scores(result.kb) == loop_dual_scores(

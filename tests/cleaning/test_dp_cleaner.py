@@ -15,7 +15,7 @@ from repro.labeling import DPLabel
 from repro.world import paper_world
 
 from ..corpus.helpers import deduplicated
-from .uncached import MemolessDPCleaner, NaiveRoundDPCleaner, UncachedRanker
+from .uncached import NaiveRoundDPCleaner, UncachedRanker
 
 
 def _sentence(sid, concepts, instances):
@@ -165,14 +165,14 @@ class TestDPCleaner:
 
 
 class TestScoreCacheEquivalence:
-    """The score cache and the Eq. 21 memo must never change outcomes."""
+    """The score cache must never change outcomes."""
 
     def _run(self, use_cache: bool):
         result = SemanticIterativeExtractor().run(_corpus())
         if use_cache:
             cleaner = DPCleaner(_oracle_detect, CleaningConfig())
         else:
-            cleaner = MemolessDPCleaner(
+            cleaner = DPCleaner(
                 _oracle_detect, CleaningConfig(), ranker=UncachedRanker()
             )
         report = cleaner.clean(result.kb, result.corpus)
@@ -228,10 +228,10 @@ def _round_outcome(cleaner, kb, corpus, tmp_path):
 
 
 class TestNaiveRoundEquivalence:
-    """The trigger-index collect phase and memoised verdicts change nothing.
+    """The array collect and Eq. 21 passes change nothing.
 
     ``NaiveRoundDPCleaner`` collects with one ``records_triggered_by``
-    call per DP and rebuilds every verdict each round.
+    call per DP and scores each checked sentence on its own.
     """
 
     @pytest.mark.parametrize(

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cleaning import check_extraction, score_sentence
+from repro.cleaning.intentional import check_sentences
 from repro.corpus.sentence import Sentence
+from repro.kb import IsAPair
 
 
 def _sentence():
@@ -64,3 +69,130 @@ class TestCheckExtraction:
         )
         recorded = dict(check.scores)
         assert set(recorded) == {"animal", "food"}
+
+
+_CONCEPTS = ("animal", "food", "city", "plant", "tool")
+_INSTANCES = ("pork", "beef", "chicken", "paris", "rose", "saw")
+#: Few distinct values, so exact ties and zero rows are common.
+_SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+
+
+def _decide(sentences, checks, scores):
+    """Array verdicts for ``checks``: (sentence index, chosen, trigger)."""
+    rows = np.array([row for row, _, _ in checks], dtype=np.intp)
+    claims = [IsAPair(chosen, trigger) for _, chosen, trigger in checks]
+    return check_sentences(sentences, rows, claims, scores)
+
+
+def _reference(sentences, checks, scores):
+    return [
+        check_extraction(sentences[row], chosen, trigger, scores)
+        for row, chosen, trigger in checks
+    ]
+
+
+@st.composite
+def check_rounds(draw):
+    """Sentences, score rows and checks over them, Eq. 21's edge cases in
+    reach: 2 or more candidates, instances no row scores (denominator 0),
+    equal rows (exact ties), chosen concepts without a score row or
+    outside the sentence, and sentences checked more than once."""
+    sentences = []
+    for sid in range(draw(st.integers(1, 5))):
+        concepts = draw(
+            st.lists(
+                st.sampled_from(_CONCEPTS), min_size=1, max_size=4,
+                unique=True,
+            )
+        )
+        instances = draw(
+            st.lists(st.sampled_from(_INSTANCES), min_size=1, max_size=5)
+        )
+        sentences.append(
+            Sentence(sid * 7, f"s{sid}", tuple(concepts), tuple(instances))
+        )
+    scored = draw(st.lists(st.sampled_from(_CONCEPTS), unique=True))
+    scores = {
+        concept: draw(
+            st.dictionaries(st.sampled_from(_INSTANCES), _SCORE_VALUES)
+        )
+        for concept in scored
+    }
+    if len(scored) > 1 and draw(st.booleans()):
+        scores[scored[1]] = dict(scores[scored[0]])  # a tie
+    checks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(sentences) - 1),
+                st.sampled_from(_CONCEPTS),
+                st.sampled_from(_INSTANCES),
+            ),
+            max_size=12,
+        )
+    )
+    return sentences, checks, scores
+
+
+class TestCheckSentences:
+    """The array Eq. 21 pass decides exactly as ``check_extraction``."""
+
+    @given(check_rounds())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_check_extraction_field_by_field(self, case):
+        sentences, checks, scores = case
+        decided = _decide(sentences, checks, scores)
+        assert len(decided) == len(checks)
+        for got, want in zip(decided, _reference(sentences, checks, scores)):
+            assert got.sid == want.sid
+            assert got.chosen_concept == want.chosen_concept
+            assert got.trigger_instance == want.trigger_instance
+            # Bit for bit: repr distinguishes every float.
+            assert repr(got.scores) == repr(want.scores)
+            assert got.is_drifting is want.is_drifting
+
+    def test_named_edge_cases(self):
+        two = Sentence(1, "two", ("animal", "food"), ("pork", "beef"))
+        three = Sentence(
+            2, "three", ("animal", "food", "plant"), ("rose", "pork")
+        )
+        zero = Sentence(3, "zero", ("city", "tool"), ("saw", "paris"))
+        tie = Sentence(4, "tie", ("animal", "plant"), ("chicken",))
+        scores = {
+            "animal": {"pork": 0.001, "beef": 0.3, "chicken": 0.5},
+            "food": {"pork": 0.15, "beef": 0.10},
+            "plant": {"rose": 0.4, "chicken": 0.5},
+            "city": {"paris": 0.9},
+            # "tool" has no score row; "saw" no score anywhere.
+        }
+        sentences = [two, three, zero, tie]
+        checks = [
+            (0, "animal", "pork"),  # 0.757 against food's 1.243
+            (0, "food", "beef"),  # the same sentence, checked again
+            (1, "plant", "pork"),
+            (1, "city", "rose"),  # not a candidate of the sentence
+            (2, "tool", "paris"),  # no score row; saw's denominator is 0
+            (3, "animal", "chicken"),  # exact tie: not drifting
+        ]
+        decided = list(_decide(sentences, checks, scores))
+        assert decided == _reference(sentences, checks, scores)
+        assert [check.is_drifting for check in decided] == [
+            True, False, False, True, True, False,
+        ]
+
+    def test_sequence_behaviour(self):
+        sentence = _sentence()
+        checks = [(0, "animal", "chicken"), (0, "food", "chicken")]
+        decided = _decide([sentence], checks, _PAPER_SCORES)
+        expected = _reference([sentence], checks, _PAPER_SCORES)
+        assert len(decided) == 2
+        assert decided[-1] == expected[-1]
+        assert decided[:1] == expected[:1]
+        assert decided == expected and expected == decided
+        assert list(decided.drifting) == [True, False]
+        with pytest.raises(IndexError):
+            decided[2]
+        empty = _decide([], [], {})
+        assert len(empty) == 0 and list(empty) == []

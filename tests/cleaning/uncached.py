@@ -1,15 +1,15 @@
 """Cache-off oracles for the DP cleaner's cache-equivalence suites.
 
-Production cleaning reuses work across rounds in four places: the
-ranker's mutation-versioned score cache, the cleaner's Eq. 21 check memo,
-the per-KB exclusion index the analysis cache refreshes in place, and the
-detection callback's content-keyed KPCA transforms and manifold
-regularisers.  Each oracle here recomputes from scratch instead, so the
-suites can pin production bit-identical to it.
-:class:`NaiveRoundDPCleaner` keeps the round body as it was before the
-collect phase walked the trigger index: one ``records_triggered_by``
-call per Intentional DP, and a memo of scorings pruned at every round
-start with verdicts rebuilt per round.
+Production cleaning reuses work across rounds in three places: the
+ranker's mutation-versioned score cache, the per-KB exclusion index the
+analysis cache refreshes in place, and the detection callback's
+content-keyed KPCA transforms and manifold regularisers.  Each oracle
+here recomputes from scratch instead, so the suites can pin production
+bit-identical to it.  :class:`NaiveRoundDPCleaner` keeps the round body
+as per-record Python: one ``records_triggered_by`` call per Intentional
+DP, and one :func:`score_sentence` per checked sentence, where
+production dedupes the triggered rids and decides every check in array
+passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.rng import RandomStreams
 __all__ = [
     "UncachedRanker",
     "UncachedExclusion",
-    "MemolessDPCleaner",
     "NaiveRoundDPCleaner",
     "uncached_detect",
     "build_concept_matrix",
@@ -46,8 +45,7 @@ def build_concept_matrix(
     extractor: FeatureExtractor, concept: str
 ) -> ConceptMatrix:
     """Extract all features of a concept into a matrix, with no cache."""
-    instances, x = extractor.feature_matrix(concept)
-    return ConceptMatrix(concept=concept, instances=instances, x=x)
+    return extractor.feature_matrices([concept])[concept]
 
 
 class UncachedRanker(RandomWalkRanker):
@@ -63,14 +61,6 @@ class UncachedExclusion(AnalysisCache):
 
     def exclusion(self, kb):
         return MutualExclusionIndex(kb, self._similarity)
-
-
-class MemolessDPCleaner(DPCleaner):
-    """A DP cleaner whose Eq. 21 memo never outlives a round."""
-
-    def _run_round(self, kb, by_sid, engine, round_index):
-        self._check_memo = {}
-        return super()._run_round(kb, by_sid, engine, round_index)
 
 
 class NaiveRoundDPCleaner(DPCleaner):
@@ -163,25 +153,9 @@ class NaiveRoundDPCleaner(DPCleaner):
                 checkable.append((pair, record.rid))
                 candidate_concepts.update(sentence.concepts)
         check_scores = self._ranker.score_all(kb, sorted(candidate_concepts))
-        # The KB is stable until the rollback below, so concept versions
-        # are round constants: prune stale memo entries once up front and
-        # the check loop hits the memo with a plain dict get.
-        memo = self._check_memo
-        version = kb.concept_version
-        for sid in [
-            sid
-            for sid, (names, stamped, _) in memo.items()
-            if tuple(map(version, names)) != stamped
-        ]:
-            del memo[sid]
         to_roll: list[int] = []
         seen_records: set[int] = set()
-        # Several DPs can trigger records of the same sentence; Eq. 21
-        # scores a sentence once for all its candidate concepts, so both
-        # the scoring (per sid) and the verdict (per sid + chosen
-        # concept) are shared, restamped with the trigger at hand.
-        checked: dict[tuple[int, str], SentenceCheck] = {}
-        round_scores: dict[int, dict[str, float]] = {}
+        checks: list[SentenceCheck] = []
         for pair, rid in checkable:
             if rid in seen_records:
                 continue
@@ -189,32 +163,16 @@ class NaiveRoundDPCleaner(DPCleaner):
             if not kb.is_active(rid):
                 continue
             record = kb.record(rid)
-            key = (record.sid, record.concept)
-            check = checked.get(key)
-            if check is None:
-                sid = record.sid
-                concept_scores = round_scores.get(sid)
-                if concept_scores is None:
-                    entry = memo.get(sid)
-                    if entry is not None:
-                        concept_scores = entry[2]
-                    else:
-                        sentence = by_sid[sid]
-                        concept_scores = score_sentence(sentence, check_scores)
-                        names = sentence.concepts
-                        memo[sid] = (
-                            names, tuple(map(version, names)), concept_scores
-                        )
-                    round_scores[sid] = concept_scores
-                check = build_check(
-                    sid, concept_scores, record.concept, pair.instance
-                )
-                checked[key] = check
-            elif check.trigger_instance != pair.instance:
-                check = replace(check, trigger_instance=pair.instance)
-            stats.sentence_checks.append(check)
+            check = build_check(
+                record.sid,
+                score_sentence(by_sid[record.sid], check_scores),
+                record.concept,
+                pair.instance,
+            )
+            checks.append(check)
             if check.is_drifting:
                 to_roll.append(rid)
+        stats.sentence_checks = checks
         if to_roll:
             result = engine.rollback_records(sorted(set(to_roll)))
             stats.records_rolled_back += result.num_records
@@ -250,9 +208,7 @@ def uncached_detect(pipeline) -> DetectFn:
         verified = frozenset().union(
             *(pipeline._verified_concept(kb, concept) for concept in concepts)
         )
-        evidence = EvidenceIndex(
-            kb, exclusion, config.labeling, verified=verified
-        )
+        evidence = EvidenceIndex(kb, config.labeling, verified=verified)
         seeds = SeedLabeler(kb, exclusion, evidence).label_all(concepts)
         detector = DPDetector(
             detector_config, seed=streams.stream("detector")

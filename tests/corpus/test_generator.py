@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.config import ConceptProfile, CorpusConfig

@@ -14,7 +14,7 @@ from repro.evaluation import (
     sentence_check_metrics,
 )
 from repro.cleaning.intentional import SentenceCheck
-from repro.kb import IsAPair, KnowledgeBase
+from repro.kb import KnowledgeBase
 from repro.labeling import DPLabel
 from repro.nlp.types import EntityType
 from repro.world.schema import ConceptSpec, Domain, InstanceSpec, Sense

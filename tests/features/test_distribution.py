@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features import cosine_counts, normalize_counts
+from repro.features import normalize_counts
+
+from ..cleaning.per_instance import cosine_counts
 
 _count_dicts = st.dictionaries(
     st.text(alphabet="abcdef", min_size=1, max_size=3),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.concepts import MutualExclusionIndex
@@ -9,6 +10,7 @@ from repro.config import SimilarityConfig
 from repro.features import FeatureExtractor
 from repro.kb import IsAPair, KnowledgeBase
 
+from ..cleaning.per_instance import PerConceptFeatureExtractor
 from ..cleaning.uncached import build_concept_matrix
 
 
@@ -58,14 +60,16 @@ class TestFeatureExtractor:
 
     def test_f1_cosine_mode(self):
         kb, exclusion, scores = _setup()
-        extractor = FeatureExtractor(kb, exclusion, scores, f1_mode="cosine")
+        extractor = PerConceptFeatureExtractor(
+            kb, exclusion, scores, f1_mode="cosine"
+        )
         dog = extractor.extract("animal", "dog")
         assert 0 < dog.f1 <= 1.0
 
     def test_f1_mode_validation(self):
         kb, exclusion, scores = _setup()
         with pytest.raises(ValueError):
-            FeatureExtractor(kb, exclusion, scores, f1_mode="bogus")
+            PerConceptFeatureExtractor(kb, exclusion, scores, f1_mode="bogus")
 
     def test_f2_counts_exclusive_memberships(self):
         kb, exclusion, scores = _setup()
@@ -95,10 +99,32 @@ class TestFeatureExtractor:
         assert cat.f1 == 0.0
         assert cat.f4 == 0.0
 
+    def test_f1_core_needs_a_first_extraction_in_iteration_1(self):
+        # x is first extracted in iteration 2 and only later gets an
+        # iteration-1 record (a later batch of a stream): it has core
+        # evidence but is not a core instance, so dog's mass on x is
+        # off-core.
+        kb = KnowledgeBase()
+        for sid in range(3):
+            kb.add_extraction(sid, "animal", ("dog",), iteration=1)
+        kb.add_extraction(
+            3, "animal", ("x", "dog"),
+            triggers=(IsAPair("animal", "dog"),), iteration=2,
+        )
+        kb.add_extraction(4, "animal", ("x",), iteration=1)
+        exclusion = MutualExclusionIndex(kb)
+        extractor = FeatureExtractor(kb, exclusion, {})
+        assert extractor.extract("animal", "dog").f1 == 0.0
+        reference = PerConceptFeatureExtractor(kb, exclusion, {})
+        assert np.array_equal(
+            extractor.feature_matrices(["animal"])["animal"].x,
+            reference.feature_matrix("animal").x,
+        )
+
     def test_extract_concept_sorted(self):
         kb, exclusion, scores = _setup()
         extractor = FeatureExtractor(kb, exclusion, scores)
-        names, _ = extractor.feature_matrix("animal")
+        names = extractor.feature_matrices(["animal"])["animal"].instances
         assert list(names) == sorted(names)
 
 

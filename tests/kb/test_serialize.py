@@ -9,7 +9,6 @@ import pytest
 from repro.cleaning import DPCleaner
 from repro.config import CleaningConfig
 from repro.errors import KnowledgeBaseError
-from repro.extraction import SemanticIterativeExtractor
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine, load_kb, save_kb
 from repro.kb.serialize import SCHEMA_VERSION
 from repro.labeling import DPLabel

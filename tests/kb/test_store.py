@@ -107,7 +107,12 @@ class TestQueries:
 
     def test_core_frequency_distribution(self):
         kb = self._kb()
-        core = kb.core_frequency_distribution("animal")
+        state = kb.concept_state("animal")
+        core = {
+            name: int(state.core_count[i])
+            for name, i in zip(state.names, state.ids.tolist())
+            if state.first_iteration[i] == 1 and state.core_count[i] > 0
+        }
         assert core == {"dog": 2, "chicken": 1}
 
     def test_records_triggered_by(self):

@@ -49,7 +49,7 @@ class TestVersionCounters:
         kb = _kb()
         version = kb.version
         kb.concepts()
-        kb.core_counts("animal")
+        kb.concept_state("animal")
         kb.sub_instance_counts("animal", "chicken")
         records_for_concept(kb, "animal")
         assert kb.version == version

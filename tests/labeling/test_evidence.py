@@ -1,11 +1,16 @@
-"""Tests for evidenced correct / incorrect instances."""
+"""Tests for evidenced correct / incorrect instances.
+
+Evidenced incorrect has no query of its own: it is RULE 2, so an
+instance is evidenced incorrect exactly when the seed labeler calls it an
+Accidental DP.
+"""
 
 from __future__ import annotations
 
 from repro.concepts import MutualExclusionIndex
 from repro.config import LabelingConfig, SimilarityConfig
 from repro.kb import IsAPair, KnowledgeBase
-from repro.labeling import EvidenceIndex
+from repro.labeling import DPLabel, EvidenceIndex, SeedLabeler
 
 
 def _kb():
@@ -23,37 +28,48 @@ def _kb():
     return kb
 
 
-def _evidence(kb, k=3, verified=()):
-    exclusion = MutualExclusionIndex(
+def _exclusion(kb):
+    return MutualExclusionIndex(
         kb,
         SimilarityConfig(
             exclusive_threshold=0.05, similar_threshold=0.5, min_core_size=1
         ),
     )
+
+
+def _evidence(kb, k=3, verified=()):
     return EvidenceIndex(
-        kb, exclusion, LabelingConfig(evidence_threshold_k=k),
-        verified=verified,
+        kb, LabelingConfig(evidence_threshold_k=k), verified=verified
+    )
+
+
+def _correct(kb, concept, instance, **kwargs):
+    return instance in _evidence(kb, **kwargs).evidenced_correct(concept)
+
+
+def _incorrect(kb, concept, instance):
+    seeds = SeedLabeler(kb, _exclusion(kb), _evidence(kb)).label_all()
+    return any(
+        seed.instance == instance and seed.label is DPLabel.ACCIDENTAL
+        for seed in seeds.labels_for(concept)
     )
 
 
 class TestEvidencedCorrect:
     def test_frequent_core_is_evidenced(self):
-        evidence = _evidence(_kb())
-        assert evidence.is_evidenced_correct("country", "france")
+        assert _correct(_kb(), "country", "france")
 
     def test_rare_core_is_not(self):
-        evidence = _evidence(_kb())
-        assert not evidence.is_evidenced_correct("country", "tuvalu")
+        assert not _correct(_kb(), "country", "tuvalu")
 
     def test_verified_source_counts(self):
-        evidence = _evidence(
-            _kb(), verified=[IsAPair("country", "tuvalu")]
+        assert _correct(
+            _kb(), "country", "tuvalu",
+            verified=[IsAPair("country", "tuvalu")],
         )
-        assert evidence.is_evidenced_correct("country", "tuvalu")
 
     def test_threshold_semantics_strictly_greater(self):
-        evidence = _evidence(_kb(), k=4)
-        assert not evidence.is_evidenced_correct("country", "france")
+        assert not _correct(_kb(), "country", "france", k=4)
 
     def test_evidenced_correct_set(self):
         evidence = _evidence(_kb())
@@ -62,12 +78,10 @@ class TestEvidencedCorrect:
 
 class TestEvidencedIncorrect:
     def test_new_york_under_country(self):
-        evidence = _evidence(_kb())
-        assert evidence.is_evidenced_incorrect("country", "new york")
+        assert _incorrect(_kb(), "country", "new york")
 
     def test_core_pairs_never_incorrect(self):
-        evidence = _evidence(_kb())
-        assert not evidence.is_evidenced_incorrect("country", "tuvalu")
+        assert not _incorrect(_kb(), "country", "tuvalu")
 
     def test_requires_single_count(self):
         kb = _kb()
@@ -76,8 +90,7 @@ class TestEvidencedIncorrect:
             11, "country", ("new york", "france"), triggers=(france,),
             iteration=3,
         )
-        evidence = _evidence(kb)
-        assert not evidence.is_evidenced_incorrect("country", "new york")
+        assert not _incorrect(kb, "country", "new york")
 
     def test_requires_exclusive_home(self):
         kb = KnowledgeBase()
@@ -87,19 +100,16 @@ class TestEvidencedIncorrect:
             1, "country", ("atlantis", "france"), triggers=(france,),
             iteration=2,
         )
-        evidence = _evidence(kb)
         # atlantis exists nowhere else, so there is no contrary evidence
-        assert not evidence.is_evidenced_incorrect("country", "atlantis")
+        assert not _incorrect(kb, "country", "atlantis")
 
     def test_missing_pair(self):
-        evidence = _evidence(_kb())
-        assert not evidence.is_evidenced_incorrect("country", "ghost")
+        assert not _incorrect(_kb(), "country", "ghost")
 
     def test_evidenced_incorrect_set(self):
         kb = _kb()
-        evidence = _evidence(kb)
         assert {
             instance
             for instance in kb.instances_of("country")
-            if evidence.is_evidenced_incorrect("country", instance)
+            if _incorrect(kb, "country", instance)
         } == {"new york"}

@@ -11,6 +11,8 @@ from repro.kb import IsAPair, KnowledgeBase
 from repro.labeling import DPLabel, EvidenceIndex, SeedLabeler
 from repro.labeling.labels import label_to_vector
 
+from ..cleaning.per_instance import PerConceptSeedLabeler, PerInstanceEvidence
+
 
 def _kb():
     """The paper's walkthrough: chicken bridges animal and food."""
@@ -55,14 +57,22 @@ def _labeler(kb, rule3_mode="tolerant", k=3):
             exclusive_threshold=0.4, similar_threshold=0.5, min_core_size=1
         ),
     )
-    evidence = EvidenceIndex(kb, exclusion, LabelingConfig(evidence_threshold_k=k))
-    return SeedLabeler(kb, exclusion, evidence, rule3_mode=rule3_mode)
+    config = LabelingConfig(evidence_threshold_k=k)
+    if rule3_mode == "tolerant":
+        return SeedLabeler(kb, exclusion, EvidenceIndex(kb, config))
+    # The paper's wording of RULE 3 lives only in the per-concept reference.
+    evidence = PerInstanceEvidence(kb, exclusion, config)
+    return PerConceptSeedLabeler(
+        kb, exclusion, evidence, rule3_mode=rule3_mode
+    )
 
 
 def _labels(kb=None, **kwargs):
     return {
         seed.instance: seed.label
-        for seed in _labeler(kb or _kb(), **kwargs).label_concept("animal")
+        for seed in _labeler(kb or _kb(), **kwargs)
+        .label_all(["animal"])
+        .labels_for("animal")
     }
 
 
@@ -86,6 +96,27 @@ class TestRules:
         # food, but it is also evidenced (and core) animal, so RULE 1 must
         # not incriminate dog.
         assert _labels()["dog"] is not DPLabel.INTENTIONAL
+
+    def test_core_sub_instance_does_not_incriminate(self):
+        # chicken is core animal (one sentence, so not evidenced) and
+        # evidenced food; dog, evidenced animal, triggered a sentence
+        # holding chicken.  A core sub-instance belongs here, so RULE 1
+        # must not fire on dog.
+        kb = KnowledgeBase()
+        for sid in range(4):
+            kb.add_extraction(sid, "animal", ("dog",), iteration=1)
+        kb.add_extraction(
+            4, "animal", ("chicken", "horse", "cat", "cow"), iteration=1
+        )
+        for sid in range(5, 9):
+            kb.add_extraction(
+                sid, "food", ("chicken", "pork", "beef", "rice"), iteration=1
+            )
+        kb.add_extraction(
+            9, "animal", ("chicken", "dog"),
+            triggers=(IsAPair("animal", "dog"),), iteration=2,
+        )
+        assert _labels(kb)["dog"] is DPLabel.NON_DP
 
     def test_unevidenced_instances_stay_unlabelled(self):
         assert "emu" not in _labels()

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.config import DetectorConfig
 from repro.features.matrix import ConceptMatrix
 from repro.labeling import DPLabel, SeedLabel
 from repro.labeling.rules import SeedLabelSet

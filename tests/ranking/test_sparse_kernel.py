@@ -39,7 +39,7 @@ class TestSparseMatchesDense:
         (sparse_scores,) = _random_walk_scores_union(
             [graph], restart_probability=0.15, max_iterations=100,
             tolerance=1e-12,
-        )
+        ).scores
         dense_scores = random_walk_scores_dense(graph)
         assert set(sparse_scores) == set(dense_scores)
         for name, value in sparse_scores.items():
@@ -53,12 +53,12 @@ class TestSparseMatchesDense:
         batch = _random_walk_scores_union(
             graphs, restart_probability=0.15, max_iterations=100,
             tolerance=1e-12,
-        )
+        ).scores
         for graph, scores in zip(graphs, batch):
             (solo,) = _random_walk_scores_union(
                 [graph], restart_probability=0.15, max_iterations=100,
                 tolerance=1e-12,
-            )
+            ).scores
             assert scores == solo
 
 

@@ -4,7 +4,7 @@ The same script keeps every switch of the cyclic collector inside
 ``repro/runtime/collector.py``, every ``print`` inside ``repro/cli.py``
 and every ``scipy`` import inside a function body, and reports every
 definition under ``src/repro`` that nothing in ``src/``, ``examples/``
-or ``perfbench/`` uses.
+or ``perfbench/`` uses, and every import a module never reads.
 
 Two halves: the real source tree must be clean, and the checker must
 actually catch violations — a checker that always passes enforces
@@ -48,6 +48,9 @@ class TestRealTree:
 
     def test_no_dead_definitions(self, checker):
         assert checker.check_dead_definitions(PACKAGE_ROOT) == []
+
+    def test_no_unused_imports(self, checker):
+        assert checker.check_unused_imports(REPO_ROOT) == []
 
     def test_cli_exit_code_zero(self, checker):
         assert checker.main(["--root", str(PACKAGE_ROOT)]) == 0
@@ -359,3 +362,68 @@ class TestDeadDefinitionRule:
         violations = checker.check_dead_definitions(root)
         assert len(violations) == 1
         assert "context.py:2: tracing is defined" in violations[0]
+
+
+
+class TestUnusedImportRule:
+    """Every imported name is read by its module, with four exemptions."""
+
+    def _check(self, checker, tmp_path: Path, files: dict[str, str]):
+        for name, source in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, encoding="utf-8")
+        return checker.check_unused_imports(tmp_path)
+
+    def test_seeded_unused_imports_are_caught(self, checker, tmp_path):
+        violations = self._check(checker, tmp_path, {
+            "src/repro/kb/store.py": (
+                "import numpy as np\nimport os.path\n"
+                "from .pair import IsAPair, KnowledgeBase\n\n"
+                "PAIR = IsAPair\n"
+            ),
+            "tests/kb/test_store.py": (
+                "import pytest\n\n\ndef test_x():\n    pass\n"
+            ),
+            "scripts/tool.py": "import sys\n",
+            "examples/demo.py": "from repro import Pipeline\n",
+        })
+        assert [v.split(": ", 1)[1] for v in violations] == [
+            "np is imported but never used",
+            "os is imported but never used",
+            "KnowledgeBase is imported but never used",
+            "pytest is imported but never used",
+            "sys is imported but never used",
+            "Pipeline is imported but never used",
+        ]
+        assert "store.py:1:" in violations[0]
+        assert "store.py:3:" in violations[2]
+
+    def test_exemptions(self, checker, tmp_path):
+        violations = self._check(checker, tmp_path, {
+            # Re-exports of a package __init__.
+            "src/repro/kb/__init__.py": "from .store import KnowledgeBase\n",
+            # __future__, __all__ and a quoted annotation.
+            "src/repro/kb/store.py": (
+                "from __future__ import annotations\n"
+                "from .pair import IsAPair, Record\n"
+                "__all__ = ['IsAPair']\n\n\n"
+                "def read(record: 'Record') -> None:\n    pass\n"
+            ),
+            # A fixture a test function takes as a parameter.
+            "tests/kb/test_store.py": (
+                "from .conftest import small_kb\n\n\n"
+                "def test_size(small_kb):\n    pass\n"
+            ),
+        })
+        assert violations == []
+
+    def test_fixture_exemption_is_for_tests_only(self, checker, tmp_path):
+        violations = self._check(checker, tmp_path, {
+            "scripts/tool.py": (
+                "from helpers import small_kb\n\n\n"
+                "def run(small_kb):\n    pass\n"
+            ),
+        })
+        assert len(violations) == 1
+        assert "small_kb is imported but never used" in violations[0]

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import WorldError
-from repro.world import load_world, paper_world, save_world, toy_world
+from repro.world import load_world, save_world
 
 
 class TestRoundTrip:
