@@ -228,17 +228,37 @@ def _references(tree: ast.Module, path: Path) -> set[str]:
     Names, attribute names (``obj.name``) and the names a ``from ...
     import`` brings in, except in a package ``__init__``, where imports
     are re-exports.  Module names are not references to definitions, so
-    ``import`` statements and ``from`` paths do not count.
+    ``import`` statements and ``from`` paths do not count.  Nor does a
+    reference inside the body of a definition of the same name: a
+    method that only delegates to its namesake (or recurses) keeps
+    neither alive.
     """
     reexports = path.name == "__init__.py"
     names: set[str] = set()
-    for node in ast.walk(tree):
+    pending: list[tuple[ast.AST, frozenset[str]]] = [(tree, frozenset())]
+    while pending:
+        node, enclosing = pending.pop()
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            found = [node.id]
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            found = [node.attr]
         elif isinstance(node, ast.ImportFrom) and not reexports:
-            names.update(alias.name for alias in node.names)
+            found = [alias.name for alias in node.names]
+        else:
+            found = []
+        names.update(name for name in found if name not in enclosing)
+        body: set[int] = set()
+        inner = enclosing
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            # Decorators, arguments and bases sit outside the body.
+            body = set(map(id, node.body))
+            inner = enclosing | {node.name}
+        pending.extend(
+            (child, inner if id(child) in body else enclosing)
+            for child in ast.iter_child_nodes(node)
+        )
     return names
 
 

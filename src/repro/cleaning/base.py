@@ -27,6 +27,10 @@ class CleaningResult:
     records_rolled_back: int = 0
     rounds: int = 1
     details: dict = field(default_factory=dict)
+    #: The top-level rollback requests the cleaner issued, in order (see
+    #: :attr:`~repro.kb.rollback.RollbackEngine.ops`); replaying them over
+    #: the KB it cleaned reproduces the pass.
+    rollback_ops: list[list] = field(default_factory=list)
 
     @property
     def num_removed(self) -> int:

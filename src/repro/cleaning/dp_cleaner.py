@@ -86,7 +86,6 @@ class DPCleaner(BaseCleaner):
         detect_fn: DetectFn,
         config: CleaningConfig | None = None,
         ranker: RandomWalkRanker | None = None,
-        engine_factory: Callable[[KnowledgeBase], RollbackEngine] | None = None,
         context: RunContext | None = None,
         analysis: AnalysisCache | None = None,
     ) -> None:
@@ -99,12 +98,6 @@ class DPCleaner(BaseCleaner):
         # Pipeline.dp_cleaner does) makes detection and the guards consult
         # the *same* index; without one the cleaner keeps a private cache.
         self._analysis = analysis or AnalysisCache(context=self._ctx)
-        # The streaming service journals cleaning outcomes by injecting a
-        # rollback engine that records the semantic operations it is asked
-        # to perform (see repro.service.journal); anything exposing
-        # rollback_pair/rollback_records with RollbackEngine semantics
-        # qualifies.
-        self._engine_factory = engine_factory or RollbackEngine
         # The cleaner issues two score_all calls per round over a KB it
         # mutates incrementally; the ranker's mutation-versioned cache
         # (see Ranker.score_all) re-ranks only the concepts the rollbacks
@@ -130,7 +123,7 @@ class DPCleaner(BaseCleaner):
             raise ValueError("max_rounds must be >= 1")
         before = kb.removed_pairs()
         by_sid = corpus.by_sid()
-        engine = self._engine_factory(kb)
+        engine = RollbackEngine(kb)
         rounds: list[RoundStats] = []
         total_rolled = 0
         ctx = self._ctx
@@ -158,7 +151,7 @@ class DPCleaner(BaseCleaner):
                     break
             span.add("rounds", len(rounds))
             span.add("records_rolled_back", total_rolled)
-        return self._result(
+        result = self._result(
             self.name,
             before,
             kb,
@@ -166,6 +159,8 @@ class DPCleaner(BaseCleaner):
             rounds=len(rounds),
             details={"rounds": rounds},
         )
+        result.rollback_ops = engine.ops
+        return result
 
     # ------------------------------------------------------------------
     # One round: detect, drop accidental DPs, collect, check

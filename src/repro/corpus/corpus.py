@@ -43,10 +43,6 @@ class Corpus:
         """All sentences with exactly one candidate concept."""
         return [s for s in self.sentences if not s.is_ambiguous]
 
-    def without_truth(self) -> "Corpus":
-        """A copy safe to hand to extraction code in adversarial tests."""
-        return Corpus(tuple(s.without_truth() for s in self.sentences))
-
     # ------------------------------------------------------------------
     # Batching (streaming ingestion)
     # ------------------------------------------------------------------

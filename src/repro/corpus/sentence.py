@@ -15,7 +15,7 @@ running extraction on truth-stripped copies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["SentenceKind", "SentenceTruth", "Sentence"]
 
@@ -83,7 +83,3 @@ class Sentence:
     def is_ambiguous(self) -> bool:
         """True when more than one candidate concept exists."""
         return len(self.concepts) > 1
-
-    def without_truth(self) -> "Sentence":
-        """A copy with the truth record removed (what extractors may see)."""
-        return replace(self, truth=None)

@@ -8,7 +8,7 @@ the whole evaluation is reproducible from a single
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from ..analysis.cache import AnalysisCache
@@ -22,7 +22,6 @@ from ..extraction.engine import ExtractionResult, SemanticIterativeExtractor
 from ..features.extractor import FeatureExtractor
 from ..features.matrix import ConceptMatrix
 from ..kb.pair import IsAPair
-from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..labeling.evidence import EvidenceIndex
 from ..labeling.labels import DPLabel
@@ -354,21 +353,13 @@ class Pipeline:
             context=self._ctx,
         )
 
-    def dp_cleaner(
-        self,
-        engine_factory: Callable[[KnowledgeBase], RollbackEngine] | None = None,
-    ) -> DPCleaner:
+    def dp_cleaner(self) -> DPCleaner:
         """A DP cleaner wired to this pipeline's detection, ranker, analysis
-        cache and context.
-
-        ``engine_factory`` replaces the rollback engine (the streaming
-        service journals cleaning through it).
-        """
+        cache and context."""
         return DPCleaner(
             self.detect_fn(),
             self._config.cleaning,
             ranker=self._ranker,
-            engine_factory=engine_factory,
             context=self._ctx,
             analysis=self._analysis,
         )
@@ -397,20 +388,18 @@ class Pipeline:
 
         Every call of the returned callback rebuilds the detector's inputs
         (see :meth:`_inputs`) over the pipeline's shared exclusion index.
-        The embedding (standardisation + KPCA basis) fitted on the first
-        call is frozen and reused by later calls, and so are the KPCA
-        transforms and manifold regularisers of matrices whose content
-        has not changed since the previous call.
+        The callback's :class:`DetectorRefitCache` freezes the embedding
+        (standardisation + KPCA basis) fitted on the first call for later
+        calls, and keeps the KPCA transforms and manifold regularisers of
+        matrices whose content has not changed since the previous call.
         """
         config = replace(
             self._config.detector,
             non_dp_bias=self._config.cleaning.cleaning_non_dp_bias,
         )
-        embedding = None
         refit_cache = DetectorRefitCache()
 
         def detect(kb: KnowledgeBase) -> dict[str, dict[str, DPLabel]]:
-            nonlocal embedding
             with self._ctx.span("analysis.refresh") as span:
                 inputs = self._inputs(kb)
                 span.set(concepts=len(inputs.matrices))
@@ -420,12 +409,8 @@ class Pipeline:
                     context=self._ctx,
                 )
                 detector.fit(
-                    inputs.matrices,
-                    inputs.seeds,
-                    embedding=embedding,
-                    refit_cache=refit_cache,
+                    inputs.matrices, inputs.seeds, refit_cache=refit_cache
                 )
-                embedding = detector.embedding
                 return detector.predict_all()
 
         return detect

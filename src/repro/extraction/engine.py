@@ -278,7 +278,7 @@ class IncrementalExtractor:
         the delta detection for any later re-extraction of a removed
         pair) instead of letting stale index state trigger resolution.
         """
-        self._worklist.resync(self._kb, concepts)
+        self._worklist.advance(self._kb, concepts)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -355,7 +355,7 @@ class IncrementalExtractor:
             span.add("pairs_committed", len(kb) - pairs_before)
         # Advancing through the worklist wakes pool sentences whose
         # candidate pairs the fresh core evidence just made visible.
-        self._worklist.commit_deltas(kb, grown)
+        self._worklist.advance(kb, grown)
         if self._iteration == 0:
             self._iteration = 1
             self._log.record(
@@ -454,7 +454,7 @@ class IncrementalExtractor:
             all_arrived = iteration >= base + chunks_used
             if resolved_count == 0 and all_arrived:
                 break
-            worklist.commit_deltas(kb, grown)
+            worklist.advance(kb, grown)
             self._log.record(
                 iteration=iteration,
                 sentences_resolved=resolved_count,

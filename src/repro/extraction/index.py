@@ -27,9 +27,9 @@ later snapshot ``V_T``.  The resolving candidate has
 ``|M_T(c)| >= min_evidence > |M_a(c)|``, so ``M_T(c) ⊄ M_a(c)`` — some
 instance ``e ∈ M_T(c) \\ M_a(c)`` exists, i.e. ``(c, e)`` was not visible
 at the failed attempt and is visible at ``T``.  That transition passed
-through :meth:`ResolutionWorklist.commit_deltas` (extraction commits) or
-:meth:`ResolutionWorklist.resync` (out-of-band mutations) and woke ``s``,
-because every candidate pair of a pending sentence is indexed.  Hence no
+through :meth:`ResolutionWorklist.advance` (after extraction commits and
+after out-of-band mutations alike) and woke ``s``, because every
+candidate pair of a pending sentence is indexed.  Hence no
 resolvable sentence is ever skipped.
 
 *Soundness of spurious wakes.*  By the contrapositive, a pending sentence
@@ -43,10 +43,11 @@ iteration and the full matched set is recomputed at attempt time, so
 records, triggers, iteration numbers and logs are bit-identical to the
 naive scan.
 
-Rollback integration: cleaning passes shrink the snapshot through
-:meth:`ResolutionWorklist.resync`, so a rolled-back pair is forgotten —
-resolution can no longer trigger off it — and a later re-extraction of
-the same pair registers as a fresh transition that wakes its waiters.
+Rollback integration: cleaning passes shrink the snapshot through the
+same :meth:`ResolutionWorklist.advance`, so a rolled-back pair is
+forgotten — resolution can no longer trigger off it — and a later
+re-extraction of the same pair registers as a fresh transition that
+wakes its waiters.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class ResolutionWorklist:
     ``visible`` is the extractor's per-concept snapshot dict, shared by
     reference: the worklist is its single writer, so every snapshot
     advance is observed and turned into wake events.  The wake set
-    accumulated by :meth:`commit_deltas` / :meth:`resync` /
-    :meth:`wake_all` is drained once per iteration via :meth:`take_woken`.
+    accumulated by :meth:`advance` / :meth:`wake_all` is drained once per
+    iteration via :meth:`take_woken`.
     """
 
     __slots__ = ("index", "visible", "_woken")
@@ -166,12 +167,21 @@ class ResolutionWorklist:
     # ------------------------------------------------------------------
     # Snapshot advancement
     # ------------------------------------------------------------------
-    def commit_deltas(self, kb: KnowledgeBase, concepts: Iterable[str]) -> None:
-        """Advance the snapshot for grown concepts, waking their waiters.
+    def advance(self, kb: KnowledgeBase, concepts: Iterable[str]) -> None:
+        """Move the snapshot of ``concepts`` to the KB, waking waiters.
 
         Every instance alive in the KB but absent from the tracked
-        snapshot is a not-visible → visible transition; all sentences
-        indexed under that pair join the wake set for the next iteration.
+        snapshot is a not-visible → visible transition, and every
+        sentence indexed under that pair joins the wake set for the next
+        iteration.  That holds whatever mutated the KB, so the
+        completeness argument (module docstring) needs no other path.
+        Extraction calls this with the concepts it just grew.  After a
+        cleaning pass the session calls it with the concepts the pass
+        touched, so the snapshot also shrinks: resolution can no longer
+        trigger off a removed pair, and a later re-extraction of that
+        pair is a fresh transition that wakes its waiters instead of
+        being treated as already known.  A concept left with no alive
+        instance is dropped; one that just grew never is.
         """
         waiting = self.index._waiting
         visible = self.visible
@@ -179,35 +189,7 @@ class ResolutionWorklist:
         for concept in concepts:
             fresh = kb.instances_of(concept)
             old = visible.get(concept)
-            new_instances = fresh if old is None else fresh - old
-            for instance in new_instances:
-                entry = waiting.get((concept, instance))
-                if entry:
-                    woken |= entry
-            visible[concept] = fresh
-
-    def resync(self, kb: KnowledgeBase, concepts: Iterable[str]) -> None:
-        """Refresh the snapshot after out-of-band KB mutations.
-
-        The cleaning pass rolls knowledge back underneath the extractor;
-        shrinking the snapshot here means (a) resolution can no longer
-        trigger off removed pairs and (b) a later re-extraction of a
-        removed pair is recognised as a fresh transition that wakes its
-        waiters instead of being silently treated as already-known.
-        Additions are woken too, defensively — rollback only removes, but
-        the completeness invariant must hold for any mutation.
-        """
-        waiting = self.index._waiting
-        visible = self.visible
-        woken = self._woken
-        for concept in concepts:
-            fresh = kb.instances_of(concept)
-            old = visible.get(concept)
-            if old:
-                added = fresh - old
-            else:
-                added = fresh
-            for instance in added:
+            for instance in fresh - old if old else fresh:
                 entry = waiting.get((concept, instance))
                 if entry:
                     woken |= entry

@@ -7,6 +7,12 @@ pair — those roll back too, iteratively, until a fixpoint.
 
 A record triggered by several pairs survives while *any* trigger is alive:
 the extraction would still have happened with the remaining knowledge.
+
+The engine journals itself: :attr:`RollbackEngine.ops` lists the
+top-level requests it was asked to run, in order.  Cascades follow from
+the KB state, so replaying the requests through a fresh engine over the
+same KB reproduces every mutation (the streaming service journals a
+cleaning pass this way, see :mod:`repro.service.journal`).
 """
 
 from __future__ import annotations
@@ -44,13 +50,46 @@ class RollbackResult:
 
 
 class RollbackEngine:
-    """Performs cascading rollbacks against a knowledge base."""
+    """Performs cascading rollbacks against a knowledge base.
+
+    ``ops`` records every top-level request as ``["pair", concept,
+    instance]`` or ``["records", rids]``; the cascades they set off are
+    not recorded.
+    """
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self._kb = kb
+        self.ops: list[list] = []
 
     def rollback_records(self, rids: Iterable[int]) -> RollbackResult:
         """Roll back the given records and cascade to completion."""
+        rids = list(rids)
+        self.ops.append(["records", rids])
+        return self._cascade(rids)
+
+    def rollback_pair(self, pair: IsAPair) -> RollbackResult:
+        """Drop a pair and roll back everything it activated (§4).
+
+        Used for Accidental DPs, which are wrong extractions themselves.
+        Sibling pairs from the sentences that *produced* the DP are
+        innocent and survive; extractions *triggered by* the DP roll back
+        (cascading), exactly as the paper prescribes.
+        """
+        self.ops.append(["pair", pair.concept, pair.instance])
+        kb = self._kb
+        result = RollbackResult()
+        triggered = kb.records_triggered_by(pair)
+        kb.remove_pair(pair)
+        result.pairs_removed.append(pair)
+        orphaned = [
+            record.rid for record in triggered
+            if kb.kill_trigger(record.rid, pair)
+        ]
+        result.merge(self._cascade(orphaned))
+        return result
+
+    def _cascade(self, rids: Iterable[int]) -> RollbackResult:
+        """Deactivate ``rids`` and everything only their pairs triggered."""
         kb = self._kb
         result = RollbackResult()
         worklist = [rid for rid in rids if kb.is_active(rid)]
@@ -65,24 +104,4 @@ class RollbackEngine:
                 for dependent in kb.records_triggered_by(pair):
                     if kb.kill_trigger(dependent.rid, pair):
                         worklist.append(dependent.rid)
-        return result
-
-    def rollback_pair(self, pair: IsAPair) -> RollbackResult:
-        """Drop a pair and roll back everything it activated (§4).
-
-        Used for Accidental DPs, which are wrong extractions themselves.
-        Sibling pairs from the sentences that *produced* the DP are
-        innocent and survive; extractions *triggered by* the DP roll back
-        (cascading), exactly as the paper prescribes.
-        """
-        kb = self._kb
-        result = RollbackResult()
-        triggered = kb.records_triggered_by(pair)
-        kb.remove_pair(pair)
-        result.pairs_removed.append(pair)
-        orphaned = [
-            record.rid for record in triggered
-            if kb.kill_trigger(record.rid, pair)
-        ]
-        result.merge(self.rollback_records(orphaned))
         return result

@@ -121,9 +121,6 @@ class KnowledgeBase:
         self._record_iterations: list[int] = []
         self._record_arrays = (_GrowingArray(), _GrowingArray())
         self._records_by_trigger: dict[IsAPair, set[int]] = {}
-        # concept → rids in insertion order; records are only ever
-        # deactivated, never deleted, so the lists stay valid.
-        self._records_by_concept: dict[str, list[int]] = {}
         # Trigger-edge substrate for the ranking graphs.  Instances get a
         # stable per-concept id on first extraction (never reassigned, even
         # across removal and re-extraction), and every trigger → instance
@@ -226,7 +223,6 @@ class KnowledgeBase:
             pair: set(sorted(rids))
             for pair, rids in self._records_by_trigger.items()
         }
-        clone._records_by_concept = _copy_values(self._records_by_concept)
         clone._instance_ids = _copy_values(self._instance_ids)
         clone._edge_codes = _copy_values(self._edge_codes)
         clone._edge_rids = _copy_values(self._edge_rids)
@@ -275,7 +271,6 @@ class KnowledgeBase:
         if record.rid >= len(flags):
             flags = self._active_flags = flags + bytes(len(flags))
         flags[record.rid] = 1
-        self._records_by_concept.setdefault(concept, []).append(record.rid)
         ids = self._instance_ids.setdefault(concept, {})
         for pair in record.produced:
             if pair.instance not in ids:
@@ -742,17 +737,21 @@ class KnowledgeBase:
     ) -> None:
         """Restart re-extracted pairs as they were live (loaders only).
 
-        Replay gives a re-extracted pair every producing record's history;
-        each ``(pair, rid, count)`` restarts it at record ``rid`` with the
-        live ``count``.  Pairs then take their creation order again.
+        Replay gives a re-extracted pair every producing record's history
+        (alive, its ``record_ids`` list every producer in rid order); each
+        ``(pair, rid, count)`` restarts it at record ``rid`` with the live
+        ``count``.  Pairs then take their creation order again.
         """
         touched: dict[str, dict[str, PairState]] = {}
         for pair, rid, count in restarts:
-            rids = self._records_by_concept.get(pair.concept, [])
-            state = PairState(count, self.record(rid).iteration, [
-                later for later in rids[bisect_left(rids, rid):]
-                if pair in self._records[later].produced
-            ], restarted=True)
+            replayed = self._pairs.get(pair)
+            rids = replayed.record_ids if replayed is not None else []
+            state = PairState(
+                count,
+                self.record(rid).iteration,
+                rids[bisect_left(rids, rid):],
+                restarted=True,
+            )
             if state.record_ids[:1] != [rid] or count < 1:
                 raise KnowledgeBaseError(
                     f"record {rid} cannot restart {pair} with count {count}"

@@ -51,15 +51,17 @@ _CLASS_ORDER = (DPLabel.INTENTIONAL, DPLabel.ACCIDENTAL, DPLabel.NON_DP)
 
 
 class DetectorRefitCache:
-    """Reuse of transforms and manifolds across refits under one embedding.
+    """One frozen embedding, and the transforms and manifolds fitted under it.
+
+    The first fit under a cache fits the embedding (standardisation +
+    KPCA basis) and stores it here; every later fit under the same cache
+    reuses it, so the entries below always belong to that one basis.
 
     A transform entry is validated by **content**: it hits when the cached
     matrix has the same instances and bit-equal features as the new one,
     so the cached transform is exactly what a recomputation would return.
     A manifold regulariser is reused when its concept's transform was, by
-    identity of that transform.  The cache is cleared whenever the
-    embedding object changes, since transforms are only comparable under
-    one basis.
+    identity of that transform.
     """
 
     __slots__ = ("embedding", "transforms", "manifolds")
@@ -93,7 +95,6 @@ class DPDetector:
         self._pooled_weight: np.ndarray | None = None
         self._forest: RandomForestClassifier | None = None
         self._adhoc: AdHocDetector | None = None
-        self._embedding: FrozenEmbedding | None = None
         self._datasets: dict[str, ConceptTrainingData] = {}
         self.accuracy_history: list[float] = []
         self.objective_history: list[float] = []
@@ -104,11 +105,6 @@ class DPDetector:
         """The detection method in use."""
         return self._method
 
-    @property
-    def embedding(self) -> FrozenEmbedding | None:
-        """The embedding used (fitted here or supplied; kernel methods only)."""
-        return self._embedding
-
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
@@ -118,7 +114,6 @@ class DPDetector:
         seeds: SeedLabelSet,
         eval_fn: Callable[["DPDetector"], float] | None = None,
         *,
-        embedding: FrozenEmbedding | None = None,
         refit_cache: DetectorRefitCache | None = None,
     ) -> "DPDetector":
         """Train on per-concept matrices and automatically labelled seeds.
@@ -127,13 +122,13 @@ class DPDetector:
         iteration with the partially trained detector; its return values
         populate :attr:`accuracy_history` (Fig. 5c).
 
-        ``embedding`` reuses an already-fitted standardisation + KPCA
-        basis instead of fitting one on the supplied matrices — the
-        cleaning loop freezes round one's embedding for later rounds.
-        ``refit_cache`` reuses per-concept transforms and manifold
-        regularisers for matrices equal in content to a previous fit's
-        (bit-exact by construction); without one, a fresh cache serves
-        this fit alone.
+        ``refit_cache`` carries the embedding across fits: the first fit
+        under it fits the standardisation + KPCA basis on the supplied
+        matrices and stores it, later fits reuse it (the cleaning loop
+        freezes round one's embedding for later rounds), together with
+        the per-concept transforms and manifold regularisers of matrices
+        equal in content to a previous fit's (bit-exact by construction).
+        Without one, a fresh cache serves this fit alone.
         """
         if refit_cache is None:
             refit_cache = DetectorRefitCache()
@@ -150,7 +145,7 @@ class DPDetector:
                 self._fit_raw_baseline(seeds)
                 self._fitted = True
                 return self
-            self._embed(embedding, refit_cache)
+            self._embed(refit_cache)
             self._build_datasets(seeds, refit_cache)
             labelled = [d for d in self._datasets.values() if d.n_labeled > 0]
             if not labelled:
@@ -234,22 +229,14 @@ class DPDetector:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _embed(
-        self, embedding: FrozenEmbedding | None, cache: DetectorRefitCache
-    ) -> None:
+    def _embed(self, cache: DetectorRefitCache) -> None:
         with self._ctx.span("detector.embed") as span:
-            fitted_here = embedding is None
+            embedding = cache.embedding
+            span.set(fitted=embedding is None)
             if embedding is None:
-                embedding = FrozenEmbedding.fit(
+                embedding = cache.embedding = FrozenEmbedding.fit(
                     self._matrices, self._config, seed=self._rng
                 )
-            span.set(fitted=fitted_here)
-            self._embedding = embedding
-            if cache.embedding is not embedding:
-                # Transforms are only comparable under one basis.
-                cache.embedding = embedding
-                cache.transforms.clear()
-                cache.manifolds.clear()
             # Projection stays per concept: the blocks fit in cache,
             # whereas a pooled kernel-matrix transform thrashes on its own
             # temporaries.

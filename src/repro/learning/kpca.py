@@ -23,7 +23,13 @@ __all__ = ["KernelPCA"]
 
 
 class KernelPCA:
-    """Kernel principal component analysis with a centred RBF kernel."""
+    """Kernel principal component analysis with a centred RBF kernel.
+
+    ``gamma=None`` picks the kernel width in :meth:`fit` from the fit
+    sample, ``1 / (d * var)`` (the scikit-learn "scale" heuristic), which
+    keeps the kernel well-conditioned across feature scales; every
+    :meth:`transform` reuses it, so a row embeds the same in any batch.
+    """
 
     def __init__(
         self,
@@ -34,6 +40,7 @@ class KernelPCA:
             raise LearningError("n_components must be >= 1")
         self._n_components = n_components
         self._gamma = gamma
+        self._fit_gamma = 0.0
         self._fit_x: np.ndarray | None = None
         self._alphas: np.ndarray | None = None
         self._column_means: np.ndarray | None = None
@@ -54,8 +61,13 @@ class KernelPCA:
         if x.ndim != 2 or x.shape[0] < 2:
             raise LearningError("KernelPCA.fit needs at least two samples")
         self._fit_x = np.asarray(x, dtype=float)
-        n = self._fit_x.shape[0]
-        k = rbf_kernel(self._fit_x, self._fit_x, self._gamma)
+        n, d = self._fit_x.shape
+        gamma = self._gamma
+        if gamma is None:
+            variance = float(self._fit_x.var())
+            gamma = 1.0 / (d * variance) if variance > 0 else 1.0
+        self._fit_gamma = gamma
+        k = rbf_kernel(self._fit_x, self._fit_x, gamma)
         self._column_means = k.mean(axis=0)
         self._total_mean = float(k.mean())
         centred = (
@@ -86,7 +98,7 @@ class KernelPCA:
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             return np.zeros((0, self.n_components))
-        k = rbf_kernel(x, self._fit_x, self._gamma)
+        k = rbf_kernel(x, self._fit_x, self._fit_gamma)
         row_means = k.mean(axis=1, keepdims=True)
         # Centre in place (the kernel matrix is ours): same operation
         # order as `k - col - row + total`, without the temporaries.

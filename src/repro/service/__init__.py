@@ -3,29 +3,28 @@
 The paper's pipeline is batch-oriented: corpus in, cleaned KB out.  This
 package turns it into a long-running service where documents arrive in
 batches.  An :class:`IngestSession` extracts each batch incrementally,
-tracks per-concept drift telemetry, and schedules DP-cleaning passes off
-two signals — document-count staleness and a measured drift score
-(:class:`IngestPolicy`).  A redo journal plus periodic KB snapshots
+reports its per-concept drift telemetry (:class:`BatchReport`), and
+schedules DP-cleaning passes off two signals — the sentences ingested
+since the last pass and the batch's drift score — that
+:class:`IngestPolicy` turns into a reason to clean.  A redo journal of
+each pass's rollback requests plus periodic KB snapshots
 (:class:`CheckpointStore`, :class:`Journal`) make sessions durable: a
 killed session resumes from ``checkpoint + journal replay`` and reaches a
 bit-identical knowledge base versus an uninterrupted run.
 """
 
 from .checkpoint import CheckpointStore
-from .journal import Journal, JournalingRollbackEngine, replay_clean_ops
-from .policy import CleanDecision, IngestPolicy, PolicyMonitor
+from .journal import Journal, replay_clean_ops
+from .policy import IngestPolicy
 from .session import BatchReport, CleaningReport, DriftStats, IngestSession
 
 __all__ = [
     "BatchReport",
     "CheckpointStore",
-    "CleanDecision",
     "CleaningReport",
     "DriftStats",
     "IngestPolicy",
     "IngestSession",
     "Journal",
-    "JournalingRollbackEngine",
-    "PolicyMonitor",
     "replay_clean_ops",
 ]

@@ -19,8 +19,10 @@ entry with the wrong version is not a torn tail.
 
 Cleaning passes are journaled as their **semantic rollback operations**
 (the pair rollbacks and record rollbacks the cleaner requested, in
-order), not as detector output: cascades re-derive deterministically from
-the KB state, so replaying the operations through a fresh
+order: :attr:`~repro.kb.rollback.RollbackEngine.ops`, which the cleaner
+returns as :attr:`~repro.cleaning.base.CleaningResult.rollback_ops`), not
+as detector output: cascades re-derive deterministically from the KB
+state, so replaying the operations through a fresh
 :class:`~repro.kb.rollback.RollbackEngine` reproduces the exact mutation
 sequence — including version counters — without refitting a detector.
 """
@@ -34,41 +36,13 @@ from collections.abc import Iterable, Iterator
 
 from ..errors import ServiceError
 from ..kb.pair import IsAPair
-from ..kb.rollback import RollbackEngine, RollbackResult
+from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 
-__all__ = [
-    "JOURNAL_VERSION",
-    "Journal",
-    "JournalingRollbackEngine",
-    "replay_clean_ops",
-]
+__all__ = ["JOURNAL_VERSION", "Journal", "replay_clean_ops"]
 
 #: Version of the journal entry schema, stamped into every entry.
 JOURNAL_VERSION = 1
-
-
-class JournalingRollbackEngine:
-    """A rollback engine that records the operations it is asked to run.
-
-    Wraps (rather than subclasses) :class:`RollbackEngine` so only the
-    *top-level* requests are recorded — ``rollback_pair`` internally
-    cascades through ``rollback_records``, and those cascades must be
-    re-derived at replay time, not replayed twice.
-    """
-
-    def __init__(self, kb: KnowledgeBase) -> None:
-        self._engine = RollbackEngine(kb)
-        self.ops: list[list] = []
-
-    def rollback_pair(self, pair: IsAPair) -> RollbackResult:
-        self.ops.append(["pair", pair.concept, pair.instance])
-        return self._engine.rollback_pair(pair)
-
-    def rollback_records(self, rids: Iterable[int]) -> RollbackResult:
-        rids = list(rids)
-        self.ops.append(["records", rids])
-        return self._engine.rollback_records(rids)
 
 
 def replay_clean_ops(kb: KnowledgeBase, ops: Iterable[list]) -> None:

@@ -15,17 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CleanDecision", "IngestPolicy", "PolicyMonitor"]
-
-
-@dataclass(frozen=True)
-class CleanDecision:
-    """Whether (and why) a cleaning pass should run after a batch."""
-
-    clean: bool
-    reason: str | None
-    staleness: int
-    drift: float
+__all__ = ["IngestPolicy"]
 
 
 @dataclass(frozen=True)
@@ -72,98 +62,30 @@ class IngestPolicy:
         drift: float,
         new_pairs: int,
         forced: bool = False,
-    ) -> CleanDecision:
-        """Evaluate the triggers for one just-ingested batch.
+    ) -> str | None:
+        """Why a cleaning pass should run after a batch, or ``None``.
 
-        The scheduled trigger is checked first (it is the cheap,
+        The reason is ``"forced"``, ``"staleness"`` or ``"drift"``.  The
+        scheduled trigger is checked before drift (it is the cheap,
         content-independent signal); drift only fires on batches with
         enough new pairs for the fraction to mean anything.
         """
-        reason = None
         if forced:
-            reason = "forced"
-        elif (
+            return "forced"
+        if (
             self.staleness_threshold is not None
             and staleness >= self.staleness_threshold
         ):
-            reason = "staleness"
-        elif (
+            return "staleness"
+        if (
             self.drift_threshold is not None
             and new_pairs >= self.min_new_pairs
             and drift >= self.drift_threshold
         ):
-            reason = "drift"
-        return CleanDecision(
-            clean=reason is not None,
-            reason=reason,
-            staleness=staleness,
-            drift=drift,
-        )
+            return "drift"
+        return None
 
     @classmethod
     def never(cls) -> "IngestPolicy":
         """A policy that never triggers (cleaning only when forced)."""
         return cls(staleness_threshold=None, drift_threshold=None)
-
-
-class PolicyMonitor:
-    """One session's trigger state: what :meth:`IngestPolicy.decide` reads.
-
-    The session records every batch (:meth:`batch`, live and replayed) and
-    every cleaning pass (:meth:`cleaned`) directly, so the state belongs
-    to the one session that decides on it — sessions sharing a pipeline
-    (and its run context) never see each other's batches.  The policy
-    itself stays a pure threshold table.
-    """
-
-    def __init__(self) -> None:
-        self.staleness = 0
-        self.cleanings = 0
-        self.last_drift = 0.0
-        self.last_new_pairs = 0
-        self.drift_totals: dict[str, list[int]] = {}
-
-    def batch(
-        self,
-        sentences_new: int,
-        new_pairs: int,
-        drift: float,
-        per_concept: dict[str, list[int]],
-    ) -> None:
-        """Record one ingested batch: staleness grows, drift is measured."""
-        self.staleness += sentences_new
-        self.last_drift = drift
-        self.last_new_pairs = new_pairs
-        self.fold(per_concept)
-
-    def cleaned(self) -> None:
-        """Record a completed cleaning pass: staleness resets."""
-        self.staleness = 0
-        self.cleanings += 1
-
-    def decide(
-        self, policy: IngestPolicy, forced: bool = False
-    ) -> CleanDecision:
-        """Evaluate ``policy`` against the accumulated telemetry."""
-        return policy.decide(
-            staleness=self.staleness,
-            drift=self.last_drift,
-            new_pairs=self.last_new_pairs,
-            forced=forced,
-        )
-
-    def restore(self, *, staleness: int, cleanings: int) -> None:
-        """Reset the counters a snapshot carries directly."""
-        self.staleness = staleness
-        self.cleanings = cleanings
-
-    def fold(self, per_concept: dict[str, list[int]]) -> None:
-        """Add one batch's per-concept drift counts to the totals.
-
-        Concepts fold in sorted order, so live and resumed sessions build
-        totals with the same key order.
-        """
-        for concept, counts in sorted(per_concept.items()):
-            totals = self.drift_totals.setdefault(concept, [0, 0])
-            totals[0] += counts[0]
-            totals[1] += counts[1]

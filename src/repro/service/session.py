@@ -50,13 +50,12 @@ from ..corpus.sentence import Sentence
 from ..errors import ServiceError
 from ..extraction.engine import BatchExtraction, IncrementalExtractor
 from ..kb.pair import IsAPair
-from ..kb.rollback import RollbackEngine
 from ..kb.store import KnowledgeBase
 from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
 from .checkpoint import CheckpointStore
-from .journal import JournalingRollbackEngine, replay_clean_ops
-from .policy import IngestPolicy, PolicyMonitor
+from .journal import replay_clean_ops
+from .policy import IngestPolicy
 
 __all__ = ["DriftStats", "CleaningReport", "BatchReport", "IngestSession"]
 
@@ -137,11 +136,12 @@ class IngestSession:
         The full pipeline configuration (extraction, similarity and
         cleaning sections are used).
     cleaner_factory:
-        Called once per cleaning pass with the rollback-engine factory
-        the session journals through; returns a fresh
-        :class:`~repro.cleaning.DPCleaner` using that engine factory —
-        typically ``pipeline.dp_cleaner`` (see
-        :meth:`repro.experiments.pipeline.Pipeline.session`).
+        Called with no arguments once per cleaning pass; returns a fresh
+        :class:`~repro.cleaning.DPCleaner` — typically
+        ``pipeline.dp_cleaner`` (see
+        :meth:`repro.experiments.pipeline.Pipeline.session`).  The pass's
+        :attr:`~repro.cleaning.base.CleaningResult.rollback_ops` are what
+        the session journals.
     policy:
         Cleaning trigger thresholds; defaults to :class:`IngestPolicy`.
     analysis:
@@ -159,18 +159,15 @@ class IngestSession:
     context:
         The :class:`~repro.runtime.context.RunContext` to trace through
         (default: the null context).  Spans are observation only: the
-        session records its cleaning triggers in its own
-        :class:`~repro.service.policy.PolicyMonitor`, so sessions sharing
-        a pipeline's context stay independent.
+        policy reads the session's own staleness counter and the batch's
+        drift, so sessions sharing a pipeline's context stay independent.
     """
 
     def __init__(
         self,
         *,
         config: PipelineConfig,
-        cleaner_factory: Callable[
-            [Callable[[KnowledgeBase], RollbackEngine]], DPCleaner
-        ],
+        cleaner_factory: Callable[[], DPCleaner],
         policy: IngestPolicy | None = None,
         analysis: AnalysisCache | None = None,
         checkpoint_dir: str | Path | None = None,
@@ -189,7 +186,9 @@ class IngestSession:
             similarity=config.similarity
         )
         self._ctx = context or NULL_CONTEXT
-        self._monitor = PolicyMonitor()
+        # New sentences since the last cleaning pass: the one trigger
+        # input the reports do not hold.
+        self._staleness = 0
         self._extractor = IncrementalExtractor(
             config.extraction, context=self._ctx
         )
@@ -236,23 +235,16 @@ class IngestSession:
     @property
     def cleanings(self) -> int:
         """Number of cleaning passes run (or replayed) so far."""
-        return self._monitor.cleanings
+        return sum(report.cleaning is not None for report in self._reports)
 
     @property
     def staleness(self) -> int:
         """New sentences ingested since the last cleaning pass."""
-        return self._monitor.staleness
+        return self._staleness
 
     def corpus(self) -> Corpus:
         """The accumulated de-duplicated corpus."""
         return self._extractor.corpus()
-
-    def drift_totals(self) -> dict[str, list[int]]:
-        """Cumulative per-concept [new pairs, conflicted] telemetry."""
-        return {
-            concept: list(counts)
-            for concept, counts in self._monitor.drift_totals.items()
-        }
 
     def stats(self) -> dict:
         """A summary of the session so far.
@@ -265,11 +257,11 @@ class IngestSession:
         """
         return {
             "batches": self.batches_ingested,
-            "cleanings": self._monitor.cleanings,
+            "cleanings": self.cleanings,
             "pairs": len(self.kb),
             "removed_pairs": len(self.kb.removed_pairs()),
             "unresolved": len(self._extractor.unresolved_sids()),
-            "staleness": self._monitor.staleness,
+            "staleness": self._staleness,
             "converged": self._converged(),
             "drift_history": [r.drift.fraction for r in self._reports],
         }
@@ -304,27 +296,24 @@ class IngestSession:
             span.add("sentences_skipped", batch.sentences_skipped)
             span.add("index_hits", batch.index_hits)
             drift = self._drift_stats(batch)
-            self._monitor.batch(
-                batch.sentences_new,
-                drift.new_pairs,
-                drift.fraction,
-                drift.per_concept,
-            )
+            self._staleness += batch.sentences_new
             span.set(
                 drift_fraction=drift.fraction,
                 conflicted=drift.conflicted,
                 total_pairs=batch.total_pairs,
                 iterations_run=batch.iterations_run,
             )
-            decision = self._monitor.decide(self._policy, forced=force_clean)
+            reason = self._policy.decide(
+                staleness=self._staleness,
+                drift=drift.fraction,
+                new_pairs=drift.new_pairs,
+                forced=force_clean,
+            )
             cleaning = None
             clean_ops: list[list] = []
-            if decision.clean:
-                span.set(
-                    clean_reason=decision.reason,
-                    staleness=decision.staleness,
-                )
-                cleaning, clean_ops = self._clean(decision.reason)
+            if reason is not None:
+                span.set(clean_reason=reason, staleness=self._staleness)
+                cleaning, clean_ops = self._clean(reason)
             self._seq += 1
             report = BatchReport(
                 seq=self._seq,
@@ -402,14 +391,7 @@ class IngestSession:
     # ------------------------------------------------------------------
     def _clean(self, reason: str) -> tuple[CleaningReport, list[list]]:
         kb = self._extractor.kb
-        engines: list[JournalingRollbackEngine] = []
-
-        def factory(target: KnowledgeBase) -> JournalingRollbackEngine:
-            engine = JournalingRollbackEngine(target)
-            engines.append(engine)
-            return engine
-
-        cleaner = self._cleaner_factory(factory)
+        cleaner = self._cleaner_factory()
         version_before = kb.version
         # A drift pass runs one round: what it leaves, the next pass's
         # first round finds.  Staleness and forced passes converge.
@@ -430,13 +412,13 @@ class IngestSession:
             ],
         )
         self._cleaned(version_before)
-        return report, engines[0].ops if engines else []
+        return report, result.rollback_ops
 
     def _cleaned(self, version_before: int) -> None:
-        """Resync extraction to a live or replayed pass and record it."""
+        """Resync extraction to a live or replayed pass; staleness resets."""
         kb = self._extractor.kb
         self._extractor.resync_visible(kb.dirty_concepts_since(version_before))
-        self._monitor.cleaned()
+        self._staleness = 0
 
     # ------------------------------------------------------------------
     # Durability
@@ -454,8 +436,8 @@ class IngestSession:
                     "iteration": self._extractor.iteration,
                     "batches": self._extractor.batches,
                     "pool_sids": list(self._extractor.unresolved_sids()),
-                    "since_clean": self._monitor.staleness,
-                    "cleanings": self._monitor.cleanings,
+                    "since_clean": self._staleness,
+                    "cleanings": self.cleanings,
                     "reports": [r.to_dict() for r in self._reports],
                 },
             )
@@ -479,7 +461,7 @@ class IngestSession:
                     replay_span.add("entries")
             span.set(
                 batches=len(self._reports),
-                cleanings=self._monitor.cleanings,
+                cleanings=self.cleanings,
                 total_pairs=len(self.kb),
             )
 
@@ -495,10 +477,6 @@ class IngestSession:
             meta["iteration"],
             meta["batches"],
         )
-        self._monitor.restore(
-            staleness=meta["since_clean"],
-            cleanings=meta["cleanings"],
-        )
         source = (
             self._store.directory / f"snapshot-{meta['seq']}" / "META.json"
         )
@@ -506,8 +484,12 @@ class IngestSession:
             _decode_report(payload, source, position)
             for position, payload in enumerate(meta["reports"], start=1)
         ]
-        for report in self._reports:
-            self._monitor.fold(report.drift.per_concept)
+        if meta["cleanings"] != self.cleanings:
+            raise ServiceError(
+                f"{source} promises {meta['cleanings']} cleaning passes, "
+                f"its reports hold {self.cleanings}"
+            )
+        self._staleness = meta["since_clean"]
         self._seq = meta["seq"]
         self._last_snapshot_seq = meta["seq"]
 
@@ -528,12 +510,7 @@ class IngestSession:
                 f"journal recorded {report.total_pairs} — was the session "
                 "restarted with a different configuration?"
             )
-        self._monitor.batch(
-            batch.sentences_new,
-            report.drift.new_pairs,
-            report.drift.fraction,
-            report.drift.per_concept,
-        )
+        self._staleness += batch.sentences_new
         if report.cleaning is not None:
             kb = self._extractor.kb
             version_before = kb.version

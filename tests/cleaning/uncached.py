@@ -28,7 +28,7 @@ from repro.concepts import MutualExclusionIndex
 from repro.features import ConceptMatrix, FeatureExtractor
 from repro.kb import IsAPair
 from repro.labeling import DPLabel, EvidenceIndex, SeedLabeler
-from repro.learning import DPDetector
+from repro.learning import DetectorRefitCache, DPDetector
 from repro.ranking import RandomWalkRanker
 from repro.rng import RandomStreams
 
@@ -185,7 +185,8 @@ def uncached_detect(pipeline) -> DetectFn:
 
     Like production, the embedding fitted on the first call is frozen for
     later calls; unlike it, every fit recomputes its transforms and
-    manifold regularisers.
+    manifold regularisers: each call fits under a fresh
+    :class:`DetectorRefitCache` that holds only that embedding.
     """
     config = pipeline.config
     detector_config = replace(
@@ -213,8 +214,10 @@ def uncached_detect(pipeline) -> DetectFn:
         detector = DPDetector(
             detector_config, seed=streams.stream("detector")
         )
-        detector.fit(matrices, seeds, embedding=embedding)
-        embedding = detector.embedding
+        cache = DetectorRefitCache()
+        cache.embedding = embedding
+        detector.fit(matrices, seeds, refit_cache=cache)
+        embedding = cache.embedding
         return detector.predict_all()
 
     return detect

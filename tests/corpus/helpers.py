@@ -1,4 +1,5 @@
-"""Corpus helpers only tests use: page grouping, dedup and JSONL export.
+"""Corpus helpers only tests use: page grouping, dedup, JSONL export and
+truth stripping.
 
 The extractor de-duplicates on its own (first surface wins, across every
 batch of a session); :func:`deduplicate` is the reference form of that
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.corpus import Corpus, Sentence, sentence_to_json
@@ -65,3 +66,13 @@ def dump_jsonl(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for sentence in corpus.sentences:
             handle.write(json.dumps(sentence_to_json(sentence)) + "\n")
+
+
+def sentence_without_truth(sentence: Sentence) -> Sentence:
+    """A copy with the truth record removed (what extractors may see)."""
+    return replace(sentence, truth=None)
+
+
+def without_truth(corpus: Corpus) -> Corpus:
+    """A copy safe to hand to extraction code in adversarial tests."""
+    return Corpus(tuple(map(sentence_without_truth, corpus.sentences)))

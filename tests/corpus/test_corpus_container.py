@@ -10,7 +10,7 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.sentence import Sentence, SentenceKind, SentenceTruth
 from repro.errors import CorpusError
 
-from .helpers import deduplicate, dump_jsonl, group_pages
+from .helpers import deduplicate, dump_jsonl, group_pages, without_truth
 
 
 def _sentence(sid, surface, concepts=("animal",), page=0):
@@ -43,7 +43,7 @@ class TestCorpus:
         assert len(corpus.ambiguous()) == 1
 
     def test_without_truth(self):
-        corpus = Corpus((_sentence(0, "a"),)).without_truth()
+        corpus = without_truth(Corpus((_sentence(0, "a"),)))
         assert all(s.truth is None for s in corpus)
 
 
@@ -79,7 +79,7 @@ class TestSerialisation:
         assert loaded == corpus
 
     def test_roundtrip_without_truth(self, tmp_path):
-        corpus = Corpus((_sentence(0, "a"),)).without_truth()
+        corpus = without_truth(Corpus((_sentence(0, "a"),)))
         path = tmp_path / "corpus.jsonl"
         dump_jsonl(corpus, path)
         assert Corpus.load_jsonl(path) == corpus

@@ -6,6 +6,8 @@ import pytest
 
 from repro.corpus.sentence import Sentence, SentenceKind, SentenceTruth
 
+from .helpers import sentence_without_truth
+
 
 def _sentence(**overrides):
     base = dict(
@@ -40,6 +42,6 @@ class TestSentence:
             _sentence(concepts=("animal", "animal"))
 
     def test_without_truth(self):
-        stripped = _sentence().without_truth()
+        stripped = sentence_without_truth(_sentence())
         assert stripped.truth is None
         assert stripped.surface == _sentence().surface

@@ -11,6 +11,8 @@ from repro.errors import ExtractionError
 from repro.extraction import IncrementalExtractor, SemanticIterativeExtractor
 from repro.kb import IsAPair, KnowledgeBase
 
+from ..corpus.helpers import without_truth
+
 
 def _sentence(sid, concepts, instances):
     return Sentence(sid=sid, surface=f"s{sid}", concepts=concepts,
@@ -173,7 +175,7 @@ class TestSidConsistency:
 
 class TestAgainstGeneratedCorpus:
     def test_extraction_never_reads_truth(self, toy_corpus):
-        stripped = toy_corpus.without_truth()
+        stripped = without_truth(toy_corpus)
         a = SemanticIterativeExtractor().run(toy_corpus)
         b = SemanticIterativeExtractor().run(stripped)
         assert set(a.kb.pairs()) == set(b.kb.pairs())

@@ -62,17 +62,17 @@ class TestResolutionWorklist:
 
         kb.add_extraction(sid=10, concept="animal", instances=("dog", "pork"),
                           triggers=(), iteration=1)
-        worklist.commit_deltas(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         assert worklist.visible["animal"] == frozenset({"dog", "pork"})
         assert worklist.take_woken({1: None}) == {1}
 
         # Same snapshot again: no transition, nobody wakes.
-        worklist.commit_deltas(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         assert worklist.take_woken({1: None, 2: None}) == set()
 
         kb.add_extraction(sid=11, concept="animal", instances=("beef",),
                           triggers=(), iteration=2)
-        worklist.commit_deltas(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         assert worklist.take_woken({1: None, 2: None}) == {2}
 
     def test_resolved_clears_index_and_wake_set(self):
@@ -81,7 +81,7 @@ class TestResolutionWorklist:
         worklist.watch(_sentence(1, ("animal",), ("pork",)))
         kb.add_extraction(sid=10, concept="animal", instances=("pork",),
                           triggers=(), iteration=1)
-        worklist.commit_deltas(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         worklist.resolved(1)
         assert worklist.take_woken({1: None}) == set()
         assert 1 not in worklist.index
@@ -99,20 +99,20 @@ class TestResolutionWorklist:
 
         kb.add_extraction(sid=10, concept="animal", instances=("pork",),
                           triggers=(), iteration=1)
-        worklist.commit_deltas(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         worklist.take_woken({1: None})  # drain the initial wake
 
         # Rollback removes the pair out-of-band; resync must shrink the
         # snapshot (and pop the now-empty concept) without waking anyone.
         kb.remove_pair(IsAPair("animal", "pork"))
-        worklist.resync(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         assert "animal" not in worklist.visible
         assert worklist.take_woken({1: None}) == set()
 
         # A later re-extraction of the same pair is a fresh transition.
         kb.add_extraction(sid=11, concept="animal", instances=("pork",),
                           triggers=(), iteration=5)
-        worklist.commit_deltas(kb, ["animal"])
+        worklist.advance(kb, ["animal"])
         assert worklist.take_woken({1: None}) == {1}
 
     def test_shared_visible_dict_is_advanced_in_place(self):
@@ -121,5 +121,5 @@ class TestResolutionWorklist:
         kb = KnowledgeBase()
         kb.add_extraction(sid=1, concept="food", instances=("bread",),
                           triggers=(), iteration=1)
-        worklist.commit_deltas(kb, ["food"])
+        worklist.advance(kb, ["food"])
         assert visible["food"] == frozenset({"bread"})

@@ -85,6 +85,16 @@ class TestKernelPCA:
         z = kpca.transform(np.zeros((0, 4)))
         assert z.shape == (0, kpca.n_components)
 
+    def test_default_gamma_embeds_a_row_the_same_in_any_batch(self):
+        x = self._data(n=50)
+        kpca = KernelPCA(n_components=3).fit(x)
+        alone = kpca.transform(x[:1])[0]
+        # Equal up to the BLAS blocking of the final product.
+        for batch in (x[:10], x):
+            np.testing.assert_allclose(
+                kpca.transform(batch)[0], alone, rtol=0, atol=1e-12
+            )
+
     def test_deterministic(self):
         x = self._data()
         a = KernelPCA(n_components=4).fit(x).transform(x)

@@ -31,7 +31,6 @@ from repro.extraction import IncrementalExtractor
 from repro.learning import DPDetector
 from repro.runtime import collector_paused
 from repro.service import IngestPolicy
-from repro.service.policy import PolicyMonitor
 
 from ..service.conftest import make_pipeline
 
@@ -203,14 +202,14 @@ class TestSitesRunPaused:
             checkpoint_dir=tmp_path,
             checkpoint_every=len(batches) - 1,
         )
-        recorded = _record(monkeypatch, PolicyMonitor, "batch")
+        recorded = _record(monkeypatch, IngestPolicy, "decide")
         for batch in batches:
             session.ingest(batch)
         assert len(recorded) == len(batches) and not any(recorded)
 
         fresh = make_pipeline()
-        recorded.clear()
-        restored = _record(monkeypatch, PolicyMonitor, "restore")
+        recorded = _record(monkeypatch, IncrementalExtractor, "ingest")
+        restored = _record(monkeypatch, IncrementalExtractor, "restore")
         fresh.session(policy=never, checkpoint_dir=tmp_path, resume=True)
         # The snapshot covers all but the last batch; the journal replays it.
         assert recorded == [False] and restored == [False]

@@ -17,6 +17,7 @@ from repro.runtime.context import NULL_CONTEXT
 from repro.runtime.tracing import read_trace
 from repro.world.presets import paper_world
 
+from ..service.conftest import drift_totals
 from .spans import find_span
 
 SCALE = 0.5
@@ -306,7 +307,7 @@ class TestSessionObservation:
         assert plain.cleanings == seen.cleanings == 4
         assert plain.reports == seen.reports
         assert plain.stats() == seen.stats()
-        assert plain.drift_totals() == seen.drift_totals()
+        assert drift_totals(plain) == drift_totals(seen)
         assert session_kb_bytes(plain, tmp_path / "plain.json") == (
             session_kb_bytes(seen, tmp_path / "seen.json")
         )
@@ -321,8 +322,8 @@ class TestSessionObservation:
             assert resumed.staleness == live.staleness
             assert resumed.cleanings == live.cleanings
             # Same totals in the same key order.
-            assert list(resumed.drift_totals().items()) == list(
-                live.drift_totals().items()
+            assert list(drift_totals(resumed).items()) == list(
+                drift_totals(live).items()
             )
 
     def test_batch_spans_carry_each_report(self, runs):

@@ -53,6 +53,24 @@ def truncate_last_entry(journal_path: Path) -> bool:
     return True
 
 
+def drift_totals(session) -> dict[str, list[int]]:
+    """Cumulative per-concept [new pairs, conflicted] over a session's
+    reports.
+
+    Each batch's concepts fold in sorted order, so live and resumed
+    sessions build totals with the same key order.
+    """
+    totals: dict[str, list[int]] = {}
+    for report in session.reports:
+        for concept, (new, conflicted) in sorted(
+            report.drift.per_concept.items()
+        ):
+            counts = totals.setdefault(concept, [0, 0])
+            counts[0] += new
+            counts[1] += conflicted
+    return totals
+
+
 @pytest.fixture(scope="session")
 def service_corpus():
     return make_pipeline().corpus()

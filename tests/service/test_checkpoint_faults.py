@@ -70,7 +70,7 @@ def _kb_bytes(kb, path) -> bytes:
     return path.read_bytes()
 
 
-def _no_cleaner(engine_factory):
+def _no_cleaner():
     raise AssertionError("resume must not run a cleaner")
 
 
@@ -222,5 +222,16 @@ class TestDamagedSnapshot:
         meta_path = snapshot / "META.json"
         meta = json.loads(meta_path.read_text())
         meta["checkpoint_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        _resume_fails_naming(prepared, ckpt, meta_path)
+
+    def test_cleanings_disagree_with_reports(self, prepared, published):
+        ckpt, snapshot = published
+        meta_path = snapshot / "META.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["cleanings"] == sum(
+            report["cleaning"] is not None for report in meta["reports"]
+        )
+        meta["cleanings"] += 1
         meta_path.write_text(json.dumps(meta))
         _resume_fails_naming(prepared, ckpt, meta_path)

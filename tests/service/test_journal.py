@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
-from repro.service import Journal, JournalingRollbackEngine, replay_clean_ops
+from repro.service import Journal, replay_clean_ops
 from repro.service.journal import JOURNAL_VERSION
 
 from .conftest import truncate_last_entry
@@ -123,9 +123,11 @@ def _kb() -> KnowledgeBase:
 
 
 class TestJournalingRollbackEngine:
+    """``RollbackEngine.ops`` journals the requests the engine ran."""
+
     def test_records_top_level_ops_only(self):
         kb = _kb()
-        engine = JournalingRollbackEngine(kb)
+        engine = RollbackEngine(kb)
         engine.rollback_pair(IsAPair("animal", "chicken"))
         # The pair rollback cascades into record rollbacks internally,
         # but only the top-level request is journaled.
@@ -133,13 +135,13 @@ class TestJournalingRollbackEngine:
 
     def test_records_record_rollbacks(self):
         kb = _kb()
-        engine = JournalingRollbackEngine(kb)
+        engine = RollbackEngine(kb)
         engine.rollback_records([1])
         assert engine.ops == [["records", [1]]]
 
     def test_replay_reproduces_mutations(self):
         live = _kb()
-        engine = JournalingRollbackEngine(live)
+        engine = RollbackEngine(live)
         engine.rollback_pair(IsAPair("animal", "chicken"))
         engine.rollback_records([1])
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.service import IngestPolicy, PolicyMonitor
+from repro.cleaning import CleaningResult
+from repro.service import DriftStats, IngestPolicy, IngestSession
 
-from .conftest import EVERY_BATCH
+from .conftest import EVERY_BATCH, drift_totals, make_pipeline
 
 
 class TestValidation:
@@ -32,95 +35,109 @@ class TestValidation:
 class TestDecide:
     def test_below_both_thresholds(self):
         policy = IngestPolicy(staleness_threshold=100, drift_threshold=0.5)
-        decision = policy.decide(staleness=50, drift=0.1, new_pairs=100)
-        assert not decision.clean
-        assert decision.reason is None
-        assert decision.staleness == 50
-        assert decision.drift == 0.1
+        assert policy.decide(staleness=50, drift=0.1, new_pairs=100) is None
 
     def test_staleness_fires(self):
         policy = IngestPolicy(staleness_threshold=100, drift_threshold=0.5)
-        decision = policy.decide(staleness=100, drift=0.0, new_pairs=0)
-        assert decision.clean
-        assert decision.reason == "staleness"
+        reason = policy.decide(staleness=100, drift=0.0, new_pairs=0)
+        assert reason == "staleness"
 
     def test_drift_fires(self):
         policy = IngestPolicy(staleness_threshold=1000, drift_threshold=0.2)
-        decision = policy.decide(staleness=10, drift=0.3, new_pairs=50)
-        assert decision.clean
-        assert decision.reason == "drift"
+        reason = policy.decide(staleness=10, drift=0.3, new_pairs=50)
+        assert reason == "drift"
 
     def test_staleness_wins_when_both_fire(self):
         policy = IngestPolicy(staleness_threshold=10, drift_threshold=0.1)
-        decision = policy.decide(staleness=10, drift=0.9, new_pairs=100)
-        assert decision.reason == "staleness"
+        reason = policy.decide(staleness=10, drift=0.9, new_pairs=100)
+        assert reason == "staleness"
 
     def test_forced_wins_over_everything(self):
         policy = IngestPolicy(staleness_threshold=0)
-        decision = policy.decide(
+        reason = policy.decide(
             staleness=999, drift=0.9, new_pairs=100, forced=True
         )
-        assert decision.reason == "forced"
+        assert reason == "forced"
 
     def test_drift_suppressed_on_tiny_batches(self):
         policy = IngestPolicy(
             staleness_threshold=None, drift_threshold=0.1, min_new_pairs=20
         )
-        quiet = policy.decide(staleness=0, drift=0.9, new_pairs=19)
-        assert not quiet.clean
+        assert policy.decide(staleness=0, drift=0.9, new_pairs=19) is None
         loud = policy.decide(staleness=0, drift=0.9, new_pairs=20)
-        assert loud.clean
+        assert loud == "drift"
 
     def test_disabled_triggers_never_fire(self):
         policy = IngestPolicy.never()
-        decision = policy.decide(staleness=10**9, drift=1.0, new_pairs=10**6)
-        assert not decision.clean
+        reason = policy.decide(staleness=10**9, drift=1.0, new_pairs=10**6)
+        assert reason is None
 
     def test_every_batch_policy(self):
-        assert EVERY_BATCH.decide(staleness=0, drift=0.0, new_pairs=0).clean
+        reason = EVERY_BATCH.decide(staleness=0, drift=0.0, new_pairs=0)
+        assert reason == "staleness"
+
+
+class _NoCleaning:
+    """A cleaner that removes nothing (the triggers are under test)."""
+
+    def clean(self, kb, corpus, max_rounds=None):
+        return CleaningResult(method="dp_cleaning", rounds=0)
+
+
+def _session(policy):
+    """A session whose passes run :class:`_NoCleaning`."""
+    return IngestSession(
+        config=make_pipeline().config,
+        cleaner_factory=_NoCleaning,
+        policy=policy,
+    )
 
 
 class TestPolicyMonitor:
-    """The monitor accumulates the trigger inputs the session records."""
+    """The session monitors the policy's inputs itself.
 
-    def test_staleness_accumulates_from_batches(self):
-        monitor = PolicyMonitor()
-        monitor.batch(60, 10, 0.0, {})
-        monitor.batch(40, 10, 0.0, {})
-        assert monitor.staleness == 100
+    They are its staleness counter and the drift of the batch it just
+    ingested; cumulative drift is a fold over its reports.
+    """
 
-    def test_cleaning_completed_resets_staleness(self):
-        monitor = PolicyMonitor()
-        monitor.batch(500, 10, 0.0, {})
-        monitor.cleaned()
-        assert monitor.staleness == 0
-        assert monitor.cleanings == 1
+    def test_staleness_accumulates_from_batches(self, service_corpus):
+        session = _session(IngestPolicy.never())
+        first = session.ingest(service_corpus.sentences[:60])
+        second = session.ingest(service_corpus.sentences[60:100])
+        assert session.staleness == first.sentences_new + second.sentences_new
+        assert first.sentences_new > 0 and second.sentences_new > 0
+
+    def test_cleaning_completed_resets_staleness(self, service_corpus):
+        session = _session(IngestPolicy.never())
+        session.ingest(service_corpus.sentences[:500])
+        report = session.ingest([], force_clean=True)
+        assert report.cleaning.reason == "forced"
+        assert session.staleness == 0
+        assert session.cleanings == 1
 
     def test_drift_events_fold_totals_and_track_last(self):
-        monitor = PolicyMonitor()
-        monitor.batch(100, 30, 0.1, {"food": [10, 1], "animal": [20, 2]})
-        monitor.batch(100, 50, 0.2, {"animal": [50, 10]})
-        assert monitor.last_drift == 0.2
-        assert monitor.last_new_pairs == 50
-        assert monitor.drift_totals == {
-            "animal": [70, 12], "food": [10, 1],
-        }
+        reports = [
+            SimpleNamespace(drift=DriftStats(
+                30, 3, 0.1, {"food": [10, 1], "animal": [20, 2]}
+            )),
+            SimpleNamespace(drift=DriftStats(50, 10, 0.2, {"animal": [50, 10]})),
+        ]
+        totals = drift_totals(SimpleNamespace(reports=reports))
+        assert totals == {"animal": [70, 12], "food": [10, 1]}
         # Folded in sorted concept order, whatever order the batch had.
-        assert list(monitor.drift_totals) == ["animal", "food"]
+        assert list(totals) == ["animal", "food"]
 
-    def test_decide_reads_the_accumulated_state(self):
-        monitor = PolicyMonitor()
-        policy = IngestPolicy(
-            staleness_threshold=None, drift_threshold=0.1, min_new_pairs=20
-        )
-        monitor.batch(0, 25, 0.2, {})
-        decision = monitor.decide(policy)
-        assert decision.clean and decision.reason == "drift"
+    def test_decide_reads_the_accumulated_state(self, service_corpus):
+        session = _session(IngestPolicy(
+            staleness_threshold=None, drift_threshold=0.0, min_new_pairs=20
+        ))
+        report = session.ingest(service_corpus.sentences[:500])
+        assert report.new_pairs >= 20
+        assert report.cleaning.reason == "drift"
+        assert session.staleness == 0
 
     def test_session_monitor_matches_reports(self, service_corpus):
         """The live session's monitor agrees with its committed reports."""
-        from .conftest import make_pipeline
-
         pipeline = make_pipeline()
         session = pipeline.session(policy=IngestPolicy.never())
         for batch in service_corpus.batches(500):

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import IngestPolicy
 
-from .conftest import EVERY_BATCH, make_pipeline
+from .conftest import EVERY_BATCH, drift_totals, make_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ class TestIngest:
             assert sum(c[1] for c in drift.per_concept.values()) == (
                 drift.conflicted
             )
-        totals = session.drift_totals()
+        totals = drift_totals(session)
         assert sum(c[1] for c in totals.values()) == sum(
             r.drift.conflicted for r in reports
         )
@@ -141,7 +141,7 @@ class TestCleaningTriggers:
         assert stale.batches_ingested == 0
         assert stale.staleness == 0
         assert stale.cleanings == 0
-        assert stale.drift_totals() == {}
+        assert drift_totals(stale) == {}
         report = stale.ingest(service_corpus.sentences[:10])
         assert report.cleaning is None
         assert stale.staleness == report.sentences_new == 10

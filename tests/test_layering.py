@@ -363,6 +363,49 @@ class TestDeadDefinitionRule:
         assert len(violations) == 1
         assert "context.py:2: tracing is defined" in violations[0]
 
+    def test_use_inside_its_own_body_is_not_a_use(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/corpus/corpus.py": (
+                "class Sentence:\n"
+                "    def stripped(self):\n"
+                "        return self\n"
+                "\n"
+                "\n"
+                "class Corpus:\n"
+                "    def __init__(self, sentences):\n"
+                "        self.sentences = sentences\n"
+                "\n"
+                "    def stripped(self):\n"
+                "        return Corpus([s.stripped() for s in self.sentences])\n"
+                "\n"
+                "    def walk(self, depth):\n"
+                "        return self.walk(depth - 1) if depth else self\n"
+            ),
+            "src/repro/cli.py": "from .corpus.corpus import Corpus, Sentence\n",
+        })
+        violations = checker.check_dead_definitions(root)
+        assert len(violations) == 3
+        for violation, found in zip(violations, (
+            "corpus.py:2: stripped", "corpus.py:10: stripped", "corpus.py:13: walk",
+        )):
+            assert f"{found} is defined" in violation
+
+    def test_decorator_of_a_namesake_is_a_use(self, checker, tmp_path):
+        root = self._repository(tmp_path, {
+            "src/repro/kb/store.py": (
+                "class Store:\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return 0\n"
+                "\n"
+                "    @size.setter\n"
+                "    def size(self, value):\n"
+                "        pass\n"
+            ),
+            "src/repro/cli.py": "from .kb.store import Store\n",
+        })
+        assert checker.check_dead_definitions(root) == []
+
 
 
 class TestUnusedImportRule:
