@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from .corpus.corpus import Corpus
+from .errors import ServiceError
 from .experiments.pipeline import Pipeline, experiment_config
 from .experiments.registry import experiment_names, run_experiment
 from .runtime.tracing import read_trace, summarize_trace
@@ -201,12 +203,16 @@ def _run_ingest(args: argparse.Namespace) -> int:
         ),
         min_new_pairs=args.min_new_pairs,
     )
-    session = pipeline.session(
-        policy=policy,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
+    try:
+        session = pipeline.session(
+            policy=policy,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+        )
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if session.batches_ingested:
         print(f"resumed: {session.batches_ingested} batches already ingested")
     # Skip by sentence, not by batch: the run being resumed may have used
@@ -247,6 +253,19 @@ def _summarize_trace(path: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``).  Python
+        # flushes stdout again at exit; aim that flush at devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         for name in experiment_names():
             print(name)

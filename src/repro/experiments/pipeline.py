@@ -334,10 +334,11 @@ class Pipeline:
 
         The session cleans with :meth:`dp_cleaner`, so it shares the
         pipeline's ranker score cache, exclusion indexes and run context.
-        Each cleaning pass gets a *fresh* cleaner, hence a fresh
-        :meth:`detect_fn` callback: the detector embedding is frozen
-        within a pass but refitted across passes, so a pass reuses no
-        detector work from an earlier one.  That makes batch mode the
+        Each cleaning pass gets a *fresh* cleaner whose :meth:`detect_fn`
+        callback fits under the session's own refit cache: drift passes
+        reuse the session's detector embedding, staleness and forced
+        passes refit it, and no basis is shared with another session or
+        a one-shot cleaner.  A forced pass refits, so batch mode is the
         degenerate session: the whole corpus as one batch with cleaning
         forced reproduces ``extract()`` + ``dp_cleaner().clean()``
         bit-identically (pinned by ``tests/service/test_equivalence.py``).
@@ -353,11 +354,14 @@ class Pipeline:
             context=self._ctx,
         )
 
-    def dp_cleaner(self) -> DPCleaner:
+    def dp_cleaner(
+        self, refit_cache: DetectorRefitCache | None = None
+    ) -> DPCleaner:
         """A DP cleaner wired to this pipeline's detection, ranker, analysis
-        cache and context."""
+        cache and context; its detection fits under ``refit_cache`` (see
+        :meth:`detect_fn`)."""
         return DPCleaner(
-            self.detect_fn(),
+            self.detect_fn(refit_cache),
             self._config.cleaning,
             ranker=self._ranker,
             context=self._ctx,
@@ -379,7 +383,9 @@ class Pipeline:
             concept for concept in kb.concepts() if concept in world
         )
 
-    def detect_fn(self) -> DetectFn:
+    def detect_fn(
+        self, refit_cache: DetectorRefitCache | None = None
+    ) -> DetectFn:
         """Detection callback for the DP cleaner: refit on the current KB.
 
         Cleaning runs the detector at a high-recall operating point
@@ -388,16 +394,20 @@ class Pipeline:
 
         Every call of the returned callback rebuilds the detector's inputs
         (see :meth:`_inputs`) over the pipeline's shared exclusion index.
-        The callback's :class:`DetectorRefitCache` freezes the embedding
-        (standardisation + KPCA basis) fitted on the first call for later
-        calls, and keeps the KPCA transforms and manifold regularisers of
-        matrices whose content has not changed since the previous call.
+        It fits under ``refit_cache``, which keeps the embedding
+        (standardisation + KPCA basis) fitted by the first fit under it
+        for every later one, and the KPCA transforms and manifold
+        regularisers of matrices whose content has not changed since a
+        previous fit.  A session passes its own cache, so its drift
+        passes reuse one basis; without one the callback gets a fresh
+        cache, and its first call fits.
         """
         config = replace(
             self._config.detector,
             non_dp_bias=self._config.cleaning.cleaning_non_dp_bias,
         )
-        refit_cache = DetectorRefitCache()
+        if refit_cache is None:
+            refit_cache = DetectorRefitCache()
 
         def detect(kb: KnowledgeBase) -> dict[str, dict[str, DPLabel]]:
             with self._ctx.span("analysis.refresh") as span:

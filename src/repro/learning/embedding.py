@@ -4,12 +4,17 @@ The detector z-scores the pooled raw features and projects them through a
 kernel-PCA basis fitted on a pooled sample (§3.3.1).  Both the
 standardisation statistics and the basis are *global* — they move whenever
 any concept's features move — so recomputing them per cleaning round would
-force a full refit even when one concept changed.  Instead the cleaning
-loop fits the embedding once, on the first detection, and **freezes** it
-for subsequent rounds: per-concept transforms stay deterministic functions
-of the concept's own raw features, which is what makes the detector's
-content-keyed transform reuse bit-exact.  (The cleaner removes a few
-percent of rows per round; the round-one statistics remain representative.)
+force a full refit even when one concept changed.  Instead the first fit
+under a :class:`~repro.learning.detector.DetectorRefitCache` fits the
+embedding and **freezes** it for every later fit under that cache: the
+rounds of one cleaning pass, and in an ingest session the drift passes
+after the one that fitted it (a staleness or forced pass refits).
+Per-concept transforms stay deterministic functions of the concept's own
+raw features, which is what makes the detector's content-keyed transform
+reuse bit-exact.  (The cleaner removes a few percent of rows per round;
+the fitting round's statistics remain representative.)  A session stores
+the embedding as the arrays :meth:`FrozenEmbedding.to_arrays` returns, so
+a resumed session transforms rows bit for bit as the live one did.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from ..config import DetectorConfig
 from ..errors import LearningError
 from ..features.matrix import ConceptMatrix
-from .kpca import KernelPCA
+from .kpca import KernelPCA, float_array
 
 __all__ = ["FrozenEmbedding"]
 
@@ -64,6 +69,28 @@ class FrozenEmbedding:
             sample_size=config.kpca_sample_size,
             seed=seed,
         )
+        return cls(mean=mean, std=std, kpca=kpca)
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Statistics and basis as named float arrays, for storage."""
+        return {"mean": self.mean, "std": self.std, **self.kpca.to_arrays()}
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray]
+    ) -> "FrozenEmbedding":
+        """The embedding :meth:`to_arrays` stored: it transforms bit for bit
+        as the original.  Raises ``LearningError`` on a missing array or a
+        wrong dtype or shape."""
+        kpca = KernelPCA.from_arrays(arrays)
+        mean = float_array(arrays, "mean", 1)
+        std = float_array(arrays, "std", 1)
+        width = arrays["fit_x"].shape[1]
+        if mean.shape != (width,) or std.shape != (width,):
+            raise LearningError(
+                f"mean {mean.shape} and std {std.shape} do not fit "
+                f"{width} features"
+            )
         return cls(mean=mean, std=std, kpca=kpca)
 
     def transform(self, x: np.ndarray) -> np.ndarray:

@@ -13,10 +13,13 @@ feature space; a shared basis is the consistent reading.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from ..errors import LearningError, NotFittedError
 from ..rng import generator_from
+from ..runtime.blas import one_blas_thread
 from .kernels import rbf_kernel
 
 __all__ = ["KernelPCA"]
@@ -77,11 +80,14 @@ class KernelPCA:
             + self._total_mean
         )
         # Only the top ``n_components`` eigenpairs are ever kept, so ask
-        # LAPACK for just that slice instead of the full spectrum.
+        # LAPACK for just that slice instead of the full spectrum.  On one
+        # BLAS thread: the basis is stored, and must not depend on the
+        # thread count.
         low = max(0, n - self._n_components)
-        eigenvalues, eigenvectors = scipy_linalg.eigh(
-            centred, subset_by_index=(low, n - 1)
-        )
+        with one_blas_thread():
+            eigenvalues, eigenvectors = scipy_linalg.eigh(
+                centred, subset_by_index=(low, n - 1)
+            )
         eigenvalues = eigenvalues[::-1]
         eigenvectors = eigenvectors[:, ::-1]
         keep = min(self._n_components, int((eigenvalues > 1e-10).sum()))
@@ -107,6 +113,46 @@ class KernelPCA:
         k += self._total_mean
         return k @ self._alphas
 
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The fitted basis as named float arrays (see :meth:`from_arrays`)."""
+        if self._alphas is None or self._fit_x is None:
+            raise NotFittedError("KernelPCA")
+        return {
+            "fit_x": self._fit_x,
+            "gamma": np.float64(self._fit_gamma),
+            "column_means": self._column_means,
+            "total_mean": np.float64(self._total_mean),
+            "alphas": self._alphas,
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "KernelPCA":
+        """A fitted basis rebuilt from :meth:`to_arrays`, bit for bit.
+
+        Raises ``LearningError`` when an array is missing or has the wrong
+        dtype or shape.
+        """
+        fit_x = float_array(arrays, "fit_x", 2)
+        alphas = float_array(arrays, "alphas", 2)
+        column_means = float_array(arrays, "column_means", 1)
+        n = fit_x.shape[0]
+        if n < 2 or alphas.shape[0] != n or alphas.shape[1] < 1:
+            raise LearningError(
+                f"alphas of shape {alphas.shape} do not fit {n} sample rows"
+            )
+        if column_means.shape != (n,):
+            raise LearningError(
+                f"column_means of shape {column_means.shape} do not fit "
+                f"{n} sample rows"
+            )
+        kpca = cls(n_components=alphas.shape[1])
+        kpca._fit_x = fit_x
+        kpca._fit_gamma = float(float_array(arrays, "gamma", 0))
+        kpca._column_means = column_means
+        kpca._total_mean = float(float_array(arrays, "total_mean", 0))
+        kpca._alphas = alphas
+        return kpca
+
     @classmethod
     def fit_on_sample(
         cls,
@@ -122,3 +168,18 @@ class KernelPCA:
             picked = rng.choice(x.shape[0], size=sample_size, replace=False)
             x = x[np.sort(picked)]
         return cls(n_components=n_components, gamma=gamma).fit(x)
+
+
+def float_array(
+    arrays: Mapping[str, np.ndarray], name: str, ndim: int
+) -> np.ndarray:
+    """``arrays[name]`` if it is a float64 array of ``ndim`` dimensions."""
+    array = arrays.get(name)
+    if array is None:
+        raise LearningError(f"missing array {name!r}")
+    if array.dtype != np.float64 or array.ndim != ndim:
+        raise LearningError(
+            f"array {name!r} is {array.dtype} with {array.ndim} dimensions, "
+            f"expected float64 with {ndim}"
+        )
+    return array

@@ -6,9 +6,11 @@ batches.  An :class:`IngestSession` extracts each batch incrementally,
 reports its per-concept drift telemetry (:class:`BatchReport`), and
 schedules DP-cleaning passes off two signals — the sentences ingested
 since the last pass and the batch's drift score — that
-:class:`IngestPolicy` turns into a reason to clean.  A redo journal of
-each pass's rollback requests plus periodic KB snapshots
-(:class:`CheckpointStore`, :class:`Journal`) make sessions durable: a
+:class:`IngestPolicy` turns into a reason to clean; drift passes reuse
+the session's detector basis, the other passes refit it.  A redo journal
+of each pass's rollback requests and fitted basis plus periodic KB
+snapshots (:class:`CheckpointStore`, :class:`Journal`) make sessions
+durable: a
 killed session resumes from ``checkpoint + journal replay`` and reaches a
 bit-identical knowledge base versus an uninterrupted run.
 """

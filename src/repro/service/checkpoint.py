@@ -3,6 +3,8 @@
 Layout of a checkpoint directory::
 
     journal.jsonl          redo journal (see repro.service.journal)
+    embedding-<seq>.npz    the detector basis the cleaning pass at seq
+                           fitted, named by that pass's journal entry
     CURRENT                name of the active snapshot directory
     snapshot-<seq>/        one self-contained snapshot
         META.json          session meta at seq, the ordered segment list
@@ -14,6 +16,8 @@ Layout of a checkpoint directory::
         state.json         the KB's mutable state: inactive rids, dead
                            triggers per rid, removed and re-extracted
                            pairs, the record and pair counts
+        embedding-<seq>.npz  the session's live detector basis, if any
+                           (META.json's ``embedding`` names it)
 
 The format rests on two append-only invariants.  A record's rid, sid,
 concept, instances, triggers and iteration never change after it is
@@ -22,7 +26,11 @@ corpus only grows.  So a snapshot writes just the records and sentences
 added since the previous one as new segments, hard-links the previous
 snapshot's segments into its own directory (every published directory
 stays complete on its own, and nothing needs garbage collection), and
-rewrites only the small ``state.json`` and ``META.json``.  A snapshot
+rewrites only the small ``state.json`` and ``META.json``.  The live
+detector basis is linked in the same way, from the directory itself when
+a pass since the last snapshot fitted it, else from the published
+snapshot; once the journal is truncated, no entry names a basis file in
+the directory itself, so those are deleted.  A snapshot
 costs O(new records + new sentences + mutable state); loading replays
 the segments in order, applies ``state.json`` and checks the counts — the
 same work as :func:`repro.kb.serialize.load_kb`.
@@ -38,23 +46,32 @@ directory itself fsynced, renamed into place and only then published by
 atomically rewriting ``CURRENT`` — a crash at any point leaves either the
 old snapshot or the new one, never a torn mix.  The journal is truncated
 after publication; if the process dies in between, replay's ``seq`` guard
-skips the already-covered entries.  Every load failure raises
+skips the already-covered entries.  A basis file is written and fsynced,
+with its directory, before the journal entry that names it, so a named
+file is always complete and a file no entry names (the pass died before
+its commit) is never read.  Every load failure raises
 :class:`~repro.errors.ServiceError` naming the file at fault.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import shutil
+import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..corpus.corpus import sentence_from_json, sentence_to_json
 from ..corpus.sentence import Sentence
-from ..errors import CorpusError, KnowledgeBaseError, ServiceError
+from ..errors import (
+    CorpusError, KnowledgeBaseError, LearningError, ServiceError,
+)
 from ..kb.serialize import (
     SCHEMA_VERSION,
     apply_state,
@@ -63,15 +80,22 @@ from ..kb.serialize import (
     replay_row,
 )
 from ..kb.store import KnowledgeBase
+from ..learning.embedding import FrozenEmbedding
 from .journal import Journal
 
 __all__ = ["CheckpointStore", "SnapshotWrite", "CHECKPOINT_VERSION"]
 
-#: Version of the checkpoint directory layout and META schema.  Version 3
-#: added re-extracted pairs to ``state.json``.
-CHECKPOINT_VERSION = 3
+#: Version of the checkpoint directory layout and META schema.  Version 4
+#: added the detector basis file a session resumes its embedding from.
+CHECKPOINT_VERSION = 4
 
 _SNAPSHOT_NAME = re.compile(r"snapshot-\d+")
+_BASIS_NAME = re.compile(r"embedding-\d+\.npz")
+#: The ``.npy`` header ``np.save`` writes for a little-endian float64 array.
+_FLOAT_HEADER = re.compile(
+    r"\{'descr': '<f8', 'fortran_order': (True|False), "
+    r"'shape': \(((?:\d+, ?)*\d*)\), \} *\n"
+)
 
 
 @dataclass(frozen=True)
@@ -141,6 +165,40 @@ class _Tally:
         finally:
             os.close(fd)
         self.fsyncs += 1
+
+
+def _read_float_npz(path: Path) -> dict[str, np.ndarray]:
+    """The float64 arrays of an uncompressed ``.npz`` that ``np.savez``
+    wrote, laid out as ``np.load`` would return them.
+
+    Not ``np.load``: numpy parses every ``.npy`` header with
+    ``ast.literal_eval``, whose closures are left in reference cycles that
+    the collector, paused during resume, would hold until the pass ends.
+    Nothing here unpickles; any member other than a float64 array raises
+    ``ValueError``.
+    """
+    arrays = {}
+    with zipfile.ZipFile(path) as archive:
+        for member in archive.namelist():
+            data = archive.read(member)
+            size = int.from_bytes(data[8:10], "little")
+            header = _FLOAT_HEADER.fullmatch(
+                data[10:10 + size].decode("latin-1")
+            )
+            if data[:8] != b"\x93NUMPY\x01\x00" or header is None:
+                raise ValueError(f"{member} is not a float64 .npy array")
+            shape = tuple(int(n) for n in header[2].split(",") if n.strip())
+            values = np.frombuffer(data, "<f8", offset=10 + size)
+            if values.size != int(np.prod(shape)):
+                raise ValueError(
+                    f"{member} holds {values.size} values, not {shape}"
+                )
+            if header[1] == "True":
+                array = values.reshape(shape[::-1]).T
+            else:
+                array = values.reshape(shape)
+            arrays[member.removesuffix(".npy")] = array.copy(order="K")
+    return arrays
 
 
 def _read_json(path: Path, what: str):
@@ -215,8 +273,13 @@ class CheckpointStore:
         kb: KnowledgeBase,
         sentences: Sequence[Sentence],
         meta: dict,
+        basis: str | None = None,
     ) -> SnapshotWrite:
         """Write and publish a snapshot covering journal entries ≤ seq.
+
+        ``basis`` names the session's live basis file (see
+        :meth:`write_basis`), which the snapshot links in and its META
+        names.
 
         A snapshot at the seq this store already published writes
         nothing: ``seq`` fixes the journal prefix a snapshot covers, so
@@ -247,6 +310,12 @@ class CheckpointStore:
             json.dumps(sentence_to_json(sentence))
             for sentence in sentences[base.sentences:]
         ]
+        if basis is not None:
+            # Written since the published snapshot, or carried by it.
+            source = self._dir / basis
+            if not source.exists() and self._chain is not None:
+                source = self._dir / self._chain.snapshot / basis
+            os.link(source, tmp / basis)
         for kind, rows in (("kb", new_rows), ("corpus", new_sentences)):
             if not rows:
                 continue
@@ -262,6 +331,7 @@ class CheckpointStore:
         payload["schema_version"] = SCHEMA_VERSION
         payload["seq"] = seq
         payload["segments"] = segments
+        payload["embedding"] = basis
         tally.write(tmp / "META.json", json.dumps(payload).encode())
         tally.sync_dir(tmp)
         final = self._dir / name
@@ -283,6 +353,8 @@ class CheckpointStore:
         for stale in self._dir.glob("snapshot-*"):
             if stale.name != name and stale.is_dir():
                 shutil.rmtree(stale)
+        for stale in self._dir.glob("embedding-*.npz"):
+            stale.unlink()
         return SnapshotWrite(
             records_written=len(new_rows),
             sentences_written=len(new_sentences),
@@ -290,6 +362,44 @@ class CheckpointStore:
             fsyncs=tally.fsyncs,
             segments_linked=len(base.segments),
         )
+
+    # ------------------------------------------------------------------
+    # The detector basis
+    # ------------------------------------------------------------------
+    def write_basis(self, seq: int, embedding: FrozenEmbedding) -> str:
+        """Durably write the basis the cleaning pass at ``seq`` fitted.
+
+        The file and the directory are fsynced before this returns the
+        file's name, so the journal entry that names it may follow.
+        """
+        name = f"embedding-{seq}.npz"
+        buffer = io.BytesIO()
+        np.savez(buffer, **embedding.to_arrays())
+        tally = _Tally()
+        tally.write(self._dir / name, buffer.getvalue())
+        tally.sync_dir(self._dir)
+        return name
+
+    def read_basis(
+        self, name: str, snapshot: str | None = None
+    ) -> FrozenEmbedding:
+        """The basis file ``name`` a journal entry names, or the one the
+        META of ``snapshot`` (a snapshot directory's name) names."""
+        source = (
+            self._dir / snapshot / "META.json" if snapshot
+            else self.journal.path
+        )
+        if not isinstance(name, str) or not _BASIS_NAME.fullmatch(name):
+            raise ServiceError(f"{source} names {name!r}, not a basis file")
+        path = source.parent / name
+        try:
+            arrays = _read_float_npz(path)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise ServiceError(f"unreadable basis {path}: {exc!r}") from exc
+        try:
+            return FrozenEmbedding.from_arrays(arrays)
+        except LearningError as exc:
+            raise ServiceError(f"bad basis {path}: {exc}") from exc
 
     def _published(self) -> Path | None:
         """The snapshot directory ``CURRENT`` names, or ``None``."""

@@ -25,6 +25,8 @@ as detector output: cascades re-derive deterministically from the KB
 state, so replaying the operations through a fresh
 :class:`~repro.kb.rollback.RollbackEngine` reproduces the exact mutation
 sequence — including version counters — without refitting a detector.
+A pass that fitted a detector basis names the file holding it
+(``embedding``), written and fsynced before the entry; replay adopts it.
 """
 
 from __future__ import annotations

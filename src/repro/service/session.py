@@ -22,18 +22,25 @@ threshold of 0 and ``force_clean=True`` keep batch cleaning's meaning.
 :meth:`IngestSession.stats` reports ``converged``: whether the last
 pass's last round rolled nothing back.
 
-Cleaning passes are **self-contained**: each pass gets a fresh cleaner
-and with it a fresh detection callback, so the detector embedding is
-frozen across the pass's rounds (exactly as in batch cleaning) but
-refitted per pass.  That makes every pass a pure function of (KB, corpus,
-config, trigger) — the property both invariants ride on:
+The detector embedding (standardisation + KPCA basis, §3.3.1) follows
+the trigger too.  The session owns one
+:class:`~repro.learning.detector.DetectorRefitCache` and hands it to the
+cleaner it builds for each pass.  A **drift** pass (the fast path) fits
+under it, so only the session's first pass fits a basis and later drift
+passes reuse it, with the transforms still valid under it.  A
+**staleness** or **forced** pass (the scheduled full re-run) starts a
+fresh cache and refits.  Every pass is a pure function of (KB, corpus,
+config, trigger, session basis) — the property both invariants ride on:
 
 * *batch equivalence*: the whole corpus in one batch with cleaning
-  forced reproduces ``Pipeline.extract()`` +
+  forced refits, and so reproduces ``Pipeline.extract()`` +
   ``Pipeline.dp_cleaner().clean()`` bit-identically;
 * *crash resume*: ``checkpoint + journal replay`` (re-running the cheap
   extraction, re-applying journaled rollback ops, never refitting a
   detector) reaches a bit-identical KB versus an uninterrupted session.
+  A pass that fits a basis writes it to a file before its journal entry
+  names it, and snapshots carry the live one, so a resumed session
+  continues under the very basis the uninterrupted one holds.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ from ..errors import ServiceError
 from ..extraction.engine import BatchExtraction, IncrementalExtractor
 from ..kb.pair import IsAPair
 from ..kb.store import KnowledgeBase
+from ..learning.detector import DetectorRefitCache
+from ..learning.embedding import FrozenEmbedding
 from ..runtime.collector import collector_paused
 from ..runtime.context import NULL_CONTEXT, RunContext
 from .checkpoint import CheckpointStore
@@ -136,9 +145,10 @@ class IngestSession:
         The full pipeline configuration (extraction, similarity and
         cleaning sections are used).
     cleaner_factory:
-        Called with no arguments once per cleaning pass; returns a fresh
-        :class:`~repro.cleaning.DPCleaner` — typically
-        ``pipeline.dp_cleaner`` (see
+        Called once per cleaning pass with the session's
+        :class:`~repro.learning.detector.DetectorRefitCache`; returns a
+        fresh :class:`~repro.cleaning.DPCleaner` whose detection fits
+        under that cache — typically ``pipeline.dp_cleaner`` (see
         :meth:`repro.experiments.pipeline.Pipeline.session`).  The pass's
         :attr:`~repro.cleaning.base.CleaningResult.rollback_ops` are what
         the session journals.
@@ -167,7 +177,7 @@ class IngestSession:
         self,
         *,
         config: PipelineConfig,
-        cleaner_factory: Callable[[], DPCleaner],
+        cleaner_factory: Callable[[DetectorRefitCache], DPCleaner],
         policy: IngestPolicy | None = None,
         analysis: AnalysisCache | None = None,
         checkpoint_dir: str | Path | None = None,
@@ -189,6 +199,10 @@ class IngestSession:
         # New sentences since the last cleaning pass: the one trigger
         # input the reports do not hold.
         self._staleness = 0
+        # The detector basis drift passes reuse, and the name of the file
+        # that holds it (None until a durable session's pass fits one).
+        self._refit_cache = DetectorRefitCache()
+        self._basis: str | None = None
         self._extractor = IncrementalExtractor(
             config.extraction, context=self._ctx
         )
@@ -311,9 +325,10 @@ class IngestSession:
             )
             cleaning = None
             clean_ops: list[list] = []
+            fitted = None
             if reason is not None:
                 span.set(clean_reason=reason, staleness=self._staleness)
-                cleaning, clean_ops = self._clean(reason)
+                cleaning, clean_ops, fitted = self._clean(reason)
             self._seq += 1
             report = BatchReport(
                 seq=self._seq,
@@ -338,6 +353,13 @@ class IngestSession:
                 }
                 if clean_ops:
                     entry["clean_ops"] = clean_ops
+                if fitted is not None:
+                    # Durable before the entry that names it commits.
+                    with ctx.span("checkpoint.basis"):
+                        self._basis = self._store.write_basis(
+                            self._seq, fitted
+                        )
+                    entry["embedding"] = self._basis
                 with ctx.span("journal.append") as journal_span:
                     written = self._store.journal.append(entry)
                     journal_span.add("bytes", written)
@@ -389,9 +411,15 @@ class IngestSession:
     # ------------------------------------------------------------------
     # Cleaning
     # ------------------------------------------------------------------
-    def _clean(self, reason: str) -> tuple[CleaningReport, list[list]]:
+    def _clean(
+        self, reason: str
+    ) -> tuple[CleaningReport, list[list], FrozenEmbedding | None]:
+        """Run one pass; also returns the basis it fitted, if it did."""
         kb = self._extractor.kb
-        cleaner = self._cleaner_factory()
+        if reason != "drift":
+            self._use_basis(None)
+        basis_before = self._refit_cache.embedding
+        cleaner = self._cleaner_factory(self._refit_cache)
         version_before = kb.version
         # A drift pass runs one round: what it leaves, the next pass's
         # first round finds.  Staleness and forced passes converge.
@@ -412,7 +440,18 @@ class IngestSession:
             ],
         )
         self._cleaned(version_before)
-        return report, result.rollback_ops
+        fitted = self._refit_cache.embedding
+        return report, result.rollback_ops, (
+            None if fitted is basis_before else fitted
+        )
+
+    def _use_basis(
+        self, embedding: FrozenEmbedding | None, name: str | None = None
+    ) -> None:
+        """Start a fresh refit cache holding ``embedding`` (file ``name``)."""
+        self._refit_cache = DetectorRefitCache()
+        self._refit_cache.embedding = embedding
+        self._basis = name
 
     def _cleaned(self, version_before: int) -> None:
         """Resync extraction to a live or replayed pass; staleness resets."""
@@ -440,6 +479,7 @@ class IngestSession:
                     "cleanings": self.cleanings,
                     "reports": [r.to_dict() for r in self._reports],
                 },
+                basis=self._basis,
             )
             for counter, value in asdict(written).items():
                 span.add(counter, value)
@@ -489,6 +529,12 @@ class IngestSession:
                 f"{source} promises {meta['cleanings']} cleaning passes, "
                 f"its reports hold {self.cleanings}"
             )
+        name = meta.get("embedding")
+        self._use_basis(
+            None if name is None
+            else self._store.read_basis(name, f"snapshot-{meta['seq']}"),
+            name,
+        )
         self._staleness = meta["since_clean"]
         self._seq = meta["seq"]
         self._last_snapshot_seq = meta["seq"]
@@ -516,6 +562,12 @@ class IngestSession:
             version_before = kb.version
             replay_clean_ops(kb, entry.get("clean_ops", []))
             self._cleaned(version_before)
+            # The live pass's basis: a fitted one is in the named file.
+            name = entry.get("embedding")
+            if name is not None:
+                self._use_basis(self._store.read_basis(name), name)
+            elif report.cleaning.reason != "drift":
+                self._use_basis(None)
         self._seq = entry["seq"]
         self._reports.append(report)
 

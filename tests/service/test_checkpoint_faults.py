@@ -17,13 +17,14 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 import repro.service.checkpoint as checkpoint
 import repro.service.journal as journal
 from repro.errors import ServiceError
 from repro.kb.serialize import save_kb
-from repro.service import IngestPolicy, IngestSession
+from repro.service import CheckpointStore, IngestPolicy, IngestSession
 
 from .conftest import make_pipeline
 
@@ -35,11 +36,13 @@ BATCH_SIZE = 300
 #: The calls one chained snapshot makes: five files written (two new
 #: segments, state.json, META.json, CURRENT.tmp), nine fsyncs (those five,
 #: the snapshot directory, the parent after the rename and after the
-#: swap, the journal reset), two segments linked, one rename, one swap.
+#: swap, the journal reset), three files linked (two segments and the
+#: detector basis), one rename, one swap.
 FAULTS = (
     [("write", k) for k in range(1, 6)]
     + [("fsync", k) for k in range(1, 10)]
-    + [("link", 1), ("link", 2), ("rename", 1), ("replace", 1)]
+    + [("link", 1), ("link", 2), ("link", 3), ("rename", 1),
+       ("replace", 1)]
 )
 
 
@@ -70,7 +73,7 @@ def _kb_bytes(kb, path) -> bytes:
     return path.read_bytes()
 
 
-def _no_cleaner():
+def _no_cleaner(refit_cache):
     raise AssertionError("resume must not run a cleaner")
 
 
@@ -217,6 +220,18 @@ class TestDamagedSnapshot:
         (snapshot / "corpus-0.jsonl").unlink()
         _resume_fails_naming(prepared, ckpt, snapshot / "corpus-0.jsonl")
 
+    def test_format_3_directory_is_rejected(self, prepared, published):
+        # Format 3 had no detector basis; its sessions cannot resume one.
+        ckpt, snapshot = published
+        meta_path = snapshot / "META.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["embedding"]
+        meta["checkpoint_version"] = 3
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ServiceError, match="checkpoint format 3") as info:
+            _resume(prepared[0], ckpt)
+        assert str(meta_path) in str(info.value)
+
     def test_wrong_checkpoint_version(self, prepared, published):
         ckpt, snapshot = published
         meta_path = snapshot / "META.json"
@@ -235,3 +250,82 @@ class TestDamagedSnapshot:
         meta["cleanings"] += 1
         meta_path.write_text(json.dumps(meta))
         _resume_fails_naming(prepared, ckpt, meta_path)
+
+
+def _rewrite_basis(path, change):
+    """Store the basis at ``path`` again with ``change`` applied."""
+    with np.load(path) as stored:
+        arrays = {key: stored[key] for key in stored.files}
+    change(arrays)
+    path.unlink()  # a snapshot's basis is a hard link: do not write through
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.unlink()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _misshape(arrays):
+    arrays["alphas"] = arrays["alphas"][:-1]
+
+
+def _mistype(arrays):
+    arrays["alphas"] = arrays["alphas"].astype(np.float32)
+
+
+def _pickled(arrays):
+    arrays["alphas"] = np.array([arrays["alphas"]] * 2, dtype=object)
+
+
+BASIS_DAMAGE = {
+    "missing": lambda path: path.unlink(),
+    "truncated": _truncate,
+    "misshaped": lambda path: _rewrite_basis(path, _misshape),
+    "mistyped": lambda path: _rewrite_basis(path, _mistype),
+    "pickled": lambda path: _rewrite_basis(path, _pickled),
+}
+
+
+@pytest.fixture(scope="module")
+def journaled_basis(service_corpus, tmp_path_factory):
+    """A directory whose only basis is named by a journal entry."""
+    ckpt = tmp_path_factory.mktemp("journaled") / "ckpt"
+    session = make_pipeline().session(policy=POLICY, checkpoint_dir=ckpt)
+    for batch in list(service_corpus.batches(BATCH_SIZE))[:2]:
+        session.ingest(batch)
+    entries = list(CheckpointStore(ckpt).journal.entries())
+    assert entries[-1]["embedding"] == "embedding-2.npz"
+    return ckpt
+
+
+class TestDamagedBasis:
+    @pytest.mark.parametrize("damage", BASIS_DAMAGE)
+    def test_snapshot_basis(self, prepared, published, damage):
+        ckpt, snapshot = published
+        meta = json.loads((snapshot / "META.json").read_text())
+        assert meta["embedding"] == "embedding-2.npz"
+        path = snapshot / meta["embedding"]
+        BASIS_DAMAGE[damage](path)
+        _resume_fails_naming(prepared, ckpt, path)
+
+    @pytest.mark.parametrize("damage", BASIS_DAMAGE)
+    def test_journaled_basis(self, prepared, journaled_basis, tmp_path,
+                             damage):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(journaled_basis, ckpt)
+        path = ckpt / "embedding-2.npz"
+        BASIS_DAMAGE[damage](path)
+        _resume_fails_naming(prepared, ckpt, path)
+
+    def test_basis_name_outside_the_directory(self, prepared, published):
+        ckpt, snapshot = published
+        meta_path = snapshot / "META.json"
+        meta = json.loads(meta_path.read_text())
+        meta["embedding"] = "../embedding-2.npz"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ServiceError, match="not a basis file") as info:
+            _resume(prepared[0], ckpt)
+        assert str(meta_path) in str(info.value)

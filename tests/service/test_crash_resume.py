@@ -9,10 +9,12 @@ per-batch reports versus a session that was never interrupted.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.kb.serialize import save_kb
 from repro.service import CheckpointStore, IngestPolicy
+from repro.service.journal import Journal
 
 from .conftest import make_pipeline, truncate_last_entry
 
@@ -164,4 +166,67 @@ class TestCrashResume:
         with open(CheckpointStore(ckpt).journal.path, "a",
                   encoding="utf-8") as handle:
             handle.write('{"torn')
+        _resume_and_finish(ckpt, batches, tmp_path, uninterrupted)
+
+    def test_killed_after_a_fitting_pass_before_the_next_snapshot(
+        self, batches, tmp_path, uninterrupted
+    ):
+        """Die once the pass that fits the basis has committed.
+
+        The basis lives only in the file its journal entry names; the
+        resumed session adopts it, and its drift passes reuse it.
+        """
+        ckpt = tmp_path / "ckpt"
+        session = make_pipeline().session(
+            policy=POLICY, checkpoint_dir=ckpt
+        )
+        session.ingest(batches[0])
+        session.checkpoint()
+        report = session.ingest(batches[1])
+        assert report.cleaning is not None
+        assert [e.get("embedding") for e in
+                CheckpointStore(ckpt).journal.entries()] == ["embedding-2.npz"]
+        live = session._refit_cache.embedding
+        del session
+        resumed = _resume_and_finish(ckpt, batches, tmp_path, uninterrupted)
+        assert [r.cleaning.reason for r in resumed.reports[2:]
+                if r.cleaning] == ["drift", "drift"]
+        rows = np.random.default_rng(1).uniform(0.0, 5.0, size=(50, 4))
+        assert np.array_equal(
+            resumed._refit_cache.embedding.transform(rows),
+            live.transform(rows),
+        )
+
+    def test_killed_between_basis_write_and_journal_entry(
+        self, batches, tmp_path, uninterrupted, monkeypatch
+    ):
+        """Die after the basis file is durable, before its entry commits.
+
+        The orphan file is not adopted: the resumed session has no basis
+        until it re-runs the batch, whose pass fits one again.
+        """
+        ckpt = tmp_path / "ckpt"
+        session = make_pipeline().session(
+            policy=POLICY, checkpoint_dir=ckpt, checkpoint_every=1
+        )
+        session.ingest(batches[0])
+        append = Journal.append
+
+        def dies_naming_a_basis(journal, entry):
+            if "embedding" in entry:
+                raise OSError("killed")
+            return append(journal, entry)
+
+        monkeypatch.setattr(Journal, "append", dies_naming_a_basis)
+        with pytest.raises(OSError, match="killed"):
+            session.ingest(batches[1])
+        monkeypatch.undo()
+        del session
+        assert (ckpt / "embedding-2.npz").is_file()
+        resumed = make_pipeline().session(
+            policy=POLICY, checkpoint_dir=ckpt, resume=True
+        )
+        assert resumed.batches_ingested == 1
+        assert resumed._refit_cache.embedding is None
+        del resumed
         _resume_and_finish(ckpt, batches, tmp_path, uninterrupted)

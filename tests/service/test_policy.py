@@ -88,7 +88,7 @@ def _session(policy):
     """A session whose passes run :class:`_NoCleaning`."""
     return IngestSession(
         config=make_pipeline().config,
-        cleaner_factory=_NoCleaning,
+        cleaner_factory=lambda refit_cache: _NoCleaning(),
         policy=policy,
     )
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import errno
+import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +109,38 @@ class TestMain:
         assert captured.err.startswith(f"error: {flag} must be")
         assert captured.out == ""
         assert not ckpt.exists()
+
+    def test_ingest_resume_of_an_unreadable_checkpoint_is_an_error(
+        self, capsys, tmp_path
+    ):
+        ckpt = tmp_path / "state"
+        meta = ckpt / "snapshot-1" / "META.json"
+        meta.parent.mkdir(parents=True)
+        meta.write_text(json.dumps({"checkpoint_version": 3, "seq": 1}))
+        (ckpt / "CURRENT").write_text("snapshot-1\n")
+        argv = ["ingest", "--scale", "0.5", "--sentences", "600",
+                "--checkpoint-dir", str(ckpt), "--resume"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {meta} declares checkpoint "
+                                       "format 3")
+        assert "Traceback" not in captured.err
+
+    def test_closed_stdout_pipe_exits_quietly(self, capsys, monkeypatch,
+                                              tmp_path):
+        # `repro ... | head`: the reader is gone before the output is.
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        try:
+            assert main(["list"]) == 1
+            # Python's flush at exit now writes to devnull.
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
 
     def test_ingest_synthetic_end_to_end(self, capsys, tmp_path):
         ckpt = tmp_path / "state"
@@ -281,6 +317,22 @@ class TestMain:
 _SUMMARY_ROW = re.compile(
     r"^(\S+) +(\d+) +(\d+\.\d) +(-?\d+\.\d)(?:  (\S.*))?$"
 )
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def __init__(self, fd: int) -> None:
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self._fd
 
 
 class TestTraceSummarize:
