@@ -6,10 +6,10 @@ parsing [is] represented as edges pointing from an instance to its
 triggered sub-instances".  Restart mass sits on the iteration-1 (core)
 instances, weighted by their core evidence.
 
-Graphs are stored in CSR form (``indptr``/``indices``/``data``) so the
-random-walk kernel runs in O(E) per power-iteration step, and
-:func:`build_concept_graphs` reads each concept's provenance through the
-KB's per-concept record index, so building a batch costs O(records of
+A graph is its merged edge list (``sources``/``targets``/``weights``),
+the form the random-walk kernel stacks into one sparse matrix per batch,
+and :func:`build_concept_graphs` reads each concept's provenance through
+the KB's per-concept record index, so building a batch costs O(records of
 those concepts) — not O(all records × concepts).
 """
 
@@ -27,20 +27,21 @@ __all__ = ["ConceptGraph", "build_concept_graphs"]
 
 @dataclass(frozen=True, eq=False)
 class ConceptGraph:
-    """Trigger graph of one concept, in CSR form.
+    """Trigger graph of one concept, as a merged edge list.
 
-    ``nodes`` is a stable-ordered tuple of instance names; row ``i`` of the
-    adjacency holds the out-edges of node ``i``: its targets are
-    ``indices[indptr[i]:indptr[i + 1]]`` with weights in the matching slice
-    of ``data``.  ``restart`` is the (unnormalised) restart weight per
-    node — positive exactly on core instances.
+    ``nodes`` is a stable-ordered tuple of instance names; edge ``k`` runs
+    from node ``sources[k]`` to node ``targets[k]`` with weight
+    ``weights[k]`` (:func:`build_concept_graphs` emits one edge per
+    (source, target), sorted by source then target; the walk kernel needs
+    neither).  ``restart`` is the (unnormalised) restart weight per node —
+    positive exactly on core instances.
     """
 
     concept: str
     nodes: tuple[str, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
     restart: np.ndarray
 
     @property
@@ -68,7 +69,7 @@ def build_concept_graphs(
         # Keep occurrences from active records whose endpoints are both
         # still alive; remap ids to node positions (nodes are the alive
         # instances in sorted order) and merge duplicates (np.unique also
-        # CSR-sorts the codes).
+        # sorts the edges by source, then target).
         codes = codes[active[rids]]
         positions = np.full(len(state.alive), -1, dtype=np.int64)
         positions[state.ids] = np.arange(n)
@@ -78,16 +79,13 @@ def build_concept_graphs(
         merged, counts = np.unique(
             source_pos[valid] * n + target_pos[valid], return_counts=True
         )
-        sources = merged // n if n else merged
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.add.at(indptr, sources + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        sources, targets = np.divmod(merged, n)
         graphs[concept] = ConceptGraph(
             concept=concept,
             nodes=state.names,
-            indptr=indptr,
-            indices=(merged - sources * n).astype(np.intp),
-            data=counts.astype(float),
+            sources=sources,
+            targets=targets,
+            weights=counts.astype(float),
             restart=state.core_count[state.ids].astype(float),
         )
     return graphs

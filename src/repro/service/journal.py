@@ -72,18 +72,29 @@ class Journal:
         return self._path
 
     def append(self, entry: dict) -> int:
-        """Commit one entry durably (write + flush + fsync); returns bytes.
+        """Commit one entry durably (write + fsync); returns bytes.
 
-        The entry is stamped with :data:`JOURNAL_VERSION`.
+        The entry is stamped with :data:`JOURNAL_VERSION`.  If the write
+        or the fsync fails, the file is cut back to its length before the
+        call, so no line whose commit failed can be replayed.
         """
         if "seq" not in entry:
             raise ServiceError("journal entries must carry a seq")
         entry = {**entry, "version": JOURNAL_VERSION}
         data = (json.dumps(entry, separators=(",", ":")) + "\n").encode()
-        with open(self._path, "ab") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+        fd = os.open(self._path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            committed = os.fstat(fd).st_size
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)
+            except BaseException:
+                os.ftruncate(fd, committed)
+                raise
+        finally:
+            os.close(fd)
         return len(data)
 
     def entries(self, after_seq: int = 0) -> Iterator[dict]:

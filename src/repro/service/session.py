@@ -213,6 +213,9 @@ class IngestSession:
         self._seq = 0
         self._last_snapshot_seq = 0
         self._reports: list[BatchReport] = []
+        # Set while a batch commits; left set when its commit failed, so
+        # the live state is ahead of the journal and no work is taken.
+        self._uncommitted = False
         if resume:
             if self._store is None:
                 raise ServiceError("resume requires a checkpoint_dir")
@@ -299,9 +302,16 @@ class IngestSession:
         sentences: Corpus | Iterable[Sentence],
         force_clean: bool = False,
     ) -> BatchReport:
-        """Ingest one batch; extract, measure drift, maybe clean; commit."""
+        """Ingest one batch; extract, measure drift, maybe clean; commit.
+
+        If the commit (the basis file or the journal append) raises, the
+        error propagates and the session refuses every later ``ingest``
+        and ``checkpoint``: resume a new session from the directory.
+        """
+        self._check_committed()
         ctx = self._ctx
-        with ctx.span("ingest.batch", seq=self._seq + 1) as span:
+        seq = self._seq + 1
+        with ctx.span("ingest.batch", seq=seq) as span:
             batch = self._extractor.ingest(list(sentences))
             new_sentences = self._new_batch_sentences(batch)
             span.add("sentences_seen", batch.sentences_seen)
@@ -329,9 +339,8 @@ class IngestSession:
             if reason is not None:
                 span.set(clean_reason=reason, staleness=self._staleness)
                 cleaning, clean_ops, fitted = self._clean(reason)
-            self._seq += 1
             report = BatchReport(
-                seq=self._seq,
+                seq=seq,
                 index=batch.index,
                 sentences_seen=batch.sentences_seen,
                 sentences_new=batch.sentences_new,
@@ -343,34 +352,44 @@ class IngestSession:
                 drift=drift,
                 cleaning=cleaning,
             )
-            self._reports.append(report)
             if self._store is not None:
                 entry = {
-                    "seq": self._seq,
+                    "seq": seq,
                     "type": "batch",
                     "sentences": [sentence_to_json(s) for s in new_sentences],
                     "report": report.to_dict(),
                 }
                 if clean_ops:
                     entry["clean_ops"] = clean_ops
+                # Stays set if a write below raises.
+                self._uncommitted = True
                 if fitted is not None:
                     # Durable before the entry that names it commits.
                     with ctx.span("checkpoint.basis"):
-                        self._basis = self._store.write_basis(
-                            self._seq, fitted
-                        )
+                        self._basis = self._store.write_basis(seq, fitted)
                     entry["embedding"] = self._basis
                 with ctx.span("journal.append") as journal_span:
                     written = self._store.journal.append(entry)
                     journal_span.add("bytes", written)
-                due = (
-                    self._checkpoint_every > 0
-                    and self._seq - self._last_snapshot_seq
-                    >= self._checkpoint_every
-                )
-                if due:
-                    self.checkpoint()
+                self._uncommitted = False
+            self._seq = seq
+            self._reports.append(report)
+            due = (
+                self._store is not None
+                and self._checkpoint_every > 0
+                and seq - self._last_snapshot_seq >= self._checkpoint_every
+            )
+            if due:
+                self.checkpoint()
         return report
+
+    def _check_committed(self) -> None:
+        if self._uncommitted:
+            raise ServiceError(
+                f"a batch failed to commit to {self._store.journal.path}, "
+                "so this session is ahead of its journal; resume a new "
+                f"session from {self._store.directory}"
+            )
 
     def _new_batch_sentences(self, batch: BatchExtraction) -> list[Sentence]:
         """The batch's sentences that survived session-wide dedup.
@@ -466,6 +485,7 @@ class IngestSession:
         """Write a snapshot now (and truncate the covered journal)."""
         if self._store is None:
             raise ServiceError("session has no checkpoint_dir")
+        self._check_committed()
         with self._ctx.span("checkpoint.save", seq=self._seq) as span:
             written = self._store.save_snapshot(
                 seq=self._seq,

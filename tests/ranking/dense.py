@@ -1,8 +1,8 @@
-"""Dense reference forms of the trigger graph and the RWR solver.
+"""Dense reference forms of the trigger graph and the two walk solvers.
 
-The production kernel only ever reads a graph's CSR arrays; the
-dict-of-dicts adjacency here is the plain form the dense O(n²) oracle and
-the graph tests read instead.
+The production kernel only ever reads a graph's edge-list arrays; the
+dict-of-dicts adjacency here is the plain form the dense O(n²) oracles
+(RWR and undirected PageRank) and the graph tests read instead.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from repro.ranking.graph import ConceptGraph
 def adjacency(graph: ConceptGraph) -> dict[int, dict[int, float]]:
     """The graph's adjacency as ``{source: {target: weight}}``."""
     edges: dict[int, dict[int, float]] = {}
-    for source in range(graph.size):
-        start, stop = graph.indptr[source], graph.indptr[source + 1]
-        if start == stop:
-            continue
-        edges[source] = {
-            int(t): float(w)
-            for t, w in zip(graph.indices[start:stop], graph.data[start:stop])
-        }
+    for source, target, weight in zip(
+        graph.sources, graph.targets, graph.weights
+    ):
+        edges.setdefault(int(source), {})[int(target)] = float(weight)
     return edges
 
 
@@ -34,23 +30,18 @@ def graph_from_edge_dict(
     edges: Mapping[int, Mapping[int, float]],
     restart: Iterable[float],
 ) -> ConceptGraph:
-    """Build a CSR graph from the dict-of-dicts adjacency form."""
+    """Build an edge-list graph from the dict-of-dicts adjacency form."""
     triplets = sorted(
         (source, target, float(weight))
         for source, row in edges.items()
         for target, weight in row.items()
     )
-    n = len(nodes)
-    sources = np.array([t[0] for t in triplets], dtype=np.intp)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.add.at(indptr, sources + 1, 1)
-    np.cumsum(indptr, out=indptr)
     return ConceptGraph(
         concept=concept,
         nodes=nodes,
-        indptr=indptr,
-        indices=np.array([t[1] for t in triplets], dtype=np.intp),
-        data=np.array([t[2] for t in triplets], dtype=float),
+        sources=np.array([t[0] for t in triplets], dtype=np.intp),
+        targets=np.array([t[1] for t in triplets], dtype=np.intp),
+        weights=np.array([t[2] for t in triplets], dtype=float),
         restart=np.asarray(tuple(restart), dtype=float),
     )
 
@@ -86,3 +77,41 @@ def random_walk_scores_dense(
             break
         p = updated
     return {name: float(p[i]) for i, name in enumerate(graph.nodes)}
+
+
+def pagerank_scores_dense(
+    graph: ConceptGraph,
+    teleport: float = 0.15,
+    max_iterations: int = 100,
+    tolerance: float = 1e-12,
+) -> dict[str, float]:
+    """Undirected PageRank by dense matrix-vector power iteration.
+
+    Each directed edge counts in both directions; a dangling node spreads
+    its rank uniformly, and teleport lands uniformly.
+    """
+    n = graph.size
+    if n == 0:
+        return {}
+    weight = np.zeros((n, n), dtype=float)
+    for source, row in adjacency(graph).items():
+        for target, w in row.items():
+            weight[source, target] += w
+            weight[target, source] += w
+    out = weight.sum(axis=1)
+    dangling = out <= 0
+    transition = np.divide(
+        weight, out[:, None], out=np.zeros_like(weight),
+        where=~dangling[:, None],
+    )
+    uniform = np.full(n, 1.0 / n)
+    rank = uniform.copy()
+    for _ in range(max_iterations):
+        updated = (1.0 - teleport) * (
+            transition.T @ rank + rank[dangling].sum() * uniform
+        ) + teleport * uniform
+        if np.abs(updated - rank).sum() < tolerance:
+            rank = updated
+            break
+        rank = updated
+    return {name: float(rank[i]) for i, name in enumerate(graph.nodes)}

@@ -54,7 +54,7 @@ class TestBuildConceptGraph:
         record = next(r for r in kb.records() if r.iteration == 2)
         kb.deactivate_record(record.rid)
         graph = build_concept_graph(kb, "animal")
-        assert graph.data.sum() == 0.0
+        assert graph.weights.sum() == 0.0
 
     def test_empty_concept(self):
         graph = build_concept_graph(KnowledgeBase(), "animal")

@@ -1,4 +1,4 @@
-"""Equivalence tests for the sparse RWR kernel (dense path as oracle)."""
+"""Equivalence tests for the sparse walk kernel (dense paths as oracles)."""
 
 from __future__ import annotations
 
@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kb import IsAPair, KnowledgeBase
-from repro.ranking import RandomWalkRanker
+from repro.ranking import PageRankRanker, RandomWalkRanker
 from repro.ranking.random_walk import _random_walk_scores_union
 
 from ..cleaning.uncached import UncachedRanker
-from .dense import graph_from_edge_dict, random_walk_scores_dense
+from .dense import (
+    graph_from_edge_dict,
+    pagerank_scores_dense,
+    random_walk_scores_dense,
+)
 
 
 @st.composite
@@ -37,9 +41,8 @@ class TestSparseMatchesDense:
     @settings(max_examples=60, deadline=None)
     def test_sparse_within_1e9_of_dense_oracle(self, graph):
         (sparse_scores,) = _random_walk_scores_union(
-            [graph], restart_probability=0.15, max_iterations=100,
-            tolerance=1e-12,
-        ).scores
+            [graph], restart_probability=0.15
+        )
         dense_scores = random_walk_scores_dense(graph)
         assert set(sparse_scores) == set(dense_scores)
         for name, value in sparse_scores.items():
@@ -50,15 +53,37 @@ class TestSparseMatchesDense:
     def test_batch_solve_is_blockwise_exact(self, graphs):
         # A graph solved inside any batch must be *bit-identical* to the
         # same graph solved alone — the score cache depends on it.
-        batch = _random_walk_scores_union(
-            graphs, restart_probability=0.15, max_iterations=100,
-            tolerance=1e-12,
-        ).scores
+        batch = _random_walk_scores_union(graphs, restart_probability=0.15)
         for graph, scores in zip(graphs, batch):
             (solo,) = _random_walk_scores_union(
-                [graph], restart_probability=0.15, max_iterations=100,
-                tolerance=1e-12,
-            ).scores
+                [graph], restart_probability=0.15
+            )
+            assert scores == solo
+
+
+def _pagerank_union(graphs):
+    """PageRank through the kernel: the symmetrised, uniform-restart walk."""
+    undirected = PageRankRanker()._walk_graph
+    return _random_walk_scores_union(
+        [undirected(graph) for graph in graphs], restart_probability=0.15
+    )
+
+
+class TestPageRankMatchesDense:
+    @given(trigger_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_pagerank_within_1e9_of_dense_oracle(self, graph):
+        (sparse_scores,) = _pagerank_union([graph])
+        dense_scores = pagerank_scores_dense(graph)
+        assert set(sparse_scores) == set(dense_scores)
+        for name, value in sparse_scores.items():
+            assert abs(value - dense_scores[name]) <= 1e-9
+
+    @given(st.lists(trigger_graphs(), min_size=1, max_size=5))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_solve_is_blockwise_exact(self, graphs):
+        for graph, scores in zip(graphs, _pagerank_union(graphs)):
+            (solo,) = _pagerank_union([graph])
             assert scores == solo
 
 

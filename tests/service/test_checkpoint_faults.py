@@ -6,8 +6,10 @@ swaps that module's ``os`` for a stand-in whose k-th write, fsync, link,
 rename or replace fails with ``EIO`` or ``ENOSPC``.  The error must reach
 the caller, and the directory must still resume — previously published
 snapshot plus journal — to a knowledge base whose ``save_kb`` bytes equal
-the live session's.  Damage to a published snapshot instead must fail the
-resume with a :class:`~repro.errors.ServiceError` naming the file.
+the live session's.  A batch whose journal append fails must leave the
+journal as it was and the session refusing further work.  Damage to a
+published snapshot instead must fail the resume with a
+:class:`~repro.errors.ServiceError` naming the file.
 """
 
 from __future__ import annotations
@@ -140,6 +142,54 @@ def test_io_fault_mid_snapshot(prepared, resumed, tmp_path, monkeypatch,
     # The failed attempt leaves nothing the next snapshot trips over.
     session.checkpoint()
     _assert_resumes_identically(prepared, ckpt, tmp_path)
+
+
+#: The journal append's one write and one fsync.
+APPEND_FAULTS = [("write", 1), ("fsync", 1)]
+
+
+def _held_basis(prepared, ckpt, tmp_path) -> str:
+    """Resume ``ckpt`` as it would have been live, snapshot it, and return
+    the basis file its ``META.json`` names."""
+    session = _assert_resumes_identically(prepared, ckpt, tmp_path)
+    session.checkpoint()
+    meta = json.loads((ckpt / "snapshot-4" / "META.json").read_text())
+    return meta["embedding"]
+
+
+@pytest.mark.parametrize("code", [errno.EIO, errno.ENOSPC],
+                         ids=["EIO", "ENOSPC"])
+@pytest.mark.parametrize("op,k", APPEND_FAULTS,
+                         ids=[f"{o}{k}" for o, k in APPEND_FAULTS])
+def test_io_fault_mid_journal_append(prepared, service_corpus, tmp_path,
+                                     monkeypatch, op, k, code):
+    pipeline, template, _ = prepared
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(template, ckpt)
+    as_was = shutil.copytree(template, tmp_path / "as-was")
+    held = _held_basis(prepared, as_was, tmp_path)
+    session = pipeline.session(policy=POLICY, checkpoint_dir=ckpt,
+                               resume=True)
+    journal_path = ckpt / "journal.jsonl"
+    committed = journal_path.read_bytes()
+    batch = list(service_corpus.batches(BATCH_SIZE))[4]
+    faulty = FaultyOS(op, k, code)
+    monkeypatch.setattr(journal, "os", faulty)
+    with pytest.raises(OSError) as info:
+        # A forced pass refits: its basis file lands before the append.
+        session.ingest(batch, force_clean=True)
+    assert faulty.fired
+    assert info.value.errno == code
+    monkeypatch.undo()
+    assert journal_path.read_bytes() == committed
+    orphan = ckpt / "embedding-5.npz"
+    assert orphan.exists()
+    for retry in (lambda: session.ingest(batch), session.checkpoint):
+        with pytest.raises(ServiceError, match="resume") as refused:
+            retry()
+        assert str(journal_path) in str(refused.value)
+    # A fresh resume holds the batch-4 state and the basis it held then.
+    assert _held_basis(prepared, ckpt, tmp_path) == held != orphan.name
 
 
 def test_crash_between_rename_and_current_swap(prepared, resumed, tmp_path,
