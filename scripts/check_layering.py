@@ -17,11 +17,10 @@ Any other reference to them, through ``import gc`` (aliased or not) or
 The library never writes to stdout: ``print`` may appear only in
 ``repro/cli.py``, which renders the reports the library returns.
 
-scipy loads on first use (DESIGN.md §6, "Process footprint"): it brings
-a second OpenBLAS runtime, so no module under ``src/repro`` may import
-``scipy`` at module level — in the module body or in an ``if``, ``try``,
-``with`` or class block nested in it.  Imports inside a function body
-are allowed.
+The package runs on numpy's BLAS alone (DESIGN.md §6, "Process
+footprint"): scipy brings a second OpenBLAS runtime, so no module under
+``src/repro`` may import ``scipy`` anywhere — at module level or in a
+function body.
 
 ``src/`` holds only what a production path runs: every ``def`` and
 ``class`` under ``src/repro`` must be referenced by code somewhere in
@@ -198,27 +197,19 @@ def _prints(tree: ast.Module) -> list[int]:
     )
 
 
-def _eager_scipy_imports(tree: ast.Module) -> list[int]:
-    """Line of every ``scipy`` import that runs when the module loads.
-
-    Everything outside a function body runs at import time, so the walk
-    descends into every statement except function definitions.
-    """
+def _scipy_imports(tree: ast.Module) -> list[int]:
+    """Line of every ``scipy`` import in the module, function bodies
+    included."""
     found: list[int] = []
-    pending: list[ast.AST] = list(tree.body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
         else:
-            names = []
+            continue
         if any(name.split(".")[0] == "scipy" for name in names):
             found.append(node.lineno)
-        pending.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
@@ -418,11 +409,10 @@ def check_layering(root: Path) -> list[str]:
                     f"{path}:{lineno}: print outside repro/cli.py — the "
                     "library returns reports and records spans instead"
                 )
-        for lineno in _eager_scipy_imports(tree):
+        for lineno in _scipy_imports(tree):
             violations.append(
-                f"{path}:{lineno}: module-level scipy import — import it "
-                "in the function that needs it (scipy loads a second "
-                "OpenBLAS runtime)"
+                f"{path}:{lineno}: scipy import — the package runs on "
+                "numpy alone (scipy loads a second OpenBLAS runtime)"
             )
         for lineno, imported in _imported_members(tree, parts):
             if imported == member:

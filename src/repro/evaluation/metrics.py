@@ -134,12 +134,14 @@ def precision_at_k(
 
     Concepts with fewer than ``k`` instances contribute their full ranking
     (the paper's p@100/1000/2000 over concepts of very different sizes).
+    Ties fall by instance name, whatever order the ranker's dict has.
     """
     names = list(concepts) if concepts is not None else sorted(scores)
     per_concept = []
     for concept in names:
         ranked = sorted(
-            scores.get(concept, {}).items(), key=lambda item: -item[1]
+            scores.get(concept, {}).items(),
+            key=lambda item: (-item[1], item[0]),
         )[:k]
         if not ranked:
             continue

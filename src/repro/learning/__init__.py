@@ -4,7 +4,6 @@ from .adhoc import AdHocDetector
 from .decision_tree import DecisionTreeClassifier
 from .detector import DETECTION_METHODS, DetectorRefitCache, DPDetector
 from .embedding import FrozenEmbedding
-from .kernels import rbf_kernel
 from .kpca import KernelPCA
 from .local_predictor import knn_indices, manifold_matrices
 from .multitask import MultiTaskResult, MultiTaskTrainer
@@ -27,6 +26,5 @@ __all__ = [
     "build_training_data",
     "knn_indices",
     "manifold_matrices",
-    "rbf_kernel",
     "solve_semisupervised",
 ]

@@ -9,6 +9,11 @@ One deliberate deviation, documented in DESIGN.md: the basis is fitted on
 a *pooled sample across concepts* rather than per concept.  The multi-task
 coupling of §3.3.2 requires all concepts' detectors to live in the same
 feature space; a shared basis is the consistent reading.
+
+It runs on numpy alone: the fit keeps the top pairs of ``np.linalg.eigh``,
+and a transform is two GEMMs (kernel rows, then projection with the centring
+folded in), checked against the explicitly centred kernel of
+``tests/learning/oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 from ..errors import LearningError, NotFittedError
 from ..rng import generator_from
 from ..runtime.blas import one_blas_thread
-from .kernels import rbf_kernel
 
 __all__ = ["KernelPCA"]
 
@@ -58,44 +62,62 @@ class KernelPCA:
 
     def fit(self, x: np.ndarray) -> "KernelPCA":
         """Fit the basis on sample rows ``x`` (n × d)."""
-        # Lazy: scipy loads a second OpenBLAS runtime (about 28 MB, 0.3 s).
-        from scipy import linalg as scipy_linalg
-
         if x.ndim != 2 or x.shape[0] < 2:
             raise LearningError("KernelPCA.fit needs at least two samples")
-        self._fit_x = np.asarray(x, dtype=float)
-        n, d = self._fit_x.shape
+        fit_x = np.asarray(x, dtype=float)
         gamma = self._gamma
         if gamma is None:
-            variance = float(self._fit_x.var())
-            gamma = 1.0 / (d * variance) if variance > 0 else 1.0
-        self._fit_gamma = gamma
-        k = rbf_kernel(self._fit_x, self._fit_x, gamma)
+            variance = float(fit_x.var())
+            gamma = 1.0 / (fit_x.shape[1] * variance) if variance > 0 else 1.0
+        self._set_sample(fit_x, gamma)
+        k = self._kernel_rows(fit_x)
         self._column_means = k.mean(axis=0)
         self._total_mean = float(k.mean())
-        centred = (
-            k
-            - self._column_means[None, :]
-            - self._column_means[:, None]
-            + self._total_mean
-        )
-        # Only the top ``n_components`` eigenpairs are ever kept, so ask
-        # LAPACK for just that slice instead of the full spectrum.  On one
-        # BLAS thread: the basis is stored, and must not depend on the
-        # thread count.
-        low = max(0, n - self._n_components)
+        centred = k - self._column_means[None, :]
+        centred -= self._column_means[:, None]
+        centred += self._total_mean
+        # numpy's eigh has no subset driver: take the full spectrum and
+        # keep the top pairs.  On one BLAS thread: the basis is stored, and
+        # must not depend on the thread count.
         with one_blas_thread():
-            eigenvalues, eigenvectors = scipy_linalg.eigh(
-                centred, subset_by_index=(low, n - 1)
-            )
-        eigenvalues = eigenvalues[::-1]
-        eigenvectors = eigenvectors[:, ::-1]
-        keep = min(self._n_components, int((eigenvalues > 1e-10).sum()))
+            eigenvalues, eigenvectors = np.linalg.eigh(centred)
+        eigenvalues = eigenvalues[::-1][: self._n_components]
+        eigenvectors = eigenvectors[:, ::-1][:, : self._n_components]
+        keep = int((eigenvalues > 1e-10).sum())
         if keep < 1:
             raise LearningError("kernel matrix has no positive eigenvalues")
         # Normalise so projections have unit-eigenvalue scaling.
         self._alphas = eigenvectors[:, :keep] / np.sqrt(eigenvalues[:keep])
+        self._derive_projection()
         return self
+
+    def _set_sample(self, fit_x: np.ndarray, gamma: float) -> None:
+        """Keep the fit sample ``s`` and ``[2γ s ; -γ‖s‖²]``: a row ``x``
+        then has ``[x, 1] · [2γ s ; -γ‖s‖²] - γ‖x‖² = -γ‖x - s‖²``."""
+        self._fit_x, self._fit_gamma = fit_x, gamma
+        self._sample_terms = np.vstack(
+            [2.0 * gamma * fit_x.T, -gamma * (fit_x * fit_x).sum(axis=1)]
+        )
+
+    def _kernel_rows(self, x: np.ndarray) -> np.ndarray:
+        """RBF kernel rows ``exp(-γ‖x - s‖²)`` against the fit sample."""
+        exponents = np.hstack([x, np.ones((len(x), 1))]) @ self._sample_terms
+        exponents -= self._fit_gamma * (x * x).sum(axis=1)[:, None]
+        # Round-off can push a squared distance below 0.
+        np.minimum(exponents, 0.0, out=exponents)
+        return np.exp(exponents, out=exponents)
+
+    def _derive_projection(self) -> None:
+        """The centred kernel row times ``α`` is ``k·α - mean(k)·Σα +
+        (total·Σα - colmeans·α)``; ``k · [α | 1/n]`` yields ``k·α`` and
+        ``mean(k)`` in one product."""
+        alphas = self._alphas
+        mean_column = np.full((len(alphas), 1), 1.0 / len(alphas))
+        self._projection = np.hstack([alphas, mean_column])
+        self._alpha_sums = alphas.sum(axis=0)
+        self._offset = (
+            self._total_mean * self._alpha_sums - self._column_means @ alphas
+        )
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Project rows of ``x`` onto the fitted components."""
@@ -104,14 +126,11 @@ class KernelPCA:
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             return np.zeros((0, self.n_components))
-        k = rbf_kernel(x, self._fit_x, self._fit_gamma)
-        row_means = k.mean(axis=1, keepdims=True)
-        # Centre in place (the kernel matrix is ours): same operation
-        # order as `k - col - row + total`, without the temporaries.
-        k -= self._column_means[None, :]
-        k -= row_means
-        k += self._total_mean
-        return k @ self._alphas
+        projected = self._kernel_rows(x) @ self._projection
+        # The last column is each row's kernel mean.
+        centred = projected[:, :-1] - projected[:, -1:] * self._alpha_sums
+        centred += self._offset
+        return centred
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The fitted basis as named float arrays (see :meth:`from_arrays`)."""
@@ -146,11 +165,11 @@ class KernelPCA:
                 f"{n} sample rows"
             )
         kpca = cls(n_components=alphas.shape[1])
-        kpca._fit_x = fit_x
-        kpca._fit_gamma = float(float_array(arrays, "gamma", 0))
+        kpca._set_sample(fit_x, float(float_array(arrays, "gamma", 0)))
         kpca._column_means = column_means
         kpca._total_mean = float(float_array(arrays, "total_mean", 0))
         kpca._alphas = alphas
+        kpca._derive_projection()
         return kpca
 
     @classmethod

@@ -54,10 +54,10 @@ def manifold_matrices(
     Each ``xs`` value holds one concept's transformed instances as rows
     (n × r).  All of a concept's neighbourhoods share the block shape
     ``(m, r)``, so its ``n`` local Laplacians are one batched solve
-    instead of ``n`` independent ones; with ``H X̃ᵢ`` being the
+    instead of ``n`` independent ones; with ``C = H X̃ᵢ`` being the
     column-centred block, the per-neighbourhood algebra of Eq. 14 becomes
 
-        Lᵢ = H − (H X̃ᵢ) (X̃ᵢᵀ H X̃ᵢ + λI)⁻¹ (H X̃ᵢ)ᵀ.
+        X̃ᵢᵀ Lᵢ X̃ᵢ = λ Cᵀ (C Cᵀ + λI)⁻¹ C.
 
     Concepts are solved one at a time, so the call's memory peaks at the
     largest concept's temporaries, not at the sum over all concepts; the
@@ -78,18 +78,17 @@ def _manifold_matrix(
         return np.zeros((r, r))
     blocks = x[knn_indices(x, k_neighbors)]
     m_size = blocks.shape[1]
-    # Push-through identity: H B (Bᵀ H B + λI)⁻¹ Bᵀ H =
-    # (H B Bᵀ + λI)⁻¹ (H B Bᵀ H), so the batched solve shrinks from the
-    # feature dimension r × r to the (smaller) neighbourhood size m × m.
-    bbt = np.matmul(blocks, np.transpose(blocks, (0, 2, 1)))
-    hbbt = bbt - bbt.mean(axis=1, keepdims=True)  # H B Bᵀ
-    hbbth = hbbt - hbbt.mean(axis=2, keepdims=True)  # H B Bᵀ H
-    h = np.eye(m_size) - np.full((m_size, m_size), 1.0 / m_size)
-    laplacians = h - np.linalg.solve(hbbt + local_reg * np.eye(m_size), hbbth)
-    # Symmetrise against round-off; L must be PSD (Lemma 1).
-    laplacians = 0.5 * (laplacians + np.transpose(laplacians, (0, 2, 1)))
-    # With Sᵢ the neighbourhood selector, Xᵀ Sᵢ is just blocksᵢᵀ, so the
-    # quadratic form contracts neighbourhood-by-neighbourhood without
-    # materialising the n × n scatter matrix Σᵢ Sᵢ Lᵢ Sᵢᵀ.
-    partial = np.matmul(np.transpose(blocks, (0, 2, 1)), laplacians)
-    return np.matmul(partial, blocks).sum(axis=0)
+    # Factor C Cᵀ + λI = G Gᵀ and forward-substitute Y = G⁻¹ C over the
+    # m rows: Bᵀ L B = λ Yᵀ Y, PSD by construction (Lemma 1).
+    centred = blocks - blocks.mean(axis=1, keepdims=True)
+    gram = np.matmul(centred, np.transpose(centred, (0, 2, 1)))
+    gram += local_reg * np.eye(m_size)
+    factor = np.linalg.cholesky(gram)
+    solved = np.empty_like(centred)
+    for row in range(m_size):
+        known = np.matmul(factor[:, row, None, :row], solved[:, :row])[:, 0]
+        solved[:, row] = (centred[:, row] - known) / factor[:, row, row, None]
+    # Xᵀ Sᵢ is blocksᵢᵀ, so Σᵢ λ Yᵢᵀ Yᵢ is one product of the stacked
+    # Yᵢ, without the n × n scatter matrix Σᵢ Sᵢ Lᵢ Sᵢᵀ.
+    stacked = solved.reshape(-1, r)
+    return local_reg * (stacked.T @ stacked)

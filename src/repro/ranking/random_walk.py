@@ -10,9 +10,10 @@ even when frequent; that is the advantage over the Frequency model.
 One kernel, :func:`_random_walk_scores_union`, serves both graph rankers
 (PageRank is this walk over the symmetrised graph, see
 :mod:`repro.ranking.pagerank`).  It runs a fixed :data:`WALK_STEPS` of
-power iteration, each step one sparse matrix-vector product over the
-stacked edge lists: O(E) instead of the dense O(n²) product, which
-survives only as the oracle in ``tests/ranking/``.
+power iteration, each step one ordered ``np.bincount`` over the stacked
+edge lists: O(E) instead of the dense O(n²) product.  That product, and
+the CSR mat-vec the step matches bit for bit on trigger graphs, survive
+only as oracles in ``tests/ranking/``.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ def _random_walk_scores_union(
     amortises the numpy call overhead of a step over every concept, which
     is what makes scoring hundreds of small graphs cheap.
     """
-    # Lazy: scipy loads a second OpenBLAS runtime (about 28 MB, 0.3 s).
-    from scipy import sparse
-
     blocks = [graph for graph in graphs if graph.size]
     if not blocks:
         return [{} for _ in graphs]
@@ -77,17 +75,16 @@ def _random_walk_scores_union(
     dangling = np.nonzero(out_weight <= 0)[0]
     block_of = np.repeat(np.arange(len(blocks)), sizes)
     dangling_block = block_of[dangling]
-    # One CSR matrix with M[target, source] = P(source → target); a matvec
-    # is then the propagation step for every block at once.
-    propagate = sparse.csr_matrix(
-        (transition, (targets, sources)), shape=(total, total)
-    )
     p = restart.copy()
     for _ in range(WALK_STEPS):
         dangling_mass = np.bincount(
             dangling_block, weights=p[dangling], minlength=len(blocks)
         )
-        updated = propagate @ p
+        # Each edge carries P(source → target)·p[source] to its target, in
+        # edge order like a CSR mat-vec (float: no edges gives int64).
+        updated = np.bincount(
+            targets, weights=transition * p[sources], minlength=total
+        ).astype(float, copy=False)
         updated *= keep
         # (1-α)·(propagated + mass·restart) + α·restart, with the two
         # restart terms folded into one per-block coefficient.

@@ -126,6 +126,15 @@ class TestPrecisionAtK:
     def test_empty(self):
         assert precision_at_k(_truth(), {}, 10) == 0.0
 
+    def test_ties_at_the_cut_do_not_depend_on_insertion_order(self):
+        # dog and junk tie at the cut of k = 2; whichever order the dict
+        # lists them in, the tie falls by name: dog (correct) is kept.
+        truth = _truth()
+        forward = {"animal": {"cat": 0.9, "dog": 0.5, "junk": 0.5}}
+        backward = {"animal": {"junk": 0.5, "dog": 0.5, "cat": 0.9}}
+        assert precision_at_k(truth, forward, 2) == 1.0
+        assert precision_at_k(truth, backward, 2) == 1.0
+
 
 class TestSentenceCheckMetrics:
     def _corpus(self):

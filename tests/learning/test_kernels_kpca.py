@@ -1,4 +1,4 @@
-"""Tests for the RBF kernel and kernel PCA."""
+"""Tests for the RBF kernel oracle and kernel PCA."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import LearningError, NotFittedError
-from repro.learning import KernelPCA, rbf_kernel
+from repro.learning import KernelPCA
+
+from .oracle import centred_kernel_transform, rbf_kernel
 
 
 class TestKernels:
@@ -113,3 +115,44 @@ class TestKernelPCA:
         kpca = KernelPCA(n_components=3, gamma=0.5).fit(x)
         z = kpca.transform(x)
         assert np.all(np.isfinite(z))
+
+
+class TestTransformMatchesOracle:
+    """The two-GEMM transform against the explicitly centred kernel."""
+
+    @staticmethod
+    def _relative_error(kpca, rows):
+        expected = centred_kernel_transform(kpca, rows)
+        got = kpca.transform(rows)
+        assert got.shape == expected.shape
+        return np.abs(got - expected).max() / np.abs(expected).max()
+
+    def test_kernel_rows_match_the_distance_form(self):
+        rng = np.random.default_rng(6)
+        sample = rng.normal(size=(50, 4))
+        kpca = KernelPCA(n_components=5, gamma=0.7).fit(sample)
+        for rows in (sample, rng.normal(size=(20, 4))):
+            got = kpca._kernel_rows(rows)
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            np.testing.assert_allclose(
+                got, rbf_kernel(rows, sample, 0.7), rtol=0, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("gamma", [2.0, None])
+    def test_new_rows_and_the_fit_sample(self, gamma):
+        rng = np.random.default_rng(7)
+        sample = rng.normal(size=(300, 4))
+        kpca = KernelPCA(n_components=15, gamma=gamma).fit(sample)
+        for rows in (sample, sample[:1], rng.normal(size=(120, 4))):
+            assert self._relative_error(kpca, rows) <= 1e-12
+
+    def test_refit_refreshes_the_derived_constants(self):
+        rng = np.random.default_rng(8)
+        kpca = KernelPCA(n_components=6, gamma=0.5)
+        kpca.fit(rng.normal(size=(80, 4)))
+        second = rng.normal(loc=2.0, size=(60, 4))
+        kpca.fit(second)
+        rows = rng.normal(size=(25, 4))
+        assert self._relative_error(kpca, rows) <= 1e-12
+        fresh = KernelPCA(n_components=6, gamma=0.5).fit(second)
+        assert np.array_equal(kpca.transform(rows), fresh.transform(rows))

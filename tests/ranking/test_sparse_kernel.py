@@ -1,4 +1,4 @@
-"""Equivalence tests for the sparse walk kernel (dense paths as oracles)."""
+"""Equivalence tests for the sparse walk kernel (dense and CSR oracles)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from repro.kb import IsAPair, KnowledgeBase
 from repro.ranking import PageRankRanker, RandomWalkRanker
+from repro.ranking.graph import build_concept_graphs
 from repro.ranking.random_walk import _random_walk_scores_union
 
 from ..cleaning.uncached import UncachedRanker
 from .dense import (
     graph_from_edge_dict,
     pagerank_scores_dense,
+    random_walk_scores_csr,
     random_walk_scores_dense,
 )
 
@@ -85,6 +87,38 @@ class TestPageRankMatchesDense:
         for graph, scores in zip(graphs, _pagerank_union(graphs)):
             (solo,) = _pagerank_union([graph])
             assert scores == solo
+
+
+class TestBincountStepMatchesCsr:
+    """On graphs with one edge per (source, target), as trigger graphs
+    are, each step's ordered bincount is bit for bit a CSR mat-vec."""
+
+    @given(st.lists(trigger_graphs(), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_unions(self, graphs):
+        expected = random_walk_scores_csr(graphs)
+        assert _random_walk_scores_union(graphs, 0.15) == expected
+
+    @given(st.lists(trigger_graphs(), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_pagerank_unions_agree_to_the_last_bits(self, graphs):
+        # The symmetrised graph repeats every edge given both ways (and
+        # every self-loop): CSR sums a repeated transition before the
+        # product, the bincount step after it.
+        undirected = [PageRankRanker()._walk_graph(g) for g in graphs]
+        expected = random_walk_scores_csr(undirected)
+        for scores, oracle in zip(_pagerank_union(graphs), expected):
+            assert scores.keys() == oracle.keys()
+            for name, value in scores.items():
+                assert abs(value - oracle[name]) <= 1e-14
+
+    def test_every_concept_of_an_extraction(self, small_pipeline):
+        kb = small_pipeline.extract().kb
+        graphs = list(build_concept_graphs(kb, sorted(kb.concepts())).values())
+        assert sum(len(graph.sources) for graph in graphs) > 0
+        assert _random_walk_scores_union(
+            graphs, 0.15
+        ) == random_walk_scores_csr(graphs)
 
 
 def _many_concept_kb() -> KnowledgeBase:

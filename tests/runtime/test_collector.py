@@ -16,7 +16,6 @@ three things:
 from __future__ import annotations
 
 import gc
-import importlib
 from collections import Counter
 
 import pytest
@@ -78,12 +77,6 @@ def _every_pass(pipeline, fresh, checkpoint) -> None:
 
 class TestNoCycles:
     def test_passes_leave_no_cyclic_garbage(self, tmp_path):
-        # scipy's own import leaves closure cycles behind (its import-time
-        # inspect.signature and ast.literal_eval calls); the passes load it
-        # on first use, so load it here first, as any earlier test in the
-        # suite already has.
-        for module in ("scipy.linalg", "scipy.sparse"):
-            importlib.import_module(module)
         pipeline = make_pipeline()
         pipeline.corpus()
         fresh = make_pipeline()
