@@ -705,7 +705,9 @@ class KnowledgeBase:
         died: list[IsAPair] = []
         for pair in record.produced:
             state = self._pairs.get(pair)
-            if state is None:
+            # A pair re-extracted after this record produced it restarted
+            # its history past this record, which no longer counts for it.
+            if state is None or state.record_ids[0] > rid:
                 continue
             state.count -= 1
             if state.count <= 0:

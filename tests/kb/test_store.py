@@ -170,3 +170,18 @@ class TestDeactivate:
         kb.deactivate_record(r0.rid)
         kb.add_extraction(1, "animal", ("dog",), iteration=1)
         assert IsAPair("animal", "dog") not in kb.removed_pairs()
+
+    def test_old_producer_does_not_kill_a_re_extracted_pair(self):
+        # rome is force-removed while r0 stays active, then re-extracted
+        # by r1: its history restarts at r1, so rolling back r0 later
+        # must leave it alone.
+        kb = KnowledgeBase()
+        r0 = kb.add_extraction(0, "city", ("paris", "rome"), iteration=1)
+        rome = IsAPair("city", "rome")
+        kb.remove_pair(rome)
+        kb.add_extraction(1, "city", ("rome", "oslo"), iteration=1)
+        died = kb.deactivate_record(r0.rid)
+        assert died == [IsAPair("city", "paris")]
+        assert rome in kb
+        assert kb.count(rome) == 1
+        assert rome not in kb.removed_pairs()
