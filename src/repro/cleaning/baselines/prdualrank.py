@@ -28,7 +28,7 @@ from ...kb.store import KnowledgeBase
 from ...labeling.evidence import EvidenceIndex
 from ...labeling.rules import SeedLabelSet
 from ..base import BaseCleaner, CleaningResult
-from .rw_rank import learn_relative_threshold
+from .rw_rank import learn_relative_threshold, remove_below
 
 __all__ = ["PRDualRankCleaner"]
 
@@ -63,20 +63,10 @@ class PRDualRankCleaner(BaseCleaner):
                 by_concept[concept] = {
                     name: value / total for name, value in scores.items()
                 }
-        multiplier = learn_relative_threshold(by_concept, self._seeds)
-        for concept, scores in by_concept.items():
-            n = len(scores)
-            if n < 3:
-                continue
-            threshold = multiplier / n
-            for instance, score in scores.items():
-                if score < threshold:
-                    pair = IsAPair(concept, instance)
-                    if pair in kb:
-                        kb.remove_pair(pair)
-        return self._result(
-            self.name, before, kb, details={"multiplier": multiplier}
+        remove_below(
+            kb, by_concept, learn_relative_threshold(by_concept, self._seeds)
         )
+        return self._result(self.name, before, kb)
 
     # ------------------------------------------------------------------
     # Score propagation

@@ -23,7 +23,7 @@ from ...labeling.rules import SeedLabelSet
 from ...ranking.random_walk import RandomWalkRanker
 from ..base import BaseCleaner, CleaningResult
 
-__all__ = ["RWRankCleaner", "learn_relative_threshold"]
+__all__ = ["RWRankCleaner", "learn_relative_threshold", "remove_below"]
 
 _CANDIDATE_MULTIPLIERS = np.concatenate([
     np.linspace(0.02, 1.0, 25), np.linspace(1.1, 3.0, 10),
@@ -69,6 +69,26 @@ def learn_relative_threshold(
     return best
 
 
+def remove_below(
+    kb: KnowledgeBase, scored: dict[str, dict[str, float]], multiplier: float
+) -> None:
+    """Remove every pair scoring below ``multiplier / n`` in its concept.
+
+    ``n`` is the number of instances the concept scored; concepts with
+    fewer than three are left alone.
+    """
+    for concept, scores in scored.items():
+        n = len(scores)
+        if n < 3:
+            continue
+        threshold = multiplier / n
+        for instance, score in scores.items():
+            if score < threshold:
+                pair = IsAPair(concept, instance)
+                if pair in kb:
+                    kb.remove_pair(pair)
+
+
 class RWRankCleaner(BaseCleaner):
     """Threshold cleaner over per-concept random-walk scores."""
 
@@ -85,19 +105,5 @@ class RWRankCleaner(BaseCleaner):
     def clean(self, kb: KnowledgeBase, corpus: Corpus) -> CleaningResult:
         before = kb.removed_pairs()
         scored = self._ranker.score_all(kb)
-        multiplier = learn_relative_threshold(scored, self._seeds)
-        removed = 0
-        for concept, scores in scored.items():
-            n = len(scores)
-            if n < 3:
-                continue
-            threshold = multiplier / n
-            for instance, score in scores.items():
-                if score < threshold:
-                    pair = IsAPair(concept, instance)
-                    if pair in kb:
-                        kb.remove_pair(pair)
-                        removed += 1
-        return self._result(
-            self.name, before, kb, details={"multiplier": multiplier}
-        )
+        remove_below(kb, scored, learn_relative_threshold(scored, self._seeds))
+        return self._result(self.name, before, kb)

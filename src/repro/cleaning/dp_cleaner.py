@@ -306,8 +306,7 @@ class DPCleaner(BaseCleaner):
         keep = active[rids]
         rids = rids[keep]
         claimant = claimant[keep]
-        sids, _ = kb.record_arrays()
-        sids, rows = np.unique(sids[rids], return_inverse=True)
+        sids, rows = np.unique(kb.record_sids()[rids], return_inverse=True)
         found = list(map(by_sid.get, sids.tolist()))
         present = np.fromiter(
             map(is_not, found, repeat(None)), dtype=bool, count=len(found)

@@ -84,7 +84,7 @@ class Corpus:
                 if not line:
                     continue
                 try:
-                    sentence = _sentence_from_json(json.loads(line))
+                    sentence = sentence_from_json(json.loads(line))
                 except (KeyError, ValueError) as exc:
                     raise CorpusError(
                         f"bad corpus record at {path}:{line_number}: {exc}"
@@ -104,15 +104,6 @@ class Corpus:
 
 def sentence_to_json(sentence: Sentence) -> dict:
     """The JSON form of one sentence (one line of a JSONL corpus)."""
-    return _sentence_to_json(sentence)
-
-
-def sentence_from_json(record: dict) -> Sentence:
-    """Rebuild a sentence from :func:`sentence_to_json` output."""
-    return _sentence_from_json(record)
-
-
-def _sentence_to_json(sentence: Sentence) -> dict:
     record = {
         "sid": sentence.sid,
         "surface": sentence.surface,
@@ -143,8 +134,11 @@ def _string_or_null(key: str, value: object) -> str | None:
     return value
 
 
-def _sentence_from_json(record: dict) -> Sentence:
-    """Decode one record; ``KeyError``/``ValueError`` if it is malformed."""
+def sentence_from_json(record: dict) -> Sentence:
+    """Rebuild a sentence from :func:`sentence_to_json` output.
+
+    A malformed record raises ``KeyError`` or ``ValueError``.
+    """
     if type(record) is not dict:
         raise ValueError(f"record must be a JSON object, got {record!r}")
     sid, surface = record["sid"], record["surface"]

@@ -4,7 +4,10 @@ Design notes
 ------------
 * Evidence counts are *record-based*: ``count(pair)`` is the number of
   distinct active sentence extractions producing the pair, matching the
-  paper's "extracted from k different sentences".
+  paper's "extracted from k different sentences".  ``core_count(pair)``
+  is the iteration-1 part of it (the evidence Core(C) and the features
+  read).  Both live on the pair's :class:`PairState` and the same writes
+  keep them, so no read goes back to the records.
 * Pairs die when their count reaches zero; the cascading logic lives in
   :mod:`repro.kb.rollback`, the store only exposes the primitive mutations.
 * ``first_iteration`` of a pair never changes, even if later records add
@@ -17,17 +20,16 @@ Design notes
   ``remove_pair``, ``deactivate_record``) bumps a monotonic
   :attr:`version` and stamps the touched concept in
   :meth:`concept_version`.  Downstream caches — ranking scores, the sorted
-  concept list, the per-concept sub-instance memo — compare versions
-  instead of recomputing, so multi-round cleaning only re-derives state
-  for the concepts a rollback actually changed.
+  concept list, the per-concept :meth:`concept_state` arrays — compare
+  versions instead of recomputing, so multi-round cleaning only re-derives
+  state for the concepts a rollback actually changed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Collection, Iterable, Iterator, Mapping
-from itertools import chain
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -96,9 +98,14 @@ class ConceptState(NamedTuple):
 
 @dataclass
 class PairState:
-    """Mutable bookkeeping for one pair."""
+    """Mutable bookkeeping for one pair.
+
+    ``count`` and ``core_count`` are the active records, and the active
+    iteration-1 records, among ``record_ids``.
+    """
 
     count: int
+    core_count: int
     first_iteration: int
     record_ids: list[int]
     #: re-extracted after dying or being removed (history restarts here)
@@ -114,13 +121,13 @@ class KnowledgeBase:
         # per-concept reads the ranking substrate does in bulk.
         self._by_concept: dict[str, dict[str, PairState]] = {}
         self._instance_concepts: dict[str, set[str]] = {}
-        # Indexed by rid (rids are dense, ``0..n-1``), with the sid and
-        # iteration of each record alongside for the array readers.
+        # Indexed by rid (rids are dense, ``0..n-1``), with the sid of
+        # each record alongside for the array readers.
         self._records: list[ExtractionRecord] = []
         self._record_sids: list[int] = []
-        self._record_iterations: list[int] = []
-        self._record_arrays = (_GrowingArray(), _GrowingArray())
-        self._records_by_trigger: dict[IsAPair, set[int]] = {}
+        self._record_sid_array = _GrowingArray()
+        # Trigger pair → the rids it triggered, ascending, each once.
+        self._records_by_trigger: dict[IsAPair, list[int]] = {}
         # Trigger-edge substrate for the ranking graphs.  Instances get a
         # stable per-concept id on first extraction (never reassigned, even
         # across removal and re-extraction), and every trigger → instance
@@ -153,10 +160,6 @@ class KnowledgeBase:
         self._version = 0
         self._concept_version: dict[str, int] = {}
         self._concepts_cache: tuple[str, ...] | None = None
-        # concept → (version, {instance: sub-instance counts}) memo.
-        self._subs_cache: dict[str, tuple[int, dict[str, dict[str, int]]]] = {}
-        # concept → (version, core instance frozenset) memo.
-        self._core_set_cache: dict[str, tuple[int, frozenset[str]]] = {}
         # concept → (version, ConceptState) memo.
         self._state_cache: dict[str, tuple[int, ConceptState]] = {}
 
@@ -197,11 +200,10 @@ class KnowledgeBase:
         clone = KnowledgeBase()
         clone._records = self._records.copy()
         clone._record_sids = self._record_sids.copy()
-        clone._record_iterations = self._record_iterations.copy()
         fresh = {
             id(state): PairState(
-                state.count, state.first_iteration, state.record_ids.copy(),
-                state.restarted,
+                state.count, state.core_count, state.first_iteration,
+                state.record_ids.copy(), state.restarted,
             )
             for state in self._pairs.values()
         }
@@ -215,14 +217,8 @@ class KnowledgeBase:
             }
             for concept, by_instance in self._by_concept.items()
         }
-        # String sets iterate in hash-seed order, which nothing may depend
-        # on; rid sets iterate in table order, so rebuild each one by the
-        # ascending adds that built the original (same table, same order).
         clone._instance_concepts = _copy_values(self._instance_concepts)
-        clone._records_by_trigger = {
-            pair: set(sorted(rids))
-            for pair, rids in self._records_by_trigger.items()
-        }
+        clone._records_by_trigger = _copy_values(self._records_by_trigger)
         clone._instance_ids = _copy_values(self._instance_ids)
         clone._edge_codes = _copy_values(self._edge_codes)
         clone._edge_rids = _copy_values(self._edge_rids)
@@ -266,7 +262,6 @@ class KnowledgeBase:
         )
         self._records.append(record)
         self._record_sids.append(sid)
-        self._record_iterations.append(iteration)
         flags = self._active_flags
         if record.rid >= len(flags):
             flags = self._active_flags = flags + bytes(len(flags))
@@ -292,13 +287,15 @@ class KnowledgeBase:
                     if e != trigger:
                         codes.append(base | ids[e])
                         rids.append(rid)
-        for trigger in triggers:
-            self._records_by_trigger.setdefault(trigger, set()).add(record.rid)
+        for trigger in dict.fromkeys(triggers):
+            self._records_by_trigger.setdefault(trigger, []).append(record.rid)
+        core = int(iteration == 1)
         for pair in record.produced:
             state = self._pairs.get(pair)
             if state is None:
                 state = PairState(
                     count=1,
+                    core_count=core,
                     first_iteration=iteration,
                     record_ids=[record.rid],
                     restarted=pair in self._removed_pairs,
@@ -311,6 +308,7 @@ class KnowledgeBase:
                 self._removed_pairs.discard(pair)
             else:
                 state.count += 1
+                state.core_count += core
                 state.record_ids.append(record.rid)
         self._touch(concept)
         return record
@@ -391,29 +389,18 @@ class KnowledgeBase:
 
     def core_instances(self, concept: str) -> frozenset[str]:
         """Instances first extracted in iteration 1 (the paper's Core(C))."""
-        cached = self._core_set_cache.get(concept)
-        current = self.concept_version(concept)
-        if cached is None or cached[0] != current:
-            cached = (
-                current,
-                frozenset(
-                    instance
-                    for instance, state in self._by_concept.get(
-                        concept, {}
-                    ).items()
-                    if state.first_iteration == 1
-                ),
-            )
-            self._core_set_cache[concept] = cached
-        return cached[1]
+        return frozenset(
+            instance
+            for instance, state in self._by_concept.get(
+                concept, _EMPTY_DICT
+            ).items()
+            if state.first_iteration == 1
+        )
 
     def core_count(self, pair: IsAPair) -> int:
         """Evidence for a pair coming from iteration-1 records only."""
-        if pair not in self._pairs:
-            return 0
-        ids = self.instance_id_map(pair.concept)
-        core = self.concept_state(pair.concept).core_count
-        return int(core[ids[pair.instance]])
+        state = self._pairs.get(pair)
+        return state.core_count if state is not None else 0
 
     def concept_state(self, concept: str) -> ConceptState:
         """A concept's alive pairs as id-indexed arrays (memoised).
@@ -432,25 +419,11 @@ class KnowledgeBase:
             )
             by_instance = self._by_concept.get(concept, _EMPTY_DICT)
             states = list(map(by_instance.__getitem__, names))
-            # Core count: the active iteration-1 records among each pair's
-            # record ids.
-            record_ids = list(map(attrgetter("record_ids"), states))
-            sizes = list(map(len, record_ids))
-            rids = np.fromiter(
-                chain.from_iterable(record_ids), np.int64, sum(sizes)
-            )
-            _, iterations = self.record_arrays()
-            active = np.frombuffer(self._active_flags, dtype=bool)
-            core = np.bincount(
-                np.repeat(np.arange(len(states)), sizes),
-                weights=active[rids] & (iterations[rids] == 1),
-                minlength=len(states),
-            )
             columns = np.zeros((3, len(ids)), dtype=np.int64)
             columns[:, order] = [
                 list(map(attrgetter("count"), states)),
                 list(map(attrgetter("first_iteration"), states)),
-                core,
+                list(map(attrgetter("core_count"), states)),
             ]
             alive = np.zeros(len(ids), dtype=bool)
             alive[order] = True
@@ -495,17 +468,13 @@ class KnowledgeBase:
             if include_inactive or active[record.rid]:
                 yield record
 
-    def record_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sids, iterations)`` of every record, indexed by rid.
+    def record_sids(self) -> np.ndarray:
+        """The sid of every record, indexed by rid (read-only).
 
-        Read-only arrays that grow with the KB, so a read converts only
-        the records committed since the last one.
+        The array grows with the KB, so a read converts only the records
+        committed since the last one.
         """
-        sids, iterations = self._record_arrays
-        return (
-            sids.of(self._record_sids),
-            iterations.of(self._record_iterations),
-        )
+        return self._record_sid_array.of(self._record_sids)
 
     def is_active(self, rid: int) -> bool:
         """True until record ``rid`` is rolled back."""
@@ -617,13 +586,12 @@ class KnowledgeBase:
             if active[rid]
         ]
 
-    def trigger_index(self) -> Mapping[IsAPair, Collection[int]]:
+    def trigger_index(self) -> Mapping[IsAPair, Sequence[int]]:
         """Trigger pair → the rids it triggered, active or not (read-only).
 
-        Pairs that never triggered anything are absent.  Each rid
-        collection iterates in the order :meth:`records_triggered_by`
-        returns its records, so bulk readers that filter activity
-        themselves see the same sequence.
+        Pairs that never triggered anything are absent.  Rids ascend, each
+        once, as in :meth:`records_triggered_by`, so bulk readers that
+        filter activity themselves see the same sequence.
         """
         return self._records_by_trigger
 
@@ -636,26 +604,12 @@ class KnowledgeBase:
         count — Fig. 2 of the paper shows non-DP triggers re-extracting
         popular core instances, which is exactly what makes their
         sub-instance distribution resemble the class distribution.
-
-        Results are memoised per concept and invalidated by the version
-        counter (features and seed labelling both query every instance).
         """
-        cached = self._subs_cache.get(concept)
-        current = self.concept_version(concept)
-        if cached is None or cached[0] != current:
-            cached = (current, {})
-            self._subs_cache[concept] = cached
-        by_instance = cached[1]
-        counts = by_instance.get(instance)
-        if counts is None:
-            trigger = IsAPair(concept, instance)
-            counts = {}
-            for record in self.records_triggered_by(trigger):
-                for other in record.instances:
-                    if other != instance:
-                        counts[other] = counts.get(other, 0) + 1
-            by_instance[instance] = counts
-        # The memoised dict is handed out directly; treat it as read-only.
+        counts: dict[str, int] = {}
+        for record in self.records_triggered_by(IsAPair(concept, instance)):
+            for other in record.instances:
+                if other != instance:
+                    counts[other] = counts.get(other, 0) + 1
         return counts
 
     def frequency_distribution(self, concept: str) -> dict[str, int]:
@@ -702,6 +656,7 @@ class KnowledgeBase:
             raise KnowledgeBaseError(f"record {rid} is already inactive")
         record = self._records[rid]
         self._active_flags[rid] = 0
+        core = int(record.iteration == 1)
         died: list[IsAPair] = []
         for pair in record.produced:
             state = self._pairs.get(pair)
@@ -710,6 +665,7 @@ class KnowledgeBase:
             if state is None or state.record_ids[0] > rid:
                 continue
             state.count -= 1
+            state.core_count -= core
             if state.count <= 0:
                 del self._pairs[pair]
                 self._drop_indexes(pair)
@@ -742,16 +698,21 @@ class KnowledgeBase:
         Replay gives a re-extracted pair every producing record's history
         (alive, its ``record_ids`` list every producer in rid order); each
         ``(pair, rid, count)`` restarts it at record ``rid`` with the live
-        ``count``.  Pairs then take their creation order again.
+        ``count``; its core count is recounted from record activity.  Pairs
+        then take their creation order again.
         """
+        records = self._records
+        active = self._active_flags
         touched: dict[str, dict[str, PairState]] = {}
         for pair, rid, count in restarts:
             replayed = self._pairs.get(pair)
             rids = replayed.record_ids if replayed is not None else []
+            rids = rids[bisect_left(rids, rid):]
             state = PairState(
                 count,
+                sum(active[r] and records[r].iteration == 1 for r in rids),
                 self.record(rid).iteration,
-                rids[bisect_left(rids, rid):],
+                rids,
                 restarted=True,
             )
             if state.record_ids[:1] != [rid] or count < 1:

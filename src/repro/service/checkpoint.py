@@ -515,7 +515,3 @@ class CheckpointStore:
                 raise ServiceError(
                     f"bad row at {path}:{number}: {exc!r}"
                 ) from exc
-
-    def load_sentences(self, payload: list[dict]) -> list[Sentence]:
-        """Decode journal-entry sentences."""
-        return [sentence_from_json(record) for record in payload]

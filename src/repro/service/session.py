@@ -52,7 +52,7 @@ from collections.abc import Callable, Iterable
 from ..analysis.cache import AnalysisCache
 from ..cleaning.dp_cleaner import DPCleaner
 from ..config import PipelineConfig
-from ..corpus.corpus import Corpus, sentence_to_json
+from ..corpus.corpus import Corpus, sentence_from_json, sentence_to_json
 from ..corpus.sentence import Sentence
 from ..errors import ServiceError
 from ..extraction.engine import BatchExtraction, IncrementalExtractor
@@ -567,7 +567,7 @@ class IngestSession:
         report = _decode_report(
             entry.get("report"), self._store.journal.path, entry.get("seq")
         )
-        sentences = self._store.load_sentences(entry["sentences"])
+        sentences = list(map(sentence_from_json, entry["sentences"]))
         batch = self._extractor.ingest(sentences)
         if batch.total_pairs != report.total_pairs:
             raise ServiceError(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.kb import KnowledgeBase
 from repro.kb.record import ExtractionRecord
 
 
 def assert_same_state(a: KnowledgeBase, b: KnowledgeBase) -> None:
-    """Every pair, record and removal reads the same in ``a`` and ``b``."""
+    """Every pair, record, trigger and removal reads the same in both."""
     assert list(a.pairs()) == list(b.pairs())
     for pair in a.pairs():
         assert a.count(pair) == b.count(pair)
@@ -18,6 +20,11 @@ def assert_same_state(a: KnowledgeBase, b: KnowledgeBase) -> None:
         ]
     for concept in a.concepts():
         assert a.core_instances(concept) == b.core_instances(concept)
+        assert np.array_equal(
+            a.concept_state(concept).core_count,
+            b.concept_state(concept).core_count,
+        )
+    assert dict(a.trigger_index()) == dict(b.trigger_index())
     assert a.removed_pairs() == b.removed_pairs()
     a_records = {r.rid: r for r in a.records(include_inactive=True)}
     b_records = {r.rid: r for r in b.records(include_inactive=True)}
