@@ -287,8 +287,8 @@ class KnowledgeBase:
                     if e != trigger:
                         codes.append(base | ids[e])
                         rids.append(rid)
-        for trigger in dict.fromkeys(triggers):
-            self._records_by_trigger.setdefault(trigger, []).append(record.rid)
+            for trigger in dict.fromkeys(triggers):
+                self._records_by_trigger.setdefault(trigger, []).append(rid)
         core = int(iteration == 1)
         for pair in record.produced:
             state = self._pairs.get(pair)
