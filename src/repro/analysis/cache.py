@@ -4,8 +4,8 @@ One :class:`AnalysisCache` serves many knowledge bases.  Its only state
 is one :class:`~repro.concepts.exclusion.MutualExclusionIndex` per KB,
 held by weak reference and refreshed in place, so the index detection
 refreshes is the one the cleaner's guards and the session's drift
-telemetry query.  Feature matrices, verified samples, evidence and seed
-labels are rebuilt on every call: caching them did not pay (DESIGN.md,
+telemetry query.  Feature matrices, verified samples and seed labels
+are rebuilt on every call: caching them did not pay (DESIGN.md,
 "The analysis cache and its invalidation graph").  The reuse that does —
 KPCA transforms and manifold regularisers of unchanged matrices — is the
 detection callback's :class:`~repro.learning.DetectorRefitCache`.
@@ -17,7 +17,7 @@ import weakref
 from collections.abc import Callable, Iterable
 
 from ..concepts.exclusion import MutualExclusionIndex
-from ..config import LabelingConfig, SimilarityConfig
+from ..config import SimilarityConfig
 from ..features.extractor import FeatureExtractor
 from ..features.matrix import ConceptMatrix
 from ..kb.pair import IsAPair
@@ -83,15 +83,6 @@ class AnalysisCache:
         for concept in concepts:
             union |= sampler(kb, concept)
         return frozenset(union)
-
-    def evidence(
-        self,
-        kb: KnowledgeBase,
-        config: LabelingConfig,
-        verified: frozenset[IsAPair],
-    ) -> EvidenceIndex:
-        """Labelling evidence over ``kb``'s exclusion index."""
-        return EvidenceIndex(kb, config, verified=verified)
 
     def seeds(
         self,

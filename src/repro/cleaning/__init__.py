@@ -8,7 +8,7 @@ from .baselines import (
     TypeCheckingCleaner,
 )
 from .dp_cleaner import DPCleaner, RoundStats
-from .intentional import SentenceCheck, check_extraction, score_sentence
+from .intentional import SentenceCheck, check_extraction
 
 __all__ = [
     "BaseCleaner",
@@ -21,5 +21,4 @@ __all__ = [
     "SentenceCheck",
     "TypeCheckingCleaner",
     "check_extraction",
-    "score_sentence",
 ]

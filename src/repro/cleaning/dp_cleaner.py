@@ -12,9 +12,9 @@ Each cleaning round:
 
 Rounds repeat — removing early-iteration DPs exposes and removes the later
 DPs they fed — until a round finds nothing to clean or the round cap is
-reached.  The cap is ``CleaningConfig.max_cleaning_rounds`` unless the
-caller passes its own budget for one call (an ingest session gives a
-drift-triggered pass one round; see :mod:`repro.service.session`).
+reached.  The cap is :data:`MAX_ROUNDS` unless the caller passes its own
+for one call (an ingest session gives a drift-triggered pass one round;
+see :mod:`repro.service.session`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,10 @@ from ..runtime.context import NULL_CONTEXT, RunContext
 from .base import BaseCleaner, CleaningResult
 from .intentional import SentenceCheck, check_sentences
 
-__all__ = ["DPCleaner", "RoundStats", "DetectFn"]
+__all__ = ["DPCleaner", "RoundStats", "DetectFn", "MAX_ROUNDS"]
+
+#: The rounds one :meth:`DPCleaner.clean` call runs at most by default.
+MAX_ROUNDS = 10
 
 #: concept → instance → label for the current knowledge base.
 DetectFn = Callable[[KnowledgeBase], Mapping[str, Mapping[str, DPLabel]]]
@@ -110,16 +113,13 @@ class DPCleaner(BaseCleaner):
         self,
         kb: KnowledgeBase,
         corpus: Corpus,
-        max_rounds: int | None = None,
+        max_rounds: int = MAX_ROUNDS,
     ) -> CleaningResult:
         """Clean ``kb`` in rounds until one removes nothing.
 
-        ``max_rounds`` caps the rounds of this call; ``None`` uses
-        ``CleaningConfig.max_cleaning_rounds``.
+        ``max_rounds`` caps the rounds of this call.
         """
-        if max_rounds is None:
-            max_rounds = self._config.max_cleaning_rounds
-        elif max_rounds < 1:
+        if max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         before = kb.removed_pairs()
         by_sid = corpus.by_sid()

@@ -13,7 +13,7 @@ drifting error and is rolled back (the paper's worked Example 1: the
 rolled back).
 
 :func:`check_sentences` decides a whole round of checks in array passes;
-:func:`check_extraction` decides one, as the paper states it.
+:func:`check_extraction` is its one-check form.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from ..kb.pair import IsAPair
 __all__ = [
     "SentenceCheck",
     "SentenceChecks",
-    "score_sentence",
-    "build_check",
     "check_extraction",
     "check_sentences",
 ]
@@ -51,49 +49,6 @@ class SentenceCheck:
     is_drifting: bool
 
 
-def score_sentence(
-    sentence: Sentence,
-    scores: Mapping[str, Mapping[str, float]],
-) -> dict[str, float]:
-    """Eq. 21 for every candidate concept of a sentence."""
-    concepts = sentence.concepts
-    rows = [scores.get(concept, _EMPTY) for concept in concepts]
-    totals = [0.0] * len(rows)
-    for instance in sentence.instances:
-        values = [row.get(instance, 0.0) for row in rows]
-        denominator = 0.0
-        for value in values:
-            denominator += value
-        if denominator <= 0:
-            continue
-        for i, value in enumerate(values):
-            totals[i] += value / denominator
-    return dict(zip(concepts, totals))
-
-
-def build_check(
-    sid: int,
-    concept_scores: Mapping[str, float],
-    chosen_concept: str,
-    trigger_instance: str,
-) -> SentenceCheck:
-    """Assemble the verdict from an already-scored sentence.
-
-    Eq. 21 scores a sentence once for *all* its candidate concepts;
-    callers checking several extractions of the same sentence share the
-    scoring and derive each verdict here.
-    """
-    best = max(concept_scores.values(), default=0.0)
-    chosen = concept_scores.get(chosen_concept, 0.0)
-    return SentenceCheck(
-        sid=sid,
-        chosen_concept=chosen_concept,
-        trigger_instance=trigger_instance,
-        scores=tuple(sorted(concept_scores.items())),
-        is_drifting=chosen < best,
-    )
-
-
 def check_extraction(
     sentence: Sentence,
     chosen_concept: str,
@@ -101,12 +56,9 @@ def check_extraction(
     scores: Mapping[str, Mapping[str, float]],
 ) -> SentenceCheck:
     """Decide whether a DP-triggered extraction should roll back."""
-    return build_check(
-        sentence.sid,
-        score_sentence(sentence, scores),
-        chosen_concept,
-        trigger_instance,
-    )
+    claims = [IsAPair(chosen_concept, trigger_instance)]
+    rows = np.zeros(1, dtype=np.int64)
+    return check_sentences([sentence], rows, claims, scores)[0]
 
 
 class SentenceChecks(Sequence[SentenceCheck]):
@@ -177,8 +129,8 @@ def check_sentences(
     of a sentence × instance CSR, instance-major.  ``np.bincount`` adds in
     input order from ``0.0``, so each denominator (over an instance's
     slots) and each numerator (over a slot's instances) is summed in the
-    order :func:`score_sentence` sums it: every score, and every verdict
-    ``chosen < max``, is bit-identical to :func:`check_extraction`'s.
+    order a per-sentence loop over the instances sums it: every score, and
+    every verdict ``chosen < max``, is bit-identical to that loop's.
     """
     concepts = [sentence.concepts for sentence in sentences]
     instances = [sentence.instances for sentence in sentences]

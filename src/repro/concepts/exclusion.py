@@ -250,7 +250,7 @@ class MutualExclusionIndex:
     ) -> frozenset[str]:
         """Concepts exclusive with ``concept`` that list ``instance``.
 
-        This is the paper's feature ``f2`` numerator: the number of
+        Its size is the paper's feature ``f2`` numerator: the number of
         mutually exclusive concepts that also obtained the instance.
         """
         return frozenset(
@@ -258,17 +258,6 @@ class MutualExclusionIndex:
             for other in kb.iter_concepts_with_instance(instance)
             if other != concept and self.exclusive(concept, other)
         )
-
-    def count_exclusive_containing(
-        self, kb: KnowledgeBase, concept: str, instance: str
-    ) -> int:
-        """``len(exclusive_concepts_containing(...))`` without the set."""
-        exclusive = self.exclusive
-        count = 0
-        for other in kb.iter_concepts_with_instance(instance):
-            if other != concept and exclusive(concept, other):
-                count += 1
-        return count
 
 
 def _starts(sizes) -> np.ndarray:

@@ -116,23 +116,19 @@ class ExtractionConfig:
     """Semantic iterative extraction parameters.
 
     ``max_iterations`` counts the core iteration 1, so each batch gets
-    at most ``max_iterations - 1`` resolution rounds.  ``min_evidence``
-    is the number of visible instances a candidate concept needs to win
-    a sentence.  ``stream_chunks`` spreads each batch's ambiguous
-    sentences over that many arrival iterations.  Resolution always runs
-    on the evidence-indexed worklist (:mod:`repro.extraction.index`).
+    at most ``max_iterations - 1`` resolution rounds.  ``stream_chunks``
+    spreads each batch's ambiguous sentences over that many arrival
+    iterations.  Resolution always runs on the evidence-indexed worklist
+    (:mod:`repro.extraction.index`).
     """
 
     max_iterations: int = 100
-    min_evidence: int = 1
     policy: str = "nearest"  # "nearest" or "max_evidence"
     stream_chunks: int = 1
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.min_evidence < 1:
-            raise ValueError("min_evidence must be >= 1")
         if self.policy not in ("nearest", "max_evidence"):
             raise ValueError(f"unknown resolution policy: {self.policy!r}")
         if self.stream_chunks < 1:
@@ -230,20 +226,12 @@ class CleaningConfig:
     point *during cleaning only*: the cleaner's definition-level guards and
     Eq. 21 arbitration absorb false DP flags cheaply, while every missed DP
     leaves its whole error cascade in place.
-
-    ``max_cleaning_rounds`` caps the passes that run to the fixed point:
-    one-shot cleaning, and an ingest session's staleness-triggered and
-    forced passes.  A session's drift-triggered pass runs one round and
-    leaves the rest to the next pass.
     """
 
-    max_cleaning_rounds: int = 10
     accidental_max_count: int = 3
     cleaning_non_dp_bias: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_cleaning_rounds < 1:
-            raise ValueError("max_cleaning_rounds must be >= 1")
         if self.accidental_max_count < 1:
             raise ValueError("accidental_max_count must be >= 1")
         if self.cleaning_non_dp_bias < 0:

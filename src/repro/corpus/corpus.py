@@ -122,10 +122,18 @@ def sentence_to_json(sentence: Sentence) -> dict:
     return record
 
 
-def _strings(key: str, value: object) -> tuple[str, ...]:
-    if type(value) is not list or any(type(v) is not str for v in value):
-        raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
-    return tuple(value)
+def decode_strings(key: str, value: object) -> tuple[str, ...]:
+    """Decode the JSON list of strings stored under ``key``."""
+    if type(value) is list:
+        try:
+            # join type-checks every item at C speed: sentence and record
+            # decoding sit on the resume path, where a per-item Python
+            # check is measurable.
+            "".join(value)
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
 
 
 def _string_or_null(key: str, value: object) -> str | None:
@@ -157,15 +165,17 @@ def sentence_from_json(record: dict) -> Sentence:
         truth = SentenceTruth(
             concept=_string_or_null("concept", raw["concept"]),
             kind=SentenceKind(raw["kind"]),
-            contaminants=_strings("contaminants", raw.get("contaminants", [])),
-            typos=_strings("typos", raw.get("typos", [])),
+            contaminants=decode_strings(
+                "contaminants", raw.get("contaminants", [])
+            ),
+            typos=decode_strings("typos", raw.get("typos", [])),
             bridge=_string_or_null("bridge", raw.get("bridge")),
         )
     return Sentence(
         sid=sid,
         surface=surface,
-        concepts=_strings("concepts", record["concepts"]),
-        instances=_strings("instances", record["instances"]),
+        concepts=decode_strings("concepts", record["concepts"]),
+        instances=decode_strings("instances", record["instances"]),
         page_id=page_id,
         truth=truth,
     )

@@ -440,8 +440,8 @@ class Pipeline:
                 kb, concepts, self._verified_concept
             )
         with span("analysis.seeds"):
-            evidence = self._analysis.evidence(
-                kb, self._config.labeling, verified
+            evidence = EvidenceIndex(
+                kb, self._config.labeling, verified=verified
             )
             seeds = self._analysis.seeds(kb, concepts, evidence)
         return _Inputs(

@@ -26,9 +26,11 @@ _HEADERS = ("Cleaning Method", "p_error", "r_error", "p_correct", "r_correct")
 
 
 def run_cleaner(pipeline: Pipeline, cleaner, concepts):
-    """Run one cleaner on its own extraction; return (metrics, result, truth).
+    """Run one cleaner on its own extraction.
 
-    The whole run, scoring included, is one ``cleaner.run`` span.
+    Returns (metrics, result, truth, extraction, before), ``before`` the
+    concept → instances view of the extraction ahead of cleaning.  The
+    whole run, scoring included, is one ``cleaner.run`` span.
     """
     with pipeline.context.span("cleaner.run", method=cleaner.name) as span:
         extraction = pipeline.extract()
@@ -43,7 +45,7 @@ def run_cleaner(pipeline: Pipeline, cleaner, concepts):
         }
         metrics = cleaning_metrics(truth, before, after, concepts)
         span.add("pairs_removed", result.num_removed)
-    return metrics, result, truth, extraction
+    return metrics, result, truth, extraction, before
 
 
 def _cleaners(pipeline: Pipeline):

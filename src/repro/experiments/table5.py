@@ -26,7 +26,7 @@ def run_table5(pipeline: Pipeline | None = None) -> ExperimentResult:
     pipeline = default_pipeline(pipeline)
     targets = list(pipeline.preset.target_concepts)
     cleaner = pipeline.dp_cleaner()
-    overall, result, truth, extraction = run_cleaner(
+    overall, result, truth, extraction, before = run_cleaner(
         pipeline, cleaner, targets
     )
     checks = [
@@ -34,10 +34,6 @@ def run_table5(pipeline: Pipeline | None = None) -> ExperimentResult:
         for stats in result.details["rounds"]
         for check in stats.sentence_checks
     ]
-    # Per-concept before/after needs the pre-cleaning KB, which the run
-    # consumed; another copy of the extraction gives the "before" view.
-    before_kb = pipeline.extract().kb
-    before = {c: before_kb.instances_of(c) for c in before_kb.concepts()}
     after = {c: extraction.kb.instances_of(c) for c in before}
     rows = []
     data: dict[str, dict[str, float]] = {}

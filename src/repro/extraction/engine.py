@@ -419,10 +419,7 @@ class IncrementalExtractor:
                 for sid in attempt:
                     sentence = pending[sid]
                     resolution = resolve(
-                        sentence,
-                        visible,
-                        policy=config.policy,
-                        min_evidence=config.min_evidence,
+                        sentence, visible, policy=config.policy
                     )
                     if resolution is None:
                         worklist.watch(sentence)

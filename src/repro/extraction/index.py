@@ -21,16 +21,16 @@ Equivalence argument (pinned by ``tests/extraction/test_delta_equivalence``):
 
 *Completeness.*  Resolution of a sentence ``s`` is a function of the
 matched sets ``M(c) = visible[c] ∩ instances(s)`` per candidate concept
-``c``; ``s`` resolves iff some ``|M(c)| >= min_evidence``.  Suppose ``s``
-failed an attempt against snapshot ``V_a`` and would resolve against a
-later snapshot ``V_T``.  The resolving candidate has
-``|M_T(c)| >= min_evidence > |M_a(c)|``, so ``M_T(c) ⊄ M_a(c)`` — some
-instance ``e ∈ M_T(c) \\ M_a(c)`` exists, i.e. ``(c, e)`` was not visible
-at the failed attempt and is visible at ``T``.  That transition passed
-through :meth:`ResolutionWorklist.advance` (after extraction commits and
-after out-of-band mutations alike) and woke ``s``, because every
-candidate pair of a pending sentence is indexed.  Hence no
-resolvable sentence is ever skipped.
+``c``; ``s`` resolves iff some ``|M(c)| >= 1``.  Suppose ``s`` failed an
+attempt against snapshot ``V_a`` and would resolve against a later
+snapshot ``V_T``.  The resolving candidate has ``|M_T(c)| >= 1`` and
+``M_a(c)`` empty, so ``M_T(c) ⊄ M_a(c)`` — some instance
+``e ∈ M_T(c) \\ M_a(c)`` exists, i.e. ``(c, e)`` was not visible at the
+failed attempt and is visible at ``T``.  That transition passed through
+:meth:`ResolutionWorklist.advance` (after extraction commits and after
+out-of-band mutations alike) and woke ``s``, because every candidate
+pair of a pending sentence is indexed.  Hence no resolvable sentence is
+ever skipped.
 
 *Soundness of spurious wakes.*  By the contrapositive, a pending sentence
 that was *not* woken since its last failed attempt cannot resolve — so a

@@ -6,7 +6,7 @@ should be resolved to, and which known pairs *triggered* that decision.
 
 * ``nearest`` — the paper's observed Probase behaviour: *such as* prefers
   the syntactically nearest candidate; the first candidate (in proximity
-  order) with enough known instances wins.  This is the drift-prone default
+  order) with a known instance wins.  This is the drift-prone default
   and reproduces both examples of Fig. 1(b): it fixes
   ``animals from african countries such as giraffe and lion`` (the nearest
   candidate has no evidence, so knowledge falls through to *animal*) and it
@@ -46,28 +46,24 @@ def _matches(
 
 
 def _resolve_nearest(
-    sentence: Sentence,
-    known: Mapping[str, frozenset[str]],
-    min_evidence: int,
+    sentence: Sentence, known: Mapping[str, frozenset[str]]
 ) -> Resolution | None:
     for concept in sentence.concepts:
         matched = _matches(sentence, concept, known)
-        if len(matched) >= min_evidence:
+        if matched:
             triggers = tuple(IsAPair(concept, e) for e in matched)
             return Resolution(concept=concept, triggers=triggers)
     return None
 
 
 def _resolve_max_evidence(
-    sentence: Sentence,
-    known: Mapping[str, frozenset[str]],
-    min_evidence: int,
+    sentence: Sentence, known: Mapping[str, frozenset[str]]
 ) -> Resolution | None:
     best: Resolution | None = None
     best_count = 0
     for concept in sentence.concepts:  # proximity order breaks ties
         matched = _matches(sentence, concept, known)
-        if len(matched) >= min_evidence and len(matched) > best_count:
+        if len(matched) > best_count:
             best_count = len(matched)
             best = Resolution(
                 concept=concept,
@@ -86,17 +82,15 @@ def resolve(
     sentence: Sentence,
     known: Mapping[str, frozenset[str]],
     policy: str = "nearest",
-    min_evidence: int = 1,
 ) -> Resolution | None:
     """Resolve an ambiguous sentence against visible knowledge.
 
-    Returns ``None`` when no candidate has enough evidence yet (the
-    sentence stays unresolved and is retried next iteration).
+    A candidate needs one visible instance.  Returns ``None`` when no
+    candidate has one yet (the sentence stays unresolved and is retried
+    next iteration).
     """
     try:
         chosen = POLICIES[policy]
     except KeyError:
         raise ExtractionError(f"unknown resolution policy: {policy!r}") from None
-    if min_evidence < 1:
-        raise ExtractionError("min_evidence must be >= 1")
-    return chosen(sentence, known, min_evidence)
+    return chosen(sentence, known)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..corpus.corpus import decode_strings
 from ..errors import KnowledgeBaseError
 from .pair import IsAPair
 from .record import ExtractionRecord
@@ -66,19 +67,6 @@ def record_row(record: ExtractionRecord) -> dict:
     }
 
 
-def _strings(key: str, value: object) -> tuple[str, ...]:
-    """Decode a list of strings."""
-    if type(value) is list:
-        try:
-            # join type-checks every item at C speed: replay sits on the
-            # resume path, where a per-item Python check is measurable.
-            "".join(value)
-            return tuple(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{key!r} must be a list of strings, got {value!r}")
-
-
 def _pairs(key: str, value: object) -> tuple[IsAPair, ...]:
     """Decode a list of ``[concept, instance]`` string pairs."""
     if type(value) is not list:
@@ -118,7 +106,7 @@ def replay_row(kb: KnowledgeBase, row: dict) -> ExtractionRecord:
     record = kb.add_extraction(
         sid=sid,
         concept=concept,
-        instances=_strings("instances", row["instances"]),
+        instances=decode_strings("instances", row["instances"]),
         triggers=_pairs("triggers", row["triggers"]),
         iteration=iteration,
     )
@@ -178,10 +166,13 @@ def apply_state(kb: KnowledgeBase, state: dict, source: str | Path) -> None:
         pair = IsAPair(concept, instance)
         if pair in kb:
             kb.remove_pair(pair)
-    kb.restore_restarts(
-        (IsAPair(concept, instance), rid, count)
-        for concept, instance, rid, count in state["restarts"]
-    )
+    try:
+        kb.restore_restarts(
+            (IsAPair(concept, instance), rid, count)
+            for concept, instance, rid, count in state["restarts"]
+        )
+    except KnowledgeBaseError as exc:
+        raise KnowledgeBaseError(f"{source} is inconsistent: {exc}") from exc
     if len(kb) != state.get("pairs"):
         raise KnowledgeBaseError(
             f"{source} is inconsistent: it promises {state.get('pairs')} "

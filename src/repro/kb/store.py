@@ -372,9 +372,10 @@ class KnowledgeBase:
         """:meth:`concepts_with_instance` without the defensive copy.
 
         Returns the live index entry — read it immediately, never hold it
-        across KB mutations.  The per-instance hot loops (f2 counting,
-        evidence rules) issue tens of thousands of these per detection
-        refit, where the frozenset copies dominate.
+        across KB mutations.  It backs
+        ``MutualExclusionIndex.exclusive_concepts_containing``, which the
+        cleaner's Definition-4 guard and the session's drift telemetry
+        call once per pair they test; a frozenset copy there is waste.
         """
         return self._instance_concepts.get(instance, ())
 
@@ -697,9 +698,10 @@ class KnowledgeBase:
 
         Replay gives a re-extracted pair every producing record's history
         (alive, its ``record_ids`` list every producer in rid order); each
-        ``(pair, rid, count)`` restarts it at record ``rid`` with the live
-        ``count``; its core count is recounted from record activity.  Pairs
-        then take their creation order again.
+        ``(pair, rid, count)`` restarts it at record ``rid``.  Its count and
+        core count are recounted from the activity of its records from
+        ``rid`` on, and a stored ``count`` that differs raises.  Pairs then
+        take their creation order again.
         """
         records = self._records
         active = self._active_flags
@@ -708,16 +710,18 @@ class KnowledgeBase:
             replayed = self._pairs.get(pair)
             rids = replayed.record_ids if replayed is not None else []
             rids = rids[bisect_left(rids, rid):]
+            live = [r for r in rids if active[r]]
             state = PairState(
-                count,
-                sum(active[r] and records[r].iteration == 1 for r in rids),
+                len(live),
+                sum(records[r].iteration == 1 for r in live),
                 self.record(rid).iteration,
                 rids,
                 restarted=True,
             )
-            if state.record_ids[:1] != [rid] or count < 1:
+            if state.record_ids[:1] != [rid] or not live or count != len(live):
                 raise KnowledgeBaseError(
-                    f"record {rid} cannot restart {pair} with count {count}"
+                    f"record {rid} cannot restart {pair} with count {count}:"
+                    f" {len(live)} of its records from there are active"
                 )
             self._pairs[pair] = state
             self._instance_concepts.setdefault(pair.instance, set()).add(

@@ -16,9 +16,10 @@ The pass's round budget follows its trigger.  Paper §4 cleans after each
 extraction iteration until no DP remains; in a session the next batch's
 pass is that next iteration, so a **drift**-triggered pass runs exactly
 one DP round and leaves the rest to the next pass.  **Staleness**-
-triggered and **forced** passes run to the fixed point, capped by
-``CleaningConfig.max_cleaning_rounds`` — so a policy with a staleness
-threshold of 0 and ``force_clean=True`` keep batch cleaning's meaning.
+triggered and **forced** passes run to the fixed point under the
+cleaner's default cap (:data:`~repro.cleaning.dp_cleaner.MAX_ROUNDS`) —
+so a policy with a staleness threshold of 0 and ``force_clean=True``
+keep batch cleaning's meaning.
 :meth:`IngestSession.stats` reports ``converged``: whether the last
 pass's last round rolled nothing back.
 
@@ -415,7 +416,7 @@ class IngestSession:
         for pair in batch.new_pairs:
             counts = per_concept.setdefault(pair.concept, [0, 0])
             counts[0] += 1
-            if pair in kb and exclusion.count_exclusive_containing(
+            if pair in kb and exclusion.exclusive_concepts_containing(
                 kb, pair.concept, pair.instance
             ):
                 counts[1] += 1
@@ -442,11 +443,8 @@ class IngestSession:
         version_before = kb.version
         # A drift pass runs one round: what it leaves, the next pass's
         # first round finds.  Staleness and forced passes converge.
-        result = cleaner.clean(
-            kb,
-            self._extractor.corpus(),
-            max_rounds=1 if reason == "drift" else None,
-        )
+        budget = {"max_rounds": 1} if reason == "drift" else {}
+        result = cleaner.clean(kb, self._extractor.corpus(), **budget)
         report = CleaningReport(
             reason=reason,
             removed_pairs=result.num_removed,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,10 +20,11 @@ from hypothesis import strategies as st
 from repro.analysis import AnalysisCache
 from repro.cleaning import DPCleaner
 from repro.concepts import CoreSimilarity, MutualExclusionIndex
-from repro.config import CleaningConfig, LabelingConfig
+from repro.config import LabelingConfig
 from repro.experiments.pipeline import Pipeline, experiment_config
 from repro.features import FeatureExtractor
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine
+from repro.labeling import EvidenceIndex
 from repro.world import paper_world
 
 from ..cleaning.per_instance import (
@@ -191,7 +191,7 @@ class TestAnalysisCacheEquivalence:
             features = FeatureExtractor(kb, exclusion, scores)
             matrices = cache.matrices(kb, concepts, features)
             verified = cache.verified(kb, concepts, _verified_sampler)
-            evidence = cache.evidence(kb, config, verified)
+            evidence = EvidenceIndex(kb, config, verified=verified)
             seeds = cache.seeds(kb, concepts, evidence)
 
             fresh_exclusion = MutualExclusionIndex(kb)
@@ -230,11 +230,8 @@ class TestCleanerCacheEquivalence:
 
     def _outcome(self, analysis_cache: bool):
         preset = paper_world(seed=3, scale=0.5)
-        config = replace(
-            experiment_config(
-                num_sentences=3000, seed=3, profiles=preset.profiles
-            ),
-            cleaning=CleaningConfig(max_cleaning_rounds=2),
+        config = experiment_config(
+            num_sentences=3000, seed=3, profiles=preset.profiles
         )
         pipeline = Pipeline(preset=preset, config=config)
         extraction = pipeline.extract()
@@ -248,7 +245,7 @@ class TestCleanerCacheEquivalence:
                 context=pipeline.context,
                 analysis=UncachedExclusion(config.similarity),
             )
-        result = cleaner.clean(extraction.kb, extraction.corpus)
+        result = cleaner.clean(extraction.kb, extraction.corpus, max_rounds=2)
         rounds = [
             (
                 stats.round_index,

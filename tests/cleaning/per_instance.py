@@ -104,9 +104,9 @@ class PerConceptFeatureExtractor:
                 f1 = on_core / total if total else 0.0
         else:
             f1 = f4 = 0.0
-        f2 = float(
-            self._exclusion.count_exclusive_containing(kb, concept, instance)
-        )
+        f2 = float(len(self._exclusion.exclusive_concepts_containing(
+            kb, concept, instance
+        )))
         return FeatureVector(
             concept, instance, f1, f2, float(scores.get(instance, 0.0)), f4
         )

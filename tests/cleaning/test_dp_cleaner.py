@@ -128,33 +128,22 @@ class TestDPCleaner:
 
     def test_round_cap_respected(self):
         result = SemanticIterativeExtractor().run(_corpus())
-        cleaner = DPCleaner(
-            _oracle_detect, CleaningConfig(max_cleaning_rounds=1)
-        )
-        report = cleaner.clean(result.kb, result.corpus)
+        cleaner = DPCleaner(_oracle_detect)
+        report = cleaner.clean(result.kb, result.corpus, max_rounds=1)
         assert report.rounds == 1
 
-    def test_call_budget_caps_the_rounds_of_one_call(self, tmp_path):
-        # A budget of 1 under the default cap runs exactly what a cap of
-        # 1 runs; without a budget the same cleaner converges.
-        outcomes = []
-        for config, budget in (
-            (CleaningConfig(max_cleaning_rounds=1), None),
-            (CleaningConfig(), 1),
-        ):
-            result = SemanticIterativeExtractor().run(_corpus())
-            cleaner = DPCleaner(_oracle_detect, config)
-            report = cleaner.clean(result.kb, result.corpus, max_rounds=budget)
-            path = tmp_path / f"budget-{budget}.jsonl"
-            save_kb(result.kb, path)
-            outcomes.append((
-                [vars(stats) for stats in report.details["rounds"]],
-                path.read_bytes(),
-            ))
-        assert outcomes[0] == outcomes[1]
-        assert len(outcomes[0][0]) == 1
+    def test_call_budget_caps_the_rounds_of_one_call(self):
+        # A budget of 1 runs exactly the first round of the call without
+        # one, which converges.
+        result = SemanticIterativeExtractor().run(_corpus())
+        capped = DPCleaner(_oracle_detect).clean(
+            result.kb, result.corpus, max_rounds=1
+        )
         _kb, converged = self._clean()
         assert converged.rounds > 1
+        assert [vars(stats) for stats in capped.details["rounds"]] == [
+            vars(converged.details["rounds"][0])
+        ]
 
     def test_call_budget_must_be_positive(self):
         result = SemanticIterativeExtractor().run(_corpus())

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cleaning import check_extraction, score_sentence
+from repro.cleaning import check_extraction
 from repro.cleaning.intentional import check_sentences
 from repro.corpus.sentence import Sentence
 from repro.kb import IsAPair
+
+from .uncached import build_check, score_sentence
 
 
 def _sentence():
@@ -88,8 +90,14 @@ def _decide(sentences, checks, scores):
 
 
 def _reference(sentences, checks, scores):
+    """The per-sentence oracle's verdicts for ``checks``."""
     return [
-        check_extraction(sentences[row], chosen, trigger, scores)
+        build_check(
+            sentences[row].sid,
+            score_sentence(sentences[row], scores),
+            chosen,
+            trigger,
+        )
         for row, chosen, trigger in checks
     ]
 
@@ -137,7 +145,8 @@ def check_rounds(draw):
 
 
 class TestCheckSentences:
-    """The array Eq. 21 pass decides exactly as ``check_extraction``."""
+    """The array Eq. 21 pass, one check or many, decides exactly as the
+    per-sentence oracle."""
 
     @given(check_rounds())
     @settings(max_examples=200, deadline=None)
@@ -145,7 +154,11 @@ class TestCheckSentences:
         sentences, checks, scores = case
         decided = _decide(sentences, checks, scores)
         assert len(decided) == len(checks)
-        for got, want in zip(decided, _reference(sentences, checks, scores)):
+        reference = _reference(sentences, checks, scores)
+        for (row, chosen, trigger), want in zip(checks, reference):
+            one = check_extraction(sentences[row], chosen, trigger, scores)
+            assert repr(one) == repr(want)
+        for got, want in zip(decided, reference):
             assert got.sid == want.sid
             assert got.chosen_concept == want.chosen_concept
             assert got.trigger_instance == want.trigger_instance

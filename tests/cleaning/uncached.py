@@ -9,21 +9,19 @@ bit-identical to it.  :class:`NaiveRoundDPCleaner` keeps the round body
 as per-record Python: one ``records_triggered_by`` call per Intentional
 DP, and one :func:`score_sentence` per checked sentence, where
 production dedupes the triggered rids and decides every check in array
-passes.
+passes (:func:`repro.cleaning.intentional.check_sentences`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import replace
 
 from repro.analysis import AnalysisCache
 from repro.cleaning import DPCleaner
 from repro.cleaning.dp_cleaner import DetectFn, RoundStats
-from repro.cleaning.intentional import (
-    SentenceCheck,
-    build_check,
-    score_sentence,
-)
+from repro.cleaning.intentional import SentenceCheck
+from repro.corpus.sentence import Sentence
 from repro.concepts import MutualExclusionIndex
 from repro.features import ConceptMatrix, FeatureExtractor
 from repro.kb import IsAPair
@@ -38,7 +36,49 @@ __all__ = [
     "NaiveRoundDPCleaner",
     "uncached_detect",
     "build_concept_matrix",
+    "score_sentence",
+    "build_check",
 ]
+
+_EMPTY: dict[str, float] = {}
+
+
+def score_sentence(
+    sentence: Sentence,
+    scores: Mapping[str, Mapping[str, float]],
+) -> dict[str, float]:
+    """Eq. 21 for every candidate concept of a sentence, one by one."""
+    concepts = sentence.concepts
+    rows = [scores.get(concept, _EMPTY) for concept in concepts]
+    totals = [0.0] * len(rows)
+    for instance in sentence.instances:
+        values = [row.get(instance, 0.0) for row in rows]
+        denominator = 0.0
+        for value in values:
+            denominator += value
+        if denominator <= 0:
+            continue
+        for i, value in enumerate(values):
+            totals[i] += value / denominator
+    return dict(zip(concepts, totals))
+
+
+def build_check(
+    sid: int,
+    concept_scores: Mapping[str, float],
+    chosen_concept: str,
+    trigger_instance: str,
+) -> SentenceCheck:
+    """The verdict on one extraction of an already-scored sentence."""
+    best = max(concept_scores.values(), default=0.0)
+    chosen = concept_scores.get(chosen_concept, 0.0)
+    return SentenceCheck(
+        sid=sid,
+        chosen_concept=chosen_concept,
+        trigger_instance=trigger_instance,
+        scores=tuple(sorted(concept_scores.items())),
+        is_drifting=chosen < best,
+    )
 
 
 def build_concept_matrix(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.cleaning import DPCleaner, MutualExclusionCleaner
 from repro.concepts import MutualExclusionIndex
-from repro.config import CleaningConfig
 from repro.extraction import SemanticIterativeExtractor
 from repro.kb import KnowledgeBase, save_kb
 from repro.labeling import DPLabel
@@ -65,12 +64,11 @@ class TestPipeline:
         extraction = small_pipeline.extract()
         cleaner = DPCleaner(
             small_pipeline.detect_fn(),
-            CleaningConfig(max_cleaning_rounds=2),
             ranker=small_pipeline.ranker,
             context=small_pipeline.context,
             analysis=small_pipeline.analysis,
         )
-        result = cleaner.clean(extraction.kb, extraction.corpus)
+        result = cleaner.clean(extraction.kb, extraction.corpus, max_rounds=2)
         assert result.num_removed > 100
         first, second = result.details["rounds"]
         # Round one rolls back detected Accidental DPs with their cascades;

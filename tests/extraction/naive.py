@@ -96,8 +96,7 @@ class NaiveExtractor:
                 resolution = None
                 if arrival.get(sentence.sid, 0) <= iteration:
                     resolution = resolve(
-                        sentence, visible, policy=config.policy,
-                        min_evidence=config.min_evidence,
+                        sentence, visible, policy=config.policy
                     )
                 if resolution is None:
                     still.append(sentence)

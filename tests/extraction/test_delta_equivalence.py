@@ -2,8 +2,8 @@
 
 Property suite pinning the production extraction loop against the naive
 oracle in :mod:`tests.extraction.naive`: across random corpora,
-resolution policies, ``min_evidence``, ``stream_chunks`` and batch
-splits, ``SemanticIterativeExtractor.run`` (one batch) and
+resolution policies, ``stream_chunks`` and batch splits,
+``SemanticIterativeExtractor.run`` (one batch) and
 ``IncrementalExtractor.ingest`` streams (many batches, with cleaning-style
 rollbacks between them) produce byte-equal KB saves (records, triggers,
 iteration numbers — everything provenance serialises), identical
@@ -72,7 +72,6 @@ def sentences(draw):
 configs = st.builds(
     ExtractionConfig,
     max_iterations=st.sampled_from([3, 100]),
-    min_evidence=st.integers(min_value=1, max_value=2),
     policy=st.sampled_from(["nearest", "max_evidence"]),
     stream_chunks=st.sampled_from([1, 2, 3, 7]),
 )

@@ -40,11 +40,6 @@ class TestNearestPolicy:
         sentence = _sentence(("animal", "food"), ("pork", "beef"))
         assert resolve(sentence, {}, policy="nearest") is None
 
-    def test_min_evidence_gate(self):
-        sentence = _sentence(("animal", "food"), ("pork", "chicken"))
-        known = {"animal": frozenset({"chicken"})}
-        assert resolve(sentence, known, min_evidence=2) is None
-
     def test_multiple_triggers_collected(self):
         sentence = _sentence(("animal",), ("dog", "cat", "emu"))
         known = {"animal": frozenset({"dog", "cat"})}
@@ -80,8 +75,3 @@ class TestValidation:
         sentence = _sentence(("animal",), ("dog",))
         with pytest.raises(ExtractionError):
             resolve(sentence, {}, policy="bogus")
-
-    def test_bad_min_evidence(self):
-        sentence = _sentence(("animal",), ("dog",))
-        with pytest.raises(ExtractionError):
-            resolve(sentence, {}, min_evidence=0)

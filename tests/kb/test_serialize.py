@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cleaning import DPCleaner
-from repro.config import CleaningConfig
 from repro.errors import KnowledgeBaseError
 from repro.kb import IsAPair, KnowledgeBase, RollbackEngine, load_kb, save_kb
 from repro.kb.serialize import SCHEMA_VERSION
@@ -116,9 +115,7 @@ class TestRoundTrip:
                         )
             return labels
 
-        DPCleaner(detect, CleaningConfig(max_cleaning_rounds=1)).clean(
-            kb, deduplicated(toy_corpus)
-        )
+        DPCleaner(detect).clean(kb, deduplicated(toy_corpus), max_rounds=1)
         path = tmp_path / "kb.jsonl"
         save_kb(kb, path)
         assert_same_state(kb, load_kb(path))
@@ -316,6 +313,18 @@ class TestPinnedBytes:
         path = tmp_path / "kb.jsonl"
         save_kb(self._mixed_kb(), path)
         assert path.read_text() == self.EXPECTED
+
+    def test_tampered_restart_count_is_refused_by_name(self, tmp_path):
+        # The stored count of a re-extracted pair is checked against the
+        # active records it restarted at, not taken on trust.
+        path = tmp_path / "kb.jsonl"
+        path.write_text(self.EXPECTED.replace(
+            '"restarts": [["food", "rice", 5, 1]]',
+            '"restarts": [["food", "rice", 5, 2]]',
+        ))
+        with pytest.raises(KnowledgeBaseError, match="count 2") as info:
+            load_kb(path)
+        assert str(path) in str(info.value)
 
     def test_pinned_text_round_trips(self, tmp_path):
         path = tmp_path / "kb.jsonl"

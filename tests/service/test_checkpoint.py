@@ -353,6 +353,21 @@ class TestLoadErrors:
         error = self._fails_naming(store, state_path)
         assert error.__cause__ is not None
 
+    def test_tampered_restart_count_names_the_state(self, tmp_path):
+        # A re-extracted pair's count is recounted from its records, and
+        # a stored count that disagrees is refused, not loaded.
+        kb = _kb()
+        kb.remove_pair(IsAPair("animal", "cat"))
+        kb.add_extraction(1, "animal", ("cat",), iteration=2)
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.save_snapshot(seq=1, kb=kb, sentences=_sentences(), meta={})
+        state_path = store.directory / "snapshot-1" / "state.json"
+        state = json.loads(state_path.read_text())
+        assert state["restarts"] == [["animal", "cat", 1, 1]]
+        state["restarts"][0][3] = 2
+        state_path.write_text(json.dumps(state))
+        self._fails_naming(store, state_path, match="count 2")
+
     def test_v1_directory_is_refused_by_name(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         snapshot = ckpt / "snapshot-3"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.config import (
-    CleaningConfig,
     ConceptProfile,
     CorpusConfig,
     DetectorConfig,
@@ -74,8 +73,6 @@ class TestExtractionConfig:
         with pytest.raises(ValueError):
             ExtractionConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            ExtractionConfig(min_evidence=0)
-        with pytest.raises(ValueError):
             ExtractionConfig(stream_chunks=0)
 
 
@@ -101,10 +98,6 @@ class TestOtherConfigs:
             DetectorConfig(lam=-1)
         with pytest.raises(ValueError):
             DetectorConfig(training_iterations=0)
-
-    def test_cleaning_rounds(self):
-        with pytest.raises(ValueError):
-            CleaningConfig(max_cleaning_rounds=0)
 
     def test_pipeline_defaults_compose(self):
         config = PipelineConfig()
