@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Enforce the repro package's import-direction, collector, scipy and
-dead-definition rules.
+"""Enforce the repro package's import-direction, collector, scipy,
+``np.load`` and dead-definition rules.
 
 The package is layered (DESIGN.md §8): a module may import from its own
 layer or any layer below it, never from above.  This script walks every
@@ -21,6 +21,15 @@ The package runs on numpy's BLAS alone (DESIGN.md §6, "Process
 footprint"): scipy brings a second OpenBLAS runtime, so no module under
 ``src/repro`` may import ``scipy`` anywhere — at module level or in a
 function body.
+
+No module under ``src/repro`` calls ``np.load`` (DESIGN.md §6,
+"Collector policy"): numpy parses every ``.npy`` header with
+``ast.literal_eval``, whose closures are left in reference cycles that
+the paused collector would hold until the pass ends
+(``tests/runtime/test_collector.py`` catches them).  Any reference to
+``load`` on an imported ``numpy`` (aliased or not), or ``from numpy
+import load``, is reported; ``repro.service.checkpoint`` reads its
+arrays without it.
 
 ``src/`` holds only what a production path runs: every ``def`` and
 ``class`` under ``src/repro`` must be referenced by code somewhere in
@@ -209,6 +218,30 @@ def _scipy_imports(tree: ast.Module) -> list[int]:
         else:
             continue
         if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def _numpy_loads(tree: ast.Module) -> list[int]:
+    """Line of every reference to ``numpy.load``."""
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name == "load" for alias in node.names):
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "load"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
             found.append(node.lineno)
     return sorted(found)
 
@@ -413,6 +446,12 @@ def check_layering(root: Path) -> list[str]:
             violations.append(
                 f"{path}:{lineno}: scipy import — the package runs on "
                 "numpy alone (scipy loads a second OpenBLAS runtime)"
+            )
+        for lineno in _numpy_loads(tree):
+            violations.append(
+                f"{path}:{lineno}: np.load — its header parser leaves "
+                "reference cycles; read arrays as repro.service.checkpoint "
+                "does"
             )
         for lineno, imported in _imported_members(tree, parts):
             if imported == member:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import itemgetter
 
-__all__ = ["IsAPair"]
+__all__ = ["IsAPair", "pairs_under"]
 
 
 class IsAPair(tuple):
@@ -39,3 +40,17 @@ class IsAPair(tuple):
 
     def __str__(self) -> str:  # pragma: no cover - display convenience
         return f"({self.instance} isA {self.concept})"
+
+
+def pairs_under(concept: str, instances: Sequence[str]) -> tuple[IsAPair, ...]:
+    """``IsAPair(concept, e)`` for each ``e`` in ``instances``.
+
+    The names are checked once for the whole sequence, and the pairs are
+    built without a Python-level ``__new__`` call each: a record builds
+    its produced pairs here, on every commit and every checkpoint load.
+    """
+    if not (concept and all(instances)):
+        # IsAPair raises its own error, or there are no pairs to build.
+        return tuple([IsAPair(concept, e) for e in instances])
+    new = tuple.__new__
+    return tuple([new(IsAPair, (concept, e)) for e in instances])

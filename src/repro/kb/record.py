@@ -16,13 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pair import IsAPair
+from .pair import IsAPair, pairs_under
 
 __all__ = ["ExtractionRecord"]
 
 
-@dataclass(frozen=True, slots=True)
-class ExtractionRecord:
+class _Slots:
+    """The storage of an :class:`ExtractionRecord`, writable only while
+    :meth:`ExtractionRecord.__new__` fills it."""
+
+    __slots__ = (
+        "rid", "sid", "concept", "instances", "triggers", "iteration",
+        "trigger_instances", "produced",
+    )
+
+
+@dataclass(frozen=True, init=False)
+class ExtractionRecord(_Slots):
     """Provenance for one committed sentence extraction (immutable).
 
     Parameters
@@ -41,6 +51,8 @@ class ExtractionRecord:
     iteration:
         Extraction iteration the record was created in (1-based).
     """
+
+    __slots__ = ()
 
     rid: int
     sid: int
@@ -61,19 +73,44 @@ class ExtractionRecord:
         init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.iteration < 1:
+    def __new__(
+        cls,
+        rid: int,
+        sid: int,
+        concept: str,
+        instances: tuple[str, ...],
+        triggers: tuple[IsAPair, ...],
+        iteration: int,
+    ) -> ExtractionRecord:
+        if iteration < 1:
             raise ValueError("iteration must be >= 1")
-        for trigger in self.triggers:
-            if trigger.concept != self.concept:
+        for trigger in triggers:
+            if trigger[0] != concept:
                 raise ValueError(
                     f"trigger {trigger} does not match record concept "
-                    f"{self.concept!r}"
+                    f"{concept!r}"
                 )
-        trigger_instances = tuple(t.instance for t in self.triggers)
-        object.__setattr__(self, "trigger_instances", trigger_instances)
-        object.__setattr__(self, "produced", tuple(
-            IsAPair(self.concept, e)
-            for e in self.instances
-            if e not in trigger_instances
-        ))
+        trigger_instances = tuple([trigger[1] for trigger in triggers])
+        # Records are built on every commit and every checkpoint load, so
+        # the slots are filled as plain writes on a _Slots object, which
+        # then becomes the frozen record: a frozen dataclass's own
+        # __init__ pays one object.__setattr__ call per field.
+        record = _Slots()
+        record.rid = rid
+        record.sid = sid
+        record.concept = concept
+        record.instances = instances
+        record.triggers = triggers
+        record.iteration = iteration
+        record.trigger_instances = trigger_instances
+        record.produced = pairs_under(concept, [
+            e for e in instances if e not in trigger_instances
+        ] if triggers else instances)
+        record.__class__ = cls
+        return record
+
+    def __reduce__(self):
+        return type(self), (
+            self.rid, self.sid, self.concept, self.instances, self.triggers,
+            self.iteration,
+        )

@@ -13,21 +13,25 @@ rollback mutates later (inactive rids, dead triggers, force-removed pairs,
 re-extracted pairs) plus the record and pair counts that make truncation
 loud.  Loading is
 always *replay the rows in rid order, then* :func:`apply_state`.
-``save_kb`` writes both parts into one file; the segmented checkpoints of
-:mod:`repro.service.checkpoint` write rows append-only and the state on
-its own.
+``save_kb`` writes both parts into one file.  The segmented checkpoints
+of :mod:`repro.service.checkpoint` write the immutable part as typed
+columns instead (:func:`record_columns`, replayed by
+:func:`replay_columns`), one segment per snapshot generation, and the
+state on its own.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 
 from ..corpus.corpus import decode_strings
 from ..errors import KnowledgeBaseError
-from .pair import IsAPair
+from .pair import IsAPair, pairs_under
 from .record import ExtractionRecord
 from .store import KnowledgeBase
 
@@ -36,6 +40,9 @@ __all__ = [
     "load_kb",
     "record_row",
     "replay_row",
+    "record_columns",
+    "replay_columns",
+    "RECORD_COLUMNS",
     "kb_state",
     "apply_state",
     "SCHEMA_VERSION",
@@ -116,6 +123,127 @@ def replay_row(kb: KnowledgeBase, row: dict) -> ExtractionRecord:
             f"says {row['rid']})"
         )
     return record
+
+
+#: The int64 columns of a run of records, one row per record except the
+#: offsets, which are CSR offsets (one more entry than records) into the
+#: id column after them.  Names are ids into a string table.  Triggers
+#: are stored as their instances: a trigger shares its record's concept.
+RECORD_COLUMNS = (
+    "sid", "concept", "iteration", "instance_offsets", "instances",
+    "trigger_offsets", "triggers",
+)
+
+
+def record_columns(
+    records: Sequence[ExtractionRecord], strings: dict[str, int]
+) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The immutable fields of ``records`` as :data:`RECORD_COLUMNS`.
+
+    ``strings`` maps each name already in the table to its id; the names
+    it lacks are added to it, with ids that continue from its length, and
+    returned in id order: the part of the table these columns add.
+    """
+    concepts = [record.concept for record in records]
+    instances = [e for record in records for e in record.instances]
+    triggers = [e for record in records for e in record.trigger_instances]
+    added = [
+        name for name in dict.fromkeys(chain(concepts, instances, triggers))
+        if name not in strings
+    ]
+    strings.update(zip(added, count(len(strings))))
+    ids = strings.__getitem__
+
+    def offsets(lengths) -> np.ndarray:
+        return np.cumsum([0, *lengths], dtype=np.int64)
+
+    return added, {
+        "sid": np.array([record.sid for record in records], np.int64),
+        "concept": np.array(list(map(ids, concepts)), np.int64),
+        "iteration": np.array(
+            [record.iteration for record in records], np.int64
+        ),
+        "instance_offsets": offsets(len(r.instances) for r in records),
+        "instances": np.array(list(map(ids, instances)), np.int64),
+        "trigger_offsets": offsets(len(r.triggers) for r in records),
+        "triggers": np.array(list(map(ids, triggers)), np.int64),
+    }
+
+
+def _check_columns(columns: dict[str, np.ndarray], strings: int) -> None:
+    """Raise ``ValueError`` unless ``columns`` are well-formed columns of
+    one run of records over a string table of ``strings`` names."""
+    if sorted(columns) != sorted(RECORD_COLUMNS):
+        raise ValueError(
+            f"columns {sorted(columns)} are not {sorted(RECORD_COLUMNS)}"
+        )
+    for name in RECORD_COLUMNS:
+        if columns[name].ndim != 1 or columns[name].dtype != np.int64:
+            raise ValueError(
+                f"column {name!r} is not one-dimensional int64: "
+                f"{columns[name].dtype} of shape {columns[name].shape}"
+            )
+    rows = len(columns["sid"])
+    for name in ("concept", "iteration"):
+        if len(columns[name]) != rows:
+            raise ValueError(
+                f"column {name!r} holds {len(columns[name])} rows, "
+                f"'sid' {rows}"
+            )
+    for name in ("instances", "triggers"):
+        offsets = columns[f"{name[:-1]}_offsets"]
+        if (
+            len(offsets) != rows + 1 or offsets[0] != 0
+            or offsets[-1] != len(columns[name])
+            or (np.diff(offsets) < 0).any()
+        ):
+            raise ValueError(
+                f"{name[:-1]}_offsets do not ascend from 0 to the "
+                f"{len(columns[name])} entries of {name!r} over {rows} rows"
+            )
+    for name in ("concept", "instances", "triggers"):
+        ids = columns[name]
+        if len(ids) and (ids.min() < 0 or ids.max() >= strings):
+            raise ValueError(
+                f"column {name!r} holds string ids outside the "
+                f"{strings}-name table"
+            )
+
+
+def replay_columns(
+    kb: KnowledgeBase,
+    strings: Sequence[str],
+    columns: dict[str, np.ndarray],
+) -> None:
+    """Re-commit the records of one :func:`record_columns` run, in order,
+    through :meth:`KnowledgeBase.add_extraction`.
+
+    ``strings`` is the whole table the ids index.  Malformed columns raise
+    ``ValueError``; a record that the store or the record itself refuses
+    raises :class:`KnowledgeBaseError` naming its rid.
+    """
+    _check_columns(columns, len(strings))
+    name = strings.__getitem__
+    concepts = list(map(name, columns["concept"].tolist()))
+    instances = list(map(name, columns["instances"].tolist()))
+    triggers = list(map(name, columns["triggers"].tolist()))
+    instance_ends = columns["instance_offsets"].tolist()
+    trigger_ends = columns["trigger_offsets"].tolist()
+    rows = zip(
+        columns["sid"].tolist(), concepts, columns["iteration"].tolist(),
+        instance_ends, instance_ends[1:], trigger_ends, trigger_ends[1:],
+    )
+    for sid, concept, iteration, i0, i1, t0, t1 in rows:
+        try:
+            kb.add_extraction(
+                sid, concept, instances[i0:i1],
+                pairs_under(concept, triggers[t0:t1]) if t1 > t0 else (),
+                iteration,
+            )
+        except (KnowledgeBaseError, ValueError) as exc:
+            raise KnowledgeBaseError(
+                f"record {kb.num_records}: {exc}"
+            ) from exc
 
 
 def kb_state(kb: KnowledgeBase) -> dict:
@@ -265,5 +393,10 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                 state["dead_triggers"].append(
                     [record.rid, row["dead_triggers"]]
                 )
-    apply_state(kb, state, path)
+    try:
+        apply_state(kb, state, path)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise KnowledgeBaseError(
+            f"bad KB header in {path}: {exc!r}"
+        ) from exc
     return kb

@@ -252,35 +252,47 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(
                     f"trigger {trigger} is not in the knowledge base"
                 )
+        rid = len(self._records)
         record = ExtractionRecord(
-            rid=len(self._records),
-            sid=sid,
-            concept=concept,
-            instances=instances,
-            triggers=triggers,
-            iteration=iteration,
+            rid, sid, concept, instances, triggers, iteration
         )
         self._records.append(record)
         self._record_sids.append(sid)
         flags = self._active_flags
-        if record.rid >= len(flags):
+        if rid >= len(flags):
             flags = self._active_flags = flags + bytes(len(flags))
-        flags[record.rid] = 1
+        flags[rid] = 1
         ids = self._instance_ids.setdefault(concept, {})
+        core = int(iteration == 1)
         for pair in record.produced:
-            if pair.instance not in ids:
-                ids[pair.instance] = len(ids)
+            instance = pair.instance
+            if instance not in ids:
+                ids[instance] = len(ids)
                 numbers = self._instance_numbers
                 self._id_numbers.setdefault(concept, []).append(
-                    numbers.setdefault(pair.instance, len(numbers))
+                    numbers.setdefault(instance, len(numbers))
                 )
+            state = self._pairs.get(pair)
+            if state is None:
+                state = PairState(
+                    1, core, iteration, [rid], pair in self._removed_pairs
+                )
+                self._pairs[pair] = state
+                self._by_concept.setdefault(concept, {})[instance] = state
+                self._instance_concepts.setdefault(instance, set()).add(
+                    concept
+                )
+                self._removed_pairs.discard(pair)
+            else:
+                state.count += 1
+                state.core_count += core
+                state.record_ids.append(rid)
         if triggers:
             # Every edge endpoint has an id by now: targets are either
             # produced above or trigger instances, and triggers are
             # existing pairs (hence produced by an earlier record).
             codes = self._edge_codes.setdefault(concept, [])
             rids = self._edge_rids.setdefault(concept, [])
-            rid = record.rid
             for trigger in record.trigger_instances:
                 base = ids[trigger] << 32
                 for e in instances:
@@ -289,27 +301,6 @@ class KnowledgeBase:
                         rids.append(rid)
             for trigger in dict.fromkeys(triggers):
                 self._records_by_trigger.setdefault(trigger, []).append(rid)
-        core = int(iteration == 1)
-        for pair in record.produced:
-            state = self._pairs.get(pair)
-            if state is None:
-                state = PairState(
-                    count=1,
-                    core_count=core,
-                    first_iteration=iteration,
-                    record_ids=[record.rid],
-                    restarted=pair in self._removed_pairs,
-                )
-                self._pairs[pair] = state
-                self._by_concept.setdefault(concept, {})[pair.instance] = state
-                self._instance_concepts.setdefault(pair.instance, set()).add(
-                    concept
-                )
-                self._removed_pairs.discard(pair)
-            else:
-                state.count += 1
-                state.core_count += core
-                state.record_ids.append(record.rid)
         self._touch(concept)
         return record
 

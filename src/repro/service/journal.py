@@ -8,6 +8,13 @@ torn final line — the classic crash-during-append artifact — is detected
 and discarded; a corrupt line *followed by* intact entries means real
 data loss and fails loudly instead.
 
+An entry holds no sentence itself.  The batch's new sentences are in the
+``sentences-<seq>.jsonl`` file its ``sentences`` field names (with the
+file's row count and byte size), written and fsynced, with its directory,
+before the entry is appended; the next snapshot links that file in as a
+corpus segment, so a sentence is encoded once (see
+:mod:`repro.service.checkpoint`).
+
 Entries carry a monotonic ``seq``.  Snapshots record the ``seq`` they
 cover, and replay skips entries at or below it, so a crash between
 "snapshot written" and "journal truncated" never double-applies.
@@ -44,7 +51,8 @@ from ..kb.store import KnowledgeBase
 __all__ = ["JOURNAL_VERSION", "Journal", "replay_clean_ops"]
 
 #: Version of the journal entry schema, stamped into every entry.
-JOURNAL_VERSION = 1
+#: Version 2 names a sentences file instead of carrying the sentences.
+JOURNAL_VERSION = 2
 
 
 def replay_clean_ops(kb: KnowledgeBase, ops: Iterable[list]) -> None:

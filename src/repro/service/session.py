@@ -53,7 +53,7 @@ from collections.abc import Callable, Iterable
 from ..analysis.cache import AnalysisCache
 from ..cleaning.dp_cleaner import DPCleaner
 from ..config import PipelineConfig
-from ..corpus.corpus import Corpus, sentence_from_json, sentence_to_json
+from ..corpus.corpus import Corpus
 from ..corpus.sentence import Sentence
 from ..errors import ServiceError
 from ..extraction.engine import BatchExtraction, IncrementalExtractor
@@ -354,16 +354,18 @@ class IngestSession:
                 cleaning=cleaning,
             )
             if self._store is not None:
-                entry = {
-                    "seq": seq,
-                    "type": "batch",
-                    "sentences": [sentence_to_json(s) for s in new_sentences],
-                    "report": report.to_dict(),
-                }
+                entry = {"seq": seq, "type": "batch", "report": report.to_dict()}
                 if clean_ops:
                     entry["clean_ops"] = clean_ops
                 # Stays set if a write below raises.
                 self._uncommitted = True
+                if new_sentences:
+                    # Durable before the entry that names it commits.
+                    with ctx.span("checkpoint.sentences") as batch_span:
+                        entry["sentences"] = self._store.write_batch(
+                            seq, new_sentences
+                        )
+                        batch_span.add("bytes", entry["sentences"]["bytes"])
                 if fitted is not None:
                     # Durable before the entry that names it commits.
                     with ctx.span("checkpoint.basis"):
@@ -565,7 +567,8 @@ class IngestSession:
         report = _decode_report(
             entry.get("report"), self._store.journal.path, entry.get("seq")
         )
-        sentences = list(map(sentence_from_json, entry["sentences"]))
+        named = entry.get("sentences")
+        sentences = [] if named is None else self._store.read_batch(named)
         batch = self._extractor.ingest(sentences)
         if batch.total_pairs != report.total_pairs:
             raise ServiceError(

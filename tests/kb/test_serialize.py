@@ -326,6 +326,23 @@ class TestPinnedBytes:
             load_kb(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("stored, malformed", [
+        ('"restarts": [["food", "rice", 5, 1]]',
+         '"restarts": [["food", "rice", 5]]'),
+        ('"removed_pairs": [["animal", "beef"], ',
+         '"removed_pairs": [["animal"], '),
+    ], ids=["restarts", "removed_pairs"])
+    def test_malformed_header_entry_is_refused_by_name(
+        self, tmp_path, stored, malformed
+    ):
+        # A short entry used to escape as a bare ValueError from unpacking.
+        path = tmp_path / "kb.jsonl"
+        assert stored in self.EXPECTED
+        path.write_text(self.EXPECTED.replace(stored, malformed))
+        with pytest.raises(KnowledgeBaseError) as info:
+            load_kb(path)
+        assert str(path) in str(info.value)
+
     def test_pinned_text_round_trips(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         path.write_text(self.EXPECTED)

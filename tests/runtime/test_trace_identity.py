@@ -220,9 +220,14 @@ class TestDurabilitySpans:
             assert counters["bytes_written"] > 0
             assert counters["fsyncs"] >= 8
         assert saves[0]["counters"].get("segments_linked", 0) == 0
-        assert saves[1]["counters"]["segments_linked"] == 2
+        # The first snapshot's string table, record columns and its two
+        # batches' sentences files.
+        assert saves[1]["counters"]["segments_linked"] == 4
+        batches = [s for s in spans if s["name"] == "checkpoint.sentences"]
+        assert len(batches) == 5
+        assert all(s["counters"]["bytes"] > 0 for s in batches)
         by_id = {s["id"]: s for s in spans}
-        for span in appends + saves:
+        for span in appends + saves + batches:
             assert by_id[span["parent"]]["name"] == "ingest.batch"
 
     def test_resume_spans_nest_under_restore(self, runs):

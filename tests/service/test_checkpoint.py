@@ -136,12 +136,15 @@ class TestIncrementalSnapshots:
         )
         assert written.records_written == 5
         assert written.sentences_written == 0
-        assert written.segments_linked == 2
+        assert written.segments_linked == 3
         after = _segments(store, 2)
-        assert after[:2] == before
-        assert after[2:] == [
-            {"kind": "kb", "file": "kb-1.jsonl", "rows": 5,
-             "bytes": after[2]["bytes"]}
+        assert after[:3] == before
+        # Five new names (pet1..pet5) and the five records' columns.
+        assert after[3:] == [
+            {"kind": "strings", "file": "strings-1.json", "rows": 5,
+             "bytes": after[3]["bytes"]},
+            {"kind": "kb", "file": "kb-1.zip", "rows": 5,
+             "bytes": after[4]["bytes"]},
         ]
 
     def test_nothing_new_writes_no_segment(self, tmp_path):
@@ -153,12 +156,13 @@ class TestIncrementalSnapshots:
         )
         assert (written.records_written, written.sentences_written) == (0, 0)
         assert [(s["file"], s["rows"]) for s in _segments(store, 2)] == [
-            ("kb-0.jsonl", 1), ("corpus-0.jsonl", 2)
+            ("strings-0.json", 3), ("kb-0.zip", 1), ("corpus-0.jsonl", 2)
         ]
         snapshot = store.directory / "snapshot-2"
         names = sorted(p.name for p in snapshot.iterdir())
         assert names == [
-            "META.json", "corpus-0.jsonl", "kb-0.jsonl", "state.json"
+            "META.json", "corpus-0.jsonl", "kb-0.zip", "state.json",
+            "strings-0.json",
         ]
 
     def test_mutations_without_new_records_land_in_state(self, tmp_path):
@@ -204,7 +208,7 @@ class TestIncrementalSnapshots:
         written = reopened.save_snapshot(
             seq=2, kb=kb, sentences=sentences, meta={}
         )
-        assert written.segments_linked == 2
+        assert written.segments_linked == 3
         assert written.records_written == 2
 
     def test_counters_cover_every_durable_write(self, tmp_path):
@@ -216,8 +220,8 @@ class TestIncrementalSnapshots:
         on_disk = sum(p.stat().st_size for p in snapshot.iterdir())
         pointer = (store.directory / "CURRENT").stat().st_size
         assert written.bytes_written == on_disk + pointer
-        # four files + CURRENT, the snapshot dir, the parent twice
-        assert written.fsyncs == 8
+        # five files + CURRENT, the snapshot dir, the parent twice
+        assert written.fsyncs == 9
 
     def test_snapshot_directory_is_fsynced_before_rename(
         self, tmp_path, monkeypatch
@@ -267,13 +271,13 @@ class TestLoadErrors:
         return info.value
 
     def test_missing_segment(self, store):
-        segment = store.directory / "snapshot-2" / "kb-1.jsonl"
+        segment = store.directory / "snapshot-2" / "kb-1.zip"
         segment.unlink()
         error = self._fails_naming(store, segment)
         assert isinstance(error.__cause__, OSError)
 
     def test_truncated_segment(self, store):
-        segment = store.directory / "snapshot-2" / "kb-1.jsonl"
+        segment = store.directory / "snapshot-2" / "kb-1.zip"
         segment.write_bytes(segment.read_bytes()[:-10])
         self._fails_naming(store, segment, match="truncated or padded")
 
@@ -286,15 +290,16 @@ class TestLoadErrors:
     def test_row_count_disagrees_with_meta(self, store):
         meta_path = store.directory / "snapshot-2" / "META.json"
         meta = json.loads(meta_path.read_text())
-        meta["segments"][2]["rows"] += 1
+        assert meta["segments"][4]["file"] == "kb-1.zip"
+        meta["segments"][4]["rows"] += 1
         meta_path.write_text(json.dumps(meta))
         self._fails_naming(
-            store, store.directory / "snapshot-2" / "kb-1.jsonl",
-            match="rows",
+            store, store.directory / "snapshot-2" / "kb-1.zip",
+            match="records",
         )
 
     def test_corrupt_row_names_file_and_line(self, store):
-        segment = store.directory / "snapshot-2" / "kb-1.jsonl"
+        segment = store.directory / "snapshot-2" / "corpus-0.jsonl"
         data = segment.read_bytes()
         segment.write_bytes(b"x" + data[1:])
         error = self._fails_naming(store, f"{segment}:1")
@@ -306,7 +311,7 @@ class TestLoadErrors:
         # must fail at line 1, with the byte count in META.json made to
         # agree so the size check does not fire first.
         snapshot = store.directory / "snapshot-2"
-        segment = snapshot / "kb-1.jsonl"
+        segment = snapshot / "corpus-0.jsonl"
         lines = segment.read_bytes().splitlines(keepends=True)
         lines[0] = lines[0].rstrip(b"\n") + b"," + lines[1]
         segment.write_bytes(b"".join(lines))
@@ -318,9 +323,9 @@ class TestLoadErrors:
         meta_path.write_text(json.dumps(meta))
         self._fails_naming(store, f"{segment}:1", match="Extra data")
 
-    def test_mistyped_kb_row_names_file_and_line(self, store):
+    def test_mistyped_corpus_row_names_file_and_line(self, store):
         # A string sid replayed silently before rows were type-checked.
-        segment = store.directory / "snapshot-2" / "kb-1.jsonl"
+        segment = store.directory / "snapshot-2" / "corpus-0.jsonl"
         lines = segment.read_text().splitlines(keepends=True)
         row = json.loads(lines[0])
         row["sid"] = str(row["sid"])
@@ -513,14 +518,17 @@ class TestSessionChain:
             resumed.ingest(batch)
         after = _segments(store, len(batches))
         assert after[: len(before)] == before
-        # One kb and one corpus segment per snapshot that had new content
-        # (the last batch is all duplicates here and writes none).
+        # Each snapshot with new content links its batch's sentences file
+        # and writes record columns (the last batch is all duplicates here
+        # and adds none); no sentence is encoded a second time.
         added = [s["file"] for s in after[len(before):]]
-        assert len(added) >= 4
-        assert added == [
-            f"{kind}-{n}.jsonl"
-            for n in range(2, 2 + len(added) // 2) for kind in ("kb", "corpus")
+        assert [f for f in added if f.startswith("kb-")] == [
+            f"kb-{n}.zip" for n in range(2, len(batches) - 1)
         ]
+        assert [f for f in added if f.startswith("sentences-")] == [
+            f"sentences-{seq}.jsonl" for seq in range(3, len(batches))
+        ]
+        assert not [f for f in added if f.startswith("corpus-")]
         expected = _kb_bytes(reference.kb, tmp_path / "reference")
         assert _kb_bytes(resumed.kb, tmp_path / "resumed") == expected
         loaded, _, _ = CheckpointStore(ckpt).load_snapshot()

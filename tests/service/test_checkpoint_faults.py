@@ -15,9 +15,11 @@ published snapshot instead must fail the resume with a
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -35,16 +37,17 @@ POLICY = IngestPolicy(
 )
 BATCH_SIZE = 300
 
-#: The calls one chained snapshot makes: five files written (two new
-#: segments, state.json, META.json, CURRENT.tmp), nine fsyncs (those five,
-#: the snapshot directory, the parent after the rename and after the
-#: swap, the journal reset), three files linked (two segments and the
-#: detector basis), one rename, one swap.
+#: The calls one chained snapshot makes: five files written (the new
+#: string table and record columns, state.json, META.json, CURRENT.tmp),
+#: nine fsyncs (those five, the snapshot directory, the parent after the
+#: rename and after the swap, the journal reset), seven files linked (the
+#: previous snapshot's four segments, the two journaled batches'
+#: sentences files and the detector basis), one rename, one swap.
 FAULTS = (
     [("write", k) for k in range(1, 6)]
     + [("fsync", k) for k in range(1, 10)]
-    + [("link", 1), ("link", 2), ("link", 3), ("rename", 1),
-       ("replace", 1)]
+    + [("link", k) for k in range(1, 8)]
+    + [("rename", 1), ("replace", 1)]
 )
 
 
@@ -255,20 +258,20 @@ class TestDamagedSnapshot:
 
     def test_truncated_segment(self, prepared, published):
         ckpt, snapshot = published
-        segment = snapshot / "kb-0.jsonl"
+        segment = snapshot / "kb-0.zip"
         segment.write_bytes(segment.read_bytes()[:-1])
         _resume_fails_naming(prepared, ckpt, segment)
 
     def test_padded_segment(self, prepared, published):
         ckpt, snapshot = published
-        segment = snapshot / "corpus-0.jsonl"
+        segment = snapshot / "sentences-1.jsonl"
         segment.write_bytes(segment.read_bytes() + b"\n")
         _resume_fails_naming(prepared, ckpt, segment)
 
     def test_missing_segment(self, prepared, published):
         ckpt, snapshot = published
-        (snapshot / "corpus-0.jsonl").unlink()
-        _resume_fails_naming(prepared, ckpt, snapshot / "corpus-0.jsonl")
+        (snapshot / "sentences-1.jsonl").unlink()
+        _resume_fails_naming(prepared, ckpt, snapshot / "sentences-1.jsonl")
 
     def test_format_3_directory_is_rejected(self, prepared, published):
         # Format 3 had no detector basis; its sessions cannot resume one.
@@ -379,3 +382,258 @@ class TestDamagedBasis:
         with pytest.raises(ServiceError, match="not a basis file") as info:
             _resume(prepared[0], ckpt)
         assert str(meta_path) in str(info.value)
+
+
+def _rewrite_segment(snapshot, name, data: bytes):
+    """Replace segment ``name`` with ``data`` and make its ``META.json``
+    entry promise that many bytes, so the codec's own checks are reached."""
+    path = snapshot / name
+    path.unlink()  # segments are hard links: do not write through
+    path.write_bytes(data)
+    meta_path = snapshot / "META.json"
+    meta = json.loads(meta_path.read_text())
+    (segment,) = [s for s in meta["segments"] if s["file"] == name]
+    segment["bytes"] = len(data)
+    meta_path.write_text(json.dumps(meta))
+    return path
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array)
+    return buffer.getvalue()
+
+
+def _rewrite_columns(snapshot, change):
+    """Rewrite ``kb-0.zip`` with ``change`` applied to its members, a dict
+    of column name → ``.npy`` bytes."""
+    with zipfile.ZipFile(snapshot / "kb-0.zip") as archive:
+        members = {
+            member.removesuffix(".npy"): archive.read(member)
+            for member in archive.namelist()
+        }
+    change(members)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(f"{name}.npy", data)
+    return _rewrite_segment(snapshot, "kb-0.zip", buffer.getvalue())
+
+
+def _column(members, name):
+    return np.lib.format.read_array(io.BytesIO(members[name]))
+
+
+def _set_column(name, change):
+    def apply(members):
+        members[name] = _npy(change(_column(members, name)))
+    return apply
+
+
+def _swap_second_and_third(offsets):
+    assert offsets[1] != offsets[2]
+    offsets[[1, 2]] = offsets[[2, 1]]
+    return offsets
+
+
+def _bump_last(offsets):
+    offsets[-1] += 1
+    return offsets
+
+
+def _set_first(value):
+    def change(ids):
+        ids[0] = value
+        return ids
+    return change
+
+
+COLUMN_DAMAGE = {
+    "truncated-member": lambda m: m.update(instances=m["instances"][:-8]),
+    "padded-member": lambda m: m.update(instances=m["instances"] + bytes(8)),
+    "int32": _set_column("sid", lambda a: a.astype(np.int32)),
+    "float64": _set_column("iteration", lambda a: a.astype(np.float64)),
+    "pickled": _set_column("sid", lambda a: a.astype(object)),
+    "two-dimensional": _set_column("concept", lambda a: a.reshape(-1, 1)),
+    "ragged": _set_column("concept", lambda a: a[:-1]),
+    "missing-column": lambda m: m.pop("triggers"),
+    "fewer-records-than-meta": lambda m: [
+        _set_column(name, lambda a: a[:-1])(m)
+        for name in ("sid", "concept", "iteration")
+    ],
+    "id-past-the-table": _set_column("instances", _set_first(10**6)),
+    "negative-id": _set_column("concept", _set_first(-1)),
+    "descending-offsets": _set_column(
+        "instance_offsets", _swap_second_and_third
+    ),
+    "offsets-past-the-end": _set_column("trigger_offsets", _bump_last),
+    "ids-past-the-offsets": _set_column(
+        "instances", lambda a: np.append(a, a[:1])
+    ),
+}
+
+STRING_TABLE_DAMAGE = {
+    "object": b'{"dog": 0}',
+    "string": b'"dog"',
+    "number-in-list": b'["dog", 5]',
+    "nested-list": b'[["dog"]]',
+    "not-json": b'["dog"',
+    "not-utf8": b'["\\xff"]'.replace(b"\\xff", b"\xff"),
+}
+
+
+class TestDamagedRecordColumns:
+    """Format 5's typed columns: every malformed file fails the resume
+    with a ServiceError naming it, even where META.json agrees with it."""
+
+    @pytest.mark.parametrize("damage", COLUMN_DAMAGE)
+    def test_column_file(self, prepared, published, damage):
+        ckpt, snapshot = published
+        path = _rewrite_columns(snapshot, COLUMN_DAMAGE[damage])
+        _resume_fails_naming(prepared, ckpt, path)
+
+    def test_padded_column_file(self, prepared, published):
+        ckpt, snapshot = published
+        path = snapshot / "kb-0.zip"
+        data = path.read_bytes()
+        path.unlink()
+        path.write_bytes(data + bytes(8))
+        _resume_fails_naming(prepared, ckpt, path)
+
+    @pytest.mark.parametrize("damage", STRING_TABLE_DAMAGE)
+    def test_string_table(self, prepared, published, damage):
+        ckpt, snapshot = published
+        path = _rewrite_segment(
+            snapshot, "strings-0.json", STRING_TABLE_DAMAGE[damage]
+        )
+        _resume_fails_naming(prepared, ckpt, path)
+
+    def test_string_table_shorter_than_meta(self, prepared, published):
+        ckpt, snapshot = published
+        names = json.loads((snapshot / "strings-0.json").read_text())
+        path = _rewrite_segment(
+            snapshot, "strings-0.json", json.dumps(names[:-1]).encode()
+        )
+        _resume_fails_naming(prepared, ckpt, path)
+
+    def test_format_4_directory_is_rejected(self, prepared, published):
+        # Format 4 stored records and sentences as JSON rows per segment.
+        ckpt, snapshot = published
+        meta_path = snapshot / "META.json"
+        meta = json.loads(meta_path.read_text())
+        meta["checkpoint_version"] = 4
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ServiceError, match="checkpoint format 4") as info:
+            _resume(prepared[0], ckpt)
+        assert str(meta_path) in str(info.value)
+
+
+def _journal_entry(ckpt, seq, change):
+    """Rewrite the journal entry at ``seq`` with ``change`` applied."""
+    path = ckpt / "journal.jsonl"
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    (entry,) = [e for e in entries if e["seq"] == seq]
+    change(entry)
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def _truncate_in_place(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+BATCH_FILE_DAMAGE = {
+    "missing": lambda path: path.unlink(),
+    "truncated": _truncate_in_place,
+    "padded": lambda path: path.write_bytes(path.read_bytes() + b"\n"),
+    "corrupt-row": lambda path: path.write_bytes(
+        b"x" + path.read_bytes()[1:]
+    ),
+}
+
+
+class TestDamagedBatchFile:
+    """A sentences file a journal entry names, damaged before replay."""
+
+    @pytest.mark.parametrize("damage", BATCH_FILE_DAMAGE)
+    def test_file(self, prepared, published, damage):
+        ckpt, _ = published
+        path = ckpt / "sentences-3.jsonl"
+        BATCH_FILE_DAMAGE[damage](path)
+        _resume_fails_naming(prepared, ckpt, path)
+
+    def test_wrong_row_count(self, prepared, published):
+        ckpt, _ = published
+        _journal_entry(
+            ckpt, 4, lambda entry: entry["sentences"].update(
+                rows=entry["sentences"]["rows"] + 1
+            )
+        )
+        _resume_fails_naming(prepared, ckpt, ckpt / "sentences-4.jsonl")
+
+    @pytest.mark.parametrize(
+        "named", ["../sentences-3.jsonl", "embedding-2.npz", None],
+        ids=["outside", "basis", "null"],
+    )
+    def test_name_that_is_not_a_batch_file(self, prepared, published, named):
+        ckpt, _ = published
+        _journal_entry(
+            ckpt, 3, lambda entry: entry["sentences"].update(file=named)
+        )
+        _resume_fails_naming(prepared, ckpt, ckpt / "journal.jsonl")
+
+    def test_entry_without_size(self, prepared, published):
+        ckpt, _ = published
+        _journal_entry(ckpt, 3, lambda entry: entry["sentences"].pop("bytes"))
+        _resume_fails_naming(prepared, ckpt, ckpt / "journal.jsonl")
+
+
+#: The batch sentences file's write, its fsync and the directory fsync.
+BATCH_FILE_FAULTS = [("write", 1), ("fsync", 1), ("fsync", 2)]
+
+
+@pytest.mark.parametrize("code", [errno.EIO, errno.ENOSPC],
+                         ids=["EIO", "ENOSPC"])
+@pytest.mark.parametrize("op,k", BATCH_FILE_FAULTS,
+                         ids=[f"{o}{k}" for o, k in BATCH_FILE_FAULTS])
+def test_io_fault_mid_batch_file(prepared, published, service_corpus,
+                                 tmp_path, monkeypatch, op, k, code):
+    ckpt, _ = published
+    session = prepared[0].session(
+        policy=POLICY, checkpoint_dir=ckpt, resume=True
+    )
+    journal_path = ckpt / "journal.jsonl"
+    committed = journal_path.read_bytes()
+    batch = list(service_corpus.batches(BATCH_SIZE))[4]
+    faulty = FaultyOS(op, k, code)
+    monkeypatch.setattr(checkpoint, "os", faulty)
+    with pytest.raises(OSError) as info:
+        session.ingest(batch)
+    assert faulty.fired
+    assert info.value.errno == code
+    monkeypatch.undo()
+    assert journal_path.read_bytes() == committed
+    with pytest.raises(ServiceError, match="resume"):
+        session.ingest(batch)
+    _assert_resumes_identically(prepared, ckpt, tmp_path)
+
+
+def test_orphan_batch_file_is_never_read(prepared, published,
+                                         service_corpus, tmp_path):
+    # A batch that died between its sentences file and its journal entry
+    # leaves the file behind; no entry names it.
+    ckpt, _ = published
+    orphan = ckpt / "sentences-5.jsonl"
+    orphan.write_bytes(b"not a sentence\n")
+    _assert_resumes_identically(prepared, ckpt, tmp_path)
+    # The next batch at that seq overwrites it, and a resume reads the
+    # new file.
+    session = prepared[0].session(
+        policy=POLICY, checkpoint_dir=ckpt, resume=True
+    )
+    session.ingest(list(service_corpus.batches(BATCH_SIZE))[4])
+    assert orphan.read_bytes() != b"not a sentence\n"
+    live = _kb_bytes(session.kb, tmp_path / "live5.jsonl")
+    assert _kb_bytes(
+        _resume(prepared[0], ckpt).kb, tmp_path / "resumed5.jsonl"
+    ) == live

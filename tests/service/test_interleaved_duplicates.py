@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus.corpus import sentence_from_json
 from repro.kb.serialize import save_kb
-from repro.service import IngestPolicy
+from repro.service import CheckpointStore, IngestPolicy
 from repro.service.journal import Journal
 
 from .conftest import make_pipeline
@@ -82,6 +81,7 @@ def runs(streams, tmp_path_factory):
     )
     return {
         "reports": reports,
+        "directory": root / "state",
         "journal": list(Journal(root / "state" / "journal.jsonl").entries()),
         "session": _kb_bytes(session.kb, root / "session.jsonl"),
         "reference": _kb_bytes(reference.kb, root / "reference.jsonl"),
@@ -112,10 +112,8 @@ def test_sentences_new_counts_only_the_survivors(streams, runs):
 def test_each_journal_entry_carries_only_the_survivors(streams, runs):
     _, clean = streams
     batches = [e for e in runs["journal"] if e["type"] == "batch"]
-    assert [
-        [sentence_from_json(s) for s in entry["sentences"]]
-        for entry in batches
-    ] == clean
+    store = CheckpointStore(runs["directory"])
+    assert [store.read_batch(entry["sentences"]) for entry in batches] == clean
 
 
 def test_kb_bytes_equal_the_stream_without_repeats(runs):

@@ -2,7 +2,8 @@
 
 The same script keeps every switch of the cyclic collector inside
 ``repro/runtime/collector.py``, every ``print`` inside ``repro/cli.py``
-and every ``scipy`` import out of ``src/repro``, and reports every
+and every ``scipy`` import and ``np.load`` call out of ``src/repro``,
+and reports every
 definition under ``src/repro`` that nothing in ``src/``, ``examples/``
 or ``perfbench/`` uses, and every import a module never reads.
 
@@ -245,6 +246,45 @@ class TestScipyRule:
         root = _make_module(
             tmp_path, ["learning", "kpca"], "import scipyish\n"
         )
+        assert checker.check_layering(root) == []
+
+
+class TestNumpyLoadRule:
+    """No module under src/repro calls np.load."""
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            ("import numpy as np\n\nnp.load('a.npz')\n", 3),
+            ("import numpy\n\nnumpy.load('a.npz')\n", 3),
+            ("import numpy as xp\n\nread = xp.load\n", 3),
+            ("from numpy import load\n", 1),
+            (
+                "import numpy as np\n\n\ndef read(path):\n"
+                "    return np.load(path)\n",
+                5,
+            ),
+        ],
+        ids=["np", "numpy", "aliased-reference", "from-import", "in-function"],
+    )
+    def test_load_is_caught(self, checker, tmp_path, source, line):
+        root = _make_module(tmp_path, ["service", "checkpoint"], source)
+        violations = checker.check_layering(root)
+        assert len(violations) == 1
+        assert f"checkpoint.py:{line}: np.load" in violations[0]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '"""Not ``np.load``: it leaves reference cycles."""\n',
+            "import json\n\njson.load\n",
+            "import numpy as np\n\nnp.lib.format.write_array\n",
+            "import numpy as np\n\nnp.loadtxt\n",
+        ],
+        ids=["docstring", "json-load", "other-numpy", "loadtxt"],
+    )
+    def test_other_loads_are_allowed(self, checker, tmp_path, source):
+        root = _make_module(tmp_path, ["service", "checkpoint"], source)
         assert checker.check_layering(root) == []
 
 
