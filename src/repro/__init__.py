@@ -43,7 +43,6 @@ from .cleaning import (
     TypeCheckingCleaner,
 )
 from .config import (
-    CleaningConfig,
     ConceptProfile,
     CorpusConfig,
     DetectorConfig,
@@ -73,7 +72,6 @@ from .world import World, WorldBuilder, paper_world, toy_world
 __version__ = "1.0.0"
 
 __all__ = [
-    "CleaningConfig",
     "ConceptProfile",
     "Corpus",
     "CorpusConfig",

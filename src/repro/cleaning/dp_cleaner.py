@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..analysis.cache import AnalysisCache
-from ..config import CleaningConfig
 from ..corpus.corpus import Corpus
 from ..corpus.sentence import Sentence
 from ..kb.pair import IsAPair
@@ -45,6 +44,13 @@ __all__ = ["DPCleaner", "RoundStats", "DetectFn", "MAX_ROUNDS"]
 
 #: The rounds one :meth:`DPCleaner.clean` call runs at most by default.
 MAX_ROUNDS = 10
+#: Property 3 (§4.2): an "accidental" vote against a pair from more
+#: sentences than this is a detector false positive; its sentences get
+#: Eq. 21 checks instead of a rollback.
+ACCIDENTAL_MAX_COUNT = 3
+#: The detector's non-DP handicap while it drives cleaning: the guards and
+#: Eq. 21 absorb false DP flags cheaply, a missed DP leaves its cascade.
+CLEANING_NON_DP_BIAS = 1.0
 
 #: concept → instance → label for the current knowledge base.
 DetectFn = Callable[[KnowledgeBase], Mapping[str, Mapping[str, DPLabel]]]
@@ -87,13 +93,11 @@ class DPCleaner(BaseCleaner):
     def __init__(
         self,
         detect_fn: DetectFn,
-        config: CleaningConfig | None = None,
         ranker: RandomWalkRanker | None = None,
         context: RunContext | None = None,
         analysis: AnalysisCache | None = None,
     ) -> None:
         self._detect_fn = detect_fn
-        self._config = config or CleaningConfig()
         # Instrumentation only: spans and their counters.
         self._ctx = context or NULL_CONTEXT
         # The guards read the per-KB MutualExclusionIndex through this
@@ -221,14 +225,17 @@ class DPCleaner(BaseCleaner):
         # a no-op when detection just refreshed the shared index (refresh
         # == rebuild is pinned by the concepts property tests).
         exclusion = self._analysis.exclusion(kb)
+        # Walked once: within a round rollbacks only remove memberships, so
+        # the guards below keep the concepts that still hold the instance.
+        exclusive = {
+            pair: exclusion.exclusive_concepts_containing(
+                kb, pair.concept, pair.instance
+            )
+            for pair in accidental
+        }
         relevant = {pair.concept for pair in intentional}
         relevant.update(pair.concept for pair in accidental)
-        for pair in accidental:
-            relevant.update(
-                exclusion.exclusive_concepts_containing(
-                    kb, pair.concept, pair.instance
-                )
-            )
+        relevant.update(chain.from_iterable(exclusive.values()))
         scores = self._ranker.score_all(kb, sorted(relevant))
 
         def relative_score(concept: str, instance: str) -> float:
@@ -247,17 +254,15 @@ class DPCleaner(BaseCleaner):
         for pair in sorted(accidental):
             if pair not in kb:
                 continue  # removed by an earlier cascade this round
-            well_evidenced = kb.count(pair) > self._config.accidental_max_count
-            elsewhere = exclusion.exclusive_concepts_containing(
-                kb, pair.concept, pair.instance
-            )
+            well_evidenced = kb.count(pair) > ACCIDENTAL_MAX_COUNT
             # Weaker-side test: the accidental home must score worse than
             # the instance's true home (cf. the paper's New York example:
             # strong under city, one stray sentence under country).
             own = relative_score(pair.concept, pair.instance)
             weaker_side = any(
                 relative_score(other, pair.instance) > own
-                for other in elsewhere
+                for other in exclusive[pair]
+                if kb.has_instance(other, pair.instance)
             )
             if well_evidenced or not weaker_side:
                 # Not droppable as accidental — but the detector still

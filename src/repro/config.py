@@ -1,8 +1,10 @@
 """Configuration dataclasses for every pipeline stage.
 
-All knobs live here so that experiments are declarative: a
-:class:`PipelineConfig` plus a seed fully determines the world, the corpus,
-the extraction run, the detectors and the cleaning pass.
+The knobs a caller varies live here, so that experiments are declarative:
+a :class:`PipelineConfig` plus a seed fully determines the world, the
+corpus, the extraction run, the detectors and the cleaning pass.  A
+hyperparameter every caller leaves at one value is a module constant
+beside the code that reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "SimilarityConfig",
     "LabelingConfig",
     "DetectorConfig",
-    "CleaningConfig",
     "PipelineConfig",
 ]
 
@@ -118,7 +119,7 @@ class ExtractionConfig:
     ``max_iterations`` counts the core iteration 1, so each batch gets
     at most ``max_iterations - 1`` resolution rounds.  ``stream_chunks``
     spreads each batch's ambiguous sentences over that many arrival
-    iterations.  Resolution always runs on the evidence-indexed worklist
+    iterations.  Resolution always runs on the candidate-indexed worklist
     (:mod:`repro.extraction.index`).
     """
 
@@ -165,77 +166,34 @@ class LabelingConfig:
     The paper settles on ``k = 4`` for its web-scale evidence counts; our
     synthetic corpora have flatter count distributions, and the Fig. 5b
     sweep lands on ``k = 2`` as the best yield at near-perfect precision.
-
-    ``verified_fraction`` is the share of true extracted pairs assumed to
-    come from a verified source (the paper's "verified sources (such as
-    Wikipedia)"); the pipeline samples them from the ground-truth world.
     """
 
     evidence_threshold_k: int = 2
-    verified_fraction: float = 0.04
 
     def __post_init__(self) -> None:
         if self.evidence_threshold_k < 0:
             raise ValueError("evidence_threshold_k must be >= 0")
-        if not 0.0 <= self.verified_fraction <= 1.0:
-            raise ValueError("verified_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """DP-detector learning parameters (§3.3)."""
+    """DP-detector training parameters (§3.3); Fig. 5c sets its own.
 
-    kpca_components: int = 15
-    kpca_gamma: float | None = 2.0
-    kpca_sample_size: int = 600
-    k_neighbors: int = 5
-    local_reg: float = 0.1
-    lam: float = 0.1
-    beta: float = 0.1
-    gamma: float = 0.01
+    The embedding and regularisation constants live in
+    :mod:`repro.learning.embedding` and :mod:`repro.learning.detector`.
+    """
+
     training_iterations: int = 20
     tolerance: float = 1e-6
     # Decision-threshold shift for the 3-way arg-max: DP seeds are scarce
     # relative to non-DPs even after loss balancing, so the F1-optimal
     # operating point handicaps the non-DP score slightly.  Cleaning
-    # overrides this with the higher CleaningConfig.cleaning_non_dp_bias.
+    # overrides this with the higher dp_cleaner.CLEANING_NON_DP_BIAS.
     non_dp_bias: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.kpca_components < 1:
-            raise ValueError("kpca_components must be >= 1")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        for name in ("local_reg", "lam", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.training_iterations < 1:
             raise ValueError("training_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class CleaningConfig:
-    """DP-based cleaning parameters (§4).
-
-    ``accidental_max_count`` is a Property-3 guard: an Accidental DP is by
-    definition supported by very weak evidence (usually one sentence), so
-    a detector vote of "accidental" against a well-evidenced pair is
-    treated as a false positive and ignored rather than rolled back.
-
-    ``cleaning_non_dp_bias`` puts the detector on a high-recall operating
-    point *during cleaning only*: the cleaner's definition-level guards and
-    Eq. 21 arbitration absorb false DP flags cheaply, while every missed DP
-    leaves its whole error cascade in place.
-    """
-
-    accidental_max_count: int = 3
-    cleaning_non_dp_bias: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.accidental_max_count < 1:
-            raise ValueError("accidental_max_count must be >= 1")
-        if self.cleaning_non_dp_bias < 0:
-            raise ValueError("cleaning_non_dp_bias must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -248,4 +206,3 @@ class PipelineConfig:
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     labeling: LabelingConfig = field(default_factory=LabelingConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    cleaning: CleaningConfig = field(default_factory=CleaningConfig)

@@ -17,16 +17,20 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..evaluation.ground_truth import GroundTruth
-from ..evaluation.metrics import cleaning_metrics, detection_metrics
+from ..cleaning.base import BaseCleaner, CleaningResult
+from ..cleaning.dp_cleaner import DetectFn
+from ..corpus.corpus import Corpus
+from ..evaluation.metrics import detection_metrics
 from ..evaluation.report import format_table
 from ..extraction.engine import SemanticIterativeExtractor
 from ..features.matrix import ConceptMatrix
 from ..kb.pair import IsAPair
+from ..kb.store import KnowledgeBase
 from ..learning.detector import DPDetector
 from ..labeling.labels import DPLabel
 from .base import ExperimentResult, default_pipeline
 from .pipeline import Pipeline
+from .table3 import run_cleaner
 
 __all__ = [
     "run_ablation_features",
@@ -87,39 +91,36 @@ def run_ablation_features(pipeline: Pipeline | None = None) -> ExperimentResult:
     )
 
 
+class _DropOnlyCleaner(BaseCleaner):
+    """Remove the detected Accidental DPs, with no cascades and no Eq. 21
+    checks: the "treat DPs like ordinary errors" strawman."""
+
+    name = "drop_only"
+
+    def __init__(self, detect_fn: DetectFn) -> None:
+        self._detect_fn = detect_fn
+
+    def clean(self, kb: KnowledgeBase, corpus: Corpus) -> CleaningResult:
+        before = kb.removed_pairs()
+        for concept, by_instance in self._detect_fn(kb).items():
+            for instance, label in by_instance.items():
+                if label is DPLabel.ACCIDENTAL and kb.has_instance(
+                    concept, instance
+                ):
+                    kb.remove_pair(IsAPair(concept, instance))
+        return self._result(self.name, before, kb)
+
+
 def run_ablation_rollback(pipeline: Pipeline | None = None) -> ExperimentResult:
     """DP cleaning with and without the cascading rollback (§4.2)."""
     pipeline = default_pipeline(pipeline)
     targets = list(pipeline.preset.target_concepts)
     rows = []
     data: dict[str, dict[str, float]] = {}
-
-    # Full DP cleaning.
-    extraction = pipeline.extract()
-    truth = GroundTruth(pipeline.preset.world, extraction.kb)
-    before = {c: extraction.kb.instances_of(c) for c in extraction.kb.concepts()}
-    pipeline.dp_cleaner().clean(extraction.kb, extraction.corpus)
-    after = {c: extraction.kb.instances_of(c) for c in before}
-    full = cleaning_metrics(truth, before, after, targets)
-
-    # Drop-only cleaning: remove flagged accidental DPs, no cascades, no
-    # Eq. 21 checks — the "treat DPs like ordinary errors" strawman.
-    extraction2 = pipeline.extract()
-    truth2 = GroundTruth(pipeline.preset.world, extraction2.kb)
-    before2 = {
-        c: extraction2.kb.instances_of(c) for c in extraction2.kb.concepts()
-    }
-    detect = pipeline.detect_fn()
-    labels = detect(extraction2.kb)
-    for concept, by_instance in labels.items():
-        for instance, label in by_instance.items():
-            if label is DPLabel.ACCIDENTAL:
-                pair = IsAPair(concept, instance)
-                if pair in extraction2.kb:
-                    extraction2.kb.remove_pair(pair)
-    after2 = {c: extraction2.kb.instances_of(c) for c in before2}
-    drop_only = cleaning_metrics(truth2, before2, after2, targets)
-
+    full = run_cleaner(pipeline, pipeline.dp_cleaner(), targets)[0]
+    drop_only = run_cleaner(
+        pipeline, _DropOnlyCleaner(pipeline.detect_fn()), targets
+    )[0]
     for label, metrics in (("full DP cleaning", full),
                            ("drop-only (no rollback)", drop_only)):
         rows.append((

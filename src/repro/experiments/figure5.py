@@ -80,10 +80,7 @@ def run_figure5b(
     for k in k_values:
         evidence = EvidenceIndex(
             kb,
-            LabelingConfig(
-                evidence_threshold_k=k,
-                verified_fraction=pipeline.config.labeling.verified_fraction,
-            ),
+            LabelingConfig(evidence_threshold_k=k),
             verified=artifacts.verified,
         )
         seeds = SeedLabeler(kb, artifacts.exclusion, evidence).label_all(

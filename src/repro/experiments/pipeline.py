@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from ..analysis.cache import AnalysisCache
-from ..cleaning.dp_cleaner import DetectFn, DPCleaner
+from ..cleaning.dp_cleaner import CLEANING_NON_DP_BIAS, DetectFn, DPCleaner
 from ..concepts.exclusion import MutualExclusionIndex
 from ..config import ConceptProfile, CorpusConfig, ExtractionConfig, PipelineConfig
 from ..corpus.corpus import Corpus
@@ -37,6 +37,10 @@ from ..service.session import IngestSession
 from ..world.presets import WorldPreset, paper_world
 
 __all__ = ["PipelineArtifacts", "Pipeline", "experiment_config"]
+
+#: Share of true extracted pairs taken to come from a verified source
+#: (§3.2.2, "such as Wikipedia"), sampled from the ground-truth world.
+VERIFIED_FRACTION = 0.04
 
 
 def experiment_config(
@@ -362,7 +366,6 @@ class Pipeline:
         :meth:`detect_fn`)."""
         return DPCleaner(
             self.detect_fn(refit_cache),
-            self._config.cleaning,
             ranker=self._ranker,
             context=self._ctx,
             analysis=self._analysis,
@@ -389,8 +392,9 @@ class Pipeline:
         """Detection callback for the DP cleaner: refit on the current KB.
 
         Cleaning runs the detector at a high-recall operating point
-        (``cleaning_non_dp_bias``) because the cleaner's guards make false
-        DP flags cheap while missed DPs leave whole cascades in place.
+        (:data:`~repro.cleaning.dp_cleaner.CLEANING_NON_DP_BIAS`) because
+        the cleaner's guards make false DP flags cheap while missed DPs
+        leave whole cascades in place.
 
         Every call of the returned callback rebuilds the detector's inputs
         (see :meth:`_inputs`) over the pipeline's shared exclusion index.
@@ -403,8 +407,7 @@ class Pipeline:
         cache, and its first call fits.
         """
         config = replace(
-            self._config.detector,
-            non_dp_bias=self._config.cleaning.cleaning_non_dp_bias,
+            self._config.detector, non_dp_bias=CLEANING_NON_DP_BIAS
         )
         if refit_cache is None:
             refit_cache = DetectorRefitCache()
@@ -456,9 +459,6 @@ class Pipeline:
         The draw sequence depends only on the concept's own alive
         instances, so a rollback elsewhere cannot shift it.
         """
-        fraction = self._config.labeling.verified_fraction
-        if fraction <= 0:
-            return frozenset()
         members = self._preset.world.members(concept)
         candidates = [
             instance
@@ -473,5 +473,5 @@ class Pipeline:
         return frozenset(
             IsAPair(concept, instance)
             for instance, draw in zip(candidates, draws)
-            if draw < fraction
+            if draw < VERIFIED_FRACTION
         )

@@ -6,12 +6,12 @@ from .engine import (
     IncrementalExtractor,
     SemanticIterativeExtractor,
 )
-from .index import EvidenceIndex, ResolutionWorklist
+from .index import CandidateIndex, ResolutionWorklist
 from .trigger import POLICIES, Resolution, resolve
 
 __all__ = [
     "BatchExtraction",
-    "EvidenceIndex",
+    "CandidateIndex",
     "ExtractionResult",
     "IncrementalExtractor",
     "POLICIES",

@@ -129,7 +129,7 @@ class BatchExtraction:
     iterations_run: int
     #: Pool sentences the worklist skipped without attempting.
     sentences_skipped: int = 0
-    #: Attempts driven by evidence-index wakes rather than fresh arrival.
+    #: Attempts driven by candidate-index wakes rather than fresh arrival.
     index_hits: int = 0
 
 
@@ -160,7 +160,7 @@ class IncrementalExtractor:
       resolution round runs while the pool is empty, so a corpus without
       ambiguous sentences logs iteration 1 alone.
 
-    The pool rides the evidence-indexed worklist: carried-over sentences
+    The pool rides the candidate-indexed worklist: carried-over sentences
     are re-attempted only when a new core commit, resolution or rollback
     re-extraction makes one of their candidate pairs visible, so a batch
     that adds nothing relevant pays nothing for a deep pool.
@@ -209,7 +209,7 @@ class IncrementalExtractor:
 
     @property
     def worklist(self) -> ResolutionWorklist:
-        """The evidence-indexed worklist behind delta-driven resolution."""
+        """The candidate-indexed worklist behind delta-driven resolution."""
         return self._worklist
 
     @property

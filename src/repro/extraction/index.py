@@ -1,4 +1,4 @@
-"""Evidence-indexed worklist for semi-naive, delta-driven resolution.
+"""Candidate-indexed worklist for semi-naive, delta-driven resolution.
 
 The naive iterative extractor re-attempts every unresolved ambiguous
 sentence each iteration, costing O(iterations × pool × candidates) even
@@ -8,7 +8,7 @@ avoids it, the way semi-naive evaluation does in Datalog engines: only
 
 Two pieces:
 
-* :class:`EvidenceIndex` — an inverted index mapping every candidate
+* :class:`CandidateIndex` — an inverted index mapping every candidate
   ``(concept, instance)`` pair of every pending sentence to the sentence
   ids waiting on it;
 * :class:`ResolutionWorklist` — the per-concept visible-snapshot delta
@@ -57,10 +57,10 @@ from collections.abc import Iterable, Mapping
 from ..corpus.sentence import Sentence
 from ..kb.store import KnowledgeBase
 
-__all__ = ["EvidenceIndex", "ResolutionWorklist"]
+__all__ = ["CandidateIndex", "ResolutionWorklist"]
 
 
-class EvidenceIndex:
+class CandidateIndex:
     """Inverted index: candidate ``(concept, instance)`` → pending sids.
 
     Entries are registered per sentence (every candidate concept crossed
@@ -116,7 +116,7 @@ class EvidenceIndex:
 
 
 class ResolutionWorklist:
-    """Delta tracker + evidence index + wake set driving resolution.
+    """Delta tracker + candidate index + wake set driving resolution.
 
     ``visible`` is the extractor's per-concept snapshot dict, shared by
     reference: the worklist is its single writer, so every snapshot
@@ -128,7 +128,7 @@ class ResolutionWorklist:
     __slots__ = ("index", "visible", "_woken")
 
     def __init__(self, visible: dict[str, frozenset[str]] | None = None) -> None:
-        self.index = EvidenceIndex()
+        self.index = CandidateIndex()
         self.visible: dict[str, frozenset[str]] = (
             visible if visible is not None else {}
         )

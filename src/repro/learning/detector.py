@@ -49,6 +49,15 @@ DETECTION_METHODS = (
 
 _CLASS_ORDER = (DPLabel.INTENTIONAL, DPLabel.ACCIDENTAL, DPLabel.NON_DP)
 
+#: The local manifold predictors (§3.3.2): neighbours per block, ridge term.
+K_NEIGHBORS = 5
+LOCAL_REG = 0.1
+#: Eq. 18's weights: ``λ`` on all regularisers, ``β`` on the ℓ2,1 norm,
+#: ``γ`` on the Frobenius norm (not the kernel width ``KPCA_GAMMA``).
+REG_LAMBDA = 0.1
+L21_BETA = 0.1
+FROBENIUS_GAMMA = 0.01
+
 
 class DetectorRefitCache:
     """One frozen embedding, and the transforms and manifolds fitted under it.
@@ -155,9 +164,9 @@ class DPDetector:
                 self._fit_pooled(labelled)
             if self._method == "multitask":
                 trainer = MultiTaskTrainer(
-                    lam=self._config.lam,
-                    beta=self._config.beta,
-                    gamma=self._config.gamma,
+                    lam=REG_LAMBDA,
+                    beta=L21_BETA,
+                    gamma=FROBENIUS_GAMMA,
                     iterations=self._config.training_iterations,
                     tolerance=self._config.tolerance,
                     seed=self._rng,
@@ -176,8 +185,8 @@ class DPDetector:
                     self._weights = {
                         d.concept: solve_semisupervised(
                             d,
-                            lam=self._config.lam,
-                            beta=self._config.beta,
+                            lam=REG_LAMBDA,
+                            beta=L21_BETA,
                             context=ctx,
                         )
                         for d in labelled
@@ -235,7 +244,7 @@ class DPDetector:
             span.set(fitted=embedding is None)
             if embedding is None:
                 embedding = cache.embedding = FrozenEmbedding.fit(
-                    self._matrices, self._config, seed=self._rng
+                    self._matrices, seed=self._rng
                 )
             # Projection stays per concept: the blocks fit in cache,
             # whereas a pooled kernel-matrix transform thrashes on its own
@@ -291,9 +300,7 @@ class DPDetector:
                     continue
                 pending[concept] = transformed
             if pending:
-                fresh = manifold_matrices(
-                    pending, self._config.k_neighbors, self._config.local_reg
-                )
+                fresh = manifold_matrices(pending, K_NEIGHBORS, LOCAL_REG)
                 for concept, a in fresh.items():
                     manifolds[concept] = a
                     cache.manifolds[concept] = (pending[concept], a)
@@ -319,8 +326,11 @@ class DPDetector:
         for data in labelled:
             mean_a += data.a
         mean_a /= len(labelled)
-        lam, beta = self._config.lam, self._config.beta
-        lhs = x_rows.T @ x_rows + lam * mean_a + lam * beta * np.eye(r)
+        lhs = (
+            x_rows.T @ x_rows
+            + REG_LAMBDA * mean_a
+            + REG_LAMBDA * L21_BETA * np.eye(r)
+        )
         self._pooled_weight = np.linalg.solve(lhs, x_rows.T @ y_rows)
 
     def _fit_raw_baseline(self, seeds: SeedLabelSet) -> None:

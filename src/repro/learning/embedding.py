@@ -23,12 +23,18 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from ..config import DetectorConfig
 from ..errors import LearningError
 from ..features.matrix import ConceptMatrix
 from .kpca import KernelPCA, float_array
 
 __all__ = ["FrozenEmbedding"]
+
+#: The kernel-PCA basis (§3.3.1): components kept, RBF width ``γ`` over
+#: z-scored features, and the rows the basis is fitted on (a larger pool
+#: is sampled down; the eigenproblem is cubic in it).
+KPCA_COMPONENTS = 15
+KPCA_GAMMA = 2.0
+KPCA_SAMPLE_SIZE = 600
 
 
 class FrozenEmbedding:
@@ -50,7 +56,6 @@ class FrozenEmbedding:
     def fit(
         cls,
         matrices: Mapping[str, ConceptMatrix],
-        config: DetectorConfig,
         seed: int | np.random.Generator | None = None,
     ) -> "FrozenEmbedding":
         """Fit statistics and basis on the pooled concept matrices."""
@@ -64,9 +69,9 @@ class FrozenEmbedding:
         std = np.maximum(pooled.std(axis=0), 1e-9)
         kpca = KernelPCA.fit_on_sample(
             (pooled - mean) / std,
-            n_components=config.kpca_components,
-            gamma=config.kpca_gamma,
-            sample_size=config.kpca_sample_size,
+            n_components=KPCA_COMPONENTS,
+            gamma=KPCA_GAMMA,
+            sample_size=KPCA_SAMPLE_SIZE,
             seed=seed,
         )
         return cls(mean=mean, std=std, kpca=kpca)

@@ -30,24 +30,14 @@ __all__ = ["KernelPCA"]
 
 
 class KernelPCA:
-    """Kernel principal component analysis with a centred RBF kernel.
+    """Kernel principal component analysis with a centred RBF kernel
+    ``exp(-gamma ‖x - s‖²)``."""
 
-    ``gamma=None`` picks the kernel width in :meth:`fit` from the fit
-    sample, ``1 / (d * var)`` (the scikit-learn "scale" heuristic), which
-    keeps the kernel well-conditioned across feature scales; every
-    :meth:`transform` reuses it, so a row embeds the same in any batch.
-    """
-
-    def __init__(
-        self,
-        n_components: int = 8,
-        gamma: float | None = None,
-    ) -> None:
+    def __init__(self, n_components: int, gamma: float) -> None:
         if n_components < 1:
             raise LearningError("n_components must be >= 1")
         self._n_components = n_components
         self._gamma = gamma
-        self._fit_gamma = 0.0
         self._fit_x: np.ndarray | None = None
         self._alphas: np.ndarray | None = None
         self._column_means: np.ndarray | None = None
@@ -65,11 +55,7 @@ class KernelPCA:
         if x.ndim != 2 or x.shape[0] < 2:
             raise LearningError("KernelPCA.fit needs at least two samples")
         fit_x = np.asarray(x, dtype=float)
-        gamma = self._gamma
-        if gamma is None:
-            variance = float(fit_x.var())
-            gamma = 1.0 / (fit_x.shape[1] * variance) if variance > 0 else 1.0
-        self._set_sample(fit_x, gamma)
+        self._set_sample(fit_x)
         k = self._kernel_rows(fit_x)
         self._column_means = k.mean(axis=0)
         self._total_mean = float(k.mean())
@@ -91,10 +77,11 @@ class KernelPCA:
         self._derive_projection()
         return self
 
-    def _set_sample(self, fit_x: np.ndarray, gamma: float) -> None:
+    def _set_sample(self, fit_x: np.ndarray) -> None:
         """Keep the fit sample ``s`` and ``[2γ s ; -γ‖s‖²]``: a row ``x``
         then has ``[x, 1] · [2γ s ; -γ‖s‖²] - γ‖x‖² = -γ‖x - s‖²``."""
-        self._fit_x, self._fit_gamma = fit_x, gamma
+        gamma = self._gamma
+        self._fit_x = fit_x
         self._sample_terms = np.vstack(
             [2.0 * gamma * fit_x.T, -gamma * (fit_x * fit_x).sum(axis=1)]
         )
@@ -102,7 +89,7 @@ class KernelPCA:
     def _kernel_rows(self, x: np.ndarray) -> np.ndarray:
         """RBF kernel rows ``exp(-γ‖x - s‖²)`` against the fit sample."""
         exponents = np.hstack([x, np.ones((len(x), 1))]) @ self._sample_terms
-        exponents -= self._fit_gamma * (x * x).sum(axis=1)[:, None]
+        exponents -= self._gamma * (x * x).sum(axis=1)[:, None]
         # Round-off can push a squared distance below 0.
         np.minimum(exponents, 0.0, out=exponents)
         return np.exp(exponents, out=exponents)
@@ -138,7 +125,7 @@ class KernelPCA:
             raise NotFittedError("KernelPCA")
         return {
             "fit_x": self._fit_x,
-            "gamma": np.float64(self._fit_gamma),
+            "gamma": np.float64(self._gamma),
             "column_means": self._column_means,
             "total_mean": np.float64(self._total_mean),
             "alphas": self._alphas,
@@ -164,8 +151,11 @@ class KernelPCA:
                 f"column_means of shape {column_means.shape} do not fit "
                 f"{n} sample rows"
             )
-        kpca = cls(n_components=alphas.shape[1])
-        kpca._set_sample(fit_x, float(float_array(arrays, "gamma", 0)))
+        kpca = cls(
+            n_components=alphas.shape[1],
+            gamma=float(float_array(arrays, "gamma", 0)),
+        )
+        kpca._set_sample(fit_x)
         kpca._column_means = column_means
         kpca._total_mean = float(float_array(arrays, "total_mean", 0))
         kpca._alphas = alphas
@@ -176,10 +166,10 @@ class KernelPCA:
     def fit_on_sample(
         cls,
         x: np.ndarray,
-        n_components: int = 8,
-        gamma: float | None = None,
-        sample_size: int = 600,
-        seed: int | np.random.Generator | None = None,
+        n_components: int,
+        gamma: float,
+        sample_size: int,
+        seed: int | np.random.Generator | None,
     ) -> "KernelPCA":
         """Fit on a random row sample (keeps the eigenproblem small)."""
         rng = generator_from(seed)

@@ -44,12 +44,12 @@ class MultiTaskTrainer:
 
     def __init__(
         self,
-        lam: float = 0.1,
-        beta: float = 0.1,
-        gamma: float = 0.01,
-        iterations: int = 20,
-        tolerance: float = 1e-6,
-        seed: int | np.random.Generator | None = None,
+        lam: float,
+        beta: float,
+        gamma: float,
+        iterations: int,
+        tolerance: float,
+        seed: int | np.random.Generator | None,
     ) -> None:
         if iterations < 1:
             raise LearningError("iterations must be >= 1")

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from ..errors import ServiceError
 from ..kb.pair import IsAPair
@@ -55,17 +55,32 @@ __all__ = ["JOURNAL_VERSION", "Journal", "replay_clean_ops"]
 JOURNAL_VERSION = 2
 
 
-def replay_clean_ops(kb: KnowledgeBase, ops: Iterable[list]) -> None:
-    """Re-apply journaled cleaning operations to a knowledge base."""
+def replay_clean_ops(kb: KnowledgeBase, ops: list[list]) -> None:
+    """Re-apply journaled cleaning operations to a knowledge base.
+
+    Each op is ``["pair", concept, instance]`` naming a pair of ``kb`` or
+    ``["records", [rid, ...]]`` naming records of ``kb``; anything else
+    raises :class:`ServiceError`.
+    """
+    if not isinstance(ops, list):
+        raise ServiceError(f"journaled cleaning ops {ops!r} are not a list")
     engine = RollbackEngine(kb)
     for op in ops:
-        kind = op[0]
-        if kind == "pair":
-            engine.rollback_pair(IsAPair(op[1], op[2]))
-        elif kind == "records":
-            engine.rollback_records(op[1])
-        else:
-            raise ServiceError(f"unknown journaled cleaning op {kind!r}")
+        match op:
+            case ["pair", str(concept), str(instance)]:
+                pair = IsAPair(concept, instance)
+                if pair not in kb:
+                    raise ServiceError(
+                        f"journaled cleaning op {op!r} names a pair the "
+                        "knowledge base does not hold"
+                    )
+                engine.rollback_pair(pair)
+            case ["records", list(rids)] if all(
+                type(rid) is int and 0 <= rid < kb.num_records for rid in rids
+            ):
+                engine.rollback_records(rids)
+            case _:
+                raise ServiceError(f"malformed journaled cleaning op {op!r}")
 
 
 class Journal:
@@ -108,9 +123,11 @@ class Journal:
     def entries(self, after_seq: int = 0) -> Iterator[dict]:
         """Replay committed entries with ``seq > after_seq`` in order.
 
-        A torn final line is dropped silently (the batch never committed);
-        corruption anywhere else, and any entry whose version is missing or
-        differs from :data:`JOURNAL_VERSION`, raises :class:`ServiceError`.
+        A torn final line (one that does not parse) is dropped silently:
+        the batch never committed.  Corruption anywhere else, a line that
+        parses but is not an object with an integer ``seq``, and any entry
+        whose version is missing or differs from :data:`JOURNAL_VERSION`
+        raise :class:`ServiceError` naming the file and the line.
         """
         if not self._path.exists():
             return
@@ -125,14 +142,19 @@ class Journal:
                 continue
             try:
                 entry = json.loads(line)
-                seq = entry["seq"]
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 if index == last_index:
                     return  # torn tail: the entry never committed
                 raise ServiceError(
                     f"corrupt journal entry at {self._path}:{index + 1} "
                     f"with committed entries after it: {exc}"
                 ) from exc
+            seq = entry.get("seq") if isinstance(entry, dict) else None
+            if type(seq) is not int:
+                raise ServiceError(
+                    f"journal entry at {self._path}:{index + 1} has no "
+                    f"integer seq: {line[:80]!r}"
+                )
             version = entry.get("version")
             if version != JOURNAL_VERSION:
                 raise ServiceError(

@@ -581,7 +581,13 @@ class IngestSession:
         if report.cleaning is not None:
             kb = self._extractor.kb
             version_before = kb.version
-            replay_clean_ops(kb, entry.get("clean_ops", []))
+            try:
+                replay_clean_ops(kb, entry.get("clean_ops", []))
+            except ServiceError as exc:
+                raise ServiceError(
+                    f"cannot replay the cleaning pass of seq {entry['seq']} "
+                    f"in {self._store.journal.path}: {exc}"
+                ) from exc
             self._cleaned(version_before)
             # The live pass's basis: a fitted one is in the named file.
             name = entry.get("embedding")

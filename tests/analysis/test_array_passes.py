@@ -64,7 +64,6 @@ def compared_refits():
 
     cleaner = DPCleaner(
         compare_then_detect,
-        config.cleaning,
         ranker=pipeline.ranker,
         context=pipeline.context,
         analysis=pipeline.analysis,

@@ -240,7 +240,6 @@ class TestCleanerCacheEquivalence:
         else:
             cleaner = DPCleaner(
                 uncached_detect(pipeline),
-                config.cleaning,
                 ranker=UncachedRanker(),
                 context=pipeline.context,
                 analysis=UncachedExclusion(config.similarity),

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cleaning import DPCleaner
-from repro.config import CleaningConfig
+from repro.cleaning import DPCleaner, dp_cleaner
 from repro.corpus.corpus import Corpus
 from repro.corpus.sentence import Sentence
 from repro.experiments.pipeline import Pipeline, experiment_config
@@ -59,9 +58,9 @@ def _oracle_detect(kb):
 
 
 class TestDPCleaner:
-    def _clean(self, config=None):
+    def _clean(self):
         result = SemanticIterativeExtractor().run(_corpus())
-        cleaner = DPCleaner(_oracle_detect, config or CleaningConfig())
+        cleaner = DPCleaner(_oracle_detect)
         report = cleaner.clean(result.kb, result.corpus)
         return result.kb, report
 
@@ -111,18 +110,23 @@ class TestDPCleaner:
 
     def test_idempotent_second_run(self):
         kb, _ = self._clean()
-        cleaner = DPCleaner(_oracle_detect, CleaningConfig())
+        cleaner = DPCleaner(_oracle_detect)
         second = cleaner.clean(kb, deduplicated(_corpus()))
         assert second.num_removed == 0
 
-    def test_well_evidenced_accidental_flag_ignored(self):
+    def test_well_evidenced_accidental_flag_ignored(self, monkeypatch):
         # Flag a solidly-evidenced pair as accidental: the Property 3
-        # guard must protect it.
+        # guard must protect it.  dog has exactly three sentences, so the
+        # cap comes down to one; at the production cap the Definition-4
+        # guard alone would keep it.
+        monkeypatch.setattr(dp_cleaner, "ACCIDENTAL_MAX_COUNT", 1)
+
         def bad_detect(kb):
             return {"animal": {"dog": DPLabel.ACCIDENTAL}}
 
         result = SemanticIterativeExtractor().run(_corpus())
-        cleaner = DPCleaner(bad_detect, CleaningConfig(accidental_max_count=1))
+        assert result.kb.count(IsAPair("animal", "dog")) == 3
+        cleaner = DPCleaner(bad_detect)
         cleaner.clean(result.kb, result.corpus)
         assert result.kb.has_instance("animal", "dog")
 
@@ -159,11 +163,9 @@ class TestScoreCacheEquivalence:
     def _run(self, use_cache: bool):
         result = SemanticIterativeExtractor().run(_corpus())
         if use_cache:
-            cleaner = DPCleaner(_oracle_detect, CleaningConfig())
+            cleaner = DPCleaner(_oracle_detect)
         else:
-            cleaner = DPCleaner(
-                _oracle_detect, CleaningConfig(), ranker=UncachedRanker()
-            )
+            cleaner = DPCleaner(_oracle_detect, ranker=UncachedRanker())
         report = cleaner.clean(result.kb, result.corpus)
         return result.kb, report
 
@@ -231,7 +233,7 @@ class TestNaiveRoundEquivalence:
         for cleaner_type in (DPCleaner, NaiveRoundDPCleaner):
             result = SemanticIterativeExtractor().run(_corpus())
             outcomes.append(_round_outcome(
-                cleaner_type(detect, CleaningConfig()), result.kb,
+                cleaner_type(detect), result.kb,
                 result.corpus, tmp_path,
             ))
         assert outcomes[0] == outcomes[1]
@@ -247,7 +249,7 @@ class TestNaiveRoundEquivalence:
             pipeline = Pipeline(preset=preset, config=config)
             extraction = pipeline.extract()
             cleaner = cleaner_type(
-                pipeline.detect_fn(), config.cleaning,
+                pipeline.detect_fn(),
                 ranker=pipeline.ranker, context=pipeline.context,
                 analysis=pipeline.analysis,
             )

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from dataclasses import replace
 
 from repro.analysis import AnalysisCache
-from repro.cleaning import DPCleaner
+from repro.cleaning import DPCleaner, dp_cleaner
 from repro.cleaning.dp_cleaner import DetectFn, RoundStats
 from repro.cleaning.intentional import SentenceCheck
 from repro.corpus.sentence import Sentence
@@ -155,7 +155,7 @@ class NaiveRoundDPCleaner(DPCleaner):
         for pair in sorted(accidental):
             if pair not in kb:
                 continue  # removed by an earlier cascade this round
-            well_evidenced = kb.count(pair) > self._config.accidental_max_count
+            well_evidenced = kb.count(pair) > dp_cleaner.ACCIDENTAL_MAX_COUNT
             elsewhere = exclusion.exclusive_concepts_containing(
                 kb, pair.concept, pair.instance
             )
@@ -230,7 +230,7 @@ def uncached_detect(pipeline) -> DetectFn:
     """
     config = pipeline.config
     detector_config = replace(
-        config.detector, non_dp_bias=config.cleaning.cleaning_non_dp_bias
+        config.detector, non_dp_bias=dp_cleaner.CLEANING_NON_DP_BIAS
     )
     ranker = UncachedRanker()
     streams = RandomStreams(config.seed)

@@ -1,6 +1,6 @@
 """Table 3 and cleaned sessions do not depend on how many threads BLAS uses.
 
-The detector's kernels, KPCA and the multitask solver run on NumPy/SciPy
+The detector's kernels, KPCA and the multitask solver run on numpy's
 BLAS, whose reductions may split differently across threads.  Run
 ``run_table3``, and a short session that cleans after every batch and
 snapshots it, on the small experiment world in two interpreters, one

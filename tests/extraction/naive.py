@@ -1,7 +1,7 @@
 """The naive full-scan extractor: the equivalence oracle for extraction.
 
 Every round re-attempts every arrived, still-unresolved ambiguous sentence
-against a snapshot rebuilt from the knowledge base — no evidence index, no
+against a snapshot rebuilt from the knowledge base — no candidate index, no
 wake set, no delta tracking.  It follows the per-batch semantics of
 :class:`~repro.extraction.IncrementalExtractor` (session-wide de-dup,
 iteration-1 core commits, a session-global iteration counter, the

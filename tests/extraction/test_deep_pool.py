@@ -5,7 +5,7 @@ stretches the run over many iterations while a large pool of
 never-resolving ambiguous sentences sits unresolved the whole time.  The
 naive scan (:mod:`tests.extraction.naive`) re-attempts the entire pool
 every iteration — O(iterations × pool) ``resolve()`` calls — where the
-worklist attempts each pool sentence once, then only on evidence-index
+worklist attempts each pool sentence once, then only on candidate-index
 wakes.  The worklist must reach byte-identical results for at least
 1.5× less CPU time (it is typically far beyond that).
 """

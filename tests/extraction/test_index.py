@@ -1,9 +1,9 @@
-"""Unit tests for the evidence index and resolution worklist."""
+"""Unit tests for the candidate index and resolution worklist."""
 
 from __future__ import annotations
 
 from repro.corpus.sentence import Sentence
-from repro.extraction import EvidenceIndex, ResolutionWorklist
+from repro.extraction import CandidateIndex, ResolutionWorklist
 from repro.kb import IsAPair
 from repro.kb.store import KnowledgeBase
 
@@ -18,9 +18,9 @@ def _sentence(sid, concepts, instances):
                     instances=instances)
 
 
-class TestEvidenceIndex:
+class TestCandidateIndex:
     def test_watch_registers_every_candidate_pair(self):
-        index = EvidenceIndex()
+        index = CandidateIndex()
         index.watch(_sentence(7, ("animal", "food"), ("pork", "ham")))
         assert 7 in index
         assert len(index) == 1
@@ -29,7 +29,7 @@ class TestEvidenceIndex:
                 assert _waiters(index, concept, instance) == {7}
 
     def test_watch_is_idempotent(self):
-        index = EvidenceIndex()
+        index = CandidateIndex()
         sentence = _sentence(1, ("a", "b"), ("x",))
         index.watch(sentence)
         index.watch(sentence)
@@ -37,7 +37,7 @@ class TestEvidenceIndex:
         assert _waiters(index, "a", "x") == {1}
 
     def test_discard_drops_all_entries(self):
-        index = EvidenceIndex()
+        index = CandidateIndex()
         index.watch(_sentence(1, ("a", "b"), ("x",)))
         index.watch(_sentence(2, ("a",), ("x", "y")))
         index.discard(1)
@@ -50,7 +50,7 @@ class TestEvidenceIndex:
         index.discard(99)  # unknown sid is a no-op
 
     def test_waiters_unknown_pair_is_empty(self):
-        assert _waiters(EvidenceIndex(), "a", "x") == frozenset()
+        assert _waiters(CandidateIndex(), "a", "x") == frozenset()
 
 
 class TestResolutionWorklist:

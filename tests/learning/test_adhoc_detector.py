@@ -110,9 +110,7 @@ class TestDPDetector:
     @pytest.mark.parametrize("method", DETECTION_METHODS)
     def test_all_methods_beat_chance(self, method):
         matrices, seeds, truth = _world()
-        detector = DPDetector(
-            DetectorConfig(kpca_sample_size=100), method=method, seed=0
-        )
+        detector = DPDetector(method=method, seed=0)
         detector.fit(matrices, seeds)
         accuracy = _accuracy(detector, matrices, truth)
         assert accuracy > 0.5, f"{method} accuracy {accuracy:.3f}"

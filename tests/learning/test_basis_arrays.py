@@ -13,7 +13,6 @@ import io
 import numpy as np
 import pytest
 
-from repro.config import DetectorConfig
 from repro.errors import LearningError, NotFittedError
 from repro.features.matrix import ConceptMatrix
 from repro.learning.embedding import FrozenEmbedding
@@ -30,8 +29,7 @@ def _embedding() -> FrozenEmbedding:
         )
         for concept in ("a", "b")
     }
-    config = DetectorConfig(kpca_sample_size=50, kpca_components=6)
-    return FrozenEmbedding.fit(matrices, config, seed=3)
+    return FrozenEmbedding.fit(matrices, seed=3)
 
 
 def _through_npz(arrays: dict) -> dict:
@@ -64,7 +62,7 @@ class TestRoundTrip:
 
     def test_unfitted_kpca_has_no_arrays(self):
         with pytest.raises(NotFittedError):
-            KernelPCA().to_arrays()
+            KernelPCA(n_components=6, gamma=2.0).to_arrays()
 
 
 class TestDamagedArrays:

@@ -13,6 +13,14 @@ from repro.learning import (
 )
 
 
+def _trainer(iterations=20, tolerance=1e-6, seed=0) -> MultiTaskTrainer:
+    """Algorithm 1 with the detector's regularisation weights."""
+    return MultiTaskTrainer(
+        lam=0.1, beta=0.1, gamma=0.01,
+        iterations=iterations, tolerance=tolerance, seed=seed,
+    )
+
+
 def _dataset(concept, seed, n=40, r=5, n_labeled=12, shift=0.0):
     """Synthetic 3-class data in a shared feature space."""
     rng = np.random.default_rng(seed)
@@ -76,7 +84,7 @@ class TestMultiTaskTrainer:
     def test_objective_monotonically_decreases(self):
         # Theorem 1 of the paper.
         datasets, _ = self._datasets()
-        trainer = MultiTaskTrainer(iterations=15, tolerance=0.0, seed=0)
+        trainer = _trainer(iterations=15, tolerance=0.0)
         result = trainer.fit(datasets)
         history = result.objective_history
         for earlier, later in zip(history, history[1:]):
@@ -84,7 +92,7 @@ class TestMultiTaskTrainer:
 
     def test_learns_all_concepts(self):
         datasets, truths = self._datasets()
-        result = MultiTaskTrainer(seed=0).fit(datasets)
+        result = _trainer().fit(datasets)
         for data in datasets:
             w = result.weights[data.concept]
             predictions = (data.x @ w).argmax(axis=1)
@@ -92,7 +100,7 @@ class TestMultiTaskTrainer:
 
     def test_convergence_flag(self):
         datasets, _ = self._datasets()
-        result = MultiTaskTrainer(iterations=50, tolerance=1e-7, seed=0).fit(
+        result = _trainer(iterations=50, tolerance=1e-7).fit(
             datasets
         )
         assert result.converged
@@ -106,7 +114,7 @@ class TestMultiTaskTrainer:
             calls.append(len(weights))
             return 0.5
 
-        result = MultiTaskTrainer(iterations=5, tolerance=0.0, seed=0).fit(
+        result = _trainer(iterations=5, tolerance=0.0).fit(
             datasets, eval_fn=eval_fn
         )
         assert len(calls) == result.iterations_run
@@ -123,18 +131,18 @@ class TestMultiTaskTrainer:
             a=data.a,
         )
         with pytest.raises(LearningError):
-            MultiTaskTrainer().fit([empty])
+            _trainer().fit([empty])
 
     def test_mismatched_feature_spaces_rejected(self):
         a, _ = _dataset("c1", seed=0, r=5)
         b, _ = _dataset("c2", seed=1, r=4)
         with pytest.raises(LearningError):
-            MultiTaskTrainer().fit([a, b])
+            _trainer().fit([a, b])
 
     def test_deterministic(self):
         datasets, _ = self._datasets()
-        r1 = MultiTaskTrainer(seed=5).fit(datasets)
-        r2 = MultiTaskTrainer(seed=5).fit(datasets)
+        r1 = _trainer(seed=5).fit(datasets)
+        r2 = _trainer(seed=5).fit(datasets)
         for concept in r1.weights:
             assert np.allclose(r1.weights[concept], r2.weights[concept])
 
@@ -149,8 +157,8 @@ class TestMultiTaskTrainer:
             a=data.a,
             weights=np.full(data.n_labeled, 2.0),
         )
-        plain = MultiTaskTrainer(seed=0).fit([data])
-        scaled = MultiTaskTrainer(seed=0).fit([weighted])
+        plain = _trainer().fit([data])
+        scaled = _trainer().fit([weighted])
         # Uniform weights scale the loss but leave the solution close;
         # both must classify equally well.
         for result in (plain, scaled):

@@ -1,6 +1,6 @@
 """Crash drill for the worklist under drift-triggered cleaning rollbacks.
 
-The tentpole hazard: the evidence index caches which ``(concept,
+The tentpole hazard: the candidate index caches which ``(concept,
 instance)`` pairs each pending sentence waits on, so a cleaning pass that
 rolls knowledge back underneath the extractor must shrink the tracked
 snapshot — otherwise resolution keeps triggering off removed pairs, and

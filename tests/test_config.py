@@ -93,10 +93,6 @@ class TestOtherConfigs:
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
-            DetectorConfig(kpca_components=0)
-        with pytest.raises(ValueError):
-            DetectorConfig(lam=-1)
-        with pytest.raises(ValueError):
             DetectorConfig(training_iterations=0)
 
     def test_pipeline_defaults_compose(self):
